@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet fmt-check test test-race obs-race kernels-race \
+.PHONY: check lint vet fmt-check cross-build test test-race obs-race kernels-race \
 	attn-race quant-race stage1-race corpus-race serve-race repair-race \
 	build bench bench-stage1 bench-stage2 bench-stage3 bench-repair
 
@@ -14,7 +14,7 @@ check: lint obs-race kernels-race attn-race quant-race stage1-race corpus-race s
 build:
 	$(GO) build ./...
 
-lint: vet fmt-check
+lint: vet fmt-check cross-build
 
 vet:
 	$(GO) vet ./...
@@ -23,6 +23,12 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# The assembly kernels are amd64-only; every other architecture builds
+# the pure-Go paths against stubs. Building for arm64 catches an asm
+# entry point added without its stub.
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -38,15 +44,16 @@ obs-race:
 
 # Kernel differential suite under the race detector: the blocked/SIMD
 # kernels against their naive references across worker counts, plus the
-# batched-vs-per-sample training differentials. Fails fast when a kernel
+# batched-vs-per-sample training differentials, the tape-backward
+# references and the pinned epoch losses. Fails fast when a kernel
 # change breaks bit-identity or the parallel dispatch races.
 kernels-race:
 	$(GO) test -race ./internal/tensor
-	$(GO) test -race -run 'LossBatch|FitWorkersDeterministic|Kernel' ./internal/model
+	$(GO) test -race -run 'LossBatch|FitWorkersDeterministic|Kernel|TapeBackward|FitLossesPinned' ./internal/model
 
 # Attention-kernel suite under the race detector: the head-contiguous
 # score/weighted-sum kernels against their naive and strided (full-width
-# DotColumns/MulRowInto) references in tensor, plus the model layer's
+# dotColumns/MulRowInto) references in tensor, plus the model layer's
 # layout differentials — grow-at-MaxSeq boundary, cloneKV headroom under
 # mid-growth beam branching, and decode bit-identity across kernel
 # worker counts. Fails fast when a layout or kernel change breaks the

@@ -499,9 +499,9 @@ func linearRowsFwdInto(out, x []float32, n int, l *Linear) {
 // per head. scores is caller-provided scratch of at least ctxLen
 // elements. smax is the softmax to apply per head — softmaxRow on the
 // exact float32 path, qSoftmaxRow on the quantized one. The dense
-// kernels produce the same bits as the strided DotColumns/MulRowInto
-// pass over full-width rows (attn_test.go in internal/tensor pins the
-// seam), so this layout change is invisible in the outputs.
+// kernels produce the same bits as strided dot products and MulRowInto
+// over full-width rows (attn_test.go in internal/tensor pins the seam),
+// so this layout change is invisible in the outputs.
 func attendRowInto(out, scores, q []float32, k, v [][]float32, ctxLen int, m *MHA, smax func([]float32)) {
 	dh := m.D / m.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))

@@ -368,24 +368,32 @@ func (tp *Tape) ReLU(a *Tensor) *Tensor {
 	}, a)
 }
 
-// GELU applies the tanh-approximated Gaussian error linear unit.
+// GELU applies the tanh-approximated Gaussian error linear unit. When a
+// needs a gradient, the forward pass also keeps the derivative, rounded
+// to float32 as the backward uses it, in the tape's arena, so the
+// backward does not recompute the Tanh.
 func (tp *Tape) GELU(a *Tensor) *Tensor {
 	out := tp.newTensorNoZero(a.R, a.C)
 	const c0 = 0.7978845608028654 // sqrt(2/pi)
+	var deriv []float32
+	if a.requiresGrad {
+		deriv = tp.arena.AllocNoZero(len(a.Data))
+	}
 	for i, v := range a.Data {
 		x := float64(v)
-		out.Data[i] = float32(0.5 * x * (1 + math.Tanh(c0*(x+0.044715*x*x*x))))
+		t := math.Tanh(c0 * (x + 0.044715*x*x*x))
+		out.Data[i] = float32(0.5 * x * (1 + t))
+		if deriv != nil {
+			deriv[i] = float32(0.5*(1+t) + 0.5*x*(1-t*t)*c0*(1+3*0.044715*x*x))
+		}
 	}
 	return tp.record(out, func() {
 		if !a.requiresGrad {
 			return
 		}
 		ag := tp.g(a)
-		for i := range ag {
-			x := float64(a.Data[i])
-			t := math.Tanh(c0 * (x + 0.044715*x*x*x))
-			d := 0.5*(1+t) + 0.5*x*(1-t*t)*c0*(1+3*0.044715*x*x)
-			ag[i] += out.Grad[i] * float32(d)
+		for i, d := range deriv {
+			ag[i] += out.Grad[i] * d
 		}
 	}, a)
 }
@@ -456,9 +464,10 @@ func (tp *Tape) Softmax(a *Tensor, mask []float32) *Tensor {
 		}
 	}
 	return tp.record(out, func() {
-		if !a.requiresGrad {
+		if !a.requiresGrad || a.R == 0 {
 			return
 		}
+		ag := tp.g(a)
 		for i := 0; i < a.R; i++ {
 			orow := out.Row(i)
 			grow := out.Grad[i*a.C : (i+1)*a.C]
@@ -466,7 +475,7 @@ func (tp *Tape) Softmax(a *Tensor, mask []float32) *Tensor {
 			for j := range orow {
 				dot += orow[j] * grow[j]
 			}
-			agrow := tp.g(a)[i*a.C : (i+1)*a.C]
+			agrow := ag[i*a.C : (i+1)*a.C]
 			for j := range orow {
 				agrow[j] += orow[j] * (grow[j] - dot)
 			}
@@ -502,27 +511,44 @@ func (tp *Tape) LayerNorm(a, gain, bias *Tensor) *Tensor {
 		}
 	}
 	return tp.record(out, func() {
+		// A zero-row op must touch no buffer: a shadow buffer, once
+		// resolved, is merged even if nothing was added to it.
+		if a.R == 0 {
+			return
+		}
+		// Resolve each gradient buffer once. Shadow buffers merge in
+		// first-touch order, so keep gain, bias, then a.
+		var gg, bg, ag []float32
+		if gain.requiresGrad {
+			gg = tp.g(gain)
+		}
+		if bias.requiresGrad {
+			bg = tp.g(bias)
+		}
+		if a.requiresGrad {
+			ag = tp.g(a)
+		}
+		n := float32(a.C)
 		for i := 0; i < a.R; i++ {
 			arow := a.Row(i)
 			grow := out.Grad[i*a.C : (i+1)*a.C]
 			mean, is := means[i], invstd[i]
 			// xhat = (x-mean)*is
-			n := float32(a.C)
 			var sumG, sumGX float32
 			for j := range grow {
 				xhat := (arow[j] - mean) * is
 				g := grow[j] * gain.Data[j]
 				sumG += g
 				sumGX += g * xhat
-				if gain.requiresGrad {
-					tp.g(gain)[j] += grow[j] * xhat
+				if gg != nil {
+					gg[j] += grow[j] * xhat
 				}
-				if bias.requiresGrad {
-					tp.g(bias)[j] += grow[j]
+				if bg != nil {
+					bg[j] += grow[j]
 				}
 			}
-			if a.requiresGrad {
-				ag := tp.g(a)[i*a.C : (i+1)*a.C]
+			if ag != nil {
+				ag := ag[i*a.C : (i+1)*a.C]
 				for j := range grow {
 					xhat := (arow[j] - mean) * is
 					g := grow[j] * gain.Data[j]
@@ -617,16 +643,26 @@ func (tp *Tape) HConcat(a, b *Tensor) *Tensor {
 		copy(out.Row(i)[a.C:], b.Row(i))
 	}
 	return tp.record(out, func() {
+		if a.R == 0 {
+			return
+		}
+		var ag, bg []float32
+		if a.requiresGrad {
+			ag = tp.g(a)
+		}
+		if b.requiresGrad {
+			bg = tp.g(b)
+		}
 		for i := 0; i < a.R; i++ {
 			grow := out.Grad[i*out.C : (i+1)*out.C]
-			if a.requiresGrad {
-				ag := tp.g(a)[i*a.C : (i+1)*a.C]
+			if ag != nil {
+				ag := ag[i*a.C : (i+1)*a.C]
 				for j := range ag {
 					ag[j] += grow[j]
 				}
 			}
-			if b.requiresGrad {
-				bg := tp.g(b)[i*b.C : (i+1)*b.C]
+			if bg != nil {
+				bg := bg[i*b.C : (i+1)*b.C]
 				for j := range bg {
 					bg[j] += grow[a.C+j]
 				}

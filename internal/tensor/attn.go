@@ -13,7 +13,7 @@
 // dots advance in lockstep, each lane a private sequential chain — so
 // no lane ever reorders or fuses an addition, and the results are
 // bit-identical to the scalar loop (and, transitively, to the strided
-// DotColumns/MulRowInto path the full-width layout used). attn_test.go
+// dot-product/MulRowInto path the full-width layout used). attn_test.go
 // enforces both seams.
 package tensor
 
@@ -61,9 +61,9 @@ func AttnScoresInto(out, q, k []float32, ctxLen, dh int) {
 // AttnWeightedSumInto accumulates out[j] += Σ_p w[p]·v[p*dh+j] for
 // j < dh: the softmax weights against the head's dense ctxLen×dh value
 // block. The dense layout makes this exactly one output row of MatMul,
-// so it runs the blocked row kernel (fused four-term AVX2 updates,
-// ascending-p term order, zero-skip on w) instead of the per-term
-// strided axpy loop the full-width layout forced.
+// so it runs the row kernel (register accumulators, ascending-p term
+// order, zero-skip on w) instead of the per-term strided axpy loop the
+// full-width layout forced.
 func AttnWeightedSumInto(out, w, v []float32, ctxLen, dh int) {
-	matmulRows(out, w, v, 0, 1, ctxLen, dh)
+	rowAcc(out[:dh], w, v, ctxLen, 1, dh)
 }

@@ -26,51 +26,59 @@ var attnCtxLens = []int{1, 3, 7, 8, 9, 16, 23, 64, 129}
 var attnHeadDims = []int{1, 3, 7, 8, 11, 16, 24}
 
 func TestAttnScoresMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, ctxLen := range attnCtxLens {
-		for _, dh := range attnHeadDims {
-			q := make([]float32, dh)
-			k := make([]float32, ctxLen*dh)
-			fill(q, rng, 0.25)
-			fill(k, rng, 0.1)
-			got := make([]float32, ctxLen)
-			want := make([]float32, ctxLen)
-			fill(got, rng, 0) // must be overwritten, not accumulated
-			AttnScoresInto(got, q, k, ctxLen, dh)
-			naiveAttnScores(want, q, k, ctxLen, dh)
-			equalBits(t, "AttnScoresInto", got, want)
-		}
-	}
+	eachKernelPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			for _, ctxLen := range attnCtxLens {
+				for _, dh := range attnHeadDims {
+					q := make([]float32, dh)
+					k := make([]float32, ctxLen*dh)
+					fill(q, rng, 0.25)
+					fill(k, rng, 0.1)
+					got := make([]float32, ctxLen)
+					want := make([]float32, ctxLen)
+					fill(got, rng, 0) // must be overwritten, not accumulated
+					AttnScoresInto(got, q, k, ctxLen, dh)
+					naiveAttnScores(want, q, k, ctxLen, dh)
+					equalBits(t, "AttnScoresInto", got, want)
+				}
+			}
+		})
+	})
 }
 
 // TestAttnScoresMatchesDotColumns pins the layout seam: packing a head
 // slice of full-width K rows into a dense block and running the new
-// kernel must reproduce the strided DotColumns path bit for bit.
+// kernel must reproduce the strided dotColumns path bit for bit.
 func TestAttnScoresMatchesDotColumns(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for _, ctxLen := range attnCtxLens {
-		for _, dh := range attnHeadDims {
-			heads := 3
-			stride := heads * dh
-			kfull := make([]float32, ctxLen*stride)
-			fill(kfull, rng, 0.1)
-			for h := 0; h < heads; h++ {
-				off := h * dh
-				q := make([]float32, dh)
-				fill(q, rng, 0.25)
-				want := make([]float32, ctxLen)
-				DotColumns(want, q, kfull, ctxLen, stride, off, dh)
+	eachKernelPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(22))
+			for _, ctxLen := range attnCtxLens {
+				for _, dh := range attnHeadDims {
+					heads := 3
+					stride := heads * dh
+					kfull := make([]float32, ctxLen*stride)
+					fill(kfull, rng, 0.1)
+					for h := 0; h < heads; h++ {
+						off := h * dh
+						q := make([]float32, dh)
+						fill(q, rng, 0.25)
+						want := make([]float32, ctxLen)
+						dotColumns(want, q, kfull, ctxLen, stride, off, dh)
 
-				khead := make([]float32, ctxLen*dh)
-				for j := 0; j < ctxLen; j++ {
-					copy(khead[j*dh:(j+1)*dh], kfull[j*stride+off:j*stride+off+dh])
+						khead := make([]float32, ctxLen*dh)
+						for j := 0; j < ctxLen; j++ {
+							copy(khead[j*dh:(j+1)*dh], kfull[j*stride+off:j*stride+off+dh])
+						}
+						got := make([]float32, ctxLen)
+						AttnScoresInto(got, q, khead, ctxLen, dh)
+						equalBits(t, "AttnScoresInto(vs dotColumns)", got, want)
+					}
 				}
-				got := make([]float32, ctxLen)
-				AttnScoresInto(got, q, khead, ctxLen, dh)
-				equalBits(t, "AttnScoresInto(vs DotColumns)", got, want)
 			}
-		}
-	}
+		})
+	})
 }
 
 // TestAttnWeightedSumMatchesStridedMulRow pins the value-side seam: the
@@ -78,32 +86,36 @@ func TestAttnScoresMatchesDotColumns(t *testing.T) {
 // MulRowInto the full-width layout used, including accumulation into a
 // nonzero destination.
 func TestAttnWeightedSumMatchesStridedMulRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, ctxLen := range attnCtxLens {
-		for _, dh := range attnHeadDims {
-			heads := 3
-			stride := heads * dh
-			vfull := make([]float32, ctxLen*stride)
-			fill(vfull, rng, 0.1)
-			w := make([]float32, ctxLen)
-			fill(w, rng, 0.2)
-			for h := 0; h < heads; h++ {
-				off := h * dh
-				want := make([]float32, dh)
-				got := make([]float32, dh)
-				fill(want, rng, 0)
-				copy(got, want)
-				MulRowInto(want, w, vfull, ctxLen, dh, stride, off)
+	eachKernelPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			for _, ctxLen := range attnCtxLens {
+				for _, dh := range attnHeadDims {
+					heads := 3
+					stride := heads * dh
+					vfull := make([]float32, ctxLen*stride)
+					fill(vfull, rng, 0.1)
+					w := make([]float32, ctxLen)
+					fill(w, rng, 0.2)
+					for h := 0; h < heads; h++ {
+						off := h * dh
+						want := make([]float32, dh)
+						got := make([]float32, dh)
+						fill(want, rng, 0)
+						copy(got, want)
+						MulRowInto(want, w, vfull, ctxLen, dh, stride, off)
 
-				vhead := make([]float32, ctxLen*dh)
-				for j := 0; j < ctxLen; j++ {
-					copy(vhead[j*dh:(j+1)*dh], vfull[j*stride+off:j*stride+off+dh])
+						vhead := make([]float32, ctxLen*dh)
+						for j := 0; j < ctxLen; j++ {
+							copy(vhead[j*dh:(j+1)*dh], vfull[j*stride+off:j*stride+off+dh])
+						}
+						AttnWeightedSumInto(got, w, vhead, ctxLen, dh)
+						equalBits(t, "AttnWeightedSumInto(vs MulRowInto)", got, want)
+					}
 				}
-				AttnWeightedSumInto(got, w, vhead, ctxLen, dh)
-				equalBits(t, "AttnWeightedSumInto(vs MulRowInto)", got, want)
 			}
-		}
-	}
+		})
+	})
 }
 
 func FuzzAttnScoresAgainstNaive(f *testing.F) {
@@ -112,22 +124,24 @@ func FuzzAttnScoresAgainstNaive(f *testing.F) {
 	f.Add(int64(13), uint8(40), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, cc, dd uint8) {
 		ctxLen, dh := int(cc%48)+1, int(dd%32)+1
-		rng := rand.New(rand.NewSource(seed))
-		q := make([]float32, dh)
-		k := make([]float32, ctxLen*dh)
-		fill(q, rng, 0.3)
-		fill(k, rng, 0.1)
-		got := make([]float32, ctxLen)
-		want := make([]float32, ctxLen)
-		AttnScoresInto(got, q, k, ctxLen, dh)
-		naiveAttnScores(want, q, k, ctxLen, dh)
-		equalBits(t, "AttnScoresInto(fuzz)", got, want)
+		eachKernelPath(func(path string) {
+			rng := rand.New(rand.NewSource(seed))
+			q := make([]float32, dh)
+			k := make([]float32, ctxLen*dh)
+			fill(q, rng, 0.3)
+			fill(k, rng, 0.1)
+			got := make([]float32, ctxLen)
+			want := make([]float32, ctxLen)
+			AttnScoresInto(got, q, k, ctxLen, dh)
+			naiveAttnScores(want, q, k, ctxLen, dh)
+			equalBits(t, "AttnScoresInto(fuzz, "+path+")", got, want)
+		})
 	})
 }
 
 // Benchmarks at the shipped model shape: Dim=64, Heads=4 → dh=16, a
 // mid-generation context of 128 rows. "FullWidth" is the old strided
-// path (DotColumns + per-term MulRowInto over Dim-wide rows);
+// path (dotColumns + per-term MulRowInto over Dim-wide rows);
 // "HeadContiguous" is the dense-block path the decoder now runs.
 
 const (
@@ -161,7 +175,7 @@ func BenchmarkAttendRowFullWidth(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		clear(scores)
-		DotColumns(scores, q, kfull, benchCtx, benchDim, 0, benchDh)
+		dotColumns(scores, q, kfull, benchCtx, benchDim, 0, benchDh)
 		clear(out)
 		MulRowInto(out, scores, vfull, benchCtx, benchDh, benchDim, 0)
 	}

@@ -7,11 +7,11 @@
 // adding its terms in ascending-k order, one float32 rounding per added
 // term, and skips a term exactly when its left operand is zero — the
 // same per-element semantics as a naive triple loop with a zero-skip.
-// The register blocking below only regroups loop iterations (fused
-// multi-term adds still associate left-to-right from the accumulator)
-// and the row-parallel dispatch only partitions *disjoint* output rows,
-// so results are bit-identical to the naive reference for any worker
-// count and any blocking factor. kernels_test.go enforces this with
+// The row kernel below only changes where the running sum lives (a
+// register instead of memory between terms) and the row-parallel
+// dispatch only partitions *disjoint* output rows, so results are
+// bit-identical to the naive reference for any worker count and any
+// column blocking. kernels_test.go enforces this with
 // differential and property tests; keep any new kernel inside the same
 // contract, because the Stage 3 cache (internal/model/kvcache.go) and
 // the training tape must keep producing identical floats.
@@ -89,61 +89,48 @@ func Axpy(dst, src []float32, alpha float32) {
 	}
 }
 
-// fused4 computes o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
-// — the four-k-term block every blocked kernel reduces to. Terms
-// associate left-to-right from the accumulator with one rounding per
-// product and per add, in vector and scalar form alike.
-func fused4(o, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	j := 0
-	if useAVX2 && len(o) >= 8 {
-		j = len(o) &^ 7
-		fused4AVX2(&o[0], &b0[0], &b1[0], &b2[0], &b3[0], j, a0, a1, a2, a3)
+// rowAcc accumulates o[j] += a[p·astride]·b[p·ldb+j] for j < len(o),
+// p < k: one output row of a matmul, with the left operand read at any
+// stride (1 for a row of a, r for a column of an r-wide a) and the right
+// operand's rows ldb apart. Every element receives its nonzero terms in
+// ascending p, one product rounding and one add rounding each, and a
+// term is skipped exactly when its a value is ±0 (never for NaN). The
+// AVX2 kernel keeps each column block in registers across all k terms;
+// the loop below is the reference it is tested against.
+func rowAcc(o, a, b []float32, k, astride, ldb int) {
+	c := len(o)
+	if c == 0 || k == 0 {
+		return
 	}
-	for ; j < len(o); j++ {
-		o[j] = o[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	_ = a[(k-1)*astride]
+	_ = b[(k-1)*ldb+c-1]
+	if useAVX2 {
+		rowAccAVX2(&o[0], &a[0], &b[0], c, k, astride, ldb)
+		return
+	}
+	for p := 0; p < k; p++ {
+		av := a[p*astride]
+		if av == 0 {
+			continue
+		}
+		brow := b[p*ldb : p*ldb+c]
+		for j, bv := range brow {
+			o[j] += av * bv
+		}
 	}
 }
 
 // MatMul computes out += a·b with a r×k, b k×c (out accumulates; zero it
-// for a plain product). Blocked: four k-terms per pass share one load of
-// the output row, and the fused four-term adds associate left-to-right
-// from the accumulator, so each element still receives its nonzero terms
-// in ascending-k order with one rounding each — bit-identical to the
-// naive kernel. Large shapes fan out over disjoint row ranges.
+// for a plain product). Each output row is one rowAcc call, so every
+// element receives its nonzero terms in ascending-k order with one
+// rounding each — bit-identical to the naive kernel. Large shapes fan
+// out over disjoint row ranges.
 func MatMul(out, a, b []float32, r, k, c int) {
 	parallelRows(r, r*k*c, func(lo, hi int) {
-		matmulRows(out, a, b, lo, hi, k, c)
+		for i := lo; i < hi; i++ {
+			rowAcc(out[i*c:(i+1)*c], a[i*k:(i+1)*k], b, k, 1, c)
+		}
 	})
-}
-
-func matmulRows(out, a, b []float32, lo, hi, k, c int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*c : (i+1)*c]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				fused4(orow,
-					b[p*c:(p+1)*c], b[(p+1)*c:(p+2)*c],
-					b[(p+2)*c:(p+3)*c], b[(p+3)*c:(p+4)*c],
-					a0, a1, a2, a3)
-			} else if a0 != 0 || a1 != 0 || a2 != 0 || a3 != 0 {
-				// Mixed block (causal-attention rows end in exact zeros):
-				// fall back to per-term adds with the zero-skip intact.
-				for q := 0; q < 4; q++ {
-					if av := arow[p+q]; av != 0 {
-						Axpy(orow, b[(p+q)*c:(p+q+1)*c], av)
-					}
-				}
-			}
-		}
-		for ; p < k; p++ {
-			if av := arow[p]; av != 0 {
-				Axpy(orow, b[p*c:(p+1)*c], av)
-			}
-		}
-	}
 }
 
 // ntPool recycles MatMulNT's transpose scratch; the transpose costs k·c
@@ -190,102 +177,22 @@ func MatMulNT(dst, a, b []float32, r, k, c int) {
 	ntPool.Put(bt) //nolint:staticcheck // slice reuse is the point
 }
 
-// tnBlock is MatMulTN's k-tile: the naive kernel streams the whole
-// r×c destination once per row of a, this version only once per tile.
-const tnBlock = 64
-
-// MatMulTN computes dst += aᵀ·b with a r2×r, b r2×c, dst r×c. The k
-// (=r2) dimension is tiled so dst is streamed r2/tnBlock times instead
-// of r2 times; within a tile the same fused/skip structure as MatMul
-// keeps each element's nonzero terms in ascending-k order, one rounding
-// each. Parallel over dst rows.
+// MatMulTN computes dst += aᵀ·b with a r2×r, b r2×c, dst r×c. Row i of
+// dst is rowAcc over column i of a (stride r), so each element gets its
+// nonzero terms in ascending-k (=r2) order, one rounding each. Parallel
+// over dst rows.
 func MatMulTN(dst, a, b []float32, r, r2, c int) {
 	parallelRows(r, r*r2*c, func(lo, hi int) {
-		for p0 := 0; p0 < r2; p0 += tnBlock {
-			p1 := min(p0+tnBlock, r2)
-			for i := lo; i < hi; i++ {
-				drow := dst[i*c : (i+1)*c]
-				p := p0
-				for ; p+4 <= p1; p += 4 {
-					a0, a1, a2, a3 := a[p*r+i], a[(p+1)*r+i], a[(p+2)*r+i], a[(p+3)*r+i]
-					if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-						fused4(drow,
-							b[p*c:(p+1)*c], b[(p+1)*c:(p+2)*c],
-							b[(p+2)*c:(p+3)*c], b[(p+3)*c:(p+4)*c],
-							a0, a1, a2, a3)
-					} else if a0 != 0 || a1 != 0 || a2 != 0 || a3 != 0 {
-						for q := 0; q < 4; q++ {
-							if av := a[(p+q)*r+i]; av != 0 {
-								Axpy(drow, b[(p+q)*c:(p+q+1)*c], av)
-							}
-						}
-					}
-				}
-				for ; p < p1; p++ {
-					if av := a[p*r+i]; av != 0 {
-						Axpy(drow, b[p*c:(p+1)*c], av)
-					}
-				}
-			}
+		for i := lo; i < hi; i++ {
+			rowAcc(dst[i*c:(i+1)*c], a[i:], b, r2, r, c)
 		}
 	})
 }
 
 // MulRowInto accumulates out[j] += a[p]·b[p*stride+off+j] for j < cols,
-// p < rows: one output row of MatMul against a sub-matrix of b. When the
-// sub-matrix is the whole of b the blocked row kernel applies; otherwise
-// the p-outer loop with the zero-skip runs directly. Either way the
-// per-element term order matches MatMul exactly (the Stage 3 decoder
-// depends on this for its bit-identity with the tape path).
+// p < rows: one output row of MatMul against a sub-matrix of b, in
+// MatMul's per-element term order (the Stage 3 decoder depends on this
+// for its bit-identity with the tape path).
 func MulRowInto(out, a, b []float32, rows, cols, stride, off int) {
-	if off == 0 && stride == cols {
-		matmulRows(out, a, b, 0, 1, rows, cols)
-		return
-	}
-	for p := 0; p < rows; p++ {
-		if av := a[p]; av != 0 {
-			Axpy(out, b[p*stride+off:p*stride+off+cols], av)
-		}
-	}
-}
-
-// DotColumns accumulates out[j] += a[p]·b[j*rows+off+p] for j < outer,
-// p < cols — a row times the transpose of a sub-matrix of b, in the term
-// order MatMul(a, Transpose(b)) produces after materializing the
-// transpose (ascending p per element, zero terms skipped). Four output
-// lanes share each pass over a.
-func DotColumns(out, a, b []float32, outer, rows, off, cols int) {
-	a = a[:cols]
-	j := 0
-	for ; j+4 <= outer; j += 4 {
-		r0 := b[j*rows+off:]
-		r1 := b[(j+1)*rows+off:]
-		r2 := b[(j+2)*rows+off:]
-		r3 := b[(j+3)*rows+off:]
-		var s0, s1, s2, s3 float32
-		for p, av := range a {
-			if av == 0 {
-				continue
-			}
-			s0 += av * r0[p]
-			s1 += av * r1[p]
-			s2 += av * r2[p]
-			s3 += av * r3[p]
-		}
-		out[j] += s0
-		out[j+1] += s1
-		out[j+2] += s2
-		out[j+3] += s3
-	}
-	for ; j < outer; j++ {
-		row := b[j*rows+off:]
-		var s float32
-		for p, av := range a {
-			if av == 0 {
-				continue
-			}
-			s += av * row[p]
-		}
-		out[j] += s
-	}
+	rowAcc(out[:cols], a, b[off:], rows, 1, stride)
 }

@@ -62,9 +62,69 @@ func fill(xs []float32, rng *rand.Rand, zeroFrac float64) {
 	}
 }
 
-// kernelShapes are the ISSUE-mandated odd sizes around the blocking
-// factors: the 4-wide register block and the 64-row MatMulTN tile.
-var kernelShapes = []int{1, 3, 4, 5, 13, 63, 64, 65, 133}
+// kernelShapes are the output widths tested: the sizes around the row
+// kernel's 8-lane vectors, 16- and 48-column blocks and masked tail,
+// plus other odd sizes. termShapes, a subset, are the row and term
+// counts, in which the only boundary is the parallel gate.
+var kernelShapes = []int{1, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 47, 48, 49, 63, 64, 65, 95, 96, 97, 133}
+
+var termShapes = []int{1, 3, 4, 5, 13, 63, 64, 65, 133}
+
+// eachKernelPath calls f once per kernel implementation, named by
+// path: the pure-Go loops with useAVX2 forced off, then the AVX2
+// assembly where the CPU has it.
+func eachKernelPath(f func(path string)) {
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	useAVX2 = false
+	f("go")
+	if saved {
+		useAVX2 = true
+		f("avx2")
+	}
+}
+
+// dotColumns accumulates out[j] += a[p]·b[j*rows+off+p] for j < outer,
+// p < cols — a row times the transpose of a sub-matrix of b, in the term
+// order MatMul(a, Transpose(b)) produces after materializing the
+// transpose (ascending p per element, zero terms skipped). Four output
+// lanes share each pass over a. It is the strided path the
+// head-contiguous attention kernels replaced, kept as their reference.
+func dotColumns(out, a, b []float32, outer, rows, off, cols int) {
+	a = a[:cols]
+	j := 0
+	for ; j+4 <= outer; j += 4 {
+		r0 := b[j*rows+off:]
+		r1 := b[(j+1)*rows+off:]
+		r2 := b[(j+2)*rows+off:]
+		r3 := b[(j+3)*rows+off:]
+		var s0, s1, s2, s3 float32
+		for p, av := range a {
+			if av == 0 {
+				continue
+			}
+			s0 += av * r0[p]
+			s1 += av * r1[p]
+			s2 += av * r2[p]
+			s3 += av * r3[p]
+		}
+		out[j] += s0
+		out[j+1] += s1
+		out[j+2] += s2
+		out[j+3] += s3
+	}
+	for ; j < outer; j++ {
+		row := b[j*rows+off:]
+		var s float32
+		for p, av := range a {
+			if av == 0 {
+				continue
+			}
+			s += av * row[p]
+		}
+		out[j] += s
+	}
+}
 
 func equalBits(t *testing.T, kernel string, got, want []float32) {
 	t.Helper()
@@ -78,96 +138,212 @@ func equalBits(t *testing.T, kernel string, got, want []float32) {
 
 func TestBlockedKernelsMatchNaive(t *testing.T) {
 	defer SetWorkers(0)
-	rng := rand.New(rand.NewSource(1))
-	for _, w := range []int{1, 3, 8} {
-		SetWorkers(w)
-		for _, r := range kernelShapes {
-			for _, k := range kernelShapes {
-				for _, c := range kernelShapes {
-					a := make([]float32, r*k)
-					b := make([]float32, k*c)
-					bt := make([]float32, c*k)
-					at := make([]float32, k*r)
-					fill(a, rng, 0.2)
-					fill(b, rng, 0.1)
-					fill(bt, rng, 0.1)
-					fill(at, rng, 0.2)
-
-					got := make([]float32, r*c)
-					want := make([]float32, r*c)
-					MatMul(got, a, b, r, k, c)
-					naiveMatMul(want, a, b, r, k, c)
-					equalBits(t, "MatMul", got, want)
-
-					// Accumulation into a nonzero destination.
-					fill(got, rng, 0)
-					copy(want, got)
-					MatMulNT(got, a, bt, r, k, c)
-					naiveMatMulNT(want, a, bt, r, k, c)
-					equalBits(t, "MatMulNT", got, want)
-
-					clear(got)
-					clear(want)
-					MatMulTN(got, at, b, r, k, c)
-					naiveMatMulTN(want, at, b, r, k, c)
-					equalBits(t, "MatMulTN", got, want)
+	eachKernelPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			for _, w := range []int{1, 3, 8} {
+				SetWorkers(w)
+				for _, r := range termShapes {
+					for _, k := range termShapes {
+						for _, c := range kernelShapes {
+							if w > 1 && r*k*c < parFlops {
+								continue // serial below the gate: same run as w=1
+							}
+							checkMatMulFamily(t, rng, r, k, c)
+						}
+					}
 				}
 			}
+		})
+	})
+}
+
+// checkMatMulFamily runs MatMul, MatMulNT (into a nonzero destination)
+// and MatMulTN at one shape against the naive references.
+func checkMatMulFamily(t *testing.T, rng *rand.Rand, r, k, c int) {
+	t.Helper()
+	a := make([]float32, r*k)
+	b := make([]float32, k*c)
+	bt := make([]float32, c*k)
+	at := make([]float32, k*r)
+	fill(a, rng, 0.2)
+	fill(b, rng, 0.1)
+	fill(bt, rng, 0.1)
+	fill(at, rng, 0.2)
+
+	got := make([]float32, r*c)
+	want := make([]float32, r*c)
+	MatMul(got, a, b, r, k, c)
+	naiveMatMul(want, a, b, r, k, c)
+	equalBits(t, "MatMul", got, want)
+
+	// Accumulation into a nonzero destination.
+	fill(got, rng, 0)
+	copy(want, got)
+	MatMulNT(got, a, bt, r, k, c)
+	naiveMatMulNT(want, a, bt, r, k, c)
+	equalBits(t, "MatMulNT", got, want)
+
+	clear(got)
+	clear(want)
+	MatMulTN(got, at, b, r, k, c)
+	naiveMatMulTN(want, at, b, r, k, c)
+	equalBits(t, "MatMulTN", got, want)
+}
+
+// specialValues are the left-operand values the zero-skip decides on:
+// both zeros (skipped), and NaN, both infinities and subnormals (never
+// skipped, although a float comparison or a sloppy bit test could
+// treat a subnormal or NaN as zero). The NaN is the one the CPU makes
+// for Inf·0: Go leaves unspecified which payload NaN+NaN keeps, and the
+// compiler orders commutative operands freely, so only a single NaN
+// pattern keeps every result bit-exact.
+var specialValues = []float32{
+	0,
+	float32(math.Copysign(0, -1)),
+	mulNoFold(float32(math.Inf(1)), 0),
+	float32(math.Inf(1)),
+	float32(math.Inf(-1)),
+	math.Float32frombits(0x00000001), // smallest positive subnormal
+	math.Float32frombits(0x807fffff), // negative subnormal, largest magnitude
+	math.Float32frombits(0x00400000), // mid-range subnormal
+}
+
+//go:noinline
+func mulNoFold(x, y float32) float32 { return x * y }
+
+// fillSpecial is fill with a specialFrac share of specialValues mixed in.
+func fillSpecial(xs []float32, rng *rand.Rand, specialFrac float64) {
+	fill(xs, rng, 0)
+	for i := range xs {
+		if rng.Float64() < specialFrac {
+			xs[i] = specialValues[rng.Intn(len(specialValues))]
 		}
 	}
+}
+
+// negZeros returns n copies of -0: a destination in which adding a
+// skipped ±0 term flips the sign bit of an element (-0 + +0 = +0), so a
+// kernel that adds a term the reference skips is caught.
+func negZeros(n int) []float32 {
+	xs := make([]float32, n)
+	for i := range xs {
+		xs[i] = float32(math.Copysign(0, -1))
+	}
+	return xs
+}
+
+// TestKernelsSpecialLeftOperands pins the zero-skip at the bit level:
+// left operands with ±0, NaN, ±Inf and subnormals, right operands with
+// exact zeros (so ±Inf·0 yields NaN), accumulated into -0.
+func TestKernelsSpecialLeftOperands(t *testing.T) {
+	eachKernelPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			for _, r := range []int{1, 3} {
+				for _, k := range kernelShapes {
+					for _, c := range kernelShapes {
+						a := make([]float32, r*k)
+						at := make([]float32, k*r)
+						b := make([]float32, k*c)
+						bt := make([]float32, c*k)
+						fillSpecial(a, rng, 0.1)
+						fillSpecial(at, rng, 0.1)
+						fill(b, rng, 0.2)
+						fill(bt, rng, 0.2)
+
+						got, want := negZeros(r*c), negZeros(r*c)
+						MatMul(got, a, b, r, k, c)
+						naiveMatMul(want, a, b, r, k, c)
+						equalBits(t, "MatMul(special)", got, want)
+
+						got, want = negZeros(r*c), negZeros(r*c)
+						MatMulNT(got, a, bt, r, k, c)
+						naiveMatMulNT(want, a, bt, r, k, c)
+						equalBits(t, "MatMulNT(special)", got, want)
+
+						got, want = negZeros(r*c), negZeros(r*c)
+						MatMulTN(got, at, b, r, k, c)
+						naiveMatMulTN(want, at, b, r, k, c)
+						equalBits(t, "MatMulTN(special)", got, want)
+
+						got, want = negZeros(c), negZeros(c)
+						MulRowInto(got, a[:k], b, k, c, c, 0)
+						naiveMatMul(want, a[:k], b, 1, k, c)
+						equalBits(t, "MulRowInto(special)", got, want)
+					}
+				}
+			}
+		})
+	})
 }
 
 // TestParallelDispatchAboveGate forces shapes across the parFlops gate
 // and checks worker counts cannot change a single bit.
 func TestParallelDispatchAboveGate(t *testing.T) {
 	defer SetWorkers(0)
-	r, k, c := 160, 96, 160 // r*k*c ≈ 2.4M > parFlops
-	rng := rand.New(rand.NewSource(7))
-	a := make([]float32, r*k)
-	b := make([]float32, k*c)
-	fill(a, rng, 0.15)
-	fill(b, rng, 0)
-	SetWorkers(1)
-	want := make([]float32, r*c)
-	MatMul(want, a, b, r, k, c)
-	for _, w := range []int{2, 5, 16} {
-		SetWorkers(w)
-		got := make([]float32, r*c)
-		MatMul(got, a, b, r, k, c)
-		equalBits(t, "MatMul(parallel)", got, want)
-	}
+	eachKernelPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			r, k, c := 160, 96, 160 // r*k*c ≈ 2.4M > parFlops
+			rng := rand.New(rand.NewSource(7))
+			a := make([]float32, r*k)
+			b := make([]float32, k*c)
+			fill(a, rng, 0.15)
+			fill(b, rng, 0)
+			SetWorkers(1)
+			want := make([]float32, r*c)
+			MatMul(want, a, b, r, k, c)
+			for _, w := range []int{2, 5, 16} {
+				SetWorkers(w)
+				got := make([]float32, r*c)
+				MatMul(got, a, b, r, k, c)
+				equalBits(t, "MatMul(parallel)", got, want)
+			}
+		})
+	})
 }
 
 func TestMulRowIntoMatchesMatMulRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, k := range kernelShapes {
-		for _, c := range kernelShapes {
-			a := make([]float32, k)
-			b := make([]float32, k*c)
-			fill(a, rng, 0.2)
-			fill(b, rng, 0)
-			got := make([]float32, c)
-			want := make([]float32, c)
-			MulRowInto(got, a, b, k, c, c, 0)
-			naiveMatMul(want, a, b, 1, k, c)
-			equalBits(t, "MulRowInto", got, want)
-
-			// Strided sub-matrix: columns [off, off+cols) of a wider b.
-			if c > 2 {
-				off, cols := 1, c-2
-				gotS := make([]float32, cols)
-				wantS := make([]float32, cols)
-				for p := 0; p < k; p++ {
-					if av := a[p]; av != 0 {
-						for j := 0; j < cols; j++ {
-							wantS[j] += av * b[p*c+off+j]
-						}
-					}
+	eachKernelPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			for _, k := range kernelShapes {
+				for _, c := range kernelShapes {
+					checkMulRowInto(t, rng, k, c)
 				}
-				MulRowInto(gotS, a, b, k, cols, c, off)
-				equalBits(t, "MulRowInto(strided)", gotS, wantS)
+			}
+		})
+	})
+}
+
+// checkMulRowInto runs MulRowInto over a whole k×c matrix and over a
+// strided column window of it against the naive references.
+func checkMulRowInto(t *testing.T, rng *rand.Rand, k, c int) {
+	t.Helper()
+	a := make([]float32, k)
+	b := make([]float32, k*c)
+	fill(a, rng, 0.2)
+	fill(b, rng, 0)
+	got := make([]float32, c)
+	want := make([]float32, c)
+	MulRowInto(got, a, b, k, c, c, 0)
+	naiveMatMul(want, a, b, 1, k, c)
+	equalBits(t, "MulRowInto", got, want)
+
+	// Strided sub-matrix: columns [off, off+cols) of a wider b.
+	if c > 2 {
+		off, cols := 1, c-2
+		gotS := make([]float32, cols)
+		wantS := make([]float32, cols)
+		for p := 0; p < k; p++ {
+			if av := a[p]; av != 0 {
+				for j := 0; j < cols; j++ {
+					wantS[j] += av * b[p*c+off+j]
+				}
 			}
 		}
+		MulRowInto(gotS, a, b, k, cols, c, off)
+		equalBits(t, "MulRowInto(strided)", gotS, wantS)
 	}
 }
 
@@ -191,8 +367,8 @@ func TestDotColumnsMatchesTransposedMatMul(t *testing.T) {
 			}
 			naiveMatMul(want, q, bt, 1, dh, outer)
 			got := make([]float32, outer)
-			DotColumns(got, q, kmat, outer, stride, off, dh)
-			equalBits(t, "DotColumns", got, want)
+			dotColumns(got, q, kmat, outer, stride, off, dh)
+			equalBits(t, "dotColumns", got, want)
 		}
 	}
 }
@@ -203,29 +379,31 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 	f.Add(int64(42), uint8(13), uint8(7), uint8(9))
 	f.Fuzz(func(t *testing.T, seed int64, rr, kk, cc uint8) {
 		r, k, c := int(rr%24)+1, int(kk%24)+1, int(cc%24)+1
-		rng := rand.New(rand.NewSource(seed))
-		a := make([]float32, r*k)
-		b := make([]float32, k*c)
-		fill(a, rng, 0.3)
-		fill(b, rng, 0.1)
-		got := make([]float32, r*c)
-		want := make([]float32, r*c)
-		MatMul(got, a, b, r, k, c)
-		naiveMatMul(want, a, b, r, k, c)
-		equalBits(t, "MatMul(fuzz)", got, want)
+		eachKernelPath(func(path string) {
+			rng := rand.New(rand.NewSource(seed))
+			a := make([]float32, r*k)
+			b := make([]float32, k*c)
+			fill(a, rng, 0.3)
+			fill(b, rng, 0.1)
+			got := make([]float32, r*c)
+			want := make([]float32, r*c)
+			MatMul(got, a, b, r, k, c)
+			naiveMatMul(want, a, b, r, k, c)
+			equalBits(t, "MatMul(fuzz, "+path+")", got, want)
 
-		gotNT := make([]float32, r*k)
-		wantNT := make([]float32, r*k)
-		// dst r×k += (r×c)·(k×c)ᵀ reuses got as a and b as bᵀ-shaped input.
-		MatMulNT(gotNT, got, b, r, c, k)
-		naiveMatMulNT(wantNT, got, b, r, c, k)
-		equalBits(t, "MatMulNT(fuzz)", gotNT, wantNT)
+			gotNT := make([]float32, r*k)
+			wantNT := make([]float32, r*k)
+			// dst r×k += (r×c)·(k×c)ᵀ reuses got as a and b as bᵀ-shaped input.
+			MatMulNT(gotNT, got, b, r, c, k)
+			naiveMatMulNT(wantNT, got, b, r, c, k)
+			equalBits(t, "MatMulNT(fuzz, "+path+")", gotNT, wantNT)
 
-		gotTN := make([]float32, k*c)
-		wantTN := make([]float32, k*c)
-		MatMulTN(gotTN, a, got, k, r, c)
-		naiveMatMulTN(wantTN, a, got, k, r, c)
-		equalBits(t, "MatMulTN(fuzz)", gotTN, wantTN)
+			gotTN := make([]float32, k*c)
+			wantTN := make([]float32, k*c)
+			MatMulTN(gotTN, a, got, k, r, c)
+			naiveMatMulTN(wantTN, a, got, k, r, c)
+			equalBits(t, "MatMulTN(fuzz, "+path+")", gotTN, wantTN)
+		})
 	})
 }
 

@@ -3,7 +3,7 @@
 package tensor
 
 // Non-amd64 builds run the pure-Go integer loop; this stub is never
-// reached (useAVX2 is a false constant).
+// reached (useAVX2 is always false).
 
 func dotInt8AVX2(a, b *int8, n int) int32 {
 	panic("tensor: dotInt8AVX2 on non-amd64")

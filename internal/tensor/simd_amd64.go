@@ -3,8 +3,8 @@
 package tensor
 
 // The assembly kernels vectorize the two inner loops every matmul-family
-// kernel reduces to — axpy and the fused four-term row update — with
-// VMULPS/VADDPS only. Each lane performs exactly the scalar sequence
+// kernel reduces to — axpy and the register-accumulating row update —
+// with VMULPS/VADDPS only. Each lane performs exactly the scalar sequence
 // (separate rounding for the product and for each add, terms associated
 // left-to-right from the accumulator), and lanes never exchange data, so
 // the vector results are bit-identical to the pure-Go loops; the
@@ -19,14 +19,16 @@ func xgetbv0() (eax, edx uint32)
 // processed 8 at a time; the caller handles n%8 leftovers).
 func axpyAVX2(dst, src *float32, n int, alpha float32)
 
-// fused4AVX2 computes o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] +
-// a3·b3[j] for n elements, left-to-right per element (n processed 8 at
-// a time; the caller handles leftovers).
-func fused4AVX2(o, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
+// rowAccAVX2 computes o[j] += a[p*astride]·b[p*ldb+j] for j < c and
+// p < k (c, k ≥ 1), skipping the terms whose a value is ±0. Each
+// column block of o stays in registers while all k terms are added in
+// ascending p, so it is loaded and stored once per call instead of once
+// per term; the last c%8 columns use masked loads and stores.
+func rowAccAVX2(o, a, b *float32, c, k, astride, ldb int)
 
 // useAVX2 gates the assembly paths: AVX2 present and YMM state enabled
 // by the OS. Checked once at init; the pure-Go loops are the fallback
-// and the reference.
+// and the reference. It is a var so tests can force the pure-Go paths.
 var useAVX2 = detectAVX2()
 
 func detectAVX2() bool {

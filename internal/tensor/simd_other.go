@@ -3,14 +3,15 @@
 package tensor
 
 // Non-amd64 builds run the pure-Go loops everywhere; these stubs are
-// never reached.
+// never reached. useAVX2 is a var, as on amd64, so the tests that force
+// the pure-Go paths build everywhere.
 
-const useAVX2 = false
+var useAVX2 = false
 
 func axpyAVX2(dst, src *float32, n int, alpha float32) {
 	panic("tensor: axpyAVX2 on non-amd64")
 }
 
-func fused4AVX2(o, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32) {
-	panic("tensor: fused4AVX2 on non-amd64")
+func rowAccAVX2(o, a, b *float32, c, k, astride, ldb int) {
+	panic("tensor: rowAccAVX2 on non-amd64")
 }
