@@ -5,19 +5,22 @@
 
 GO ?= go
 
-.PHONY: check lint vet fmt-check cross-build test test-race obs-race kernels-race \
-	attn-race quant-race stage1-race corpus-race serve-race repair-race \
+.PHONY: check lint vet fmt-check cross-build test test-race \
 	build bench bench-stage1 bench-stage2 bench-stage3 bench-repair
 
-check: lint obs-race kernels-race attn-race quant-race stage1-race corpus-race serve-race repair-race test-race
+check: lint test-race
 
 build:
 	$(GO) build ./...
 
 lint: vet fmt-check cross-build
 
+# perfbench/ is its own Go module, so `./...` at the root never compiles
+# it; vetting it there catches model/core API changes that would break
+# the benchmark.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # gofmt -l lists unformatted files; fail the build when any exist.
 fmt-check:
@@ -35,75 +38,6 @@ test:
 
 test-race:
 	$(GO) test -race -timeout 45m ./...
-
-# Fast, focused race check on the observability layer: its counters and
-# span emission are exercised from every worker goroutine, so this suite
-# fails first (and in seconds) when an instrument loses atomicity.
-obs-race:
-	$(GO) test -race ./internal/obs
-
-# Kernel differential suite under the race detector: the blocked/SIMD
-# kernels against their naive references across worker counts, plus the
-# batched-vs-per-sample training differentials, the tape-backward
-# references and the pinned epoch losses. Fails fast when a kernel
-# change breaks bit-identity or the parallel dispatch races.
-kernels-race:
-	$(GO) test -race ./internal/tensor
-	$(GO) test -race -run 'LossBatch|FitWorkersDeterministic|Kernel|TapeBackward|FitLossesPinned' ./internal/model
-
-# Attention-kernel suite under the race detector: the head-contiguous
-# score/weighted-sum kernels against their naive and strided (full-width
-# dotColumns/MulRowInto) references in tensor, plus the model layer's
-# layout differentials — grow-at-MaxSeq boundary, cloneKV headroom under
-# mid-growth beam branching, and decode bit-identity across kernel
-# worker counts. Fails fast when a layout or kernel change breaks the
-# bit-exact seam.
-attn-race:
-	$(GO) test -race -run 'Attn' ./internal/tensor
-	$(GO) test -race -run 'KVGrow|CloneKV|CloneQuantized|KernelWorkerBit|IncrementalDecoderClone|CachedMatchesUncached' ./internal/model
-
-# Int8 quantization suite under the race detector: the quantize/int8
-# matmul differentials and their worker-count bit-identity in tensor,
-# plus the model layer's quantized-view build (sync.Once under
-# concurrent decoders) and batched-encoder worker differentials. Fails
-# fast when the scale-once contract or the lazy view construction races.
-quant-race:
-	$(GO) test -race -run 'Quant|Int8|Scratch' ./internal/tensor
-	$(GO) test -race -run 'Quant|EncodeBatch|DecoderFromMemory' ./internal/model
-
-# Stage 1 concurrency suite under the race detector: the per-group
-# artifact cache round-trips, the worker-count differential
-# (Stage1Workers 1/3/8 must serialize byte-identically), and the
-# incremental-invalidation differential (one edited target misses
-# exactly one group at every worker count) — all of which drive the
-# templatization pool, the per-group cache, and the shared
-# extractor/source-tree memos from many goroutines.
-stage1-race:
-	$(GO) test -race ./internal/s1cache
-	$(GO) test -race -run 'Stage1Workers|Stage1Cache|Stage1Incremental|StreamingProvider' ./internal/core
-
-# Corpus-scale race check: the 50+-target extended fleet built and
-# self-evaluated under the race detector (streaming providers memoize
-# reference backends behind a mutex; this drives that path), plus the
-# lazily built function-name index hit from concurrent lookups.
-corpus-race:
-	$(GO) test -race -run 'ExtendedFleet|FamilyTargets' ./internal/eval
-	$(GO) test -race -run 'FuncByName' ./internal/corpus
-
-# Serving-layer race suite: the bounded scheduler, snapshot refcount
-# swap, and HTTP handlers driven concurrently — including the soak test
-# (queue cap 2, mid-run hot swap, armed serve-handler-panic fault) that
-# enforces the {200, 200-degraded, 429, 504} response contract.
-serve-race:
-	$(GO) test -race ./internal/serve
-
-# Verify-and-repair race suite: the CEGAR engine and oracle (shared by
-# every generation worker) plus the interp↔sim differential fuzz, whose
-# seeds run across goroutines precisely so the race detector watches the
-# compiler tables and both executors being shared.
-repair-race:
-	$(GO) test -race ./internal/repair
-	$(GO) test -race -run 'DifferentialInterpVsSim' ./internal/sim
 
 # Stage-timing benchmarks, each teed through cmd/benchjson so the run
 # leaves a machine-readable artifact beside the log.

@@ -35,8 +35,8 @@ type genMetrics struct {
 	recovered      *obs.Counter   // gen.recovered_panics: functions salvaged by the panic boundary
 	beamFallbacks  *obs.Counter   // gen.beam_fallbacks: beam requests served greedily (wrong arch)
 	beamEmpty      *obs.Counter   // gen.beam_empty: BeamGenerate returned zero beams
-	kvHits         *obs.Counter   // gen.kv_cache_hits: decodes served by the KV-cached decoder
-	kvMisses       *obs.Counter   // gen.kv_cache_misses: reference/uncached or non-transformer decodes
+	greedyRuns     *obs.Counter   // gen.decode_path.greedy: greedy decode runs, re-decodes included
+	beamRuns       *obs.Counter   // gen.decode_path.beam: beam search runs, re-decodes included
 	quantDecodes   *obs.Counter   // gen.quant_decodes: rows decoded on the int8 path
 	quantFallbacks *obs.Counter   // gen.quant_fallbacks: ambiguous int8 rows re-decoded in float32
 	escalations    *obs.Counter   // gen.escalations: low-confidence greedy rows re-decoded with beam
@@ -50,8 +50,8 @@ func newGenMetrics(o *obs.Obs) genMetrics {
 		recovered:      o.Counter("gen.recovered_panics"),
 		beamFallbacks:  o.Counter("gen.beam_fallbacks"),
 		beamEmpty:      o.Counter("gen.beam_empty"),
-		kvHits:         o.Counter("gen.kv_cache_hits"),
-		kvMisses:       o.Counter("gen.kv_cache_misses"),
+		greedyRuns:     o.Counter("gen.decode_path.greedy"),
+		beamRuns:       o.Counter("gen.decode_path.beam"),
 		quantDecodes:   o.Counter("gen.quant_decodes"),
 		quantFallbacks: o.Counter("gen.quant_fallbacks"),
 		escalations:    o.Counter("gen.escalations"),
@@ -143,43 +143,35 @@ func (p *Pipeline) generateFunction(g *Group, target string, mode genMode) (fn *
 	return fn
 }
 
-// decodeRow decodes one template row under mode. The fast path — taken
-// when quantization, a pre-encoded memory, or greedy-first escalation is
-// in play on the cached transformer — builds an incremental decoder
-// straight from the (possibly batch-encoded) memory; everything else
-// defers to the historical decode. Ambiguous quantized rows fall back to
-// float32, and under escalation a greedy row whose leading confidence
+// decodeRow decodes one template row under mode. On the transformer,
+// unless plain beam search is configured, the row decodes greedily from
+// its pre-encoded memory (or encodes itself when the pre-pass left none);
+// everything else defers to decode. Ambiguous quantized rows fall back
+// to float32, and under escalation a greedy row whose leading confidence
 // fails confidence.Threshold is re-decoded with full float32 beam
 // search, so both knobs trade only time, never accuracy.
 func (p *Pipeline) decodeRow(inIDs []int, mode genMode, mem []float32) []int {
 	t, isT := p.Model.(*model.Transformer)
-	canFast := isT && !p.uncachedDecode
 	beamConfigured := p.Cfg.BeamWidth > 1 && !mode.greedy
-	fast := canFast && (mode.quantize || mem != nil || (beamConfigured && mode.escalate))
-	if !fast || (beamConfigured && !mode.escalate) {
+	if !isT || (beamConfigured && !mode.escalate) {
 		return p.decode(inIDs, mode.greedy)
 	}
-	m := mem
-	if m == nil {
-		m = t.EncodeBatch([][]int{inIDs}, mode.quantize)[0]
+	if mem == nil {
+		mem = t.EncodeBatch([][]int{inIDs}, mode.quantize)[0]
 	}
-	d := t.NewIncrementalDecoderFromMemory(m, mode.quantize)
-	out := t.GenerateFromDecoder(d, p.Cfg.MaxOutPieces)
+	d := t.NewIncrementalDecoderFromMemory(mem, mode.quantize)
+	p.gm.greedyRuns.Inc()
+	out := t.Greedy(d, p.Cfg.MaxOutPieces)
 	if mode.quantize {
 		p.gm.quantDecodes.Inc()
 		if d.Ambiguous() {
 			// The quantized argmax may disagree with float32: re-decode
-			// the row at full precision (p.decode re-encodes float32 and
-			// keeps its own cache metrics).
+			// the row at full precision.
 			p.gm.quantFallbacks.Inc()
 			out = p.decode(inIDs, true)
-		} else {
-			p.gm.kvHits.Inc()
 		}
-	} else {
-		p.gm.kvHits.Inc()
 	}
-	if beamConfigured && mode.escalate {
+	if beamConfigured {
 		score, ok := p.leadingConfidence(out)
 		if confidence.NeedsEscalation(score, ok) {
 			p.gm.escalations.Inc()
@@ -210,25 +202,14 @@ type beamSearcher interface {
 // downgrades to greedy decoding and says so once instead of silently
 // ignoring the config. A beam search that returns zero hypotheses
 // downgrades the same way — flagged via BeamFallback and the
-// gen.beam_empty counter, never silently. The test-only uncachedDecode
-// flag swaps in the reference full-prefix decoder so differential tests
-// can compare backends bit for bit. greedy forces greedy decoding for
-// this call only (a per-request downgrade, never flagged as a fallback).
+// gen.beam_empty counter, never silently. greedy forces greedy decoding
+// for this call only (a per-request downgrade, never flagged as a
+// fallback).
 func (p *Pipeline) decode(inIDs []int, greedy bool) []int {
 	if p.Cfg.BeamWidth > 1 && !greedy {
 		if bs, ok := p.Model.(beamSearcher); ok {
-			var beams []model.Beam
-			if t, isT := p.Model.(*model.Transformer); isT && p.uncachedDecode {
-				beams = t.BeamGenerateUncached(inIDs, p.Cfg.MaxOutPieces, p.Cfg.BeamWidth)
-			} else {
-				beams = bs.BeamGenerate(inIDs, p.Cfg.MaxOutPieces, p.Cfg.BeamWidth)
-			}
-			if len(beams) > 0 {
-				if p.uncachedDecode {
-					p.gm.kvMisses.Inc()
-				} else {
-					p.gm.kvHits.Inc()
-				}
+			p.gm.beamRuns.Inc()
+			if beams := bs.BeamGenerate(inIDs, p.Cfg.MaxOutPieces, p.Cfg.BeamWidth); len(beams) > 0 {
 				return beams[0].IDs
 			}
 			p.gm.beamEmpty.Inc()
@@ -241,17 +222,7 @@ func (p *Pipeline) decode(inIDs []int, greedy bool) []int {
 				p.Cfg.BeamWidth, p.Cfg.Arch))
 		}
 	}
-	if p.uncachedDecode {
-		if t, ok := p.Model.(*model.Transformer); ok {
-			p.gm.kvMisses.Inc()
-			return t.GenerateUncached(inIDs, p.Cfg.MaxOutPieces)
-		}
-	}
-	if _, ok := p.Model.(*model.Transformer); ok {
-		p.gm.kvHits.Inc() // greedy transformer decoding runs on the KV cache
-	} else {
-		p.gm.kvMisses.Inc()
-	}
+	p.gm.greedyRuns.Inc()
 	return p.Model.Generate(inIDs, p.Cfg.MaxOutPieces)
 }
 
@@ -516,9 +487,9 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	// wide enough to cross the kernel layer's parallel-dispatch gate, which
 	// per-row self-encoding rarely does. Rows then decode straight from
 	// their pre-encoded memories. The pass is skipped when it cannot help:
-	// a non-transformer or the reference uncached decoder self-encodes
-	// anyway, and a beam run without escalation re-encodes inside beam
-	// search regardless. Panics during value resolution or input building
+	// a model other than *model.Transformer self-encodes anyway, and a
+	// beam run without escalation re-encodes inside beam search
+	// regardless. Panics during value resolution or input building
 	// leave that task to the per-function boundary in generateFunction;
 	// a panic while encoding a chunk leaves those rows to self-encode.
 	tvs := make([]*feature.TargetFeatures, len(tasks))
@@ -533,7 +504,7 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	encShare := make([]float64, len(tasks))
 	tModel, isT := p.Model.(*model.Transformer)
 	beamConfigured := p.Cfg.BeamWidth > 1 && !opt.Greedy
-	if isT && !p.uncachedDecode && !(beamConfigured && !escalate) {
+	if isT && !(beamConfigured && !escalate) {
 		type rowRef struct{ task, row int }
 		var refs []rowRef
 		var inputs [][]int

@@ -9,6 +9,8 @@ import (
 
 	"vega/internal/corpus"
 	"vega/internal/generate"
+	"vega/internal/model"
+	"vega/internal/obs"
 )
 
 // backendFingerprint serializes everything about a backend that must be
@@ -32,6 +34,20 @@ func functionFingerprint(f *generate.Function) string {
 	return sb.String()
 }
 
+// referenceModel decodes with the reference full-prefix decoder: the same
+// greedy and beam loops as the transformer, over model.ReferenceDecoder
+// instead of the KV cache. It is not a *model.Transformer, so Stage 3
+// skips the batch-encode pre-pass and decodes it row by row.
+type referenceModel struct{ *model.Transformer }
+
+func (r referenceModel) Generate(input []int, maxLen int) []int {
+	return r.Greedy(r.NewReferenceDecoder(input), maxLen)
+}
+
+func (r referenceModel) BeamGenerate(input []int, maxLen, width int) []model.Beam {
+	return r.Beam(r.NewReferenceDecoder(input), maxLen, width)
+}
+
 // TestParallelCachedMatchesSerialUncached is the PR's central differential
 // test: the KV-cached incremental decoder running on an 8-worker pool must
 // produce byte-identical backends to the reference full-prefix decoder
@@ -41,14 +57,15 @@ func TestParallelCachedMatchesSerialUncached(t *testing.T) {
 		t.Skip("full-backend generation test")
 	}
 	p := faultPipeline(t)
+	cached := p.Model.(*model.Transformer)
 	for _, beam := range []int{1, 2} {
 		p.Cfg.BeamWidth = beam
 
-		p.uncachedDecode = true
+		p.Model = referenceModel{cached}
 		p.Cfg.Workers = 1
 		ref := p.GenerateBackend("RISCV")
 
-		p.uncachedDecode = false
+		p.Model = cached
 		p.Cfg.Workers = 8
 		got := p.GenerateBackend("RISCV")
 
@@ -60,6 +77,36 @@ func TestParallelCachedMatchesSerialUncached(t *testing.T) {
 		}
 		if ref.Partial || got.Partial {
 			t.Errorf("beam %d: unexpected Partial (ref=%v got=%v)", beam, ref.Partial, got.Partial)
+		}
+	}
+}
+
+// TestDecodePathCounters checks that gen.decode_path.* count decode loop
+// runs: a greedy backend runs the greedy loop once per template row and
+// never the beam loop, and a beam backend (no escalation) the reverse.
+func TestDecodePathCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-backend generation test")
+	}
+	p := faultPipeline(t)
+	for _, beam := range []int{1, 2} {
+		p.Cfg.BeamWidth = beam
+		p.gm = newGenMetrics(obs.New(nil))
+		b := p.GenerateBackend("RISCV")
+		rows := 0
+		for _, f := range b.Functions {
+			rows += len(f.Statements)
+		}
+		if rows == 0 {
+			t.Fatalf("beam %d: backend decoded no rows", beam)
+		}
+		wantGreedy, wantBeam := rows, 0
+		if beam > 1 {
+			wantGreedy, wantBeam = 0, rows
+		}
+		if g, bm := p.gm.greedyRuns.Value(), p.gm.beamRuns.Value(); g != float64(wantGreedy) || bm != float64(wantBeam) {
+			t.Errorf("beam %d over %d rows: decode_path greedy=%v beam=%v, want %d and %d",
+				beam, rows, g, bm, wantGreedy, wantBeam)
 		}
 	}
 }

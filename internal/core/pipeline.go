@@ -183,12 +183,6 @@ type Pipeline struct {
 	BeamFallback bool
 	beamWarn     sync.Once
 
-	// uncachedDecode routes Stage 3 decoding through the reference
-	// (full-prefix, tape-recorded) decoder instead of the KV-cached one.
-	// Test-only: the differential tests generate a backend both ways and
-	// require the bytes to match.
-	uncachedDecode bool
-
 	// gm caches the Stage 3 instruments so the per-row decode path
 	// never takes the registry lock; all fields are nil (inert) when
 	// Cfg.Obs is nil.

@@ -193,57 +193,3 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 	}
 	return mems
 }
-
-// GenerateScoredFromDecoder is GenerateScored against an
-// already-prepared (fresh, zero-position) decoder — the entry point for
-// callers that batch-encode inputs and decode each one from its memory
-// slice. The decoder's quantized/float32 mode is whatever it was built
-// with; d.Ambiguous() afterwards reports whether a quantized decode is
-// at risk of disagreeing with float32. The decoder's scratch is released
-// on return (the decoder stays usable; see Release).
-func (t *Transformer) GenerateScoredFromDecoder(d *IncrementalDecoder, maxLen int) ([]int, float64) {
-	var out []int
-	var logp float64
-	if maxLen < 1 || t.Cfg.MaxSeq < 2 {
-		return out, 0
-	}
-	defer d.Release()
-	last := BOS
-	for len(out) < maxLen && len(out)+1 < t.Cfg.MaxSeq {
-		row := d.Step(last)
-		next := argmax(row)
-		if d.quant != nil {
-			logp += qLogProb(row, next)
-		} else {
-			logp += logProb(row, next)
-		}
-		if next == EOS {
-			break
-		}
-		out = append(out, next)
-		last = next
-	}
-	return out, logp / float64(len(out)+1)
-}
-
-// GenerateFromDecoder is GenerateScoredFromDecoder without the score:
-// per-step scoring costs a full-vocabulary exponential sum, and the
-// greedy fast path discards it, so skipping the bookkeeping is pure
-// profit. The decoder's scratch is released on return.
-func (t *Transformer) GenerateFromDecoder(d *IncrementalDecoder, maxLen int) []int {
-	var out []int
-	if maxLen < 1 || t.Cfg.MaxSeq < 2 {
-		return out
-	}
-	defer d.Release()
-	last := BOS
-	for len(out) < maxLen && len(out)+1 < t.Cfg.MaxSeq {
-		next := argmax(d.Step(last))
-		if next == EOS {
-			break
-		}
-		out = append(out, next)
-		last = next
-	}
-	return out
-}

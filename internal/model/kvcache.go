@@ -8,8 +8,8 @@ import (
 
 // This file implements the fast Stage 3 inference path: a tape-free
 // forward encoder plus an incremental decoder with a per-sequence KV
-// cache. The reference decode (GenerateUncached and friends) re-runs the
-// whole decoder stack over the full prefix at every emitted token —
+// cache. The reference decoder (ReferenceDecoder in decode.go) re-runs
+// the whole decoder stack over the full prefix at every emitted token —
 // O(L²) decoder row computations per statement — and pays tape-recording
 // overhead (gradient buffers, closures, node lists) for ops that will
 // never be differentiated. The cached path feeds only the newest token
@@ -33,11 +33,11 @@ import (
 // helpers in lockstep with tensor.go and internal/tensor when changing
 // any of them.
 
-// IncrementalDecoder decodes one output sequence token by token against
-// a fixed encoder memory. It is cheap to Clone, which beam search uses
-// to branch hypotheses without re-decoding their shared prefix. A
-// decoder is single-goroutine; distinct decoders over the same
-// (read-only) Transformer may run concurrently.
+// IncrementalDecoder is the KV-cached Decoder: it decodes one output
+// sequence token by token against a fixed encoder memory. It is cheap to
+// Clone, which beam search uses to branch hypotheses without re-decoding
+// their shared prefix. A decoder is single-goroutine; distinct decoders
+// over the same (read-only) Transformer may run concurrently.
 type IncrementalDecoder struct {
 	t      *Transformer
 	memR   int             // encoder memory rows
@@ -143,7 +143,7 @@ func (d *IncrementalDecoder) Ambiguous() bool { return d.ambiguous }
 
 // Clone branches the decoder: the growing self-attention blocks are
 // copied per head, the per-sequence memory projections are shared.
-func (d *IncrementalDecoder) Clone() *IncrementalDecoder {
+func (d *IncrementalDecoder) Clone() Decoder {
 	c := &IncrementalDecoder{t: d.t, memR: d.memR, pos: d.pos,
 		quant: d.quant, ambiguous: d.ambiguous}
 	c.layers = make([]decLayerCache, len(d.layers))
@@ -623,8 +623,8 @@ func geluRow(xs []float32) {
 }
 
 // --- quantized-path approximations. The int8 decode is already inexact
-// (guarded by the QuantMargin ambiguity fallback), so its softmax, GELU,
-// and scoring swap the float64 library transcendentals — which dominate
+// (guarded by the QuantMargin ambiguity fallback), so its softmax and
+// GELU swap the float64 library transcendentals — which dominate
 // single-core decode time — for tensor's float32 polynomials. The exact
 // float32 path above never calls these. ---
 
@@ -656,20 +656,4 @@ func qGeluRow(xs []float32) {
 	for i, v := range xs {
 		xs[i] = 0.5 * v * (1 + tensor.FastTanh32(c0*(v+0.044715*v*v*v)))
 	}
-}
-
-// qLogProb mirrors logProb with FastExp32 for the full-vocabulary sum —
-// the per-step scoring otherwise costs one float64 Exp per vocab entry.
-func qLogProb(logits []float32, idx int) float64 {
-	maxv := float32(math.Inf(-1))
-	for _, v := range logits {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for _, v := range logits {
-		sum += float64(tensor.FastExp32(v - maxv))
-	}
-	return float64(logits[idx]-maxv) - math.Log(sum)
 }

@@ -9,8 +9,8 @@ import (
 
 // Tests for the head-contiguous KV-cache layout: grow-on-demand at the
 // MaxSeq boundary, cloneKV headroom under beam-style branching mid-
-// growth, and kernel-worker bit-identity. Run under -race by the
-// Makefile's attn-race target.
+// growth, and kernel-worker bit-identity. `make check` runs them under
+// -race.
 
 // refStepLogits is the tape-path ground truth for one decode step: the
 // full decoder stack over the whole prefix, last row's logits.
@@ -18,7 +18,7 @@ func refStepLogits(m *Transformer, in, prefix []int) []float32 {
 	tp := NewTape()
 	mem := m.Encode(tp, in)
 	tp2 := NewTape()
-	states := tp2.decodeOnce(m, prefix, mem)
+	states := m.decodeStates(tp2, prefix, mem)
 	logits := m.Logits(tp2, tp2.SliceRows(states, states.R-1, states.R))
 	return logits.Row(0)
 }
@@ -131,7 +131,7 @@ func TestCloneKVHeadroomMidGrowth(t *testing.T) {
 		// Diverge: the clone takes alternative tokens, the parent
 		// continues on the original sequence; interleave the steps so a
 		// shared backing array would be caught by content (and by -race
-		// when run under the attn-race target).
+		// when run under -race).
 		var cloneRow, parentRow []float32
 		cloneToks := append(append([]int{}, toks[:branchAt]...), 0, 0, 0)
 		for i := 0; i < 3; i++ {

@@ -55,25 +55,10 @@ func TestGenerateCachedMatchesUncached(t *testing.T) {
 	for _, cfg := range kvConfigs(vocab) {
 		m := NewTransformer(cfg)
 		for _, in := range kvInputs(vocab, cfg.Seed+1) {
-			want := m.GenerateUncached(in, 20)
+			want := m.Greedy(m.NewReferenceDecoder(in), 20)
 			got := m.Generate(in, 20)
 			if !equalInts(got, want) {
 				t.Fatalf("cfg %+v input %v: cached %v, uncached %v", cfg, in, got, want)
-			}
-		}
-	}
-}
-
-func TestGenerateScoredCachedMatchesUncached(t *testing.T) {
-	const vocab = 40
-	for _, cfg := range kvConfigs(vocab) {
-		m := NewTransformer(cfg)
-		for _, in := range kvInputs(vocab, cfg.Seed+2) {
-			wantIDs, wantLP := m.GenerateScoredUncached(in, 20)
-			gotIDs, gotLP := m.GenerateScored(in, 20)
-			if !equalInts(gotIDs, wantIDs) || gotLP != wantLP {
-				t.Fatalf("cfg %+v input %v: cached (%v, %v), uncached (%v, %v)",
-					cfg, in, gotIDs, gotLP, wantIDs, wantLP)
 			}
 		}
 	}
@@ -85,7 +70,7 @@ func TestBeamGenerateCachedMatchesUncached(t *testing.T) {
 		m := NewTransformer(cfg)
 		for _, width := range []int{1, 2, 4} {
 			for _, in := range kvInputs(vocab, cfg.Seed+3) {
-				want := m.BeamGenerateUncached(in, 16, width)
+				want := m.Beam(m.NewReferenceDecoder(in), 16, width)
 				got := m.BeamGenerate(in, 16, width)
 				if len(got) != len(want) {
 					t.Fatalf("cfg %+v width %d: %d beams cached, %d uncached", cfg, width, len(got), len(want))
@@ -110,7 +95,10 @@ func TestBeamGenerateRespectsMaxSeq(t *testing.T) {
 	cfg := Config{Vocab: 30, Dim: 16, Heads: 2, EncLayers: 1, DecLayers: 1, FFMult: 2, MaxSeq: 8, Seed: 5}
 	m := NewTransformer(cfg)
 	in := []int{CLS, 20, 21, SEP}
-	for _, gen := range []func([]int, int, int) []Beam{m.BeamGenerate, m.BeamGenerateUncached} {
+	reference := func(in []int, maxLen, width int) []Beam {
+		return m.Beam(m.NewReferenceDecoder(in), maxLen, width)
+	}
+	for _, gen := range []func([]int, int, int) []Beam{m.BeamGenerate, reference} {
 		beams := gen(in, 20, 3)
 		if len(beams) == 0 {
 			t.Fatal("no beams returned")
@@ -159,7 +147,7 @@ func TestIncrementalDecoderClone(t *testing.T) {
 	parent := m.NewIncrementalDecoder(in)
 	parent.Step(BOS)
 	parent.Step(10)
-	clone := parent.Clone()
+	clone := parent.Clone().(*IncrementalDecoder)
 
 	cloneRow := clone.Step(11)
 	parentRow := parent.Step(12)

@@ -44,12 +44,11 @@ func TestDecoderFromMemoryMatchesGenerate(t *testing.T) {
 		ins := kvInputs(vocab, cfg.Seed+4)
 		mems := m.EncodeBatch(ins, false)
 		for s, in := range ins {
-			wantIDs, wantLP := m.GenerateScored(in, 20)
+			want := m.Generate(in, 20)
 			d := m.NewIncrementalDecoderFromMemory(mems[s], false)
-			gotIDs, gotLP := m.GenerateScoredFromDecoder(d, 20)
-			if !equalInts(gotIDs, wantIDs) || gotLP != wantLP {
-				t.Fatalf("cfg %+v input %v: from-memory (%v, %v), direct (%v, %v)",
-					cfg, in, gotIDs, gotLP, wantIDs, wantLP)
+			got := m.Greedy(d, 20)
+			if !equalInts(got, want) {
+				t.Fatalf("cfg %+v input %v: from-memory %v, direct %v", cfg, in, got, want)
 			}
 			if d.Ambiguous() {
 				t.Fatalf("cfg %+v input %v: float32 decoder reported Ambiguous", cfg, in)
@@ -102,7 +101,7 @@ func TestQuantizedDecodeAgreesOrAmbiguous(t *testing.T) {
 			want := m.Generate(in, 20)
 			qmem := m.EncodeBatch([][]int{in}, true)[0]
 			qd := m.NewIncrementalDecoderFromMemory(qmem, true)
-			got, _ := m.GenerateScoredFromDecoder(qd, 20)
+			got := m.Greedy(qd, 20)
 			if !equalInts(got, want) && !qd.Ambiguous() {
 				t.Fatalf("cfg %+v input %v: quantized %v != float32 %v but not Ambiguous",
 					cfg, in, got, want)

@@ -184,105 +184,10 @@ func (t *Transformer) Loss(tp *Tape, input, output []int) *Tensor {
 	return tp.CrossEntropy(logits, targets)
 }
 
-// Generate decodes greedily from input, up to maxLen output pieces. It
-// uses the KV-cached incremental decoder; outputs are bit-identical to
-// GenerateUncached (enforced by TestGenerateCachedMatchesUncached).
+// Generate decodes greedily from input, up to maxLen output pieces, by
+// running Greedy over a KV-cached decoder.
 func (t *Transformer) Generate(input []int, maxLen int) []int {
-	var out []int
-	if maxLen < 1 || t.Cfg.MaxSeq < 2 {
-		return out
-	}
-	d := t.NewIncrementalDecoder(input)
-	defer d.Release()
-	last := BOS
-	for len(out) < maxLen && len(out)+1 < t.Cfg.MaxSeq {
-		next := argmax(d.Step(last))
-		if next == EOS {
-			break
-		}
-		out = append(out, next)
-		last = next
-	}
-	return out
-}
-
-// GenerateUncached is the reference greedy decode: it re-runs the full
-// decoder stack over the whole prefix at every step. Kept as the ground
-// truth the cached path is differentially tested against.
-func (t *Transformer) GenerateUncached(input []int, maxLen int) []int {
-	tp := NewTape()
-	mem := t.Encode(tp, input)
-	prefix := []int{BOS}
-	var out []int
-	for len(out) < maxLen && len(prefix) < t.Cfg.MaxSeq {
-		tp2 := NewTape()
-		states := tp2.decodeOnce(t, prefix, mem)
-		logits := t.Logits(tp2, tp2.SliceRows(states, states.R-1, states.R))
-		next := argmax(logits.Row(0))
-		if next == EOS {
-			break
-		}
-		out = append(out, next)
-		prefix = append(prefix, next)
-	}
-	return out
-}
-
-// decodeOnce is a helper so generation reuses the already-computed memory
-// without re-recording encoder ops.
-func (tp *Tape) decodeOnce(t *Transformer, prefix []int, mem *Tensor) *Tensor {
-	return t.decodeStates(tp, prefix, mem)
-}
-
-// GenerateScored decodes greedily and also returns the mean log
-// probability of the emitted pieces (a sequence-level model confidence).
-// Uses the KV-cached decoder; bit-identical to GenerateScoredUncached.
-func (t *Transformer) GenerateScored(input []int, maxLen int) ([]int, float64) {
-	var out []int
-	var logp float64
-	if maxLen < 1 || t.Cfg.MaxSeq < 2 {
-		return out, 0
-	}
-	d := t.NewIncrementalDecoder(input)
-	defer d.Release()
-	last := BOS
-	for len(out) < maxLen && len(out)+1 < t.Cfg.MaxSeq {
-		row := d.Step(last)
-		next := argmax(row)
-		logp += logProb(row, next)
-		if next == EOS {
-			break
-		}
-		out = append(out, next)
-		last = next
-	}
-	n := len(out) + 1
-	return out, logp / float64(n)
-}
-
-// GenerateScoredUncached is the reference scored greedy decode (see
-// GenerateUncached).
-func (t *Transformer) GenerateScoredUncached(input []int, maxLen int) ([]int, float64) {
-	tp := NewTape()
-	mem := t.Encode(tp, input)
-	prefix := []int{BOS}
-	var out []int
-	var logp float64
-	for len(out) < maxLen && len(prefix) < t.Cfg.MaxSeq {
-		tp2 := NewTape()
-		states := t.decodeStates(tp2, prefix, mem)
-		logits := t.Logits(tp2, tp2.SliceRows(states, states.R-1, states.R))
-		row := logits.Row(0)
-		next := argmax(row)
-		logp += logProb(row, next)
-		if next == EOS {
-			break
-		}
-		out = append(out, next)
-		prefix = append(prefix, next)
-	}
-	n := len(out) + 1
-	return out, logp / float64(n)
+	return t.Greedy(t.NewIncrementalDecoder(input), maxLen)
 }
 
 func argmax(xs []float32) int {

@@ -54,14 +54,6 @@ func TestTransformerGenerateStops(t *testing.T) {
 	}
 }
 
-func TestGenerateScoredProbability(t *testing.T) {
-	m := NewTransformer(tinyConfig(30))
-	_, lp := m.GenerateScored([]int{CLS, 20, SEP}, 5)
-	if lp > 0 {
-		t.Errorf("mean log prob must be <= 0, got %f", lp)
-	}
-}
-
 func TestTransformerLossFinite(t *testing.T) {
 	m := NewTransformer(tinyConfig(30))
 	tp := NewTape()

@@ -11,7 +11,7 @@ import (
 )
 
 // TestConcurrentGenerateAcrossSwap is the serving-layer differential test
-// (run under -race by `make serve-race`): many overlapping
+// (run under -race by `make check`): many overlapping
 // GenerateBackendContext-path calls share one snapshot while a swap
 // retires it mid-flight. Every request must complete (zero dropped),
 // every output must be byte-identical to a serial reference run, and the
