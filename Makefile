@@ -1,14 +1,14 @@
 # Tier-1 verification targets. `make check` is what CI runs: lint (vet +
 # gofmt) plus the full test suite under the race detector, which
 # exercises the concurrent training/cancellation paths and Stage 3's
-# generation worker pool.
+# generation worker pool, plus a short run of every native fuzz target.
 
 GO ?= go
 
-.PHONY: check lint vet fmt-check cross-build test test-race \
+.PHONY: check lint vet fmt-check cross-build test test-race fuzz-smoke \
 	build bench bench-stage1 bench-stage2 bench-stage3 bench-repair
 
-check: lint test-race
+check: lint test-race fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,14 @@ test:
 
 test-race:
 	$(GO) test -race -timeout 45m ./...
+
+# A few seconds of coverage-guided fuzzing per native fuzz target (plain
+# `go test` only replays their seed corpora). `-fuzz` takes one target
+# per package run, hence one line each.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzMatMulAgainstNaive$$' -fuzztime 3s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzAttnScoresAgainstNaive$$' -fuzztime 3s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzSimCacheAgainstTokenLCS$$' -fuzztime 3s ./internal/gumtree
 
 # Stage-timing benchmarks, each teed through cmd/benchjson so the run
 # leaves a machine-readable artifact beside the log.

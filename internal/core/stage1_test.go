@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -66,6 +68,26 @@ func TestStage1WorkersDeterminism(t *testing.T) {
 		if got != want {
 			t.Fatalf("workers=%d: Stage 1 state differs from workers=1", workers)
 		}
+	}
+}
+
+// stage1PinnedSHA256 is the SHA-256 of stage1Fingerprint for the
+// standard corpus under tinyConfig, recorded before Stage 1 alignment
+// moved to interned symbol ids and the bit-parallel LCS kernel. Any
+// change to a template, a feature or the split changes it; a deliberate
+// output change must re-record it and say why.
+const stage1PinnedSHA256 = "924dcfde4fe5d1bb0056134a38dfeb5a3f107f454d43a46b12669d212185b06b"
+
+// TestStage1FingerprintPinned proves Stage 1 output is byte-identical
+// across performance work on alignment, templatization and features.
+func TestStage1FingerprintPinned(t *testing.T) {
+	p, err := New(testCorpus(t), tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(stage1Fingerprint(t, p)))
+	if got := hex.EncodeToString(sum[:]); got != stage1PinnedSHA256 {
+		t.Fatalf("Stage 1 fingerprint = %s, want %s", got, stage1PinnedSHA256)
 	}
 }
 

@@ -14,22 +14,11 @@ func TokenLCS(a, b []string) []IndexPair {
 	if n == 0 || m == 0 {
 		return nil
 	}
-	dp := make([][]int16, n+1)
-	for i := range dp {
-		dp[i] = make([]int16, m+1)
-	}
-	for i := n - 1; i >= 0; i-- {
-		for j := m - 1; j >= 0; j-- {
-			if a[i] == b[j] {
-				dp[i][j] = dp[i+1][j+1] + 1
-			} else if dp[i+1][j] >= dp[i][j+1] {
-				dp[i][j] = dp[i+1][j]
-			} else {
-				dp[i][j] = dp[i][j+1]
-			}
-		}
-	}
+	dp, w := lcsTable(a, b), m+1
 	var out []IndexPair
+	if dp[0] > 0 {
+		out = make([]IndexPair, 0, dp[0])
+	}
 	i, j := 0, 0
 	for i < n && j < m {
 		switch {
@@ -37,7 +26,7 @@ func TokenLCS(a, b []string) []IndexPair {
 			out = append(out, IndexPair{A: i, B: j})
 			i++
 			j++
-		case dp[i+1][j] >= dp[i][j+1]:
+		case dp[(i+1)*w+j] >= dp[i*w+j+1]:
 			i++
 		default:
 			j++
@@ -46,14 +35,40 @@ func TokenLCS(a, b []string) []IndexPair {
 	return out
 }
 
+// lcsTable fills the suffix LCS table of a and b as one flat
+// (len(a)+1)×(len(b)+1) slice: entry i·(len(b)+1)+j is the LCS length of
+// a[i:] and b[j:], so entry 0 is the LCS length of the whole sequences.
+func lcsTable[T comparable](a, b []T) []int32 {
+	n, m := len(a), len(b)
+	w := m + 1
+	dp := make([]int32, (n+1)*w)
+	for i := n - 1; i >= 0; i-- {
+		row, next := dp[i*w:(i+1)*w], dp[(i+1)*w:(i+2)*w]
+		for j := m - 1; j >= 0; j-- {
+			if a[i] == b[j] {
+				row[j] = next[j+1] + 1
+			} else if next[j] >= row[j+1] {
+				row[j] = next[j]
+			} else {
+				row[j] = row[j+1]
+			}
+		}
+	}
+	return dp
+}
+
 // Similarity is the dice coefficient of two token sequences based on LCS
 // length: 2·|LCS| / (|a|+|b|). Returns 1 for two empty sequences.
 func Similarity(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
+	return diceLen(int(lcsTable(a, b)[0]), len(a), len(b))
+}
+
+// diceLen is 2·lcs / (n+m), or 1 when both sequences are empty.
+func diceLen(lcs, n, m int) float64 {
+	if n+m == 0 {
 		return 1
 	}
-	lcs := len(TokenLCS(a, b))
-	return 2 * float64(lcs) / float64(len(a)+len(b))
+	return 2 * float64(lcs) / float64(n+m)
 }
 
 // AlignPair pairs statement indexes of two sequences; -1 marks a gap
@@ -94,8 +109,17 @@ func AlignTokenized(a, b [][]string, opt AlignOptions) []AlignPair {
 }
 
 func alignTokenized(ta, tb [][]string, opt AlignOptions) []AlignPair {
+	c := NewSimCache()
+	ia := make([]int, len(ta))
+	for i, t := range ta {
+		ia[i] = c.Intern(t)
+	}
+	ib := make([]int, len(tb))
+	for j, t := range tb {
+		ib[j] = c.Intern(t)
+	}
 	return AlignFunc(len(ta), len(tb), func(i, j int) float64 {
-		return Similarity(ta[i], tb[j])
+		return c.Sim(ia[i], ib[j])
 	}, opt.MinSim)
 }
 
@@ -103,41 +127,40 @@ func alignTokenized(ta, tb [][]string, opt AlignOptions) []AlignPair {
 // arbitrary pairwise similarity function; pairs below minSim never match.
 // Every index of both sequences appears exactly once, in order.
 func AlignFunc(n, m int, sim func(i, j int) float64, minSim float64) []AlignPair {
-	score := make([][]float64, n+1)
-	for i := range score {
-		score[i] = make([]float64, m+1)
-	}
-	simv := make([][]float64, n)
-	for i := range simv {
-		simv[i] = make([]float64, m)
-		for j := range simv[i] {
-			simv[i][j] = sim(i, j)
+	// score[i*w+j] is the best total of aligning a[i:] with b[j:];
+	// simv[i*m+j] caches sim(i, j).
+	w := m + 1
+	score := make([]float64, (n+1)*w)
+	simv := make([]float64, n*m)
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			simv[i*m+j] = sim(i, j)
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		for j := m - 1; j >= 0; j-- {
-			best := score[i+1][j] // gap in b
-			if s := score[i][j+1]; s > best {
+			best := score[(i+1)*w+j] // gap in b
+			if s := score[i*w+j+1]; s > best {
 				best = s // gap in a
 			}
-			if s := simv[i][j]; s >= minSim {
-				if v := s + score[i+1][j+1]; v > best {
+			if s := simv[i*m+j]; s >= minSim {
+				if v := s + score[(i+1)*w+j+1]; v > best {
 					best = v
 				}
 			}
-			score[i][j] = best
+			score[i*w+j] = best
 		}
 	}
 	var out []AlignPair
 	i, j := 0, 0
 	for i < n && j < m {
-		s := simv[i][j]
+		s := simv[i*m+j]
 		switch {
-		case s >= minSim && score[i][j] == s+score[i+1][j+1]:
+		case s >= minSim && score[i*w+j] == s+score[(i+1)*w+j+1]:
 			out = append(out, AlignPair{A: i, B: j})
 			i++
 			j++
-		case score[i][j] == score[i+1][j]:
+		case score[i*w+j] == score[(i+1)*w+j]:
 			out = append(out, AlignPair{A: i, B: -1})
 			i++
 		default:

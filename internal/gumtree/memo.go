@@ -1,56 +1,97 @@
 package gumtree
 
-import "strings"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
-// SimCache memoizes token-sequence similarity. Templatization's
-// best-of-targets inner loop asks for Similarity of the same (row
-// statement, implementation statement) token lists over and over as the
-// template accumulates targets; interning each distinct token list to a
-// small integer id and caching the LCS-based similarity per id pair
-// turns those repeats into map hits. Results are exactly the values
-// Similarity would return — identical token lists share one id, so no
-// hash collision can change a score.
+// SimCache scores token-sequence similarity for templatization's
+// best-of-targets inner loop. Each distinct token gets a dense symbol id
+// and each distinct token list a list id, so Sim compares small integer
+// sequences: with the shorter list at most 64 tokens long (every
+// statement of the corpus is) the exact LCS length comes from the
+// bit-parallel recurrence of Allison–Dix and Hyyrö in O(n+m) word
+// operations and no allocation. That is cheaper than a map lookup keyed
+// by the id pair, so no pair is memoized. Results are exactly the values
+// Similarity would return.
 //
 // A SimCache is not safe for concurrent use; give each alignment its
 // own.
 type SimCache struct {
-	ids   map[string]int // joined token key -> id
-	lists [][]string     // id -> token list
-	cache map[uint64]float64
+	syms  map[string]int32 // token -> symbol id
+	ids   map[string]int   // fixed-width symbol-id sequence -> list id
+	lists [][]int32        // list id -> symbol ids
+	// peq is the kernel's match table, indexed by symbol id: bit i of
+	// peq[s] is set while the shorter list has s at position i. It is all
+	// zero between Sim calls.
+	peq []uint64
+	seq []int32 // Intern's scratch symbol ids
+	key []byte  // Intern's scratch key
 }
 
 // NewSimCache returns an empty cache.
 func NewSimCache() *SimCache {
-	return &SimCache{ids: make(map[string]int), cache: make(map[uint64]float64)}
+	return &SimCache{syms: make(map[string]int32), ids: make(map[string]int)}
 }
 
 // Intern returns the id of a token list, assigning one on first sight.
-// Identical lists (element-wise) always share an id.
+// Identical lists (element-wise) always share an id and distinct lists
+// never do: the key is the list's symbol ids at four bytes each.
 func (c *SimCache) Intern(toks []string) int {
-	key := strings.Join(toks, "\x00")
-	if id, ok := c.ids[key]; ok {
+	c.seq, c.key = c.seq[:0], c.key[:0]
+	for _, t := range toks {
+		s, ok := c.syms[t]
+		if !ok {
+			s = int32(len(c.peq))
+			c.syms[t] = s
+			c.peq = append(c.peq, 0)
+		}
+		c.seq = append(c.seq, s)
+		c.key = binary.LittleEndian.AppendUint32(c.key, uint32(s))
+	}
+	if id, ok := c.ids[string(c.key)]; ok {
 		return id
 	}
 	id := len(c.lists)
-	c.ids[key] = id
-	c.lists = append(c.lists, toks)
+	c.ids[string(c.key)] = id
+	c.lists = append(c.lists, append([]int32(nil), c.seq...))
 	return id
 }
 
-// Sim returns Similarity of the two interned lists, computing each
-// distinct unordered pair at most once.
+// Sim returns Similarity of the two interned lists.
 func (c *SimCache) Sim(a, b int) float64 {
 	if a == b {
 		return 1
 	}
-	if a > b {
-		a, b = b, a
+	x, y := c.lists[a], c.lists[b]
+	return diceLen(c.lcsLen(x, y), len(x), len(y))
+}
+
+// lcsLen is the length of a longest common subsequence of two symbol
+// sequences. V holds one bit per position of the shorter sequence; a
+// zero bit marks a position where the LCS of the prefixes read so far
+// grows, so the length is the count of zeros. Bits above the shorter
+// length start at one and stay one: U never has them set, and although
+// V+U may carry into them, V−U (= V with U's bits cleared) keeps them.
+// That is why 64 − popcount(V) counts only real positions. When both
+// sequences exceed one word the exact DP table answers instead.
+func (c *SimCache) lcsLen(x, y []int32) int {
+	if len(x) > len(y) {
+		x, y = y, x
 	}
-	key := uint64(a)<<32 | uint64(b)
-	if v, ok := c.cache[key]; ok {
-		return v
+	if len(x) > 64 {
+		return int(lcsTable(x, y)[0])
 	}
-	v := Similarity(c.lists[a], c.lists[b])
-	c.cache[key] = v
-	return v
+	for i, s := range x {
+		c.peq[s] |= 1 << uint(i)
+	}
+	v := ^uint64(0)
+	for _, s := range y {
+		u := v & c.peq[s]
+		v = (v + u) | (v - u)
+	}
+	for _, s := range x {
+		c.peq[s] = 0
+	}
+	return 64 - bits.OnesCount64(v)
 }

@@ -122,10 +122,10 @@ func Build(name string, impls []Impl) (*FunctionTemplate, error) {
 	ft := &FunctionTemplate{Name: name}
 	first := impls[0]
 	ft.Targets = append(ft.Targets, first.Target)
-	// memo caches statement-pair similarities for the whole progressive
+	// memo interns statement token lists for the whole progressive
 	// alignment; rowIDs tracks, per row, the interned ids of the distinct
 	// token lists its PerTarget map holds, so merge's best-of-targets
-	// loop never re-runs LCS on a token sequence it has already scored.
+	// loop scores each distinct list once per statement pair.
 	memo := gumtree.NewSimCache()
 	var rowIDs [][]int
 	for _, st := range first.Stmts {
@@ -196,17 +196,16 @@ func (ft *FunctionTemplate) merge(impl Impl, memo *gumtree.SimCache, rowIDs [][]
 	return newIDs
 }
 
-// appendIDUnique adds id to ids unless already present, copying so rows
-// never share a backing array.
+// appendIDUnique adds id to ids unless already present. Appending in
+// place is safe for the same reason mergeRow's map write is: each old
+// row's ids pass to exactly one new row.
 func appendIDUnique(ids []int, id int) []int {
 	for _, v := range ids {
 		if v == id {
 			return ids
 		}
 	}
-	out := make([]int, 0, len(ids)+1)
-	out = append(out, ids...)
-	return append(out, id)
+	return append(ids, id)
 }
 
 // mergeRow refines a row's pattern against a new target's tokens: literal
@@ -258,13 +257,9 @@ func (ft *FunctionTemplate) mergeRow(row *Row, target string, toks []string) {
 		}
 	}
 	row.Pattern = pattern
-	// Copy-on-write: rows are shared by value during rebuilds.
-	pt := make(map[string][]string, len(row.PerTarget)+1)
-	for k, v := range row.PerTarget {
-		pt[k] = v
-	}
-	pt[target] = toks
-	row.PerTarget = pt
+	// In place: alignment pairs each old row with exactly one new row, and
+	// no map escapes Build before the last merge.
+	row.PerTarget[target] = toks
 }
 
 // renumber assigns sequential placeholder ids (SV1, SV2, ...) across the

@@ -1,10 +1,12 @@
 package template
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"vega/internal/cpp"
+	"vega/internal/gumtree"
 )
 
 const armSrc = `unsigned ARMELFObjectWriter::getRelocType(unsigned Kind, bool IsPCRel) {
@@ -291,6 +293,60 @@ func TestThreeWayMerge(t *testing.T) {
 					t.Errorf("%s case values %v missing %q", tgt, vals, want)
 				}
 			}
+		}
+	}
+}
+
+// mergeRow writes each new target into its row's PerTarget map in place.
+// That is safe only while every row owns its map and Build leaves the
+// callers' statements alone; each target's rows must also still spell
+// out exactly its own statements, in order.
+func TestBuildRowsOwnPerTargetMaps(t *testing.T) {
+	// X86 brings two statements no earlier target has, so one merge
+	// appends two new rows.
+	x86 := `unsigned X86ELFObjectWriter::getRelocType(unsigned Kind, bool IsPCRel) {
+  unsigned K = Fixup.getTargetKind();
+  X86_64RelType Type = getType64(Kind, Modifier, IsPCRel);
+  checkIs32(Ctx, Loc, Type);
+  return ELF::R_X86_64_32;
+}`
+	impls := []Impl{
+		implOf(t, "ARM", armSrc),
+		implOf(t, "MIPS", mipsSrc),
+		implOf(t, "X86", x86),
+		implOf(t, "MIPS2", mipsSrc),
+	}
+	before := make([][]cpp.Statement, len(impls))
+	for i, im := range impls {
+		before[i] = append([]cpp.Statement(nil), im.Stmts...)
+	}
+	ft, err := Build("getRelocType", impls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[uintptr]int{}
+	for i, row := range ft.Rows {
+		p := reflect.ValueOf(row.PerTarget).Pointer()
+		if j, ok := owner[p]; ok {
+			t.Fatalf("rows %d and %d share a PerTarget map", j, i)
+		}
+		owner[p] = i
+	}
+	for i, im := range impls {
+		if !reflect.DeepEqual(im.Stmts, before[i]) {
+			t.Fatalf("Build changed %s's statements", im.Target)
+		}
+		var want, got [][]string
+		for _, st := range im.Stmts {
+			want = append(want, gumtree.StatementTokens(st))
+		}
+		for _, row := range ft.Rows {
+			if toks, ok := row.PerTarget[im.Target]; ok {
+				got = append(got, toks)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s rows = %q, want its statements %q", im.Target, got, want)
 		}
 	}
 }
