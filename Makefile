@@ -1,7 +1,8 @@
 # Tier-1 verification targets. `make check` is what CI runs: lint (vet +
-# gofmt) plus the full test suite under the race detector, which
-# exercises the concurrent training/cancellation paths and Stage 3's
-# generation worker pool, plus a short run of every native fuzz target.
+# gofmt); the full test suite under the race detector, which exercises
+# the concurrent training/cancellation paths and Stage 3's generation
+# worker pool; the perfbench module's tests; and a short run of every
+# native fuzz target.
 
 GO ?= go
 
@@ -33,11 +34,15 @@ fmt-check:
 cross-build:
 	GOARCH=arm64 $(GO) build ./...
 
+# perfbench/ is its own module (see vet); its tests check that the
+# benchmark's correctness checks fire, so both test targets run them.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test .
 
 test-race:
 	$(GO) test -race -timeout 45m ./...
+	cd perfbench && $(GO) test .
 
 # A few seconds of coverage-guided fuzzing per native fuzz target (plain
 # `go test` only replays their seed corpora). `-fuzz` takes one target

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	vega-serve [-addr :8080] [-queue 64] [-workers N] [-deadline 60s]
-//	           [-load ckpt.vega | -epochs 14] [-beam 1]
+//	           [-load ckpt.vega | -epochs 14] [-quantize]
 //	           [-metrics out.jsonl] [-pprof localhost:6060]
 //	           [-save-on-exit ckpt.vega]
 //
@@ -68,9 +68,7 @@ func main() {
 		samples   = flag.Int("samples", 2600, "max deduplicated training samples")
 		seed      = flag.Int64("seed", 1, "random seed")
 		arch      = flag.String("arch", "transformer", "model architecture: transformer, gru, bert")
-		beam      = flag.Int("beam", 1, "beam width for full-fidelity decoding (degrades to greedy under pressure)")
 		quantize  = flag.Bool("quantize", false, "decode every request through int8 quantized weights (identical output, lower latency)")
-		beamEsc   = flag.Bool("beam-escalate", false, "greedy-first beam decoding: re-decode with the beam only below the confidence threshold")
 		genWork   = flag.Int("gen-workers", 0, "decode workers inside one request (0 = NumCPU)")
 		kworkers  = flag.Int("kernel-workers", 0, "goroutines per large matmul kernel (0 = GOMAXPROCS)")
 		s1workers = flag.Int("stage1-workers", 0, "parallel templatization workers (0 = NumCPU)")
@@ -112,9 +110,7 @@ func main() {
 	cfg.Train.Epochs = *epochs
 	cfg.MaxSamples = *samples
 	cfg.Arch = *arch
-	cfg.BeamWidth = *beam
 	cfg.Quantize = *quantize
-	cfg.BeamEscalate = *beamEsc
 	cfg.Workers = *genWork
 	cfg.KernelWorkers = *kworkers
 	cfg.Stage1Workers = *s1workers

@@ -8,7 +8,7 @@
 //
 //	vega -target RISCV [-epochs 14] [-samples 2600] [-arch transformer]
 //	     [-out generated/] [-seed 1] [-quiet] [-timeout 10m] [-verify]
-//	     [-quantize] [-beam-escalate]
+//	     [-quantize]
 //	     [-metrics out.jsonl] [-pprof localhost:6060]
 //
 // The run honors a deadline (-timeout) and Ctrl-C: a canceled training
@@ -72,7 +72,6 @@ func main() {
 		verify    = flag.Bool("verify", false, "execute generated functions against the reference and repair divergences (CEGAR)")
 		repRounds = flag.Int("repair-rounds", 0, "max counterexample-guided repair rounds per function (0 = default 3; needs -verify)")
 		quantize  = flag.Bool("quantize", false, "decode through int8 quantized weights (identical output; ambiguous rows re-decode float32)")
-		beamEsc   = flag.Bool("beam-escalate", false, "greedy-first beam decoding: re-decode with the beam only below the confidence threshold")
 	)
 	flag.Parse()
 
@@ -153,7 +152,6 @@ func main() {
 	cfg.Verify = *verify
 	cfg.RepairRounds = *repRounds
 	cfg.Quantize = *quantize
-	cfg.BeamEscalate = *beamEsc
 	cfg.Obs = o
 	if !*quiet {
 		cfg.Train.Verbose = func(e int, l float64) {

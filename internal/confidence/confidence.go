@@ -77,15 +77,6 @@ func Likely(score float64) bool {
 	return score >= Threshold
 }
 
-// NeedsEscalation is the greedy-first decode policy: a statement decoded
-// greedily is re-decoded with beam search when its leading confidence
-// score is missing (ok false — the model emitted no confidence bucket,
-// maximal uncertainty) or fails Likely (below Threshold, or NaN). Cheap
-// decoding for the confident majority, full fidelity for the rest.
-func NeedsEscalation(score float64, ok bool) bool {
-	return !ok || !Likely(score)
-}
-
 // Band buckets a score the way Fig. 8 reports it: "≈1.00" means > 0.99.
 type Band int
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"vega/internal/corpus"
@@ -122,79 +121,6 @@ func TestVerifyCapConvention(t *testing.T) {
 				t.Errorf("verify.cap_applied = %v (found=%v), want %v", g.Value, ok, tc.gauge)
 			}
 		})
-	}
-}
-
-// stubBeamModel is a Seq2Seq whose beam search returns whatever the test
-// plants — the real transformer's BeamGenerate structurally always
-// returns at least one beam, so the empty-beam degradation is only
-// reachable through the beamSearcher seam.
-type stubBeamModel struct {
-	beams  []model.Beam
-	greedy []int
-}
-
-func (s *stubBeamModel) Params() []*model.Tensor { return nil }
-func (s *stubBeamModel) Loss(tp *model.Tape, input, output []int) *model.Tensor {
-	return nil
-}
-func (s *stubBeamModel) Generate(input []int, maxLen int) []int { return s.greedy }
-func (s *stubBeamModel) BeamGenerate(input []int, maxLen, width int) []model.Beam {
-	return s.beams
-}
-
-// An empty beam result used to fall through to Generate with no trace —
-// indistinguishable from a deliberate greedy run. It now routes through
-// the same BeamFallback/log-once path as the wrong-architecture
-// downgrade and counts on gen.beam_empty.
-func TestDecodeEmptyBeamFallsBackToGreedy(t *testing.T) {
-	mem := &obs.MemSink{}
-	cfg := tinyConfig()
-	cfg.BeamWidth = 4
-	cfg.Obs = obs.New(mem)
-	p, err := New(testCorpus(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Model = &stubBeamModel{greedy: []int{41, 7}}
-
-	got := p.decode([]int{model.CLS}, false)
-	if !reflect.DeepEqual(got, []int{41, 7}) {
-		t.Errorf("decode = %v, want the greedy result [41 7]", got)
-	}
-	if !p.BeamFallback {
-		t.Error("BeamFallback not set after an empty beam search")
-	}
-	cfg.Obs.Flush()
-	if m, _ := mem.Metric("gen.beam_empty"); m.Value != 1 {
-		t.Errorf("gen.beam_empty = %v, want 1", m.Value)
-	}
-	if m, _ := mem.Metric("gen.beam_fallbacks"); m.Value != 0 {
-		t.Errorf("gen.beam_fallbacks = %v, want 0 (arch path must not fire)", m.Value)
-	}
-}
-
-// A populated beam result is still used as-is: no fallback, no counter.
-func TestDecodeBeamUsedWhenPresent(t *testing.T) {
-	mem := &obs.MemSink{}
-	cfg := tinyConfig()
-	cfg.BeamWidth = 4
-	cfg.Obs = obs.New(mem)
-	p, err := New(testCorpus(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Model = &stubBeamModel{beams: []model.Beam{{IDs: []int{9, 9}}}, greedy: []int{1}}
-
-	if got := p.decode([]int{model.CLS}, false); !reflect.DeepEqual(got, []int{9, 9}) {
-		t.Errorf("decode = %v, want the top beam [9 9]", got)
-	}
-	if p.BeamFallback {
-		t.Error("BeamFallback set despite a non-empty beam result")
-	}
-	cfg.Obs.Flush()
-	if m, _ := mem.Metric("gen.beam_empty"); m.Value != 0 {
-		t.Errorf("gen.beam_empty = %v, want 0", m.Value)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vega/internal/faultinject"
-	"vega/internal/model"
 )
 
 // faultPipeline builds a pipeline with an untrained model — enough for
@@ -136,27 +135,5 @@ func TestTrainRecoversFromInjectedNaNEpoch(t *testing.T) {
 	}
 	if last, first := res.EpochLosses[2], res.EpochLosses[0]; last >= first {
 		t.Errorf("loss did not converge across recovery: %v", res.EpochLosses)
-	}
-}
-
-func TestBeamFallbackRecordedOnce(t *testing.T) {
-	p := faultPipeline(t)
-	cfg := p.Cfg.Model
-	cfg.Vocab = p.Vocab.Size()
-	p.Model = model.NewGRUSeq2Seq(cfg)
-	p.Cfg.Arch = "gru"
-	p.Cfg.BeamWidth = 3
-	g := p.GroupByName("getRelocType")
-	p.GenerateFunction(g, "RISCV")
-	if !p.BeamFallback {
-		t.Fatal("greedy downgrade not recorded")
-	}
-
-	// The transformer path must not set the flag.
-	q := faultPipeline(t)
-	q.Cfg.BeamWidth = 2
-	q.GenerateFunction(q.GroupByName("getRelocType"), "RISCV")
-	if q.BeamFallback {
-		t.Error("transformer beam search wrongly flagged as fallback")
 	}
 }

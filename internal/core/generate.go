@@ -3,14 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"log"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"vega/internal/confidence"
 	"vega/internal/corpus"
 	"vega/internal/faultinject"
 	"vega/internal/feature"
@@ -33,13 +31,9 @@ type genMetrics struct {
 	decodeSeconds  *obs.Histogram // gen.decode_seconds: per-function decode time
 	queueWait      *obs.Histogram // gen.queue_wait_seconds: pool start → task pickup
 	recovered      *obs.Counter   // gen.recovered_panics: functions salvaged by the panic boundary
-	beamFallbacks  *obs.Counter   // gen.beam_fallbacks: beam requests served greedily (wrong arch)
-	beamEmpty      *obs.Counter   // gen.beam_empty: BeamGenerate returned zero beams
 	greedyRuns     *obs.Counter   // gen.decode_path.greedy: greedy decode runs, re-decodes included
-	beamRuns       *obs.Counter   // gen.decode_path.beam: beam search runs, re-decodes included
 	quantDecodes   *obs.Counter   // gen.quant_decodes: rows decoded on the int8 path
 	quantFallbacks *obs.Counter   // gen.quant_fallbacks: ambiguous int8 rows re-decoded in float32
-	escalations    *obs.Counter   // gen.escalations: low-confidence greedy rows re-decoded with beam
 }
 
 func newGenMetrics(o *obs.Obs) genMetrics {
@@ -48,13 +42,9 @@ func newGenMetrics(o *obs.Obs) genMetrics {
 		decodeSeconds:  o.Histogram("gen.decode_seconds"),
 		queueWait:      o.Histogram("gen.queue_wait_seconds"),
 		recovered:      o.Counter("gen.recovered_panics"),
-		beamFallbacks:  o.Counter("gen.beam_fallbacks"),
-		beamEmpty:      o.Counter("gen.beam_empty"),
 		greedyRuns:     o.Counter("gen.decode_path.greedy"),
-		beamRuns:       o.Counter("gen.decode_path.beam"),
 		quantDecodes:   o.Counter("gen.quant_decodes"),
 		quantFallbacks: o.Counter("gen.quant_fallbacks"),
-		escalations:    o.Counter("gen.escalations"),
 	}
 }
 
@@ -71,25 +61,14 @@ func (p *Pipeline) GenerateFunction(g *Group, target string) (fn *generate.Funct
 	return p.generateFunction(g, target, genMode{})
 }
 
-// genMode carries one generation call's decode strategy and any
-// precomputed state from the batch pre-pass. The zero value is the
-// historical behaviour: per-row self-encoded float32 decoding honoring
-// Cfg.BeamWidth.
+// genMode carries one generation call's decode precision and any
+// precomputed state from the batch pre-pass. The zero value decodes each
+// row in float32 from its own encoding.
 type genMode struct {
-	// greedy bypasses beam search regardless of Cfg.BeamWidth — the
-	// serving degrade ladder's beam→greedy downgrade, which must not flip
-	// the pipeline-wide BeamFallback flag (it is a deliberate per-request
-	// choice, not a capability failure).
-	greedy bool
 	// quantize routes row decodes through the int8 quantized weight view;
 	// rows whose quantized decode is Ambiguous are re-decoded in float32,
 	// so output accuracy is preserved by construction.
 	quantize bool
-	// escalate switches beam decoding to greedy-first: each row decodes
-	// greedily and only re-decodes with beam search when its leading
-	// confidence fails confidence.Threshold. No effect unless
-	// Cfg.BeamWidth > 1 and greedy is off.
-	escalate bool
 	// tv, when non-nil, is the precomputed target-value set (the batch
 	// pre-pass resolves it once per task; nil recomputes locally).
 	tv *feature.TargetFeatures
@@ -100,8 +79,7 @@ type genMode struct {
 	// rowIDs, when non-nil, holds the encoded input token ids per
 	// template row, exactly what the batch pre-pass fed EncodeBatch —
 	// reusing them skips rebuilding the row features and re-encoding the
-	// vocabulary a second time per row. A nil slice (or short entry)
-	// rebuilds locally.
+	// vocabulary a second time per row. A nil slice rebuilds locally.
 	rowIDs [][]int
 }
 
@@ -127,14 +105,14 @@ func (p *Pipeline) generateFunction(g *Group, target string, mode genMode) (fn *
 	}
 	for ri := range g.FT.Rows {
 		var inIDs []int
-		if mode.rowIDs != nil && ri < len(mode.rowIDs) {
+		if ri < len(mode.rowIDs) {
 			inIDs = mode.rowIDs[ri]
 		} else {
 			in := p.rowInputTokens(g, ri, tv, target)
 			inIDs = append([]int{model.CLS}, p.Vocab.Encode(in)...)
 		}
 		var mem []float32
-		if mode.rowMems != nil && ri < len(mode.rowMems) {
+		if ri < len(mode.rowMems) {
 			mem = mode.rowMems[ri]
 		}
 		outIDs := p.decodeRow(inIDs, mode, mem)
@@ -143,24 +121,21 @@ func (p *Pipeline) generateFunction(g *Group, target string, mode genMode) (fn *
 	return fn
 }
 
-// decodeRow decodes one template row under mode. On the transformer,
-// unless plain beam search is configured, the row decodes greedily from
-// its pre-encoded memory (or encodes itself when the pre-pass left none);
-// everything else defers to decode. Ambiguous quantized rows fall back
-// to float32, and under escalation a greedy row whose leading confidence
-// fails confidence.Threshold is re-decoded with full float32 beam
-// search, so both knobs trade only time, never accuracy.
+// decodeRow greedily decodes one template row. On the transformer the
+// row decodes from its pre-encoded memory (or encodes itself when the
+// pre-pass left none), and an ambiguous quantized row re-decodes in
+// float32, so quantizing trades only time, never accuracy. The GRU and
+// BERT baselines decode through Model.Generate.
 func (p *Pipeline) decodeRow(inIDs []int, mode genMode, mem []float32) []int {
+	p.gm.greedyRuns.Inc()
 	t, isT := p.Model.(*model.Transformer)
-	beamConfigured := p.Cfg.BeamWidth > 1 && !mode.greedy
-	if !isT || (beamConfigured && !mode.escalate) {
-		return p.decode(inIDs, mode.greedy)
+	if !isT {
+		return p.Model.Generate(inIDs, p.Cfg.MaxOutPieces)
 	}
 	if mem == nil {
 		mem = t.EncodeBatch([][]int{inIDs}, mode.quantize)[0]
 	}
 	d := t.NewIncrementalDecoderFromMemory(mem, mode.quantize)
-	p.gm.greedyRuns.Inc()
 	out := t.Greedy(d, p.Cfg.MaxOutPieces)
 	if mode.quantize {
 		p.gm.quantDecodes.Inc()
@@ -168,76 +143,11 @@ func (p *Pipeline) decodeRow(inIDs []int, mode genMode, mem []float32) []int {
 			// The quantized argmax may disagree with float32: re-decode
 			// the row at full precision.
 			p.gm.quantFallbacks.Inc()
-			out = p.decode(inIDs, true)
-		}
-	}
-	if beamConfigured {
-		score, ok := p.leadingConfidence(out)
-		if confidence.NeedsEscalation(score, ok) {
-			p.gm.escalations.Inc()
-			return p.decode(inIDs, false)
+			p.gm.greedyRuns.Inc()
+			out = t.Generate(inIDs, p.Cfg.MaxOutPieces)
 		}
 	}
 	return out
-}
-
-// leadingConfidence extracts the decoded row's leading confidence-bucket
-// value (ok false when the model emitted none).
-func (p *Pipeline) leadingConfidence(outIDs []int) (float64, bool) {
-	if len(outIDs) == 0 {
-		return 0, false
-	}
-	return p.Vocab.ConfidenceValue(outIDs[0])
-}
-
-// beamSearcher is the decoding capability beam search requires. The
-// transformer implements it; the GRU and BERT baselines do not, and
-// tests stub it to exercise decode's degradation paths.
-type beamSearcher interface {
-	BeamGenerate(input []int, maxLen, width int) []model.Beam
-}
-
-// decode runs the configured decoding strategy. Beam search needs a
-// model that can beam-search (the transformer); any other architecture
-// downgrades to greedy decoding and says so once instead of silently
-// ignoring the config. A beam search that returns zero hypotheses
-// downgrades the same way — flagged via BeamFallback and the
-// gen.beam_empty counter, never silently. greedy forces greedy decoding
-// for this call only (a per-request downgrade, never flagged as a
-// fallback).
-func (p *Pipeline) decode(inIDs []int, greedy bool) []int {
-	if p.Cfg.BeamWidth > 1 && !greedy {
-		if bs, ok := p.Model.(beamSearcher); ok {
-			p.gm.beamRuns.Inc()
-			if beams := bs.BeamGenerate(inIDs, p.Cfg.MaxOutPieces, p.Cfg.BeamWidth); len(beams) > 0 {
-				return beams[0].IDs
-			}
-			p.gm.beamEmpty.Inc()
-			p.fallBackToGreedy(fmt.Sprintf(
-				"BeamGenerate(width %d) returned no beams; decoding greedily", p.Cfg.BeamWidth))
-		} else {
-			p.gm.beamFallbacks.Inc()
-			p.fallBackToGreedy(fmt.Sprintf(
-				"BeamWidth %d needs the transformer; arch %q decodes greedily",
-				p.Cfg.BeamWidth, p.Cfg.Arch))
-		}
-	}
-	p.gm.greedyRuns.Inc()
-	return p.Model.Generate(inIDs, p.Cfg.MaxOutPieces)
-}
-
-// fallBackToGreedy marks the pipeline as beam-degraded and logs the
-// reason once — the shared path for both the wrong-architecture and the
-// empty-beam downgrades, so neither is ever indistinguishable from a
-// deliberate greedy run.
-func (p *Pipeline) fallBackToGreedy(reason string) {
-	// Once.Do gives the flag write mutual exclusion: several pool workers
-	// (or several concurrent serving requests) can hit the downgrade at
-	// the same time, and a bare bool store from each would be a data race.
-	p.beamWarn.Do(func() {
-		p.BeamFallback = true
-		log.Printf("core: %s", reason)
-	})
 }
 
 // decodeStatement reconstructs a statement from the model's decision
@@ -336,10 +246,6 @@ type GenOptions struct {
 	// (0 = unlimited). A truncated run is marked Backend.Truncated so the
 	// caller can surface the degradation explicitly.
 	MaxFunctions int
-	// Greedy forces greedy decoding even when Cfg.BeamWidth > 1 — the
-	// beam→greedy rung of the serving degrade ladder. It never sets
-	// BeamFallback: a requested downgrade is not a capability failure.
-	Greedy bool
 	// Verify turns on verify-and-repair for this request (OR-ed with
 	// Cfg.Verify): generated functions are executed against ground truth
 	// and repaired from counterexamples on divergence.
@@ -354,12 +260,6 @@ type GenOptions struct {
 	// float32, so results match the full-precision path; the serving
 	// ladder's QuantizeAt rung sets this under pressure.
 	Quantize bool
-	// BeamEscalate switches beam decoding to greedy-first for this
-	// request (OR-ed with Cfg.BeamEscalate): rows decode greedily and
-	// re-decode with beam search only when their leading confidence
-	// fails confidence.Threshold. No effect when BeamWidth ≤ 1 or Greedy
-	// is set.
-	BeamEscalate bool
 }
 
 // moduleListed reports whether module survives a Modules filter (an empty
@@ -424,8 +324,8 @@ func (p *Pipeline) GenerateBackendContext(ctx context.Context, target string) *g
 
 // GenerateBackendOptions is GenerateBackendContext narrowed by opt: the
 // request can scope generation to a module subset or an explicit function
-// list, truncate after MaxFunctions (marked Truncated), and force greedy
-// decoding. The cancellation, panic-isolation, determinism, and Seconds
+// list, truncate after MaxFunctions (marked Truncated), verify, or decode
+// quantized. The cancellation, panic-isolation, determinism, and Seconds
 // contracts of GenerateBackendContext hold unchanged within the scope.
 //
 // The method is safe for concurrent use: model weights and Stage 1 state
@@ -479,19 +379,18 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	}
 
 	quantize := opt.Quantize || p.Cfg.Quantize
-	escalate := opt.BeamEscalate || p.Cfg.BeamEscalate
 
 	// Batch encode pre-pass: resolve each task's target values once, build
 	// every (task, row) encoder input in deterministic task order, and
 	// encode them in fixed-size chunks through the ragged batched encoder —
 	// wide enough to cross the kernel layer's parallel-dispatch gate, which
 	// per-row self-encoding rarely does. Rows then decode straight from
-	// their pre-encoded memories. The pass is skipped when it cannot help:
-	// a model other than *model.Transformer self-encodes anyway, and a
-	// beam run without escalation re-encodes inside beam search
-	// regardless. Panics during value resolution or input building
-	// leave that task to the per-function boundary in generateFunction;
-	// a panic while encoding a chunk leaves those rows to self-encode.
+	// their pre-encoded memories and input ids. The pass is skipped for a
+	// model other than *model.Transformer, which self-encodes anyway.
+	// Panics during value resolution or input building leave that task to
+	// the per-function boundary in generateFunction, which rebuilds its
+	// inputs; a panic while encoding a chunk leaves those rows to
+	// self-encode from their ids.
 	tvs := make([]*feature.TargetFeatures, len(tasks))
 	for i := range tasks {
 		func() {
@@ -502,9 +401,7 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	taskMems := make([][][]float32, len(tasks))
 	taskIDs := make([][][]int, len(tasks))
 	encShare := make([]float64, len(tasks))
-	tModel, isT := p.Model.(*model.Transformer)
-	beamConfigured := p.Cfg.BeamWidth > 1 && !opt.Greedy
-	if isT && !(beamConfigured && !escalate) {
+	if tModel, isT := p.Model.(*model.Transformer); isT {
 		type rowRef struct{ task, row int }
 		var refs []rowRef
 		var inputs [][]int
@@ -615,11 +512,10 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 					obs.String("module", tasks[i].module))
 				start := time.Now()
 				results[i] = p.generateFunction(tasks[i].g, target, genMode{
-					greedy:   opt.Greedy,
 					quantize: quantize,
-					escalate: escalate,
 					tv:       tvs[i],
 					rowMems:  taskMems[i],
+					rowIDs:   taskIDs[i],
 				})
 				durs[i] = time.Since(start).Seconds() + encShare[i]
 				if eng != nil {

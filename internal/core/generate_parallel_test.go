@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -48,66 +49,84 @@ func (r referenceModel) BeamGenerate(input []int, maxLen, width int) []model.Bea
 	return r.Beam(r.NewReferenceDecoder(input), maxLen, width)
 }
 
-// TestParallelCachedMatchesSerialUncached is the PR's central differential
-// test: the KV-cached incremental decoder running on an 8-worker pool must
-// produce byte-identical backends to the reference full-prefix decoder
-// running serially, in greedy and beam-search decoding modes.
+// TestParallelCachedMatchesSerialUncached is the central decode
+// differential test: the KV-cached incremental decoder running on an
+// 8-worker pool must produce byte-identical backends to the reference
+// full-prefix decoder running serially. The verify case routes through
+// repair, whose candidate pool mines beam-search alternatives, so the
+// cached beam loop is checked against the reference one too; it is
+// scoped to a few functions because reference beam search re-runs the
+// whole prefix at every step.
 func TestParallelCachedMatchesSerialUncached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-backend generation test")
 	}
 	p := faultPipeline(t)
 	cached := p.Model.(*model.Transformer)
-	for _, beam := range []int{1, 2} {
-		p.Cfg.BeamWidth = beam
+	ctx := context.Background()
+	verifyFns := []string{"getSetCCResultType", "getUncondBranchOpcode",
+		"getStackAlignment", "decodeSImmOperand", "getCalleeSavedRegs"}
+	for _, opt := range []GenOptions{{}, {Verify: true, Functions: verifyFns}} {
+		name := fmt.Sprintf("verify=%v", opt.Verify)
 
 		p.Model = referenceModel{cached}
 		p.Cfg.Workers = 1
-		ref := p.GenerateBackend("RISCV")
+		ref := p.GenerateBackendOptions(ctx, "RISCV", opt)
 
 		p.Model = cached
 		p.Cfg.Workers = 8
-		got := p.GenerateBackend("RISCV")
+		got := p.GenerateBackendOptions(ctx, "RISCV", opt)
 
 		if len(ref.Functions) == 0 {
-			t.Fatalf("beam %d: reference backend is empty", beam)
+			t.Fatalf("%s: reference backend is empty", name)
 		}
-		if a, b := backendFingerprint(ref), backendFingerprint(got); a != b {
-			t.Errorf("beam %d: parallel cached backend differs from serial uncached reference", beam)
+		if a, b := verifyFingerprint(ref), verifyFingerprint(got); a != b {
+			t.Errorf("%s: parallel cached backend differs from serial uncached reference", name)
 		}
 		if ref.Partial || got.Partial {
-			t.Errorf("beam %d: unexpected Partial (ref=%v got=%v)", beam, ref.Partial, got.Partial)
+			t.Errorf("%s: unexpected Partial (ref=%v got=%v)", name, ref.Partial, got.Partial)
+		}
+		if opt.Verify && ref.Repaired+ref.RepairFailed == 0 {
+			t.Errorf("%s: no function reached a repair round", name)
+		}
+	}
+
+	// Repair asks for repairBeams beams per suspect row but keeps only
+	// the distinct statements the verifier tries, so also compare every
+	// beam of every row of the verify scope directly.
+	for _, fn := range verifyFns {
+		g := p.GroupByName(fn)
+		tv := p.Extractor.TargetValues(g.TF, "RISCV")
+		for row := range g.FT.Rows {
+			in := append([]int{model.CLS}, p.Vocab.Encode(p.rowInputTokens(g, row, tv, "RISCV"))...)
+			want := referenceModel{cached}.BeamGenerate(in, p.Cfg.MaxOutPieces, repairBeams)
+			got := cached.BeamGenerate(in, p.Cfg.MaxOutPieces, repairBeams)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s row %d: cached beams differ from the reference:\n%+v\nvs\n%+v", fn, row, got, want)
+			}
 		}
 	}
 }
 
-// TestDecodePathCounters checks that gen.decode_path.* count decode loop
-// runs: a greedy backend runs the greedy loop once per template row and
-// never the beam loop, and a beam backend (no escalation) the reverse.
+// TestDecodePathCounters checks that gen.decode_path.greedy counts
+// decode loop runs: a float32 backend runs the greedy loop exactly once
+// per template row.
 func TestDecodePathCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-backend generation test")
 	}
 	p := faultPipeline(t)
-	for _, beam := range []int{1, 2} {
-		p.Cfg.BeamWidth = beam
-		p.gm = newGenMetrics(obs.New(nil))
-		b := p.GenerateBackend("RISCV")
-		rows := 0
-		for _, f := range b.Functions {
-			rows += len(f.Statements)
-		}
-		if rows == 0 {
-			t.Fatalf("beam %d: backend decoded no rows", beam)
-		}
-		wantGreedy, wantBeam := rows, 0
-		if beam > 1 {
-			wantGreedy, wantBeam = 0, rows
-		}
-		if g, bm := p.gm.greedyRuns.Value(), p.gm.beamRuns.Value(); g != float64(wantGreedy) || bm != float64(wantBeam) {
-			t.Errorf("beam %d over %d rows: decode_path greedy=%v beam=%v, want %d and %d",
-				beam, rows, g, bm, wantGreedy, wantBeam)
-		}
+	p.gm = newGenMetrics(obs.New(nil))
+	b := p.GenerateBackend("RISCV")
+	rows := 0
+	for _, f := range b.Functions {
+		rows += len(f.Statements)
+	}
+	if rows == 0 {
+		t.Fatal("backend decoded no rows")
+	}
+	if g := p.gm.greedyRuns.Value(); g != float64(rows) {
+		t.Errorf("decode_path greedy = %v over %d rows, want one run per row", g, rows)
 	}
 }
 

@@ -58,12 +58,4 @@ func TestGenerateBackendOptionsScope(t *testing.T) {
 			}
 		}
 	})
-
-	t.Run("greedy matches beam width 1", func(t *testing.T) {
-		b1 := p.GenerateBackendOptions(ctx, "RISCV", GenOptions{Functions: []string{"getRelocType"}})
-		b2 := p.GenerateBackendOptions(ctx, "RISCV", GenOptions{Functions: []string{"getRelocType"}, Greedy: true})
-		if backendFingerprint(b1) != backendFingerprint(b2) {
-			t.Error("Greedy option changed output at beam width 1")
-		}
-	})
 }

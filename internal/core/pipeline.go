@@ -67,20 +67,12 @@ type Config struct {
 	// the MaxSamples convention: 0 (or negative) bounds nothing.
 	// DefaultConfig applies the usual 400.
 	VerifyCap int
-	// BeamWidth > 1 enables beam-search decoding at generation time
-	// (transformer only); 0/1 is greedy.
-	BeamWidth int
 	// Quantize routes Stage 3 decoding through the int8 quantized weight
 	// view (transformer only; training always runs float32). Rows whose
 	// quantized decode is ambiguous re-decode in float32, so generated
 	// backends match the full-precision output. Per-request GenOptions.
 	// Quantize ORs with this.
 	Quantize bool
-	// BeamEscalate makes beam decoding greedy-first: each row decodes
-	// greedily, and only rows whose leading confidence falls below
-	// confidence.Threshold re-decode with the full beam. No effect unless
-	// BeamWidth > 1. Per-request GenOptions.BeamEscalate ORs with this.
-	BeamEscalate bool
 	// Verify turns on the verify-and-repair loop: every generated
 	// function is executed against the held-out ground truth through the
 	// eval harness, and diverging functions get counterexample-guided
@@ -175,13 +167,6 @@ type Pipeline struct {
 	// split, as "funcName/target" keys.
 	TrainFns  map[string]bool
 	VerifyFns map[string]bool
-
-	// BeamFallback is set (and logged once via beamWarn) when BeamWidth
-	// > 1 is configured but decoding downgraded to greedy anyway —
-	// either the architecture cannot beam-search, or BeamGenerate
-	// returned zero hypotheses.
-	BeamFallback bool
-	beamWarn     sync.Once
 
 	// gm caches the Stage 3 instruments so the per-row decode path
 	// never takes the registry lock; all fields are nil (inert) when

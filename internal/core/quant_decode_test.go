@@ -39,48 +39,6 @@ func TestQuantizedBackendMatchesFloat32(t *testing.T) {
 	}
 }
 
-// TestBeamEscalateRowsComeFromGreedyOrBeam pins the greedy-first
-// escalation ladder: under BeamEscalate every decoded statement must be
-// exactly what the pure-greedy run or the pure-beam run produced for
-// that row — confident rows keep their cheap greedy decode, escalated
-// rows re-decode with the full (deterministic) beam.
-func TestBeamEscalateRowsComeFromGreedyOrBeam(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generation test")
-	}
-	p := faultPipeline(t)
-	p.Cfg.BeamWidth = 2
-	defer func() { p.Cfg.BeamWidth = 0 }()
-	ctx := context.Background()
-	scope := GenOptions{Modules: []string{"EMI"}}
-
-	greedyOpt := scope
-	greedyOpt.Greedy = true
-	greedy := p.GenerateBackendOptions(ctx, "RISCV", greedyOpt)
-	beam := p.GenerateBackendOptions(ctx, "RISCV", scope)
-	escOpt := scope
-	escOpt.BeamEscalate = true
-	esc := p.GenerateBackendOptions(ctx, "RISCV", escOpt)
-
-	if len(esc.Functions) == 0 || len(esc.Functions) != len(greedy.Functions) ||
-		len(esc.Functions) != len(beam.Functions) {
-		t.Fatalf("function counts differ: esc=%d greedy=%d beam=%d",
-			len(esc.Functions), len(greedy.Functions), len(beam.Functions))
-	}
-	for fi, f := range esc.Functions {
-		g, b := greedy.Functions[fi], beam.Functions[fi]
-		if len(f.Statements) != len(g.Statements) || len(f.Statements) != len(b.Statements) {
-			t.Fatalf("%s: statement counts differ", f.Name)
-		}
-		for si, st := range f.Statements {
-			if st != g.Statements[si] && st != b.Statements[si] {
-				t.Errorf("%s row %d: escalated statement %+v matches neither greedy %+v nor beam %+v",
-					f.Name, st.Row, st, g.Statements[si], b.Statements[si])
-			}
-		}
-	}
-}
-
 // TestSecondsOnlyContributingModules is the regression test for the
 // misleading Fig. 7 zero entries: a request scoped to a single function
 // must report decode seconds only for that function's module, not a zero

@@ -10,11 +10,18 @@ import (
 	"vega/internal/model"
 )
 
-// repairBeamWidth is the minimum beam width used when mining repair
-// candidates: even a greedy pipeline widens the search once a statement
-// has been refuted by a counterexample — the whole point of the repair
-// round is to look past the model's first choice.
-const repairBeamWidth = 4
+// repairBeams is the beam width used when mining repair candidates:
+// generation decodes greedily, and once a counterexample refutes a
+// statement the repair round widens the search to look past the model's
+// first choice. This is the only place Stage 3 runs beam search.
+const repairBeams = 4
+
+// beamSearcher is the decoding capability repair's beam candidates
+// require. The transformer implements it; the GRU and BERT baselines do
+// not, and repair then mines only the template and fleet candidates.
+type beamSearcher interface {
+	BeamGenerate(input []int, maxLen, width int) []model.Beam
+}
 
 // repairDecoder adapts the pipeline's Stage 3 decoder to the repair
 // engine's constrained re-decoding interface. Candidates come from four
@@ -103,13 +110,9 @@ func (d repairDecoder) Candidates(fnName string, row int, banned []string, force
 		add(st)
 	}
 	if bs, ok := d.p.Model.(beamSearcher); ok {
-		width := d.p.Cfg.BeamWidth
-		if width < repairBeamWidth {
-			width = repairBeamWidth
-		}
 		in := d.p.rowInputTokens(g, row, tv, d.target)
 		inIDs := append([]int{model.CLS}, d.p.Vocab.Encode(in)...)
-		for _, beam := range bs.BeamGenerate(inIDs, d.p.Cfg.MaxOutPieces, width) {
+		for _, beam := range bs.BeamGenerate(inIDs, d.p.Cfg.MaxOutPieces, repairBeams) {
 			add(d.p.decodeStatement(g, row, tv, beam.IDs))
 		}
 	}

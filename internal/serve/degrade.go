@@ -8,25 +8,21 @@ import (
 
 // DegradePolicy is the graceful-degradation ladder applied between
 // admission and execution. Rather than a binary serve-or-shed, moderate
-// pressure cheapens requests in two rungs, each marked explicitly in the
+// pressure cheapens requests in three rungs, each marked explicitly in the
 // response so a degraded 200 is never mistaken for a full-fidelity one:
 //
-//  1. pressure >= GreedyAt:     beam search downgrades to greedy decoding.
-//  2. pressure >= QuantizeAt:   decoding switches to the int8 quantized
-//     weight view, greedy-first (ambiguous rows still re-decode float32,
-//     so results stay full-accuracy — the rung trades only latency).
-//  3. pressure >= TruncateAt:   whole-backend requests are truncated to
+//  1. pressure >= QuantizeAt:   decoding switches to the int8 quantized
+//     weight view (ambiguous rows still re-decode float32, so results
+//     stay full-accuracy — the rung trades only latency).
+//  2. pressure >= TruncateAt:   whole-backend requests are truncated to
 //     TruncateFunctions functions.
-//  4. pressure >= SkipRepairAt: verify-enabled requests keep verification
+//  3. pressure >= SkipRepairAt: verify-enabled requests keep verification
 //     but skip the CEGAR repair rounds (the most expensive re-decode work).
 //
 // Pressure is Scheduler.Pressure(): (waiting+running)/(queue+workers).
 type DegradePolicy struct {
-	// GreedyAt is the pressure at which beam→greedy kicks in (0 disables
-	// the rung; 1 effectively never fires).
-	GreedyAt float64
 	// QuantizeAt is the pressure at which requests are forced onto the
-	// quantized greedy decode path (0 disables the rung).
+	// quantized decode path (0 disables the rung).
 	QuantizeAt float64
 	// TruncateAt is the pressure at which MaxFunctions truncation kicks
 	// in (0 disables the rung).
@@ -44,7 +40,7 @@ type DegradePolicy struct {
 // start cheapening at half load, start truncating (and dropping repair
 // rounds) at three quarters.
 func DefaultDegradePolicy() DegradePolicy {
-	return DegradePolicy{GreedyAt: 0.5, QuantizeAt: 0.5, TruncateAt: 0.75, SkipRepairAt: 0.75, TruncateFunctions: 16}
+	return DegradePolicy{QuantizeAt: 0.5, TruncateAt: 0.75, SkipRepairAt: 0.75, TruncateFunctions: 16}
 }
 
 // Apply folds the ladder into a request's GenOptions at the given
@@ -57,23 +53,16 @@ func DefaultDegradePolicy() DegradePolicy {
 // returned separately as truncReason, and the response layer appends it
 // to the degrade reasons only on a Truncated backend — a scoped request
 // smaller than the cap stays a full-fidelity 200.
-func (d DegradePolicy) Apply(opt core.GenOptions, beamWidth int, pressure float64) (_ core.GenOptions, reasons []string, truncReason string) {
-	if d.GreedyAt > 0 && pressure >= d.GreedyAt && beamWidth > 1 && !opt.Greedy {
-		opt.Greedy = true
-		reasons = append(reasons,
-			fmt.Sprintf("beam(%d)->greedy: pressure %.2f >= %.2f", beamWidth, pressure, d.GreedyAt))
-	}
+func (d DegradePolicy) Apply(opt core.GenOptions, pressure float64) (_ core.GenOptions, reasons []string, truncReason string) {
 	if d.QuantizeAt > 0 && pressure >= d.QuantizeAt && !opt.Quantize {
-		// Quantized serving is greedy-first by definition: the rung exists
-		// to shed decode latency, and ambiguous rows already re-decode at
-		// full precision, so accuracy is unchanged either way.
+		// The rung exists to shed decode latency; ambiguous rows already
+		// re-decode at full precision, so accuracy is unchanged.
 		opt.Quantize = true
-		opt.Greedy = true
 		reasons = append(reasons,
 			fmt.Sprintf("int8 quantized greedy decode: pressure %.2f >= %.2f", pressure, d.QuantizeAt))
 	}
 	if d.TruncateAt > 0 && pressure >= d.TruncateAt && d.TruncateFunctions > 0 {
-		if opt.MaxFunctions == 0 || opt.MaxFunctions > d.TruncateFunctions {
+		if opt.MaxFunctions <= 0 || opt.MaxFunctions > d.TruncateFunctions {
 			opt.MaxFunctions = d.TruncateFunctions
 			truncReason = fmt.Sprintf("maxFunctions=%d: pressure %.2f >= %.2f",
 				d.TruncateFunctions, pressure, d.TruncateAt)

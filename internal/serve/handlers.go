@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"vega/internal/core"
@@ -30,8 +31,9 @@ type GenerateRequest struct {
 	// Function restricts generation to one interface function. Optional.
 	Function string `json:"function,omitempty"`
 	// MaxFunctions caps how many functions are generated (0 =
-	// unlimited); the response is marked truncated when the cap cuts the
-	// list. The degrade ladder may lower this further under pressure.
+	// unlimited, negative is rejected); the response is marked truncated
+	// when the cap cuts the list. The degrade ladder may lower this
+	// further under pressure.
 	MaxFunctions int `json:"max_functions,omitempty"`
 	// DeadlineMS overrides the server's default per-request deadline,
 	// clamped to the configured maximum.
@@ -47,10 +49,6 @@ type GenerateRequest struct {
 	// (identical output — ambiguous rows re-decode float32 — at lower
 	// latency). The degrade ladder may force it under pressure.
 	Quantize bool `json:"quantize,omitempty"`
-	// BeamEscalate asks for greedy-first decoding on beam-configured
-	// snapshots: rows re-decode with the full beam only when their leading
-	// confidence falls below the accuracy threshold.
-	BeamEscalate bool `json:"beam_escalate,omitempty"`
 }
 
 // StatementJSON is one generated statement with its confidence scores.
@@ -140,9 +138,30 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string, retryAf
 // strictly after the done-channel close (or not at all on a deadline).
 type genResult struct {
 	backend  *generate.Backend
-	snapshot string
 	panicked bool
 	panicMsg string
+}
+
+// maxRequestBytes caps a request body. Generate and reload requests are a
+// few names and numbers; a larger body is refused before it is decoded.
+const maxRequestBytes = 64 << 10
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxRequestBytes. On failure it writes the error response (413 for an
+// oversized body, 400 otherwise) and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes), 0)
+	} else {
+		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	}
+	return false
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -158,18 +177,36 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req GenerateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
+	if req.MaxFunctions < 0 {
+		s.writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("max_functions %d is negative", req.MaxFunctions), 0)
+		return
+	}
+
+	// Pin one snapshot for the whole request, so a reload while the
+	// request waits in the queue cannot split validation from generation.
+	// The reference is released exactly once: by the job when it starts,
+	// or on return here when the job never will (rejected, shed, expired
+	// in the queue, or beaten by the deadline before a worker took it).
+	snap, release := s.holder.Acquire()
+	var claimed atomic.Bool
+	defer func() {
+		if claimed.CompareAndSwap(false, true) {
+			release()
+		}
+	}()
+	p := snap.Pipeline
+
 	// Validate against the snapshot's actual fleet (which may be the
 	// extended one), not the package-level standard target list.
-	if s.holder.Current().Pipeline.FindTarget(req.Target) == nil {
+	if p.FindTarget(req.Target) == nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown target %q", req.Target), 0)
 		return
 	}
-	opt := core.GenOptions{MaxFunctions: req.MaxFunctions, Verify: req.Verify,
-		Quantize: req.Quantize, BeamEscalate: req.BeamEscalate}
+	opt := core.GenOptions{MaxFunctions: req.MaxFunctions, Verify: req.Verify, Quantize: req.Quantize}
 	if req.Module != "" {
 		if !moduleListed(moduleNames(), req.Module) {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown module %q", req.Module), 0)
@@ -178,7 +215,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		opt.Modules = []string{req.Module}
 	}
 	if req.Function != "" {
-		if s.holder.Current().Pipeline.GroupByName(req.Function) == nil {
+		if p.GroupByName(req.Function) == nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown function %q", req.Function), 0)
 			return
 		}
@@ -186,15 +223,17 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Deadline: request override clamped to the configured max, default
-	// otherwise. The context reaches GenerateBackendOptions, so a
-	// mid-generation expiry salvages finished functions and returns.
+	// otherwise. The override is clamped in milliseconds before it is
+	// converted, since a huge deadline_ms would overflow time.Duration
+	// into a negative deadline. The context reaches
+	// GenerateBackendOptions, so a mid-generation expiry salvages
+	// finished functions and returns.
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+		ms := min(int64(req.DeadlineMS), int64(s.cfg.MaxDeadline/time.Millisecond))
+		deadline = time.Duration(ms) * time.Millisecond
 	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
+	deadline = min(deadline, s.cfg.MaxDeadline)
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 	ctx, span := obs.Start(obs.With(ctx, s.cfg.Obs), "serve/generate",
@@ -209,12 +248,14 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Degrade ladder, applied at admission pressure.
-	pressure := s.sched.Pressure()
-	beamWidth := s.holder.Current().Pipeline.Cfg.BeamWidth
-	opt, reasons, truncReason := s.cfg.Policy.Apply(opt, beamWidth, pressure)
+	opt, reasons, truncReason := s.cfg.Policy.Apply(opt, s.sched.Pressure())
 
 	res := &genResult{}
-	ran, err := s.sched.Do(ctx, func(jctx context.Context) {
+	_, err := s.sched.Do(ctx, func(jctx context.Context) {
+		if !claimed.CompareAndSwap(false, true) {
+			return // the handler already answered and released snap
+		}
+		defer release()
 		// Request-level panic boundary: anything that escapes the
 		// per-function isolation inside GenerateBackendOptions (or the
 		// armed serve-handler-panic fault) becomes a degraded 200, never
@@ -229,10 +270,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		if faultinject.Should(faultinject.ServeHandlerPanic, req.Target) {
 			panic("faultinject serve-handler-panic for " + req.Target)
 		}
-		snap, release := s.holder.Acquire()
-		defer release()
-		res.snapshot = snap.ID
-		res.backend = snap.Pipeline.GenerateBackendOptions(jctx, req.Target, opt)
+		res.backend = p.GenerateBackendOptions(jctx, req.Target, opt)
 	})
 
 	switch {
@@ -249,12 +287,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded", 0)
 		return
 	}
-	_ = ran
 
 	if res.panicked {
 		resp := &GenerateResponse{
 			Target:         req.Target,
-			Snapshot:       res.snapshot,
+			Snapshot:       snap.ID,
 			Degraded:       true,
 			DegradeReasons: append(reasons, "handler panic recovered: "+res.panicMsg),
 			Functions:      []FunctionJSON{},
@@ -274,7 +311,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := backendResponse(req.Target, res.backend, res.snapshot, reasons, truncReason)
+	resp := backendResponse(req.Target, res.backend, snap.ID, reasons, truncReason)
 	s.finishGenerate(w, resp, start)
 }
 
@@ -373,8 +410,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ReloadTimeout)

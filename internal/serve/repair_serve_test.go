@@ -69,14 +69,14 @@ func TestDegradeSkipRepairRung(t *testing.T) {
 	d := DefaultDegradePolicy()
 
 	// Below the rung: verify requests keep their repair rounds.
-	opt, reasons, _ := d.Apply(core.GenOptions{Verify: true}, 1, 0.5)
+	opt, reasons, _ := d.Apply(core.GenOptions{Verify: true}, 0.5)
 	if opt.SkipRepair {
 		t.Errorf("pressure 0.5 skipped repair: reasons=%v", reasons)
 	}
 
 	// At the rung: verification stays on, repair rounds are dropped, and
 	// the degradation is visible in the reasons.
-	opt, reasons, _ = d.Apply(core.GenOptions{Verify: true}, 1, 0.8)
+	opt, reasons, _ = d.Apply(core.GenOptions{Verify: true}, 0.8)
 	if !opt.SkipRepair || !opt.Verify {
 		t.Errorf("pressure 0.8: opt=%+v, want Verify && SkipRepair", opt)
 	}
@@ -85,7 +85,7 @@ func TestDegradeSkipRepairRung(t *testing.T) {
 	}
 
 	// Non-verify requests have no repair to skip.
-	opt, _, _ = d.Apply(core.GenOptions{}, 1, 0.9)
+	opt, _, _ = d.Apply(core.GenOptions{}, 0.9)
 	if opt.SkipRepair {
 		t.Error("non-verify request got SkipRepair")
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -333,21 +334,26 @@ func TestSnapshotHealthCheck(t *testing.T) {
 func TestDegradePolicyLadder(t *testing.T) {
 	d := DefaultDegradePolicy()
 
-	opt, reasons, trunc := d.Apply(core.GenOptions{}, 4, 0.2)
-	if opt.Greedy || opt.Quantize || opt.MaxFunctions != 0 || len(reasons) != 0 || trunc != "" {
+	opt, reasons, trunc := d.Apply(core.GenOptions{}, 0.2)
+	if opt.Quantize || opt.MaxFunctions != 0 || len(reasons) != 0 || trunc != "" {
 		t.Errorf("low pressure degraded: opt=%+v reasons=%v trunc=%q", opt, reasons, trunc)
 	}
 
-	opt, reasons, trunc = d.Apply(core.GenOptions{}, 4, 0.6)
-	if !opt.Greedy || !opt.Quantize || opt.MaxFunctions != 0 || len(reasons) != 2 || trunc != "" {
-		t.Errorf("mid pressure: opt=%+v reasons=%v trunc=%q, want greedy+quantize rungs only",
+	opt, reasons, trunc = d.Apply(core.GenOptions{}, 0.6)
+	if !opt.Quantize || opt.MaxFunctions != 0 || trunc != "" ||
+		!reflect.DeepEqual(reasons, []string{"int8 quantized greedy decode: pressure 0.60 >= 0.50"}) {
+		t.Errorf("mid pressure: opt=%+v reasons=%q trunc=%q, want the quantize rung only",
 			opt, reasons, trunc)
 	}
 
-	opt, reasons, trunc = d.Apply(core.GenOptions{}, 4, 0.9)
-	if !opt.Greedy || !opt.Quantize || opt.MaxFunctions != d.TruncateFunctions ||
-		len(reasons) != 2 || trunc == "" {
-		t.Errorf("high pressure: opt=%+v reasons=%v trunc=%q, want all rungs", opt, reasons, trunc)
+	opt, reasons, trunc = d.Apply(core.GenOptions{Verify: true}, 0.9)
+	wantReasons := []string{
+		"int8 quantized greedy decode: pressure 0.90 >= 0.50",
+		"repair rounds skipped: pressure 0.90 >= 0.75",
+	}
+	if !opt.Quantize || !opt.SkipRepair || opt.MaxFunctions != d.TruncateFunctions ||
+		!reflect.DeepEqual(reasons, wantReasons) || trunc != "maxFunctions=16: pressure 0.90 >= 0.75" {
+		t.Errorf("high pressure: opt=%+v reasons=%q trunc=%q, want all rungs", opt, reasons, trunc)
 	}
 
 	// The truncation rationale is returned out of band: it must only reach
@@ -358,18 +364,23 @@ func TestDegradePolicyLadder(t *testing.T) {
 		}
 	}
 
-	// Beam width 1 has no beam to downgrade, and a request already below
-	// the truncation cap keeps its own tighter cap; the quantize rung
-	// (which implies greedy) still fires.
-	opt, reasons, trunc = d.Apply(core.GenOptions{MaxFunctions: 3}, 1, 0.9)
-	if !opt.Quantize || !opt.Greedy || opt.MaxFunctions != 3 || len(reasons) != 1 || trunc != "" {
+	// A request already below the truncation cap keeps its own tighter
+	// cap; the quantize rung still fires.
+	opt, reasons, trunc = d.Apply(core.GenOptions{MaxFunctions: 3}, 0.9)
+	if !opt.Quantize || opt.MaxFunctions != 3 || len(reasons) != 1 || trunc != "" {
 		t.Errorf("tight request: opt=%+v reasons=%v trunc=%q, want quantize rung only",
 			opt, reasons, trunc)
 	}
 
+	// Core treats any cap <= 0 as unlimited, so the rung caps a negative
+	// one like 0 (the handler rejects negative caps before this point).
+	if opt, _, trunc = d.Apply(core.GenOptions{MaxFunctions: -1}, 0.9); opt.MaxFunctions != d.TruncateFunctions || trunc == "" {
+		t.Errorf("negative cap: MaxFunctions=%d trunc=%q, want the truncation rung", opt.MaxFunctions, trunc)
+	}
+
 	// The zero policy disables every rung.
-	opt, reasons, trunc = DegradePolicy{}.Apply(core.GenOptions{}, 4, 1.0)
-	if opt.Greedy || opt.Quantize || opt.MaxFunctions != 0 || len(reasons) != 0 || trunc != "" {
+	opt, reasons, trunc = DegradePolicy{}.Apply(core.GenOptions{Verify: true}, 1.0)
+	if opt.Quantize || opt.SkipRepair || opt.MaxFunctions != 0 || len(reasons) != 0 || trunc != "" {
 		t.Errorf("zero policy degraded: opt=%+v reasons=%v trunc=%q", opt, reasons, trunc)
 	}
 }
@@ -409,6 +420,10 @@ func TestHandleGenerateValidation(t *testing.T) {
 		{"unknown target", GenerateRequest{Target: "Z80"}, http.StatusBadRequest},
 		{"unknown module", GenerateRequest{Target: "RISCV", Module: "XYZ"}, http.StatusBadRequest},
 		{"unknown function", GenerateRequest{Target: "RISCV", Function: "nope"}, http.StatusBadRequest},
+		{"negative max_functions", GenerateRequest{Target: "RISCV", MaxFunctions: -1}, http.StatusBadRequest},
+		// 2^62 ms overflows time.Duration; clamped first, it is MaxDeadline.
+		{"overflowing deadline_ms", GenerateRequest{Target: "RISCV", Function: "getRelocType", DeadlineMS: 1 << 62}, http.StatusOK},
+		{"oversized body", GenerateRequest{Target: strings.Repeat("x", maxRequestBytes)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/generate", tc.req)
@@ -495,6 +510,71 @@ func TestHandleGenerateDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (body %s)", resp.StatusCode, body)
 	}
+}
+
+// TestHandleGeneratePinsAdmissionSnapshot reloads while a request waits
+// in the queue behind a busy worker. The request was validated against
+// the boot snapshot, so it must generate on that snapshot too, not on the
+// one installed while it waited.
+func TestHandleGeneratePinsAdmissionSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generation test")
+	}
+	srv, ts := testServer(t, func(c *Config) { c.Workers = 1 })
+	boot := srv.Snapshot()
+
+	// Occupy the only worker until the swap is done. The cleanup frees
+	// it if the test stops early, so the scheduler's Stop cannot hang.
+	busy, blocked := make(chan struct{}), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(blocked) })
+	t.Cleanup(unblock)
+	go srv.sched.Do(context.Background(), func(context.Context) {
+		close(busy)
+		<-blocked
+	})
+	<-busy
+
+	type reply struct {
+		code int
+		body []byte
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		raw, _ := json.Marshal(GenerateRequest{Target: "RISCV", Function: "getRelocType"})
+		resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		_, err = body.ReadFrom(resp.Body)
+		done <- reply{resp.StatusCode, body.Bytes(), err}
+	}()
+	waitFor(t, func() bool { return srv.sched.waiting.Load() == 1 })
+
+	srv.holder.Swap(NewSnapshot("reload-1", "test", testPipeline(t, 1)), 0)
+	if boot.Drained() {
+		t.Error("boot snapshot drained while a request admitted under it was still queued")
+	}
+	unblock()
+
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.code != http.StatusOK {
+		t.Fatalf("status %d, body %s", r.code, r.body)
+	}
+	var gr GenerateResponse
+	if err := json.Unmarshal(r.body, &gr); err != nil {
+		t.Fatal(err)
+	}
+	if gr.Snapshot != boot.ID {
+		t.Errorf("request validated on %s was generated on %s", boot.ID, gr.Snapshot)
+	}
+	waitFor(t, boot.Drained)
 }
 
 func TestHandleReload(t *testing.T) {

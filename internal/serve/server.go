@@ -35,8 +35,8 @@ type Config struct {
 	// DrainTimeout bounds how long a swap (and Shutdown) waits for
 	// in-flight requests pinned to the old snapshot.
 	DrainTimeout time.Duration
-	// Policy is the degradation ladder; the zero value disables both
-	// rungs (use DefaultDegradePolicy for the documented defaults).
+	// Policy is the degradation ladder; the zero value disables every
+	// rung (use DefaultDegradePolicy for the documented defaults).
 	Policy DegradePolicy
 	// HealthTarget is the target used for swap health-check smoke
 	// generations (default "RISCV").

@@ -8,9 +8,10 @@
 //   - Every generate request terminates in exactly one of
 //     200 / 200-degraded / 429 / 504 — never a 500, never a hang past
 //     its deadline (enforced by the soak test).
-//   - A snapshot swap never disturbs an in-flight request: requests pin
-//     the snapshot they started on (refcount), the new snapshot is
-//     health-checked before cutover, and the old one drains afterwards.
+//   - A snapshot swap never disturbs an admitted request: requests pin
+//     the snapshot they were validated against (refcount) until they
+//     finish, queued or running, the new snapshot is health-checked
+//     before cutover, and the old one drains afterwards.
 //   - Load beyond the admission queue's hard cap is shed immediately
 //     with 429 + Retry-After instead of queuing unboundedly.
 package serve
@@ -116,7 +117,7 @@ func (s *Snapshot) HealthCheck(ctx context.Context, target string) error {
 	}
 	smoke := p.Groups[0].Func.Name
 	b := p.GenerateBackendOptions(ctx, target, core.GenOptions{
-		Functions: []string{smoke}, MaxFunctions: 1, Greedy: true,
+		Functions: []string{smoke}, MaxFunctions: 1,
 	})
 	if ctx.Err() != nil {
 		return fmt.Errorf("serve: snapshot %s: health check canceled: %w", s.ID, ctx.Err())
