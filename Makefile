@@ -36,13 +36,21 @@ cross-build:
 
 # perfbench/ is its own module (see vet); its tests check that the
 # benchmark's correctness checks fire, so both test targets run them.
+# Both also rerun the exact-math differential tests at GOAMD64=v3: the
+# vector exp/tanh replicas assume Go rounds x*y+z twice on amd64 (in
+# math.Tanh and in the GELU formula alike), and a toolchain that fused it
+# into one FMA at v3 would break that.
 test:
 	$(GO) test ./...
+	GOAMD64=v3 $(GO) test -run '$(EXACT_TESTS)' ./internal/tensor
 	cd perfbench && $(GO) test .
 
 test-race:
 	$(GO) test -race -timeout 45m ./...
+	GOAMD64=v3 $(GO) test -run '$(EXACT_TESTS)' ./internal/tensor
 	cd perfbench && $(GO) test .
+
+EXACT_TESTS = ^(TestExact|FuzzExpIntoAgainstMathExp$$|FuzzRowKernelsAgainstScalar$$)
 
 # A few seconds of coverage-guided fuzzing per native fuzz target (plain
 # `go test` only replays their seed corpora). `-fuzz` takes one target
@@ -50,6 +58,8 @@ test-race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulAgainstNaive$$' -fuzztime 3s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzAttnScoresAgainstNaive$$' -fuzztime 3s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzExpIntoAgainstMathExp$$' -fuzztime 3s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzRowKernelsAgainstScalar$$' -fuzztime 3s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzSimCacheAgainstTokenLCS$$' -fuzztime 3s ./internal/gumtree
 
 # Stage-timing benchmarks, each teed through cmd/benchjson so the run

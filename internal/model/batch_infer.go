@@ -23,8 +23,10 @@ import (
 // allocated, since callers retain them.
 var bufPool sync.Pool
 
-// getBuf returns a zeroed float32 buffer of length n, reusing pooled
-// backing storage when it is large enough.
+// getBuf returns a float32 buffer of length n, reusing pooled backing
+// storage when it is large enough. A reused buffer is not zeroed: it
+// holds whatever its last user left, so callers write every element
+// before reading it.
 func getBuf(n int) []float32 {
 	p, _ := bufPool.Get().(*[]float32)
 	if p == nil || cap(*p) < n {
@@ -33,11 +35,7 @@ func getBuf(n int) []float32 {
 		}
 		return make([]float32, n)
 	}
-	s := (*p)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	return (*p)[:n]
 }
 
 func putBuf(s []float32) {
@@ -88,6 +86,10 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 			}
 		}
 	}
+	// The pooled buffers come back unzeroed, and each is written before it
+	// is read: h by layer norm; qp, kp, vp, so and f by the projections
+	// (which zero their outputs); attn by the per-layer clear below;
+	// scores by AttnScoresInto; khb and vhb by packHeads.
 	h := getBuf(rows * dim)
 	qp := getBuf(rows * dim)
 	kp := getBuf(rows * dim)

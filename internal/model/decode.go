@@ -1,6 +1,10 @@
 package model
 
-import "sort"
+import (
+	"sort"
+
+	"vega/internal/tensor"
+)
 
 // Decoder is one output sequence being decoded token by token against a
 // fixed encoder memory. Greedy and Beam are written once against it, so
@@ -92,8 +96,11 @@ func (t *Transformer) Beam(d Decoder, maxLen, width int) []Beam {
 			}
 			expanded = true
 			row := b.logits
+			// log p(id) = (row[id] − max) − log Σ exp(row − max), the
+			// normaliser computed once per expanded row.
+			maxv, logSum := tensor.SoftmaxNorm(row)
 			for _, id := range TopK(row, width) {
-				lp := logProb(row, id)
+				lp := float64(row[id]-maxv) - logSum
 				c := candidate{
 					Beam: Beam{
 						IDs:     append(append([]int{}, b.IDs...), id),

@@ -592,41 +592,15 @@ func layerNormRows(dst, src []float32, n int, gain, bias []float32) {
 }
 
 // softmaxRow mirrors Softmax's forward pass for one unmasked row.
-func softmaxRow(row []float32) {
-	maxv := float32(math.Inf(-1))
-	for _, v := range row {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float32
-	for j, v := range row {
-		e := float32(math.Exp(float64(v - maxv)))
-		row[j] = e
-		sum += e
-	}
-	if sum > 0 {
-		inv := 1 / sum
-		for j := range row {
-			row[j] *= inv
-		}
-	}
-}
+func softmaxRow(row []float32) { tensor.SoftmaxRow(row, row) }
 
 // geluRow mirrors GELU's forward pass in place.
-func geluRow(xs []float32) {
-	const c0 = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range xs {
-		x := float64(v)
-		xs[i] = float32(0.5 * x * (1 + math.Tanh(c0*(x+0.044715*x*x*x))))
-	}
-}
+func geluRow(xs []float32) { tensor.GELURow(xs, xs, nil) }
 
 // --- quantized-path approximations. The int8 decode is already inexact
 // (guarded by the QuantMargin ambiguity fallback), so its softmax and
-// GELU swap the float64 library transcendentals — which dominate
-// single-core decode time — for tensor's float32 polynomials. The exact
-// float32 path above never calls these. ---
+// GELU use tensor's float32 polynomials instead of the exact float64
+// math.Exp/math.Tanh replicas the float32 path above runs. ---
 
 // qSoftmaxRow is softmaxRow with FastExp32.
 func qSoftmaxRow(row []float32) {

@@ -374,19 +374,11 @@ func (tp *Tape) ReLU(a *Tensor) *Tensor {
 // backward does not recompute the Tanh.
 func (tp *Tape) GELU(a *Tensor) *Tensor {
 	out := tp.newTensorNoZero(a.R, a.C)
-	const c0 = 0.7978845608028654 // sqrt(2/pi)
 	var deriv []float32
 	if a.requiresGrad {
 		deriv = tp.arena.AllocNoZero(len(a.Data))
 	}
-	for i, v := range a.Data {
-		x := float64(v)
-		t := math.Tanh(c0 * (x + 0.044715*x*x*x))
-		out.Data[i] = float32(0.5 * x * (1 + t))
-		if deriv != nil {
-			deriv[i] = float32(0.5*(1+t) + 0.5*x*(1-t*t)*c0*(1+3*0.044715*x*x))
-		}
-	}
+	tensor.GELURow(out.Data, a.Data, deriv)
 	return tp.record(out, func() {
 		if !a.requiresGrad {
 			return
@@ -438,30 +430,14 @@ func (tp *Tape) Softmax(a *Tensor, mask []float32) *Tensor {
 	out := tp.newTensorNoZero(a.R, a.C)
 	for i := 0; i < a.R; i++ {
 		arow, orow := a.Row(i), out.Row(i)
-		maxv := float32(math.Inf(-1))
-		for j, v := range arow {
-			if mask != nil {
-				v += mask[i*a.C+j]
+		if mask != nil {
+			mrow := mask[i*a.C : (i+1)*a.C]
+			for j, v := range arow {
+				orow[j] = v + mrow[j]
 			}
-			if v > maxv {
-				maxv = v
-			}
+			arow = orow
 		}
-		var sum float32
-		for j, v := range arow {
-			if mask != nil {
-				v += mask[i*a.C+j]
-			}
-			e := float32(math.Exp(float64(v - maxv)))
-			orow[j] = e
-			sum += e
-		}
-		if sum > 0 {
-			inv := 1 / sum
-			for j := range orow {
-				orow[j] *= inv
-			}
-		}
+		tensor.SoftmaxRow(orow, arow)
 	}
 	return tp.record(out, func() {
 		if !a.requiresGrad || a.R == 0 {
@@ -735,20 +711,7 @@ func (tp *Tape) CrossEntropy(logits *Tensor, targets []int) *Tensor {
 	var loss float64
 	for i := 0; i < logits.R; i++ {
 		row := logits.Row(i)
-		maxv := float32(math.Inf(-1))
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - maxv))
-		}
-		logZ := math.Log(sum) + float64(maxv)
-		for j, v := range row {
-			probs[i*logits.C+j] = float32(math.Exp(float64(v) - logZ))
-		}
+		logZ := tensor.SoftmaxLogZ(probs[i*logits.C:(i+1)*logits.C], row)
 		if t := targets[i]; t >= 0 {
 			loss += logZ - float64(row[t])
 			count++

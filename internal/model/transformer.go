@@ -200,20 +200,6 @@ func argmax(xs []float32) int {
 	return bi
 }
 
-func logProb(logits []float32, idx int) float64 {
-	maxv := float32(math.Inf(-1))
-	for _, v := range logits {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float64
-	for _, v := range logits {
-		sum += math.Exp(float64(v - maxv))
-	}
-	return float64(logits[idx]-maxv) - math.Log(sum)
-}
-
 // Sample is one training example.
 type Sample struct {
 	Input  []int

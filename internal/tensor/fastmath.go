@@ -1,9 +1,9 @@
 // Fast float32 transcendentals for the quantized inference path. The
-// float32 kernels' bit-identity contract pins math.Exp/math.Tanh — the
-// tape and the exact decode path must keep calling those — but the int8
-// path is already an approximation guarded by the ambiguity fallback, so
-// its softmax/GELU/scoring can use short float32 polynomials instead of
-// the float64 library calls that otherwise dominate single-core decode.
+// exact path (the tape, the cached decoder, the float32 batched encoder)
+// must give math.Exp/math.Tanh's bits; it gets them four lanes at a time
+// from the vector replicas in expvec.go. The int8 path is already an
+// approximation guarded by the ambiguity fallback, so its
+// softmax/GELU/scoring can use short float32 polynomials instead.
 //
 // Both functions are pure branches-and-arithmetic over float32: the same
 // input always produces the same output, so the quantized path stays

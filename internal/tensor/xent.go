@@ -18,18 +18,8 @@ func SoftmaxXent(probs, logits []float32, targets []int, r, c int, rowNLL []floa
 		}
 		row := logits[i*c : (i+1)*c]
 		prow := probs[i*c : (i+1)*c]
-		maxv := float32(math.Inf(-1))
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - maxv))
-			prow[j] = float32(e)
-			sum += e
-		}
+		maxv := rowMax(row)
+		sum := expSumShifted(prow, row, maxv)
 		inv := float32(1 / sum)
 		for j := range prow {
 			prow[j] *= inv
