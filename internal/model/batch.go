@@ -5,10 +5,11 @@ package model
 // layout — sample s's rows live at [offs[s], offs[s+1]) with no padding
 // anywhere — so every linear/norm/FFN op runs as a single many-row
 // matmul doing exactly the per-sample flops, while attention — the only
-// op that mixes rows — slices each sample's own row range (see
-// MHA.applyBatch). The returned scalar is Σ over samples of the
-// per-sample mean NLL (so its gradient per sample equals the per-sample
-// Loss gradient), and the float64 slice holds each sample's mean NLL.
+// op that mixes rows — is one Tape.Attention node per block that keeps
+// each sample to its own row range (see MHA.applyBatch). The returned
+// scalar is Σ over samples of the per-sample mean NLL (so its gradient
+// per sample equals the per-sample Loss gradient), and the float64
+// slice holds each sample's mean NLL.
 //
 // Because every kernel is row-local and deterministic, each sample's
 // forward values are bit-identical to Loss on its own tape; gradients

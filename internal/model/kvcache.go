@@ -495,7 +495,7 @@ func linearRowsFwdInto(out, x []float32, n int, l *Linear) {
 // attendRowInto runs multi-head attention for a single query row over
 // ctxLen cached head-contiguous K/V blocks into out: per head, scores →
 // scale → softmax → weighted sum, written into the head's slice of the
-// output (the HConcat layout). k and v hold one dense ctxLen×dh block
+// output (heads side by side). k and v hold one dense ctxLen×dh block
 // per head. scores is caller-provided scratch of at least ctxLen
 // elements. smax is the softmax to apply per head — softmaxRow on the
 // exact float32 path, qSoftmaxRow on the quantized one. The dense

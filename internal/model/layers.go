@@ -1,9 +1,6 @@
 package model
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Linear is a fully connected layer y = xW + b.
 type Linear struct {
@@ -72,71 +69,24 @@ func NewMHA(d, heads int, rng *rand.Rand) *MHA {
 
 // Apply runs attention of query rows x over memory rows mem (self
 // attention when mem == x). causal masks future positions (requires
-// len(x) == len(mem)).
+// len(x) == len(mem)). It is applyBatch over a one-sample batch.
 func (m *MHA) Apply(tp *Tape, x, mem *Tensor, causal bool) *Tensor {
-	q := m.WQ.Apply(tp, x)
-	k := m.WK.Apply(tp, mem)
-	v := m.WV.Apply(tp, mem)
-	return m.WO.Apply(tp, m.attend(tp, q, k, v, causal))
-}
-
-// attend is the core of Apply after the Q/K/V projections: per-head
-// scaled dot-product attention over already-projected rows, heads
-// concatenated but not yet output-projected. The batched trainer calls
-// it per sample on row slices of batch-projected Q/K/V; because every
-// projection is row-local, those slices are bit-identical to what the
-// per-sample path computes, and so is everything downstream.
-func (m *MHA) attend(tp *Tape, q, k, v *Tensor, causal bool) *Tensor {
-	dh := m.D / m.Heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-
-	var mask []float32
-	if causal {
-		mask = tp.arena.Alloc(q.R * k.R)
-		for i := 0; i < q.R; i++ {
-			for j := i + 1; j < k.R; j++ {
-				mask[i*k.R+j] = float32(math.Inf(-1))
-			}
-		}
-	}
-
-	var heads *Tensor
-	for h := 0; h < m.Heads; h++ {
-		qh := tp.SliceCols(q, h*dh, (h+1)*dh)
-		kh := tp.SliceCols(k, h*dh, (h+1)*dh)
-		vh := tp.SliceCols(v, h*dh, (h+1)*dh)
-		scores := tp.Scale(tp.MatMul(qh, tp.Transpose(kh)), scale)
-		attn := tp.Softmax(scores, mask)
-		oh := tp.MatMul(attn, vh)
-		if heads == nil {
-			heads = oh
-		} else {
-			heads = tp.HConcat(heads, oh)
-		}
-	}
-	return heads
+	return m.applyBatch(tp, x, mem, []int{0, x.R}, []int{0, mem.R}, causal)
 }
 
 // applyBatch is Apply over a ragged minibatch: x packs the samples'
 // query rows back to back (sample s occupies rows [qOffs[s], qOffs[s+1]))
-// and mem packs their memory rows likewise. Projections run batched (one
-// matmul over all rows); attention — the only op that mixes rows — runs
-// per sample over its own row range, so samples never need masks and
-// never see each other. ConcatRows re-packs the per-sample results into
-// the same ragged layout. No row is padding: the batch does exactly the
-// per-sample flops, in fewer, larger kernel calls.
+// and mem packs their memory rows likewise. The projections run batched
+// (one matmul over all rows); attention, the only step that mixes rows,
+// is one Tape.Attention node that keeps each sample to its own row
+// range, so no sample needs a padding mask or sees another. No row is
+// padding: the batch does exactly the per-sample flops, in fewer,
+// larger kernel calls.
 func (m *MHA) applyBatch(tp *Tape, x, mem *Tensor, qOffs, kOffs []int, causal bool) *Tensor {
 	q := m.WQ.Apply(tp, x)
 	k := m.WK.Apply(tp, mem)
 	v := m.WV.Apply(tp, mem)
-	parts := make([]*Tensor, len(qOffs)-1)
-	for s := range parts {
-		qs := tp.SliceRows(q, qOffs[s], qOffs[s+1])
-		ks := tp.SliceRows(k, kOffs[s], kOffs[s+1])
-		vs := tp.SliceRows(v, kOffs[s], kOffs[s+1])
-		parts[s] = m.attend(tp, qs, ks, vs, causal)
-	}
-	return m.WO.Apply(tp, tp.ConcatRows(parts))
+	return m.WO.Apply(tp, tp.Attention(q, k, v, qOffs, kOffs, m.Heads, causal))
 }
 
 // Params returns the trainable tensors.
@@ -194,8 +144,8 @@ func (l *EncoderLayer) Apply(tp *Tape, x *Tensor) *Tensor {
 
 // applyBatch runs the layer over a ragged minibatch (sample s at rows
 // [offs[s], offs[s+1])). Norms, FFN, and residual adds are row-local so
-// they run batched unchanged; only attention goes through the
-// per-sample slicing in MHA.applyBatch.
+// they run batched unchanged; only attention needs the offsets (see
+// MHA.applyBatch).
 func (l *EncoderLayer) applyBatch(tp *Tape, x *Tensor, offs []int) *Tensor {
 	h := l.N1.Apply(tp, x)
 	x = tp.Add(x, l.Attn.applyBatch(tp, h, h, offs, offs, false))

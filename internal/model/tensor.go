@@ -424,41 +424,6 @@ func (tp *Tape) Tanh(a *Tensor) *Tensor {
 	}, a)
 }
 
-// Softmax applies a row-wise softmax with optional additive mask (same
-// shape, typically 0 / -inf values) applied before normalization.
-func (tp *Tape) Softmax(a *Tensor, mask []float32) *Tensor {
-	out := tp.newTensorNoZero(a.R, a.C)
-	for i := 0; i < a.R; i++ {
-		arow, orow := a.Row(i), out.Row(i)
-		if mask != nil {
-			mrow := mask[i*a.C : (i+1)*a.C]
-			for j, v := range arow {
-				orow[j] = v + mrow[j]
-			}
-			arow = orow
-		}
-		tensor.SoftmaxRow(orow, arow)
-	}
-	return tp.record(out, func() {
-		if !a.requiresGrad || a.R == 0 {
-			return
-		}
-		ag := tp.g(a)
-		for i := 0; i < a.R; i++ {
-			orow := out.Row(i)
-			grow := out.Grad[i*a.C : (i+1)*a.C]
-			var dot float32
-			for j := range orow {
-				dot += orow[j] * grow[j]
-			}
-			agrow := ag[i*a.C : (i+1)*a.C]
-			for j := range orow {
-				agrow[j] += orow[j] * (grow[j] - dot)
-			}
-		}
-	}, a)
-}
-
 // LayerNorm normalizes each row to zero mean / unit variance and applies
 // learned gain and bias (both 1×C).
 func (tp *Tape) LayerNorm(a, gain, bias *Tensor) *Tensor {
@@ -575,78 +540,6 @@ func (tp *Tape) Concat(a, b *Tensor) *Tensor {
 	}, a, b)
 }
 
-// ConcatRows stacks parts vertically (same column count) — the n-ary
-// Concat the batched trainer uses to re-pack per-sample attention
-// outputs into the ragged minibatch layout.
-func (tp *Tape) ConcatRows(parts []*Tensor) *Tensor {
-	if len(parts) == 0 {
-		panic("model: ConcatRows of nothing")
-	}
-	c := parts[0].C
-	rows := 0
-	for _, p := range parts {
-		if p.C != c {
-			panic(fmt.Sprintf("model: ConcatRows column mismatch %d vs %d", p.C, c))
-		}
-		rows += p.R
-	}
-	ps := append([]*Tensor(nil), parts...)
-	out := tp.newTensorNoZero(rows, c)
-	off := 0
-	for _, p := range ps {
-		copy(out.Data[off:], p.Data)
-		off += len(p.Data)
-	}
-	return tp.record(out, func() {
-		off := 0
-		for _, p := range ps {
-			if p.requiresGrad {
-				axpy(tp.g(p), out.Grad[off:off+len(p.Data)], 1)
-			}
-			off += len(p.Data)
-		}
-	}, ps...)
-}
-
-// HConcat stacks a and b horizontally (same row count).
-func (tp *Tape) HConcat(a, b *Tensor) *Tensor {
-	if a.R != b.R {
-		panic("model: HConcat row mismatch")
-	}
-	out := tp.newTensorNoZero(a.R, a.C+b.C)
-	for i := 0; i < a.R; i++ {
-		copy(out.Row(i)[:a.C], a.Row(i))
-		copy(out.Row(i)[a.C:], b.Row(i))
-	}
-	return tp.record(out, func() {
-		if a.R == 0 {
-			return
-		}
-		var ag, bg []float32
-		if a.requiresGrad {
-			ag = tp.g(a)
-		}
-		if b.requiresGrad {
-			bg = tp.g(b)
-		}
-		for i := 0; i < a.R; i++ {
-			grow := out.Grad[i*out.C : (i+1)*out.C]
-			if ag != nil {
-				ag := ag[i*a.C : (i+1)*a.C]
-				for j := range ag {
-					ag[j] += grow[j]
-				}
-			}
-			if bg != nil {
-				bg := bg[i*b.C : (i+1)*b.C]
-				for j := range bg {
-					bg[j] += grow[a.C+j]
-				}
-			}
-		}
-	}, a, b)
-}
-
 // SliceRows returns rows [lo, hi) as a view-copy.
 func (tp *Tape) SliceRows(a *Tensor, lo, hi int) *Tensor {
 	out := tp.newTensorNoZero(hi-lo, a.C)
@@ -654,27 +547,6 @@ func (tp *Tape) SliceRows(a *Tensor, lo, hi int) *Tensor {
 	return tp.record(out, func() {
 		if a.requiresGrad {
 			axpy(tp.g(a)[lo*a.C:hi*a.C], out.Grad, 1)
-		}
-	}, a)
-}
-
-// SliceCols returns columns [lo, hi) as a copy.
-func (tp *Tape) SliceCols(a *Tensor, lo, hi int) *Tensor {
-	out := tp.newTensorNoZero(a.R, hi-lo)
-	for i := 0; i < a.R; i++ {
-		copy(out.Row(i), a.Row(i)[lo:hi])
-	}
-	return tp.record(out, func() {
-		if !a.requiresGrad {
-			return
-		}
-		ag := tp.g(a)
-		for i := 0; i < a.R; i++ {
-			grow := out.Grad[i*out.C : (i+1)*out.C]
-			arow := ag[i*a.C+lo : i*a.C+hi]
-			for j := range grow {
-				arow[j] += grow[j]
-			}
 		}
 	}, a)
 }

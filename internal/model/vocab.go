@@ -3,6 +3,7 @@ package model
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Special token ids, fixed at the head of every vocabulary.
@@ -285,53 +286,53 @@ func Units(tok string) []string { return splitUnits(tok) }
 // splitUnits decomposes a source token into subword units: snake_case
 // segments, CamelCase runs, digit runs, and individual symbol characters.
 // Separators ("_", quotes, spaces) are their own units so decomposition is
-// lossless.
+// lossless. Letter and digit runs are ASCII, so they come back as
+// substrings of tok; a symbol unit is tok's byte when ASCII and
+// string(r) otherwise, which maps each invalid UTF-8 byte to U+FFFD as
+// decoding the token into runes does.
 func splitUnits(tok string) []string {
-	var units []string
-	var cur strings.Builder
-	var curClass int // 0 none, 1 lower, 2 upper, 3 digit
-	flush := func() {
-		if cur.Len() > 0 {
-			units = append(units, cur.String())
-			cur.Reset()
+	units := make([]string, 0, 4)
+	class := 0 // of the run being built: 0 none, 1 lower, 2 upper, 3 digit
+	start := 0 // the run's first byte
+	flush := func(end int) {
+		if class != 0 {
+			units = append(units, tok[start:end])
 		}
-		curClass = 0
 	}
-	rs := []rune(tok)
-	for i, r := range rs {
+	for i, r := range tok {
 		switch {
 		case r >= 'a' && r <= 'z':
-			if curClass != 1 && curClass != 2 {
-				flush()
-			} else if curClass == 2 && cur.Len() > 1 {
+			if class != 1 && class != 2 {
+				flush(i)
+				start = i
+			} else if class == 2 && i-start > 1 {
 				// "PCRel": split before the upper that begins this lower run.
-				s := cur.String()
-				last := s[len(s)-1:]
-				cur.Reset()
-				cur.WriteString(s[:len(s)-1])
-				flush()
-				cur.WriteString(last)
+				flush(i - 1)
+				start = i - 1
 			}
-			cur.WriteRune(r)
-			curClass = 1
+			class = 1
 		case r >= 'A' && r <= 'Z':
-			if curClass != 2 {
-				flush()
+			if class != 2 {
+				flush(i)
+				start = i
 			}
-			cur.WriteRune(r)
-			curClass = 2
-			_ = i
+			class = 2
 		case r >= '0' && r <= '9':
-			if curClass != 3 {
-				flush()
+			if class != 3 {
+				flush(i)
+				start = i
 			}
-			cur.WriteRune(r)
-			curClass = 3
+			class = 3
 		default:
-			flush()
-			units = append(units, string(r))
+			flush(i)
+			if r < utf8.RuneSelf {
+				units = append(units, tok[i:i+1])
+			} else {
+				units = append(units, string(r))
+			}
+			class = 0
 		}
 	}
-	flush()
+	flush(len(tok))
 	return units
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,101 @@ func TestSplitUnits(t *testing.T) {
 			t.Errorf("splitUnits(%q) = %v, want %v", tok, got, want)
 		}
 	}
+}
+
+// splitUnitsRef is splitUnits as it was before it returned substrings:
+// the token decoded to []rune and every unit built rune by rune. The
+// differential test and fuzz target hold the current function to it.
+func splitUnitsRef(tok string) []string {
+	var units []string
+	var cur strings.Builder
+	var curClass int // 0 none, 1 lower, 2 upper, 3 digit
+	flush := func() {
+		if cur.Len() > 0 {
+			units = append(units, cur.String())
+			cur.Reset()
+		}
+		curClass = 0
+	}
+	rs := []rune(tok)
+	for _, r := range rs {
+		switch {
+		case r >= 'a' && r <= 'z':
+			if curClass != 1 && curClass != 2 {
+				flush()
+			} else if curClass == 2 && cur.Len() > 1 {
+				s := cur.String()
+				last := s[len(s)-1:]
+				cur.Reset()
+				cur.WriteString(s[:len(s)-1])
+				flush()
+				cur.WriteString(last)
+			}
+			cur.WriteRune(r)
+			curClass = 1
+		case r >= 'A' && r <= 'Z':
+			if curClass != 2 {
+				flush()
+			}
+			cur.WriteRune(r)
+			curClass = 2
+		case r >= '0' && r <= '9':
+			if curClass != 3 {
+				flush()
+			}
+			cur.WriteRune(r)
+			curClass = 3
+		default:
+			flush()
+			units = append(units, string(r))
+		}
+	}
+	flush()
+	return units
+}
+
+// splitUnitsSeeds cover every class transition, the "PCRel" split,
+// separators, non-ASCII letters and symbols, and invalid UTF-8 (which
+// the reference turns into U+FFFD per bad byte).
+var splitUnitsSeeds = []string{
+	"", "x", "42", "::", `"RISCV"`, "fixup_arm_movt_hi16", "getTargetKind",
+	"R_ARM_MOVT_PREL", "IsPCRel", "PCRel", "ABCdef9GHi", "a1B2c3", "X86_64ISA",
+	"é", "naïveX", "αβγ_Δ", "日本Reg", "\xff", "ab\xffCD", "\xe2\x82", "Z\xc3",
+}
+
+func sameUnits(got, want []string) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestSplitUnitsMatchesReference(t *testing.T) {
+	for _, tok := range splitUnitsSeeds {
+		if got, want := splitUnits(tok), splitUnitsRef(tok); !sameUnits(got, want) {
+			t.Errorf("splitUnits(%q) = %q, reference %q", tok, got, want)
+		}
+	}
+	f := func(raw []byte) bool { return sameUnits(splitUnits(string(raw)), splitUnitsRef(string(raw))) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func FuzzSplitUnitsAgainstReference(f *testing.F) {
+	for _, tok := range splitUnitsSeeds {
+		f.Add(tok)
+	}
+	f.Fuzz(func(t *testing.T, tok string) {
+		if got, want := splitUnits(tok), splitUnitsRef(tok); !sameUnits(got, want) {
+			t.Fatalf("splitUnits(%q) = %q, reference %q", tok, got, want)
+		}
+	})
 }
 
 // Property: Encode/Decode round-trips arbitrary printable-ASCII token

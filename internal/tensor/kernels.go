@@ -134,7 +134,9 @@ func MatMul(out, a, b []float32, r, k, c int) {
 }
 
 // ntPool recycles MatMulNT's transpose scratch; the transpose costs k·c
-// element copies against the r·k·c multiply-adds it unlocks.
+// element copies against the r·k·c multiply-adds it unlocks. It holds
+// *[]float32, and a buffer goes back under the pointer it came out
+// with, so a steady-state call allocates nothing.
 var ntPool sync.Pool
 
 // scratchCap rounds a request up to the next power of two (min 256), so
@@ -148,16 +150,20 @@ func scratchCap(n int) int {
 	return c
 }
 
-func getScratch(n int) []float32 {
-	if v := ntPool.Get(); v != nil {
-		if s := v.([]float32); cap(s) >= n {
-			return s[:n]
+// getScratch returns a pooled buffer, resliced to length n; hand the
+// same pointer back with ntPool.Put.
+func getScratch(n int) *[]float32 {
+	if p, _ := ntPool.Get().(*[]float32); p != nil {
+		if cap(*p) >= n {
+			*p = (*p)[:n]
+			return p
 		}
 		// Undersized for this call, still useful for the next small
 		// one: return it instead of letting it fall to the collector.
-		ntPool.Put(v)
+		ntPool.Put(p)
 	}
-	return make([]float32, n, scratchCap(n))
+	s := make([]float32, n, scratchCap(n))
+	return &s
 }
 
 // MatMulNT computes dst += a·bᵀ with a r×k, b c×k, dst r×c. It
@@ -166,7 +172,8 @@ func getScratch(n int) []float32 {
 // order with one rounding each (and the zero-skip on a's values), via
 // the vectorized row update instead of scalar dot products.
 func MatMulNT(dst, a, b []float32, r, k, c int) {
-	bt := getScratch(k * c)
+	sp := getScratch(k * c)
+	bt := *sp
 	for j := 0; j < c; j++ {
 		row := b[j*k : (j+1)*k]
 		for p, v := range row {
@@ -174,7 +181,7 @@ func MatMulNT(dst, a, b []float32, r, k, c int) {
 		}
 	}
 	MatMul(dst, a, bt, r, k, c)
-	ntPool.Put(bt) //nolint:staticcheck // slice reuse is the point
+	ntPool.Put(sp)
 }
 
 // MatMulTN computes dst += aᵀ·b with a r2×r, b r2×c, dst r×c. Row i of
@@ -195,4 +202,21 @@ func MatMulTN(dst, a, b []float32, r, r2, c int) {
 // for its bit-identity with the tape path).
 func MulRowInto(out, a, b []float32, rows, cols, stride, off int) {
 	rowAcc(out[:cols], a, b[off:], rows, 1, stride)
+}
+
+// MatMulStrided computes out[i*ldo+j] += Σ_p a[i*ars+p*acs]·b[p*ldb+j]
+// for i < r, j < c, p < k: MatMul over operands that sit at any row and
+// column stride inside larger buffers. Each output row is one rowAcc
+// call, so every element gets MatMul's ascending-p terms, roundings and
+// zero-skip on a. The fused attention on the training tape runs all its
+// per-head products through it, straight on the full-width Q/K/V rows
+// and their gradients. Serial: its callers' shapes sit far below the
+// parallel dispatch gate.
+func MatMulStrided(out []float32, ldo int, a []float32, ars, acs int, b []float32, ldb, r, k, c int) {
+	if k == 0 || c == 0 {
+		return
+	}
+	for i := 0; i < r; i++ {
+		rowAcc(out[i*ldo:i*ldo+c], a[i*ars:], b, k, acs, ldb)
+	}
 }

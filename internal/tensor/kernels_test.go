@@ -347,6 +347,55 @@ func checkMulRowInto(t *testing.T, rng *rand.Rand, k, c int) {
 	}
 }
 
+// checkMatMulStrided runs MatMulStrided with a r×k read row-major
+// (colMajor false) or column-major from a padded buffer, b k×c with a
+// padded row stride, and out r×c inside padded rows that start nonzero,
+// against the naive loop: ascending p, zero-skip on a.
+func checkMatMulStrided(t *testing.T, rng *rand.Rand, r, k, c int, colMajor bool) {
+	t.Helper()
+	ars, acs := k+2, 1
+	if colMajor {
+		ars, acs = 1, r+3
+	}
+	ldb, ldo := c+5, c+1
+	a := make([]float32, r*ars+k*acs)
+	b := make([]float32, k*ldb)
+	fill(a, rng, 0.3)
+	fill(b, rng, 0.1)
+	got := make([]float32, r*ldo)
+	fill(got, rng, 0)
+	want := append([]float32(nil), got...)
+	for i := 0; i < r; i++ {
+		for p := 0; p < k; p++ {
+			av := a[i*ars+p*acs]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < c; j++ {
+				want[i*ldo+j] += av * b[p*ldb+j]
+			}
+		}
+	}
+	MatMulStrided(got, ldo, a, ars, acs, b, ldb, r, k, c)
+	equalBits(t, "MatMulStrided", got, want)
+}
+
+func TestMatMulStridedMatchesNaive(t *testing.T) {
+	eachKernelPath(func(path string) {
+		t.Run(path, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			for _, r := range []int{1, 3, 12, 35} {
+				for _, k := range kernelShapes {
+					for _, c := range kernelShapes {
+						checkMatMulStrided(t, rng, r, k, c, false)
+						checkMatMulStrided(t, rng, r, k, c, true)
+					}
+				}
+			}
+		})
+	})
+}
+
 func TestDotColumnsMatchesTransposedMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, outer := range kernelShapes {
@@ -403,6 +452,8 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 			MatMulTN(gotTN, a, got, k, r, c)
 			naiveMatMulTN(wantTN, a, got, k, r, c)
 			equalBits(t, "MatMulTN(fuzz, "+path+")", gotTN, wantTN)
+
+			checkMatMulStrided(t, rng, r, k, c, seed%2 == 0)
 		})
 	})
 }
