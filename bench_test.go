@@ -10,7 +10,6 @@ package vega
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -114,7 +113,9 @@ func BenchmarkFig6TrainingTime(b *testing.B) {
 // quantized decoding over the cross-function batched encoder — reporting
 // per-module seconds. Output is identical to the float32 variant below
 // (ambiguous rows re-decode at full precision), so the pairing in
-// BENCH_stage3.json is a pure speed delta.
+// BENCH_stage3.json is a pure speed delta. The generation pool and the
+// kernels run GOMAXPROCS wide; `go test -cpu 1` gives the one-core
+// number.
 func BenchmarkFig7InferenceTime(b *testing.B) {
 	f := sharedFixture(b)
 	b.ResetTimer()
@@ -125,32 +126,6 @@ func BenchmarkFig7InferenceTime(b *testing.B) {
 		b.ReportMetric(backendSeconds(gen), "s/backend")
 		b.StartTimer()
 	}
-}
-
-// BenchmarkFig7InferenceTimeParallel is the quantized benchmark with the
-// Stage 3 generation worker pool widened to GOMAXPROCS (the default
-// config pins Workers to 1 so the bare benchmark is a clean single-core
-// number). Output is byte-identical for any worker count — the pool
-// merges per-function results in corpus order — so the pairing against
-// the bare name is a pure multi-core throughput delta; benchjson derives
-// speedup_vs_1core from it. On a single-core box this honestly records
-// ~1×; run `make bench-stage3` on a multi-core machine to measure the
-// compounding the ROADMAP's sub-0.15 s/backend regime needs.
-func BenchmarkFig7InferenceTimeParallel(b *testing.B) {
-	f := sharedFixture(b)
-	workers := runtime.GOMAXPROCS(0)
-	saved := f.p.Cfg.Workers
-	f.p.Cfg.Workers = workers
-	defer func() { f.p.Cfg.Workers = saved }()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gen := f.p.GenerateBackendOptions(context.Background(), "RISCV",
-			core.GenOptions{Quantize: true})
-		b.StopTimer()
-		b.ReportMetric(backendSeconds(gen), "s/backend")
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(workers), "workers")
 }
 
 // BenchmarkFig7InferenceTimeFloat32 is the full-precision baseline for
@@ -433,7 +408,7 @@ func BenchmarkModelTrainingEpoch(b *testing.B) {
 	cfg := f.p.Cfg.Model
 	cfg.Vocab = f.p.Vocab.Size()
 	m := model.NewTransformer(cfg)
-	opt := model.TrainOptions{Epochs: 1, Batch: 16, LR: 3e-3, Seed: 9, Workers: 1}
+	opt := model.TrainOptions{Epochs: 1, Batch: 16, LR: 3e-3, Seed: 9}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model.Fit(m, samples, opt)

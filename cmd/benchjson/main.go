@@ -43,9 +43,6 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(.*)
 //   - "X" + "XFloat32": the base variant gains speedup_vs_float32 —
 //     here the suffixed run is the full-precision baseline and the bare
 //     name is the quantized fast path (BenchmarkFig7InferenceTime).
-//   - "X" + "XParallel": the parallel variant gains speedup_vs_1core
-//     against the bare name, whose config pins the worker pool to one
-//     (BenchmarkFig7InferenceTimeParallel runs it at GOMAXPROCS).
 func deriveSpeedups(d *doc) {
 	byBase := make(map[string]float64)
 	for _, r := range d.Results {
@@ -71,11 +68,6 @@ func deriveSpeedups(d *doc) {
 		}
 		if f32, ok := byBase[base+"Float32"]; ok {
 			addMetric(r, "speedup_vs_float32", f32/r.NsPerOp)
-		}
-		if stem, found := strings.CutSuffix(base, "Parallel"); found && stem != "" {
-			if one, ok := byBase[stem]; ok {
-				addMetric(r, "speedup_vs_1core", one/r.NsPerOp)
-			}
 		}
 	}
 }

@@ -42,8 +42,6 @@ var (
 	seed      = flag.Int64("seed", 1, "random seed")
 	fast      = flag.Bool("fast", false, "reduced budgets everywhere (smoke run)")
 	quiet     = flag.Bool("quiet", false, "suppress epoch logs")
-	workers   = flag.Int("workers", 0, "parallel generation workers (0 = NumCPU); output is identical for any count")
-	kworkers  = flag.Int("kernel-workers", 0, "goroutines per large matmul kernel (0 = GOMAXPROCS); results are identical for any count")
 	s1workers = flag.Int("stage1-workers", 0, "parallel templatization workers (0 = NumCPU); output is identical for any count")
 	s1dir     = flag.String("stage1-cache", "", "directory for the content-addressed Stage 1 artifact cache (empty = disabled)")
 	metrics   = flag.String("metrics", "", "write stage spans and a metric snapshot to this JSON-lines file")
@@ -142,8 +140,6 @@ func (h *harness) config() core.Config {
 	cfg.Seed = *seed
 	cfg.Train.Epochs = *epochs
 	cfg.MaxSamples = *samples
-	cfg.Workers = *workers
-	cfg.KernelWorkers = *kworkers
 	cfg.Stage1Workers = *s1workers
 	cfg.Stage1Cache = *s1dir
 	cfg.Obs = h.obs

@@ -69,8 +69,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		arch      = flag.String("arch", "transformer", "model architecture: transformer, gru, bert")
 		quantize  = flag.Bool("quantize", false, "decode every request through int8 quantized weights (identical output, lower latency)")
-		genWork   = flag.Int("gen-workers", 0, "decode workers inside one request (0 = NumCPU)")
-		kworkers  = flag.Int("kernel-workers", 0, "goroutines per large matmul kernel (0 = GOMAXPROCS)")
 		s1workers = flag.Int("stage1-workers", 0, "parallel templatization workers (0 = NumCPU)")
 		s1cache   = flag.String("stage1-cache", "", "directory for the per-group content-addressed Stage 1 cache")
 		fleetName = flag.String("targets", "standard", "target fleet: standard, or extended (adds the VLIW, predicated, tensor, and RISC-V-extension families)")
@@ -111,8 +109,6 @@ func main() {
 	cfg.MaxSamples = *samples
 	cfg.Arch = *arch
 	cfg.Quantize = *quantize
-	cfg.Workers = *genWork
-	cfg.KernelWorkers = *kworkers
 	cfg.Stage1Workers = *s1workers
 	cfg.Stage1Cache = *s1cache
 	cfg.Obs = o

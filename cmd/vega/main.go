@@ -62,8 +62,6 @@ func main() {
 		saveCk    = flag.String("save", "", "write a model checkpoint after training")
 		loadCk    = flag.String("load", "", "load a model checkpoint instead of training")
 		timeout   = flag.Duration("timeout", 0, "overall deadline for the run (0 = none)")
-		workers   = flag.Int("workers", 0, "parallel generation workers (0 = NumCPU); output is identical for any count")
-		kworkers  = flag.Int("kernel-workers", 0, "goroutines per large matmul kernel (0 = GOMAXPROCS); results are identical for any count")
 		s1workers = flag.Int("stage1-workers", 0, "parallel templatization workers (0 = NumCPU); output is identical for any count")
 		s1cache   = flag.String("stage1-cache", "", "directory for the per-group content-addressed Stage 1 cache (empty = disabled)")
 		fleetName = flag.String("targets", "standard", "target fleet: standard, or extended (adds the VLIW, predicated, tensor, and RISC-V-extension families)")
@@ -145,8 +143,6 @@ func main() {
 	cfg.Train.Epochs = *epochs
 	cfg.MaxSamples = *samples
 	cfg.Arch = *arch
-	cfg.Workers = *workers
-	cfg.KernelWorkers = *kworkers
 	cfg.Stage1Workers = *s1workers
 	cfg.Stage1Cache = *s1cache
 	cfg.Verify = *verify

@@ -17,7 +17,6 @@ import (
 	"vega/internal/obs"
 	"vega/internal/repair"
 	"vega/internal/template"
-	"vega/internal/tensor"
 )
 
 func joinTokens(toks []string) string { return template.JoinTokens(toks) }
@@ -302,10 +301,10 @@ func (o GenOptions) inScope(module, fn string) bool {
 // functions it finished. Functions that panic are recovered (see
 // GenerateFunction) and counted in Recovered.
 //
-// Generation runs on a bounded worker pool of Cfg.Workers goroutines
-// (0 = NumCPU): model weights and Stage 1 state are read-only after
-// training, so interface functions decode independently. The pool
-// preserves the serial contract exactly:
+// Generation runs on a pool of min(GOMAXPROCS, functions) goroutines:
+// model weights and Stage 1 state are read-only after training, so
+// interface functions decode independently. The pool preserves the
+// serial contract exactly:
 //
 //   - Functions appear in deterministic order — modules in
 //     corpus.Modules order, groups in p.Groups order within a module —
@@ -337,9 +336,6 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	ctx = obs.With(ctx, p.Cfg.Obs)
 	ctx, span := obs.Start(ctx, "stage3/generate", obs.String("target", target))
 	defer span.End()
-	if p.Cfg.KernelWorkers > 0 {
-		tensor.SetWorkers(p.Cfg.KernelWorkers)
-	}
 	b := &generate.Backend{Target: target, Seconds: make(map[string]float64)}
 
 	// Build the work list in the serial output order. The injected
@@ -370,13 +366,7 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 		}
 	}
 
-	workers := p.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(tasks))
 
 	quantize := opt.Quantize || p.Cfg.Quantize
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -51,8 +52,8 @@ func (r referenceModel) BeamGenerate(input []int, maxLen, width int) []model.Bea
 
 // TestParallelCachedMatchesSerialUncached is the central decode
 // differential test: the KV-cached incremental decoder running on an
-// 8-worker pool must produce byte-identical backends to the reference
-// full-prefix decoder running serially. The verify case routes through
+// GOMAXPROCS-8 pool must produce byte-identical backends to the reference
+// full-prefix decoder at GOMAXPROCS 1. The verify case routes through
 // repair, whose candidate pool mines beam-search alternatives, so the
 // cached beam loop is checked against the reference one too; it is
 // scoped to a few functions because reference beam search re-runs the
@@ -66,15 +67,16 @@ func TestParallelCachedMatchesSerialUncached(t *testing.T) {
 	ctx := context.Background()
 	verifyFns := []string{"getSetCCResultType", "getUncondBranchOpcode",
 		"getStackAlignment", "decodeSImmOperand", "getCalleeSavedRegs"}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, opt := range []GenOptions{{}, {Verify: true, Functions: verifyFns}} {
 		name := fmt.Sprintf("verify=%v", opt.Verify)
 
 		p.Model = referenceModel{cached}
-		p.Cfg.Workers = 1
+		runtime.GOMAXPROCS(1)
 		ref := p.GenerateBackendOptions(ctx, "RISCV", opt)
 
 		p.Model = cached
-		p.Cfg.Workers = 8
+		runtime.GOMAXPROCS(8)
 		got := p.GenerateBackendOptions(ctx, "RISCV", opt)
 
 		if len(ref.Functions) == 0 {
@@ -138,13 +140,13 @@ func TestParallelWorkerCountInvariant(t *testing.T) {
 	}
 	p := faultPipeline(t)
 
-	p.Cfg.Workers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	one := p.GenerateBackend("RISCV")
-	p.Cfg.Workers = 8
+	runtime.GOMAXPROCS(8)
 	many := p.GenerateBackend("RISCV")
 
 	if a, b := backendFingerprint(one), backendFingerprint(many); a != b {
-		t.Error("backend differs between Workers=1 and Workers=8")
+		t.Error("backend differs between GOMAXPROCS 1 and 8")
 	}
 	for _, b := range []*generate.Backend{one, many} {
 		for _, m := range corpus.Modules {
@@ -179,7 +181,7 @@ func TestParallelCancelMidPoolConsistent(t *testing.T) {
 		t.Skip("full-backend generation test")
 	}
 	p := faultPipeline(t)
-	p.Cfg.Workers = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	full := p.GenerateBackend("RISCV")
 	if len(full.Functions) < 10 {
 		t.Fatalf("full run generated only %d functions", len(full.Functions))

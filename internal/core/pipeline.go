@@ -82,23 +82,12 @@ type Config struct {
 	// RepairRounds bounds the CEGAR repair rounds per diverging function
 	// when Verify is on (0 = the repair.DefaultRounds of 3).
 	RepairRounds int
-	// Workers bounds the generation worker pool: how many interface
-	// functions Stage 3 decodes concurrently (model weights are read-only
-	// after training). 0 or negative means runtime.NumCPU(). Output is
-	// deterministic and identical for any worker count.
-	Workers int
-	// KernelWorkers bounds how many goroutines a single large matmul may
-	// fan out to inside internal/tensor (training's minibatch kernels and
-	// any other shape above the parallel-dispatch gate). 0 keeps the
-	// kernel default of GOMAXPROCS. Results are bit-identical for any
-	// value; the knob only trades latency for CPU.
-	KernelWorkers int
 	// Stage1Workers bounds the templatization worker pool: how many
 	// function groups Stage 1 templatizes and feature-mines concurrently
 	// in New. 0 or negative means runtime.NumCPU(). Results are merged
 	// back in corpus.AllFuncs() order, so output is byte-identical for
-	// any worker count — the same determinism contract as Workers and
-	// KernelWorkers.
+	// any worker count — the same determinism contract as the Stage 2/3
+	// pools, whose sizes follow GOMAXPROCS.
 	Stage1Workers int
 	// Stage1Cache names a directory for the content-addressed Stage 1
 	// artifact cache (internal/s1cache). Empty disables caching. On a
@@ -126,7 +115,7 @@ func DefaultConfig() Config {
 		},
 		Train: model.TrainOptions{
 			Epochs: 12, Batch: 16, LR: 3e-3, Seed: 1, MinLoss: 0.015,
-			Workers: 1, LRDecay: 0.15,
+			LRDecay: 0.15,
 		},
 		Pretrain:       true,
 		PretrainEpochs: 2,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -94,13 +95,13 @@ func TestVerifyWorkerCountInvariant(t *testing.T) {
 	p := faultPipeline(t)
 	p.Cfg.Verify = true
 
-	p.Cfg.Workers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	one := p.GenerateBackend("RISCV")
-	p.Cfg.Workers = 8
+	runtime.GOMAXPROCS(8)
 	many := p.GenerateBackend("RISCV")
 
 	if a, b := verifyFingerprint(one), verifyFingerprint(many); a != b {
-		t.Error("verified backend differs between Workers=1 and Workers=8")
+		t.Error("verified backend differs between GOMAXPROCS 1 and 8")
 	}
 }
 

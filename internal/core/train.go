@@ -8,7 +8,6 @@ import (
 
 	"vega/internal/model"
 	"vega/internal/obs"
-	"vega/internal/tensor"
 )
 
 // TrainResult reports Stage 2 outcomes.
@@ -85,10 +84,6 @@ func (p *Pipeline) TrainContext(ctx context.Context) (*TrainResult, error) {
 	ctx = obs.With(ctx, o)
 	ctx, span := obs.Start(ctx, "stage2/train")
 	defer span.End()
-
-	if p.Cfg.KernelWorkers > 0 {
-		tensor.SetWorkers(p.Cfg.KernelWorkers)
-	}
 
 	// Vocabulary over the training split only.
 	p.Vocab = model.BuildVocabExtra(p.trainingSequences(), 2, p.forceCharNames(), markerTokens)

@@ -13,9 +13,11 @@ import (
 // runs batched across all samples in one kernel call wide enough to
 // cross the tensor layer's parallel-dispatch gate, while attention — the
 // only op that mixes rows — runs per sample over its own row range.
-// Because each op is row-local, the per-sample results are bit-identical
-// to forwardEncode on the float32 path (kvcache_test.go enforces this)
-// and deterministic for any worker count on both paths.
+// Because each op is row-local, the per-sample results on the float32
+// path are bit-identical to the tape's Encode, whether a sample is
+// encoded alone or packed with others (kvcache_test.go enforces this),
+// and deterministic for any worker count on both paths. A one-sample
+// call is the incremental decoder's encoder.
 
 // bufPool recycles the batched encoder's float32 temporaries (x, h and
 // the per-layer projection outputs). Only scratch that dies inside

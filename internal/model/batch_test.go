@@ -3,6 +3,7 @@ package model
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"vega/internal/obs"
@@ -95,15 +96,17 @@ func TestLossBatchSingleIsLoss(t *testing.T) {
 	_ = loss
 }
 
-// fitWeights trains a fresh model and returns the flattened weights.
-func fitWeights(t *testing.T, mk func() Seq2Seq, workers int) [][]float32 {
+// fitWeights trains a fresh model at GOMAXPROCS procs and returns the
+// flattened weights.
+func fitWeights(t *testing.T, mk func() Seq2Seq, procs int) [][]float32 {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	m := mk()
 	samples := copyTask(40, 24, 4, 5)
 	_, err := FitContext(context.Background(), m, samples,
-		TrainOptions{Epochs: 2, Batch: 8, LR: 2e-3, Seed: 3, Workers: workers})
+		TrainOptions{Epochs: 2, Batch: 8, LR: 2e-3, Seed: 3})
 	if err != nil {
-		t.Fatalf("fit (workers=%d): %v", workers, err)
+		t.Fatalf("fit (GOMAXPROCS=%d): %v", procs, err)
 	}
 	out := make([][]float32, len(m.Params()))
 	for i, p := range m.Params() {
@@ -124,10 +127,10 @@ func assertSameWeights(t *testing.T, a, b [][]float32, what string) {
 }
 
 // TestFitWorkersDeterministic is the determinism regression: identical
-// seeds must give bit-identical weights for any Workers value and
-// across repeated runs — both for the transformer (batched path) and
-// for the GRU baseline (per-sample path with concurrent workers, where
-// the old completion-order merge used to be schedule-dependent).
+// seeds must give bit-identical weights at GOMAXPROCS 1 and 8 and
+// across repeated runs — both for the transformer (batched path, whose
+// kernels fan out over GOMAXPROCS) and for the GRU baseline (per-sample
+// path).
 func TestFitWorkersDeterministic(t *testing.T) {
 	tr := func() Seq2Seq { return NewTransformer(tinyConfig(40)) }
 	gru := func() Seq2Seq {
@@ -138,16 +141,14 @@ func TestFitWorkersDeterministic(t *testing.T) {
 	trW1 := fitWeights(t, tr, 1)
 	trW8 := fitWeights(t, tr, 8)
 	trW8b := fitWeights(t, tr, 8)
-	assertSameWeights(t, trW1, trW8, "transformer workers 1 vs 8")
-	assertSameWeights(t, trW8, trW8b, "transformer workers 8 repeated")
+	assertSameWeights(t, trW1, trW8, "transformer GOMAXPROCS 1 vs 8")
+	assertSameWeights(t, trW8, trW8b, "transformer GOMAXPROCS 8 repeated")
 
 	gruW1 := fitWeights(t, gru, 1)
-	gruW3 := fitWeights(t, gru, 3)
 	gruW8 := fitWeights(t, gru, 8)
 	gruW8b := fitWeights(t, gru, 8)
-	assertSameWeights(t, gruW1, gruW3, "gru workers 1 vs 3")
-	assertSameWeights(t, gruW1, gruW8, "gru workers 1 vs 8")
-	assertSameWeights(t, gruW8, gruW8b, "gru workers 8 repeated")
+	assertSameWeights(t, gruW1, gruW8, "gru GOMAXPROCS 1 vs 8")
+	assertSameWeights(t, gruW8, gruW8b, "gru GOMAXPROCS 8 repeated")
 }
 
 // TestFitCountsSamplePanics: a panicking sample must be visible in the
@@ -159,7 +160,7 @@ func TestFitCountsSamplePanics(t *testing.T) {
 
 	m := &panicOnceModel{Transformer: NewTransformer(tinyConfig(24))}
 	stats, err := FitContext(ctx, m, copyTask(24, 12, 2, 9),
-		TrainOptions{Epochs: 2, Batch: 4, LR: 1e-3, Seed: 4, Workers: 1})
+		TrainOptions{Epochs: 2, Batch: 4, LR: 1e-3, Seed: 4})
 	if err != nil {
 		t.Fatalf("fit: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"log"
 	"math"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -27,7 +26,6 @@ type TrainOptions struct {
 	Batch   int
 	LR      float64
 	Seed    int64
-	Workers int // parallel samples per batch; 0 = NumCPU
 	Verbose func(epoch int, loss float64)
 	MinLoss float64 // early stop when mean epoch loss dips below
 	// LRDecay linearly anneals the learning rate to LR*LRDecay by the
@@ -35,22 +33,17 @@ type TrainOptions struct {
 	LRDecay float64
 	// MaxEpochRetries bounds how many times a bad epoch (NaN/Inf loss,
 	// non-finite weights, or divergence) is re-run from the last good
-	// weights with a decayed LR before Fit gives up. 0 means the
-	// default of 2; negative disables retries.
+	// weights with the LR halved (retryLRDecay) before Fit gives up. 0
+	// means the default of 2; negative disables retries.
 	MaxEpochRetries int
-	// RetryLRDecay scales the learning rate on each epoch retry
-	// (0 means the default of 0.5; must be in (0,1)).
-	RetryLRDecay float64
 	// DivergeFactor flags an epoch as diverging when its mean loss
 	// exceeds DivergeFactor times the best epoch mean so far. 0
 	// disables the check; NaN/Inf is always caught.
 	DivergeFactor float64
 }
 
-// DefaultTrainOptions are sized for the benchmark harness.
-func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Epochs: 30, Batch: 16, LR: 3e-3, Seed: 1, MinLoss: 0.02}
-}
+// retryLRDecay scales the learning rate on each epoch retry.
+const retryLRDecay = 0.5
 
 // FitStats reports a training run's outcomes, including the resilience
 // events that rescued it.
@@ -78,10 +71,11 @@ func Fit(m Seq2Seq, samples []Sample, opt TrainOptions) []float64 {
 	return stats.EpochLosses
 }
 
-// FitContext trains a model on samples with data-parallel gradient
-// accumulation: workers run forward/backward on disjoint samples of a
-// batch and their gradients accumulate under a lock before each Adam
-// step.
+// FitContext trains a model on samples with minibatch gradient
+// accumulation: the transformer runs each batch as one padded
+// forward/backward (whose kernels fan out over GOMAXPROCS), other
+// models run the batch's samples one after another, and the summed
+// gradient feeds one Adam step per batch.
 //
 // The run is fault tolerant. A sample whose forward pass panics or
 // yields a non-finite loss is skipped (its gradients never merge). An
@@ -97,18 +91,11 @@ func Fit(m Seq2Seq, samples []Sample, opt TrainOptions) []float64 {
 // fit/epoch span per completed epoch plus per-epoch loss/LR gauges and
 // retry/skip counters; without one every instrument is a nil no-op.
 func FitContext(ctx context.Context, m Seq2Seq, samples []Sample, opt TrainOptions) (FitStats, error) {
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.NumCPU()
-	}
 	maxRetries := opt.MaxEpochRetries
 	if maxRetries == 0 {
 		maxRetries = 2
 	} else if maxRetries < 0 {
 		maxRetries = 0
-	}
-	retryDecay := opt.RetryLRDecay
-	if retryDecay <= 0 || retryDecay >= 1 {
-		retryDecay = 0.5
 	}
 	params := m.Params()
 	// The batched fast path needs the concrete transformer: wrapper models
@@ -191,56 +178,33 @@ func FitContext(ctx context.Context, m Seq2Seq, samples []Sample, opt TrainOptio
 		return per, true
 	}
 
-	// runPerSample is the reference path: each sample runs its own pooled
-	// tape (workers of them in flight), and after all forward/backward
-	// passes finish the tapes merge on this goroutine in batch-index
-	// order — with MergeGrads itself walking parameters in first-touch
-	// order, the accumulated gradient is bit-identical for any Workers
-	// value and any goroutine schedule.
-	runPerSample := func(batch []int) []float64 {
-		losses := make([]float64, len(batch))
-		tapes := make([]*Tape, len(batch))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opt.Workers)
-		for bi, si := range batch {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(bi, si int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				losses[bi] = math.NaN() // overwritten on success
-				defer func() {
-					// A panic in tensor math (shape mismatch on a
-					// pathological sample) is isolated to this sample.
-					if r := recover(); r != nil {
-						panicsC.Inc()
-						logPanic(r)
-					}
-				}()
-				tp := getTape()
-				defer func() {
-					if tapes[bi] == nil {
-						putTape(tp) // skipped sample: recycle, merge nothing
-					}
-				}()
-				loss := m.Loss(tp, samples[si].Input, samples[si].Output)
-				lv := float64(loss.Data[0])
-				if math.IsNaN(lv) || math.IsInf(lv, 0) {
-					return // keep the poison out of the gradients
-				}
-				tp.Backward(loss)
-				tapes[bi] = tp
-				losses[bi] = lv
-			}(bi, si)
-		}
-		wg.Wait()
-		for _, tp := range tapes {
-			if tp != nil {
-				tp.MergeGrads()
-				putTape(tp)
+	// runSample is the reference path, taken when runBatch declines: one
+	// sample's forward/backward on a pooled tape, whose gradients merge
+	// into the parameters right away. It returns the loss, or NaN —
+	// merging nothing — when the loss is non-finite or the tensor math
+	// panics (a shape mismatch on a pathological sample is isolated to
+	// it). A tape reads only parameter data, never gradients, and the
+	// caller runs a batch's samples in batch-index order, so with
+	// MergeGrads walking parameters in first-touch order the accumulated
+	// gradient is deterministic.
+	runSample := func(si int) (lv float64) {
+		tp := getTape()
+		defer putTape(tp)
+		defer func() {
+			if r := recover(); r != nil {
+				panicsC.Inc()
+				logPanic(r)
+				lv = math.NaN()
 			}
+		}()
+		loss := m.Loss(tp, samples[si].Input, samples[si].Output)
+		lv = float64(loss.Data[0])
+		if math.IsNaN(lv) || math.IsInf(lv, 0) {
+			return math.NaN() // keep the poison out of the gradients
 		}
-		return losses
+		tp.Backward(loss)
+		tp.MergeGrads()
+		return lv
 	}
 
 	// runEpoch performs one full pass; it returns the mean loss over the
@@ -264,7 +228,10 @@ func FitContext(ctx context.Context, m Seq2Seq, samples []Sample, opt TrainOptio
 			batch := order[start:end]
 			losses, batched := runBatch(batch)
 			if !batched {
-				losses = runPerSample(batch)
+				losses = make([]float64, len(batch))
+				for bi, si := range batch {
+					losses[bi] = runSample(si)
+				}
 			}
 			applied := 0
 			for _, l := range losses {
@@ -367,7 +334,7 @@ func FitContext(ctx context.Context, m Seq2Seq, samples []Sample, opt TrainOptio
 			retriedC.Inc()
 			restoreParamData(params, snap)
 			adam.restore(adamSnap)
-			retryScale *= retryDecay
+			retryScale *= retryLRDecay
 		}
 		epochSpan.SetAttr(obs.Float("loss", mean))
 		epochSpan.End()

@@ -14,7 +14,7 @@ func TestFitContextCancelBetweenEpochs(t *testing.T) {
 	samples := copyTask(vocab, 16, 2, 7)
 	m := NewTransformer(tinyConfig(vocab))
 	ctx, cancel := context.WithCancel(context.Background())
-	opt := TrainOptions{Epochs: 50, Batch: 4, LR: 1e-3, Seed: 3, Workers: 1}
+	opt := TrainOptions{Epochs: 50, Batch: 4, LR: 1e-3, Seed: 3}
 	opt.Verbose = func(epoch int, loss float64) {
 		if epoch == 1 {
 			cancel()
@@ -36,7 +36,7 @@ func TestFitContextAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := NewTransformer(tinyConfig(24))
-	stats, err := FitContext(ctx, m, copyTask(24, 4, 2, 1), TrainOptions{Epochs: 3, Batch: 4, LR: 1e-3, Seed: 1, Workers: 1})
+	stats, err := FitContext(ctx, m, copyTask(24, 4, 2, 1), TrainOptions{Epochs: 3, Batch: 4, LR: 1e-3, Seed: 1})
 	if !errors.Is(err, context.Canceled) || !stats.Canceled {
 		t.Fatalf("stats=%+v err=%v", stats, err)
 	}
@@ -53,7 +53,7 @@ func TestFitRecoversFromInjectedNaN(t *testing.T) {
 	m := NewTransformer(tinyConfig(vocab))
 	faultinject.Arm(faultinject.TrainNaN, "1")
 	stats, err := FitContext(context.Background(), m, samples,
-		TrainOptions{Epochs: 4, Batch: 8, LR: 3e-3, Seed: 2, Workers: 1})
+		TrainOptions{Epochs: 4, Batch: 8, LR: 3e-3, Seed: 2})
 	if err != nil {
 		t.Fatalf("training did not recover: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestFitRetrySkipsNotDoubleCounted(t *testing.T) {
 	m := NewTransformer(tinyConfig(vocab))
 	faultinject.Arm(faultinject.TrainNaN, "1")
 	stats, err := FitContext(context.Background(), m, samples,
-		TrainOptions{Epochs: 3, Batch: 8, LR: 3e-3, Seed: 2, Workers: 1})
+		TrainOptions{Epochs: 3, Batch: 8, LR: 3e-3, Seed: 2})
 	if err != nil {
 		t.Fatalf("training did not recover: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestFitGivesUpAfterRetryBudget(t *testing.T) {
 	// Fit must stop with ErrTrainingDiverged instead of looping.
 	m := &nanModel{Transformer: NewTransformer(tinyConfig(24))}
 	stats, err := FitContext(context.Background(), m, copyTask(24, 8, 2, 1),
-		TrainOptions{Epochs: 3, Batch: 4, LR: 1e-3, Seed: 1, Workers: 1, MaxEpochRetries: 1})
+		TrainOptions{Epochs: 3, Batch: 4, LR: 1e-3, Seed: 1, MaxEpochRetries: 1})
 	if !errors.Is(err, ErrTrainingDiverged) {
 		t.Fatalf("err = %v, want ErrTrainingDiverged", err)
 	}
@@ -122,7 +122,7 @@ func TestFitIsolatesPanickingSample(t *testing.T) {
 	base := NewTransformer(tinyConfig(24))
 	m := &panicOnceModel{Transformer: base}
 	stats, err := FitContext(context.Background(), m, copyTask(24, 12, 2, 9),
-		TrainOptions{Epochs: 2, Batch: 4, LR: 1e-3, Seed: 4, Workers: 1})
+		TrainOptions{Epochs: 2, Batch: 4, LR: 1e-3, Seed: 4})
 	if err != nil {
 		t.Fatalf("a single panicking sample killed training: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestFitInjectedTrainCancel(t *testing.T) {
 	faultinject.Arm(faultinject.TrainCancel, "1")
 	m := NewTransformer(tinyConfig(24))
 	stats, err := FitContext(context.Background(), m, copyTask(24, 8, 2, 1),
-		TrainOptions{Epochs: 5, Batch: 4, LR: 1e-3, Seed: 1, Workers: 1})
+		TrainOptions{Epochs: 5, Batch: 4, LR: 1e-3, Seed: 1})
 	if !errors.Is(err, context.Canceled) || !stats.Canceled {
 		t.Fatalf("stats=%+v err=%v", stats, err)
 	}

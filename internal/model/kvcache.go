@@ -79,10 +79,11 @@ type decLayerCache struct {
 	crossK, crossV [][]float32 // per head: memR×dh, fixed per sequence
 }
 
-// NewIncrementalDecoder runs the encoder over input and precomputes the
-// per-layer cross-attention projections of the memory.
+// NewIncrementalDecoder runs the encoder over input (a one-sample
+// float32 EncodeBatch) and precomputes the per-layer cross-attention
+// projections of the memory.
 func (t *Transformer) NewIncrementalDecoder(input []int) *IncrementalDecoder {
-	return t.NewIncrementalDecoderFromMemory(t.forwardEncode(input), false)
+	return t.NewIncrementalDecoderFromMemory(t.EncodeBatch([][]int{input}, false)[0], false)
 }
 
 // NewIncrementalDecoderFromMemory builds a decoder over an
@@ -408,43 +409,6 @@ func top2Margin(row []float32) float32 {
 	return best - second
 }
 
-// forwardEncode mirrors Encode without recording a tape: same kernels,
-// same op order, no gradient buffers. Returns the memory as a flat
-// len(input)×Dim row-major slice.
-func (t *Transformer) forwardEncode(input []int) []float32 {
-	input = t.clampSeq(input)
-	dim := t.Cfg.Dim
-	n := len(input)
-	x := make([]float32, n*dim)
-	for i, tok := range input {
-		er := t.Embed.Row(tok)
-		pr := t.PosEnc.Row(i)
-		row := x[i*dim : (i+1)*dim]
-		for j := range row {
-			row[j] = er[j] + pr[j]
-		}
-	}
-	h := make([]float32, n*dim)
-	for _, l := range t.Enc {
-		layerNormRows(h, x, n, l.N1.Gain.Data, l.N1.Bias.Data)
-		attn := attendRows(h, h, n, n, l.Attn)
-		so := linearRowsFwd(attn, n, l.Attn.WO)
-		for j := range x {
-			x[j] += so[j]
-		}
-		layerNormRows(h, x, n, l.N2.Gain.Data, l.N2.Bias.Data)
-		f := linearRowsFwd(h, n, l.FF.In)
-		geluRow(f)
-		fo := linearRowsFwd(f, n, l.FF.Out)
-		for j := range x {
-			x[j] += fo[j]
-		}
-	}
-	out := make([]float32, n*dim)
-	layerNormRows(out, x, n, t.NormE.Gain.Data, t.NormE.Bias.Data)
-	return out
-}
-
 // --- forward-only kernels, each mirroring a Tape op's float order.
 // The heavy ones live in internal/tensor (see its determinism contract);
 // these wrappers keep the decoder's call sites in visible lockstep with
@@ -469,16 +433,9 @@ func linearRowFwdInto(out, x []float32, l *Linear) {
 	}
 }
 
-// linearRowsFwd computes x·W + b for n rows of a flat row-major slice.
-func linearRowsFwd(x []float32, n int, l *Linear) []float32 {
-	out := make([]float32, n*l.W.C)
-	linearRowsFwdInto(out, x, n, l)
-	return out
-}
-
-// linearRowsFwdInto is linearRowsFwd into caller-provided out (len
-// n·W.C, overwritten) — the batched encoder reuses pooled buffers
-// through it.
+// linearRowsFwdInto computes x·W + b for n rows of a flat row-major
+// slice into caller-provided out (len n·W.C, overwritten) — the batched
+// encoder reuses pooled buffers through it.
 func linearRowsFwdInto(out, x []float32, n int, l *Linear) {
 	for i := range out {
 		out[i] = 0
@@ -518,22 +475,6 @@ func attendRowInto(out, scores, q []float32, k, v [][]float32, ctxLen int, m *MH
 		smax(scores)
 		tensor.AttnWeightedSumInto(out[off:off+dh], scores, v[h], ctxLen, dh)
 	}
-}
-
-// attendRows is attendRow over n query rows (the encoder's full
-// self-attention; no mask). The full-width K/V projections are repacked
-// head-contiguous once, then every query row attends via the dense
-// kernels.
-func attendRows(q, kv []float32, n, ctxLen int, m *MHA) []float32 {
-	qp := linearRowsFwd(q, n, m.WQ)
-	kp := linearRowsFwd(kv, ctxLen, m.WK)
-	vp := linearRowsFwd(kv, ctxLen, m.WV)
-	dh := m.D / m.Heads
-	kh := splitHeads(kp, ctxLen, m.Heads, dh)
-	vh := splitHeads(vp, ctxLen, m.Heads, dh)
-	out := make([]float32, n*m.D)
-	attendRowsPre(out, qp, kh, vh, make([]float32, ctxLen), n, ctxLen, m, softmaxRow)
-	return out
 }
 
 // attendRowsPre is the attention core after the Q/K/V projections:

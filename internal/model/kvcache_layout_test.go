@@ -2,9 +2,8 @@ package model
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
-
-	"vega/internal/tensor"
 )
 
 // Tests for the head-contiguous KV-cache layout: grow-on-demand at the
@@ -166,7 +165,7 @@ func TestCloneQuantizedSelfConsistent(t *testing.T) {
 	cfg := Config{Vocab: vocab, Dim: 32, Heads: 4, EncLayers: 1, DecLayers: 2, FFMult: 2, MaxSeq: 16, Seed: 23}
 	m := NewTransformer(cfg)
 	in := kvInputs(vocab, cfg.Seed)[1]
-	mem := m.forwardEncode(in)
+	mem := m.EncodeBatch([][]int{in}, false)[0]
 	toks := decodeTokens(vocab, 8, cfg.Seed+2)
 
 	fresh := func(tokens []int) []float32 {
@@ -193,11 +192,11 @@ func TestCloneQuantizedSelfConsistent(t *testing.T) {
 	clone.Release()
 }
 
-// TestDecodeKernelWorkerBitIdentity pins decode outputs across kernel
-// worker counts 1/3/8 on both precision paths: the tensor layer's
+// TestDecodeKernelWorkerBitIdentity pins decode outputs across
+// GOMAXPROCS 1/3/8 on both precision paths: the tensor layer's
 // parallel dispatch must not change a single logit bit.
 func TestDecodeKernelWorkerBitIdentity(t *testing.T) {
-	defer tensor.SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const vocab = 40
 	cfg := kvConfigs(vocab)[1]
 	m := NewTransformer(cfg)
@@ -216,10 +215,10 @@ func TestDecodeKernelWorkerBitIdentity(t *testing.T) {
 	}
 
 	for _, quantized := range []bool{false, true} {
-		tensor.SetWorkers(1)
+		runtime.GOMAXPROCS(1)
 		want := decode(quantized)
 		for _, w := range []int{3, 8} {
-			tensor.SetWorkers(w)
+			runtime.GOMAXPROCS(w)
 			got := decode(quantized)
 			for i := range want {
 				equalLogits(t, "worker bit-identity", got[i], want[i])

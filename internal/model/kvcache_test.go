@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -30,20 +31,34 @@ func kvInputs(vocab int, seed int64) [][]int {
 	return ins
 }
 
+// kvInputsWithLong returns kvInputs plus one input longer than MaxSeq,
+// which every encoder must clamp the same way.
+func kvInputsWithLong(cfg Config, seed int64) [][]int {
+	ins := kvInputs(cfg.Vocab, seed)
+	long := []int{CLS}
+	for len(long) < cfg.MaxSeq+5 {
+		long = append(long, ins[len(ins)-1][1:]...)
+	}
+	return append(ins, long)
+}
+
+// TestForwardEncodeMatchesEncode pins the one-sample tape-free forward
+// encode — EncodeBatch on a single input, the call every incremental
+// decoder encodes through — to the tape's Encode bit-exactly.
 func TestForwardEncodeMatchesEncode(t *testing.T) {
 	const vocab = 40
 	for _, cfg := range kvConfigs(vocab) {
 		m := NewTransformer(cfg)
-		for _, in := range kvInputs(vocab, cfg.Seed) {
-			want := m.Encode(NewTape(), in)
-			got := m.forwardEncode(in)
-			if len(got) != len(want.Data) {
-				t.Fatalf("cfg %+v: forwardEncode %d values, Encode %d", cfg, len(got), len(want.Data))
+		for s, in := range kvInputsWithLong(cfg, cfg.Seed) {
+			want := m.Encode(NewTape(), in).Data
+			got := m.EncodeBatch([][]int{in}, false)[0]
+			if len(got) != len(want) {
+				t.Fatalf("cfg %+v sample %d: forward encode %d values, Encode %d", cfg, s, len(got), len(want))
 			}
-			for i := range got {
-				if got[i] != want.Data[i] {
-					t.Fatalf("cfg %+v input %v: memory[%d] = %v, want %v (bit-exact)",
-						cfg, in, i, got[i], want.Data[i])
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("cfg %+v sample %d: memory[%d] = %v, want %v (bit-exact)",
+						cfg, s, i, got[i], want[i])
 				}
 			}
 		}

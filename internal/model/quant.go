@@ -164,12 +164,3 @@ func qLinearRowsFwdPre(out []float32, qa *tensor.QMat, ql *qLin) {
 		}
 	}
 }
-
-// qLinearRowsFwd is qLinearRowsFwdInto with a freshly allocated result —
-// for callers that retain the output (e.g. the decoder's per-sequence
-// cross projections).
-func qLinearRowsFwd(x []float32, n int, ql *qLin) []float32 {
-	out := make([]float32, n*ql.wt.R)
-	qLinearRowsFwdInto(out, x, n, ql)
-	return out
-}

@@ -2,26 +2,25 @@ package model
 
 import (
 	"math"
+	"runtime"
 	"testing"
-
-	"vega/internal/tensor"
 )
 
 // TestEncodeBatchMatchesForwardEncode pins the float32 batched encoder
-// to the per-sample path bit-exactly: every op in EncodeBatch is
-// row-local except attention, which runs per sample, so packing must
+// to the one-sample forward encode bit-exactly: every op in EncodeBatch
+// is row-local except attention, which runs per sample, so packing must
 // not change a single float.
 func TestEncodeBatchMatchesForwardEncode(t *testing.T) {
 	const vocab = 40
 	for _, cfg := range kvConfigs(vocab) {
 		m := NewTransformer(cfg)
-		ins := kvInputs(vocab, cfg.Seed+3)
+		ins := kvInputsWithLong(cfg, cfg.Seed+3)
 		mems := m.EncodeBatch(ins, false)
 		if len(mems) != len(ins) {
 			t.Fatalf("cfg %+v: %d memories for %d inputs", cfg, len(mems), len(ins))
 		}
 		for s, in := range ins {
-			want := m.forwardEncode(in)
+			want := m.EncodeBatch([][]int{in}, false)[0]
 			if len(mems[s]) != len(want) {
 				t.Fatalf("cfg %+v sample %d: %d values, want %d", cfg, s, len(mems[s]), len(want))
 			}
@@ -116,7 +115,7 @@ func TestQuantizedDecodeAgreesOrAmbiguous(t *testing.T) {
 // (the int32 accumulation makes this hold by construction; this guards
 // the dispatch plumbing).
 func TestEncodeBatchQuantizedWorkerBitIdentity(t *testing.T) {
-	defer tensor.SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const vocab = 60
 	cfg := Config{Vocab: vocab, Dim: 48, Heads: 4, EncLayers: 2, DecLayers: 1,
 		FFMult: 4, MaxSeq: 64, Seed: 3}
@@ -127,7 +126,7 @@ func TestEncodeBatchQuantizedWorkerBitIdentity(t *testing.T) {
 	}
 	var ref [][]float32
 	for _, w := range []int{1, 3, 8} {
-		tensor.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		mems := m.EncodeBatch(ins, true)
 		if ref == nil {
 			ref = mems

@@ -218,13 +218,14 @@ var _ Seq2Seq = (*Transformer)(nil)
 
 // ExactMatch evaluates the fraction of samples whose greedy generation
 // reproduces the reference output exactly (the paper's Exact Match score).
+// Samples decode concurrently, GOMAXPROCS at a time.
 func ExactMatch(m Seq2Seq, samples []Sample, maxLen int) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	results := make([]bool, len(samples))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := range samples {
 		wg.Add(1)
 		sem <- struct{}{}

@@ -106,7 +106,7 @@ func TestFitDeterministicWithSeed(t *testing.T) {
 	samples := copyTask(vocab, 12, 2, 7)
 	run := func() []float64 {
 		m := NewTransformer(tinyConfig(vocab))
-		return Fit(m, samples, TrainOptions{Epochs: 2, Batch: 4, LR: 1e-3, Seed: 3, Workers: 1})
+		return Fit(m, samples, TrainOptions{Epochs: 2, Batch: 4, LR: 1e-3, Seed: 3})
 	}
 	a, b := run(), run()
 	for i := range a {

@@ -20,27 +20,7 @@ package tensor
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// workers is the kernel parallelism knob, read atomically on every
-// dispatch so tests and callers can retune it at runtime.
-var workers atomic.Int32
-
-func init() { workers.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// Workers reports the current kernel worker bound.
-func Workers() int { return int(workers.Load()) }
-
-// SetWorkers bounds how many goroutines a single kernel call may fan out
-// to. n < 1 restores the default (GOMAXPROCS). Results are bit-identical
-// for any value; the knob only trades latency for CPU.
-func SetWorkers(n int) {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	workers.Store(int32(n))
-}
 
 // parFlops gates the parallel dispatch: kernels below this many
 // multiply-adds run serially, since goroutine handoff costs more than
@@ -48,15 +28,17 @@ func SetWorkers(n int) {
 // matmuls fan out).
 const parFlops = 1 << 21
 
-// parallelRows runs body over [0,r) split into at most Workers()
+// parallelRows runs body over [0,r) split into at most GOMAXPROCS
 // contiguous chunks. Output rows are disjoint across chunks, so the
-// partitioning never changes results.
+// partitioning never changes results. The gate is checked first, so
+// kernels below it never read GOMAXPROCS.
 func parallelRows(r, flops int, body func(lo, hi int)) {
-	w := Workers()
-	if w > r {
-		w = r
+	if flops < parFlops {
+		body(0, r)
+		return
 	}
-	if w <= 1 || flops < parFlops {
+	w := min(runtime.GOMAXPROCS(0), r)
+	if w <= 1 {
 		body(0, r)
 		return
 	}

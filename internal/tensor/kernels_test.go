@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -137,12 +138,12 @@ func equalBits(t *testing.T, kernel string, got, want []float32) {
 }
 
 func TestBlockedKernelsMatchNaive(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	eachKernelPath(func(path string) {
 		t.Run(path, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
 			for _, w := range []int{1, 3, 8} {
-				SetWorkers(w)
+				runtime.GOMAXPROCS(w)
 				for _, r := range termShapes {
 					for _, k := range termShapes {
 						for _, c := range kernelShapes {
@@ -281,7 +282,7 @@ func TestKernelsSpecialLeftOperands(t *testing.T) {
 // TestParallelDispatchAboveGate forces shapes across the parFlops gate
 // and checks worker counts cannot change a single bit.
 func TestParallelDispatchAboveGate(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	eachKernelPath(func(path string) {
 		t.Run(path, func(t *testing.T) {
 			r, k, c := 160, 96, 160 // r*k*c ≈ 2.4M > parFlops
@@ -290,11 +291,11 @@ func TestParallelDispatchAboveGate(t *testing.T) {
 			b := make([]float32, k*c)
 			fill(a, rng, 0.15)
 			fill(b, rng, 0)
-			SetWorkers(1)
+			runtime.GOMAXPROCS(1)
 			want := make([]float32, r*c)
 			MatMul(want, a, b, r, k, c)
 			for _, w := range []int{2, 5, 16} {
-				SetWorkers(w)
+				runtime.GOMAXPROCS(w)
 				got := make([]float32, r*c)
 				MatMul(got, a, b, r, k, c)
 				equalBits(t, "MatMul(parallel)", got, want)
@@ -595,17 +596,5 @@ func TestSoftmaxXentMatchesReference(t *testing.T) {
 		if grad[2*c+j] != 0 {
 			t.Fatalf("padding row received gradient at col %d", j)
 		}
-	}
-}
-
-func TestSetWorkersBounds(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(5)
-	if Workers() != 5 {
-		t.Fatalf("Workers() = %d after SetWorkers(5)", Workers())
-	}
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after reset", Workers())
 	}
 }

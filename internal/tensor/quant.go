@@ -149,21 +149,6 @@ func QMatMulNT(dst []float32, a, b *QMat) {
 	})
 }
 
-// QMatMul computes dst += a·b with a quantized r×k and b a float32 k×c
-// matrix: b's columns are quantized on the fly (per-column scale) and the
-// product runs through QMatMulNT. Convenience for tests and one-shot
-// products; steady-state callers should hold b's transpose as a QMat.
-func QMatMul(dst []float32, a *QMat, b []float32, c int) {
-	k := a.C
-	bt := make([]float32, c*k)
-	for j := 0; j < c; j++ {
-		for p := 0; p < k; p++ {
-			bt[j*k+p] = b[p*c+j]
-		}
-	}
-	QMatMulNT(dst, a, QuantizeRows(bt, c, k))
-}
-
 // QMulRowInto accumulates out[j] += (Σₚ a[p]·b[j][p]) · sa · bScale[j]
 // for j < b.R — one activation row (already quantized with scale sa)
 // against every row of b. The serial single-row form QMatMulNT reduces

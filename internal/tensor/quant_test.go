@@ -154,7 +154,7 @@ func rowMaxAbs(row []float32) float64 {
 // output for every worker count — the quantized kernels inherit the
 // float32 contract.
 func TestQMatMulNTWorkerBitIdentity(t *testing.T) {
-	defer SetWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(31))
 	r, k, c := 64, 256, 256 // 64·256·256 = 4.2M flops > parFlops
 	a := make([]float32, r*k)
@@ -168,7 +168,7 @@ func TestQMatMulNTWorkerBitIdentity(t *testing.T) {
 	qa, qb := QuantizeRows(a, r, k), QuantizeRows(b, c, k)
 	var ref []float32
 	for _, w := range []int{1, 3, 8} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		dst := make([]float32, r*c)
 		QMatMulNT(dst, qa, qb)
 		if ref == nil {
@@ -203,35 +203,6 @@ func TestQMulRowIntoMatchesQMatMulNT(t *testing.T) {
 	for j := range got {
 		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
 			t.Fatalf("col %d: %g vs %g", j, got[j], want[j])
-		}
-	}
-}
-
-func TestQMatMulMatchesNT(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	r, k, c := 5, 32, 11
-	a := make([]float32, r*k)
-	b := make([]float32, k*c)
-	for i := range a {
-		a[i] = float32(rng.NormFloat64())
-	}
-	for i := range b {
-		b[i] = float32(rng.NormFloat64())
-	}
-	qa := QuantizeRows(a, r, k)
-	got := make([]float32, r*c)
-	QMatMul(got, qa, b, c)
-	bt := make([]float32, c*k)
-	for j := 0; j < c; j++ {
-		for p := 0; p < k; p++ {
-			bt[j*k+p] = b[p*c+j]
-		}
-	}
-	want := make([]float32, r*c)
-	QMatMulNT(want, qa, QuantizeRows(bt, c, k))
-	for i := range got {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("element %d: %g vs %g", i, got[i], want[i])
 		}
 	}
 }
