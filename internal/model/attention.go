@@ -16,12 +16,9 @@ import (
 // key rows only; causal further limits it to keys j ≤ i. The result
 // has q's shape, with each head's output in that head's columns.
 //
-// Per (sample, head) the forward copies the head's K columns, transposed,
-// into a dh×lk scratch block, computes the scores from Q's head columns
-// in place with tensor.MatMulStrided, scales them, adds the causal mask,
-// takes each row's softmax, and accumulates P·V straight into the
-// output's head columns. No mask is allocated, and the probabilities
-// are the only state the backward keeps.
+// The forward is attentionForward, the same loop the inference encoder
+// runs. No mask is allocated, and the probabilities are the only state
+// the backward keeps.
 //
 // Every output and gradient has the bits of the composed graph this op
 // replaces: per-sample row slices, per-head column slices,
@@ -40,7 +37,6 @@ func (tp *Tape) Attention(q, k, v *Tensor, qOffs, kOffs []int, heads int, causal
 	}
 	dh := d / heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	negInf := float32(math.Inf(-1))
 	ns := len(qOffs) - 1
 
 	// One lq×lk probability block per (sample, head), sample-major.
@@ -51,42 +47,11 @@ func (tp *Tape) Attention(q, k, v *Tensor, qOffs, kOffs []int, heads int, causal
 		maxBlock = max(maxBlock, lq*lk)
 		maxLk = max(maxLk, lk)
 	}
-	probs := tp.arena.Alloc(total)
+	probs := tp.arena.AllocNoZero(total)
 	headT := tp.arena.AllocNoZero(dh * maxLk)
 	out := tp.newTensor(q.R, d)
-	off := 0
-	for s := 0; s < ns; s++ {
-		q0, k0 := qOffs[s], kOffs[s]
-		lq, lk := qOffs[s+1]-q0, kOffs[s+1]-k0
-		for h := 0; h < heads; h++ {
-			ho := h * dh
-			pb := probs[off : off+lq*lk]
-			off += lq * lk
-			// Scores = Q·Kᵀ, zero-skip on Q as MatMul(qh, khT) had.
-			kT := transposeHead(headT, k.Data[k0*d+ho:], lk, dh, d)
-			tensor.MatMulStrided(pb, lk, q.Data[q0*d+ho:], d, 1, kT, lk, lq, dh, lk)
-			for i := 0; i < lq; i++ {
-				row := pb[i*lk : (i+1)*lk]
-				if causal {
-					// Scaled score plus the additive mask: + 0 up to the
-					// diagonal, + -Inf past it.
-					for j, x := range row {
-						m := float32(0)
-						if j > i {
-							m = negInf
-						}
-						row[j] = float32(x*scale) + m
-					}
-				} else {
-					for j, x := range row {
-						row[j] = x * scale
-					}
-				}
-				tensor.SoftmaxRow(row, row)
-			}
-			tensor.MatMulStrided(out.Data[q0*d+ho:], d, pb, lk, 1, v.Data[k0*d+ho:], d, lq, lk, dh)
-		}
-	}
+	attentionForward(out.Data, q.Data, k.Data, v.Data, d, heads, qOffs, kOffs, causal,
+		probs, true, headT, softmaxRow)
 
 	return tp.record(out, func() {
 		if q.R == 0 {
@@ -169,6 +134,65 @@ func (tp *Tape) Attention(q, k, v *Tensor, qOffs, kOffs []int, heads int, causal
 			}
 		}
 	}, q, k, v)
+}
+
+// attentionForward is Attention's forward pass without a tape: it adds
+// the attention output of every (sample, head) into out (q's shape,
+// zeroed by the caller) from the full-width q, k and v rows. Per
+// (sample, head) it transposes the K head into headT (dh·max lk floats),
+// computes Q·Kᵀ into a zeroed lq×lk probability block with
+// tensor.MatMulStrided, scales it, adds the causal mask, applies smax to
+// each row, and accumulates P·V straight from V's full-width rows. With
+// keep, the blocks lie back to back in probs (sample-major, heads
+// inside), which the tape's backward reads; without it, probs holds one
+// block of the largest lq·lk and every (sample, head) reuses it.
+//
+// Each score is one ascending-p float32 chain with the zero-skip on q,
+// and each output element one ascending-j chain with the zero-skip on
+// P, so the training tape (smax = softmaxRow) and the float32 inference
+// encoder get the same bits from this one loop; the int8 encoder passes
+// qSoftmaxRow.
+func attentionForward(out, q, k, v []float32, d, heads int, qOffs, kOffs []int, causal bool,
+	probs []float32, keep bool, headT []float32, smax func([]float32)) {
+	dh := d / heads
+	scale := float32(1 / math.Sqrt(float64(dh)))
+	negInf := float32(math.Inf(-1))
+	off := 0
+	for s := 0; s+1 < len(qOffs); s++ {
+		q0, k0 := qOffs[s], kOffs[s]
+		lq, lk := qOffs[s+1]-q0, kOffs[s+1]-k0
+		for h := 0; h < heads; h++ {
+			ho := h * dh
+			pb := probs[off : off+lq*lk]
+			if keep {
+				off += lq * lk
+			}
+			// Scores = Q·Kᵀ, zero-skip on Q as MatMul(qh, khT) had.
+			clear(pb)
+			kT := transposeHead(headT, k[k0*d+ho:], lk, dh, d)
+			tensor.MatMulStrided(pb, lk, q[q0*d+ho:], d, 1, kT, lk, lq, dh, lk)
+			for i := 0; i < lq; i++ {
+				row := pb[i*lk : (i+1)*lk]
+				if causal {
+					// Scaled score plus the additive mask: + 0 up to the
+					// diagonal, + -Inf past it.
+					for j, x := range row {
+						m := float32(0)
+						if j > i {
+							m = negInf
+						}
+						row[j] = float32(x*scale) + m
+					}
+				} else {
+					for j, x := range row {
+						row[j] = x * scale
+					}
+				}
+				smax(row)
+			}
+			tensor.MatMulStrided(out[q0*d+ho:], d, pb, lk, 1, v[k0*d+ho:], d, lq, lk, dh)
+		}
+	}
 }
 
 // transposeHead writes the dh columns of n rows, ld floats apart, into

@@ -12,7 +12,8 @@ import (
 // (embedding lookup, layer norm, linear projection, GELU, residual add)
 // runs batched across all samples in one kernel call wide enough to
 // cross the tensor layer's parallel-dispatch gate, while attention — the
-// only op that mixes rows — runs per sample over its own row range.
+// only op that mixes rows — runs the training tape's own forward loop
+// (attentionForward), which keeps each sample to its own row range.
 // Because each op is row-local, the per-sample results on the float32
 // path are bit-identical to the tape's Encode, whether a sample is
 // encoded alone or packed with others (kvcache_test.go enforces this),
@@ -90,21 +91,18 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 	}
 	// The pooled buffers come back unzeroed, and each is written before it
 	// is read: h by layer norm; qp, kp, vp, so and f by the projections
-	// (which zero their outputs); attn by the per-layer clear below;
-	// scores by AttnScoresInto; khb and vhb by packHeads.
+	// (which zero their outputs); attn by the per-layer clear below.
+	// Attention's scratch — one sample's probability block and its
+	// transposed K head — lives in f, which is dead until the feed-forward
+	// input projection overwrites it, and is written by attentionForward.
 	h := getBuf(rows * dim)
 	qp := getBuf(rows * dim)
 	kp := getBuf(rows * dim)
 	vp := getBuf(rows * dim)
 	attn := getBuf(rows * dim)
 	so := getBuf(rows * dim)
-	f := getBuf(rows * ffw)
-	scores := getBuf(maxRows)
-	// Head-contiguous repack buffers for one sample's K/V (see
-	// attendRowsPre): each sample's full-width projection rows are packed
-	// into per-head dense blocks before attending.
-	khb := getBuf(maxRows * dim)
-	vhb := getBuf(maxRows * dim)
+	f := getBuf(max(rows*ffw, maxRows*(maxRows+dim)))
+	probs, headT := f[:maxRows*maxRows], f[maxRows*maxRows:]
 	smax, gelu := softmaxRow, geluRow
 	if qv != nil {
 		smax, gelu = qSoftmaxRow, qGeluRow
@@ -122,20 +120,12 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 			qLinearRowsFwdPre(dst, qm, qls[i])
 		}
 	}
-	heads := 0
-	for _, l := range t.Enc {
-		if l.Attn.Heads > heads {
-			heads = l.Attn.Heads
-		}
-	}
-	kviews := make([][]float32, heads)
-	vviews := make([][]float32, heads)
 	for li, l := range t.Enc {
 		var qe *qEncoderLayer
 		if qv != nil {
 			qe = &qv.enc[li]
 		}
-		layerNormRows(h, x, rows, l.N1.Gain.Data, l.N1.Bias.Data)
+		layerNormRows(h, x, rows, l.N1.Gain.Data, l.N1.Bias.Data, nil, nil)
 		if qe != nil {
 			qlin(h, dim, [][]float32{qp, kp, vp},
 				[]*qLin{&qe.attn.wq, &qe.attn.wk, &qe.attn.wv})
@@ -144,29 +134,16 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 			linearRowsFwdInto(kp, h, rows, l.Attn.WK)
 			linearRowsFwdInto(vp, h, rows, l.Attn.WV)
 		}
-		for i := range attn {
-			attn[i] = 0
-		}
-		dh := l.Attn.D / l.Attn.Heads
-		kv := kviews[:l.Attn.Heads]
-		vv := vviews[:l.Attn.Heads]
-		for s := 0; s < n; s++ {
-			lo, hi := offs[s], offs[s+1]
-			m := hi - lo
-			packHeads(kv, khb, kp[lo*dim:hi*dim], m, l.Attn.Heads, dh)
-			packHeads(vv, vhb, vp[lo*dim:hi*dim], m, l.Attn.Heads, dh)
-			attendRowsPre(attn[lo*dim:hi*dim], qp[lo*dim:hi*dim],
-				kv, vv, scores, m, m, l.Attn, smax)
-		}
+		clear(attn)
+		attentionForward(attn, qp, kp, vp, dim, l.Attn.Heads, offs, offs, false,
+			probs, false, headT, smax)
 		if qe != nil {
 			qlin(attn, dim, [][]float32{so}, []*qLin{&qe.attn.wo})
 		} else {
 			linearRowsFwdInto(so, attn, rows, l.Attn.WO)
 		}
-		for j := range x {
-			x[j] += so[j]
-		}
-		layerNormRows(h, x, rows, l.N2.Gain.Data, l.N2.Bias.Data)
+		tensor.Axpy(x, so, 1)
+		layerNormRows(h, x, rows, l.N2.Gain.Data, l.N2.Bias.Data, nil, nil)
 		fl := f[:rows*l.FF.In.W.C]
 		// so is dead after the attention residual; reuse it for the
 		// feed-forward output.
@@ -179,16 +156,14 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 			gelu(fl)
 			linearRowsFwdInto(so, fl, rows, l.FF.Out)
 		}
-		for j := range x {
-			x[j] += so[j]
-		}
+		tensor.Axpy(x, so, 1)
 	}
 	if qm != nil {
 		qaPool.Put(qm)
 	}
 	out := make([]float32, rows*dim)
-	layerNormRows(out, x, rows, t.NormE.Gain.Data, t.NormE.Bias.Data)
-	for _, b := range [][]float32{x, h, qp, kp, vp, attn, so, f, scores, khb, vhb} {
+	layerNormRows(out, x, rows, t.NormE.Gain.Data, t.NormE.Bias.Data, nil, nil)
+	for _, b := range [][]float32{x, h, qp, kp, vp, attn, so, f} {
 		putBuf(b)
 	}
 	mems := make([][]float32, n)

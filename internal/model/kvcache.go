@@ -23,15 +23,15 @@ import (
 //
 // for O(L) decoder row computations and zero autodiff bookkeeping.
 //
-// The outputs are bit-identical to the reference path. Every helper
-// below mirrors the per-element accumulation order of the corresponding
-// Tape op — the internal/tensor kernels' ascending-k terms with the
-// zero-skip (see that package's determinism contract), LayerNorm's
-// float32 mean/variance accumulation, Softmax's max-shift — so the
+// The outputs are bit-identical to the reference path. Layer norm is
+// the tape's own layerNormRows, and every other helper below mirrors the
+// per-element accumulation order of the corresponding Tape op — the
+// internal/tensor kernels' ascending-k terms with the zero-skip (see
+// that package's determinism contract), Softmax's max-shift — so the
 // float32 results match exactly, not just approximately. The
-// differential tests in kvcache_test.go enforce this invariant; keep the
-// helpers in lockstep with tensor.go and internal/tensor when changing
-// any of them.
+// differential tests in kvcache_test.go and kvcache_layout_test.go
+// enforce this invariant; keep the helpers in lockstep with tensor.go,
+// attention.go and internal/tensor when changing any of them.
 
 // IncrementalDecoder is the KV-cached Decoder: it decodes one output
 // sequence token by token against a fixed encoder memory. It is cheap to
@@ -59,24 +59,27 @@ type IncrementalDecoder struct {
 // returns aliases one of them.
 type decScratch struct {
 	x, h, q, attn, o, st []float32
-	k, v                 []float32 // full-width K/V projection rows, scattered per head
+	k, v                 []float32 // the fed token's full-width K/V projection rows
 	f                    []float32 // feed-forward hidden row
 	scores               []float32 // attention scores, MaxSeq wide
 	logits               []float32
 	qrow                 []int8 // quantized-activation row (quant path)
 }
 
-// decLayerCache holds one decoder layer's attention state, head-major:
-// one dense ctxLen×dh block per head, so attention scores and weighted
-// sums run the dense tensor.AttnScoresInto/AttnWeightedSumInto kernels
-// instead of strided dots over full-width rows. crossK/crossV are
-// computed once per sequence and shared (read-only) across clones;
-// selfK/selfV grow by one dh-wide row per head per fed token and are
-// copied on Clone. Each head's block grows independently (growKV), so
-// capacity doubling never repacks across heads.
+// decLayerCache holds one decoder layer's attention state. Keys are
+// stored transposed: per head a dh×ctx block, the heads stacked into one
+// Dim×ctx matrix, so a head's score row is one tensor.MulRowInto of the
+// query's dh values against dh contiguous key rows. Values stay
+// head-contiguous, one dense ctx×dh block per head, under
+// tensor.AttnWeightedSumInto. crossK/crossV are computed once per
+// sequence and shared (read-only) across clones; selfK gains one column
+// and each selfV block one dh-wide row per fed token, and both are
+// copied on Clone.
 type decLayerCache struct {
-	selfK, selfV   [][]float32 // per head: pos×dh, appended per step
-	crossK, crossV [][]float32 // per head: memR×dh, fixed per sequence
+	selfK  []float32   // Dim×(len/Dim) with row stride len/Dim; columns < pos hold keys
+	selfV  [][]float32 // per head: pos×dh, appended per step
+	crossK []float32   // Dim×memR, fixed per sequence
+	crossV [][]float32 // per head: memR×dh, fixed per sequence
 }
 
 // NewIncrementalDecoder runs the encoder over input (a one-sample
@@ -106,29 +109,30 @@ func (t *Transformer) NewIncrementalDecoderFromMemory(mem []float32, quantized b
 		tensor.QuantizeRowsInto(qm, mem, d.memR, t.Cfg.Dim)
 	}
 	// The cross projections are computed full-width (one batched kernel
-	// call over the memory rows), then repacked into per-head dense
-	// blocks; tmp is reused across layers.
-	tmp := make([]float32, d.memR*t.Cfg.Dim)
+	// call over the memory rows), then K is transposed and V repacked
+	// into per-head dense blocks; tmp is reused across layers.
+	dim := t.Cfg.Dim
+	tmp := make([]float32, d.memR*dim)
 	for li, l := range t.Dec {
-		dh := l.Cross.D / l.Cross.Heads
+		lc := &d.layers[li]
 		if d.quant != nil {
 			qLinearRowsFwdPre(tmp, qm, &d.quant.dec[li].cross.wk)
-			d.layers[li].crossK = splitHeads(tmp, d.memR, l.Cross.Heads, dh)
-			qLinearRowsFwdPre(tmp, qm, &d.quant.dec[li].cross.wv)
-			d.layers[li].crossV = splitHeads(tmp, d.memR, l.Cross.Heads, dh)
 		} else {
 			linearRowsFwdInto(tmp, mem, d.memR, l.Cross.WK)
-			d.layers[li].crossK = splitHeads(tmp, d.memR, l.Cross.Heads, dh)
-			linearRowsFwdInto(tmp, mem, d.memR, l.Cross.WV)
-			d.layers[li].crossV = splitHeads(tmp, d.memR, l.Cross.Heads, dh)
 		}
-		// selfK/selfV start as empty per-head blocks and grow on demand
-		// (growKV): typical decodes emit far fewer than MaxSeq tokens, so
-		// pre-sizing to the MaxSeq·Dim bound wasted ~8× the memory a real
-		// decode touches and made decoder construction the dominant
-		// allocation site.
-		d.layers[li].selfK = make([][]float32, l.Self.Heads)
-		d.layers[li].selfV = make([][]float32, l.Self.Heads)
+		lc.crossK = transposeHead(make([]float32, dim*d.memR), tmp, d.memR, dim, dim)
+		if d.quant != nil {
+			qLinearRowsFwdPre(tmp, qm, &d.quant.dec[li].cross.wv)
+		} else {
+			linearRowsFwdInto(tmp, mem, d.memR, l.Cross.WV)
+		}
+		lc.crossV = splitHeads(tmp, d.memR, l.Cross.Heads, l.Cross.D/l.Cross.Heads)
+		// selfK/selfV start empty and grow on demand (Step, growKV):
+		// typical decodes emit far fewer than MaxSeq tokens, so pre-sizing
+		// to the MaxSeq·Dim bound wasted ~8× the memory a real decode
+		// touches and made decoder construction the dominant allocation
+		// site.
+		lc.selfV = make([][]float32, l.Self.Heads)
 	}
 	if qm != nil {
 		qaPool.Put(qm)
@@ -151,17 +155,18 @@ func (d *IncrementalDecoder) Clone() Decoder {
 	for i, l := range d.t.Dec {
 		c.layers[i].crossK = d.layers[i].crossK
 		c.layers[i].crossV = d.layers[i].crossV
-		// Copy with one row of headroom per head so the clone's first Step
+		// Copy with one position of headroom so the clone's first Step
 		// doesn't immediately reallocate; beyond that it grows like any
 		// decoder.
-		dh := l.Self.D / l.Self.Heads
-		c.layers[i].selfK = cloneKV(d.layers[i].selfK, dh)
-		c.layers[i].selfV = cloneKV(d.layers[i].selfV, dh)
+		if d.pos > 0 {
+			c.layers[i].selfK = restrideKT(d.layers[i].selfK, d.t.Cfg.Dim, d.pos, d.pos+1)
+		}
+		c.layers[i].selfV = cloneKV(d.layers[i].selfV, l.Self.D/l.Self.Heads)
 	}
 	return c
 }
 
-// cloneKV copies a head-contiguous K/V cache: each head's dense block is
+// cloneKV copies a head-contiguous V cache: each head's dense block is
 // copied with headroom for one more dh-wide row.
 func cloneKV(s [][]float32, dh int) [][]float32 {
 	c := make([][]float32, len(s))
@@ -179,26 +184,17 @@ func cloneKV(s [][]float32, dh int) [][]float32 {
 func splitHeads(src []float32, n, heads, dh int) [][]float32 {
 	buf := make([]float32, n*heads*dh)
 	views := make([][]float32, heads)
-	packHeads(views, buf, src, n, heads, dh)
-	return views
-}
-
-// packHeads is splitHeads into caller-provided storage: buf must hold
-// n·heads·dh floats and views heads entries. The batched encoder calls
-// it with pooled buffers.
-func packHeads(views [][]float32, buf, src []float32, n, heads, dh int) {
-	d := heads * dh
-	for h := 0; h < heads; h++ {
+	for h := range views {
 		blk := buf[h*n*dh : (h+1)*n*dh]
-		off := h * dh
 		for i := 0; i < n; i++ {
-			copy(blk[i*dh:(i+1)*dh], src[i*d+off:i*d+off+dh])
+			copy(blk[i*dh:(i+1)*dh], src[i*heads*dh+h*dh:])
 		}
 		views[h] = blk
 	}
+	return views
 }
 
-// growKV extends a K/V cache to need elements, doubling the backing
+// growKV extends a V cache block to need elements, doubling the backing
 // array when it is full. The amortized growth replaces the old MaxSeq·Dim
 // pre-allocation; values are unaffected, so determinism is too.
 func growKV(s []float32, need int) []float32 {
@@ -207,6 +203,19 @@ func growKV(s []float32, need int) []float32 {
 	}
 	ns := make([]float32, need, 2*need)
 	copy(ns, s)
+	return ns
+}
+
+// restrideKT copies the first n columns of a transposed K cache of rows
+// rows into a fresh block with row stride c ≥ n.
+func restrideKT(kt []float32, rows, n, c int) []float32 {
+	ns := make([]float32, rows*c)
+	if n > 0 {
+		old := len(kt) / rows
+		for r := 0; r < rows; r++ {
+			copy(ns[r*c:r*c+n], kt[r*old:r*old+n])
+		}
+	}
 	return ns
 }
 
@@ -290,11 +299,12 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 			qd = &d.quant.dec[li]
 		}
 
-		// Self attention: project the new row, scatter its K/V into each
-		// head's dense block, attend over every cached position. The
+		// Self attention: project the new row, write its K as a new
+		// column of the transposed key cache and its V as a new row of
+		// each head's value block, attend over every cached position. The
 		// newest row is never masked, so the causal softmax degenerates to
 		// a plain one.
-		layerNormRow(h, x, l.N1.Gain.Data, l.N1.Bias.Data)
+		layerNormRows(h, x, 1, l.N1.Gain.Data, l.N1.Bias.Data, nil, nil)
 		if qd != nil {
 			// One quantization of h serves all three projections.
 			qa := s.qrow[:dim]
@@ -308,43 +318,46 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 			linearRowFwdInto(s.k, h, l.Self.WK)
 			linearRowFwdInto(s.v, h, l.Self.WV)
 		}
+		if pos == len(lc.selfK)/dim {
+			// Full: re-stride to 2·(pos+1) columns, the doubling growKV
+			// gives each value block.
+			lc.selfK = restrideKT(lc.selfK, dim, pos, 2*(pos+1))
+		}
+		kc := len(lc.selfK) / dim
+		for r, kv := range s.k {
+			lc.selfK[r*kc+pos] = kv
+		}
 		dh := l.Self.D / l.Self.Heads
 		n := pos * dh
-		for hd := range lc.selfK {
-			lc.selfK[hd] = growKV(lc.selfK[hd], n+dh)
+		for hd := range lc.selfV {
 			lc.selfV[hd] = growKV(lc.selfV[hd], n+dh)
-			copy(lc.selfK[hd][n:], s.k[hd*dh:(hd+1)*dh])
 			copy(lc.selfV[hd][n:], s.v[hd*dh:(hd+1)*dh])
 		}
-		attendRowInto(s.attn, s.scores, s.q, lc.selfK, lc.selfV, pos+1, l.Self, smax)
+		attendRowInto(s.attn, s.scores, s.q, lc.selfK, kc, lc.selfV, pos+1, l.Self, smax)
 		if qd != nil {
 			qLinearRowFwdInto(s.o, s.attn, s.qrow, &qd.self.wo)
 		} else {
 			linearRowFwdInto(s.o, s.attn, l.Self.WO)
 		}
-		for j := range x {
-			x[j] += s.o[j]
-		}
+		tensor.Axpy(x, s.o, 1)
 
 		// Cross attention over the cached memory projections.
-		layerNormRow(h, x, l.N2.Gain.Data, l.N2.Bias.Data)
+		layerNormRows(h, x, 1, l.N2.Gain.Data, l.N2.Bias.Data, nil, nil)
 		if qd != nil {
 			qLinearRowFwdInto(s.q, h, s.qrow, &qd.cross.wq)
 		} else {
 			linearRowFwdInto(s.q, h, l.Cross.WQ)
 		}
-		attendRowInto(s.attn, s.scores, s.q, lc.crossK, lc.crossV, d.memR, l.Cross, smax)
+		attendRowInto(s.attn, s.scores, s.q, lc.crossK, d.memR, lc.crossV, d.memR, l.Cross, smax)
 		if qd != nil {
 			qLinearRowFwdInto(s.o, s.attn, s.qrow, &qd.cross.wo)
 		} else {
 			linearRowFwdInto(s.o, s.attn, l.Cross.WO)
 		}
-		for j := range x {
-			x[j] += s.o[j]
-		}
+		tensor.Axpy(x, s.o, 1)
 
 		// Position-wise feed-forward.
-		layerNormRow(h, x, l.N3.Gain.Data, l.N3.Bias.Data)
+		layerNormRows(h, x, 1, l.N3.Gain.Data, l.N3.Bias.Data, nil, nil)
 		f := s.f[:l.FF.In.W.C]
 		if qd != nil {
 			qLinearRowFwdInto(f, h, s.qrow, &qd.ffIn)
@@ -355,12 +368,10 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 			gelu(f)
 			linearRowFwdInto(s.o, f, l.FF.Out)
 		}
-		for j := range x {
-			x[j] += s.o[j]
-		}
+		tensor.Axpy(x, s.o, 1)
 	}
 
-	layerNormRow(s.st, x, t.NormD.Gain.Data, t.NormD.Bias.Data)
+	layerNormRows(s.st, x, 1, t.NormD.Gain.Data, t.NormD.Bias.Data, nil, nil)
 
 	// Tied output projection. Float32 path: against the cached Dim×Vocab
 	// transpose, logits[j] = Σ_p st[p]·Embed[j][p], accumulated in the
@@ -428,9 +439,7 @@ func linearRowFwdInto(out, x []float32, l *Linear) {
 		out[j] = 0
 	}
 	mulRowsInto(out, x, l.W.Data, l.W.R, l.W.C, l.W.C, 0)
-	for j := range out {
-		out[j] += l.B.Data[j]
-	}
+	tensor.Axpy(out, l.B.Data, 1)
 }
 
 // linearRowsFwdInto computes x·W + b for n rows of a flat row-major
@@ -442,93 +451,34 @@ func linearRowsFwdInto(out, x []float32, n int, l *Linear) {
 	}
 	matmul(out, x, l.W.Data, n, l.W.R, l.W.C)
 	for i := 0; i < n; i++ {
-		row := out[i*l.W.C : (i+1)*l.W.C]
-		for j := range row {
-			row[j] += l.B.Data[j]
-		}
+		tensor.Axpy(out[i*l.W.C:(i+1)*l.W.C], l.B.Data, 1)
 	}
 }
 
 // attendRowInto runs multi-head attention for a single query row over
-// ctxLen cached head-contiguous K/V blocks into out: per head, scores →
-// scale → softmax → weighted sum, written into the head's slice of the
-// output (heads side by side). k and v hold one dense ctxLen×dh block
-// per head. scores is caller-provided scratch of at least ctxLen
-// elements. smax is the softmax to apply per head — softmaxRow on the
-// exact float32 path, qSoftmaxRow on the quantized one. The dense
-// kernels produce the same bits as strided dot products and MulRowInto
-// over full-width rows (attn_test.go in internal/tensor pins the seam),
-// so this layout change is invisible in the outputs.
-func attendRowInto(out, scores, q []float32, k, v [][]float32, ctxLen int, m *MHA, smax func([]float32)) {
+// ctxLen cached positions into out: per head, scores → scale → softmax
+// → weighted sum, written into the head's slice of the output (heads
+// side by side). kT holds the keys transposed, Dim rows with row stride
+// ld (head h's dh×ctxLen block starts at row h·dh); v holds one dense
+// ctxLen×dh block per head. scores is caller-provided scratch of at
+// least ctxLen elements. smax is the softmax to apply per head —
+// softmaxRow on the exact float32 path, qSoftmaxRow on the quantized
+// one. Each score is the ascending-p chain with the zero-skip on q that
+// attentionForward's MatMulStrided computes, so this matches the tape.
+func attendRowInto(out, scores, q, kT []float32, ld int, v [][]float32, ctxLen int, m *MHA, smax func([]float32)) {
 	dh := m.D / m.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	for j := range out {
-		out[j] = 0
-	}
+	clear(out)
 	scores = scores[:ctxLen]
 	for h := 0; h < m.Heads; h++ {
 		off := h * dh
-		tensor.AttnScoresInto(scores, q[off:off+dh], k[h], ctxLen, dh)
+		clear(scores)
+		tensor.MulRowInto(scores, q[off:off+dh], kT, dh, ctxLen, ld, off*ld)
 		for j := range scores {
 			scores[j] *= scale
 		}
 		smax(scores)
 		tensor.AttnWeightedSumInto(out[off:off+dh], scores, v[h], ctxLen, dh)
-	}
-}
-
-// attendRowsPre is the attention core after the Q/K/V projections:
-// per-head scaled dot-product of full-width query rows against
-// head-contiguous K/V blocks (one dense ctxLen×dh block per head),
-// written into out (which must start zeroed). Factored out so the
-// batched inference encoder can project all samples in one kernel call,
-// repack each sample's K/V head-major, and attend over its own row
-// range — the per-row math, and therefore the floats, are identical
-// either way. scores is caller scratch of at least ctxLen elements.
-// smax selects the per-head softmax (exact softmaxRow vs the quantized
-// path's qSoftmaxRow).
-func attendRowsPre(out, qp []float32, kh, vh [][]float32, scores []float32, n, ctxLen int, m *MHA, smax func([]float32)) {
-	dh := m.D / m.Heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	scores = scores[:ctxLen]
-	for h := 0; h < m.Heads; h++ {
-		off := h * dh
-		for i := 0; i < n; i++ {
-			tensor.AttnScoresInto(scores, qp[i*m.D+off:i*m.D+off+dh], kh[h], ctxLen, dh)
-			for j := range scores {
-				scores[j] *= scale
-			}
-			smax(scores)
-			tensor.AttnWeightedSumInto(out[i*m.D+off:i*m.D+off+dh], scores, vh[h], ctxLen, dh)
-		}
-	}
-}
-
-// layerNormRow mirrors LayerNorm's forward pass for one row.
-func layerNormRow(dst, src, gain, bias []float32) {
-	const eps = 1e-5
-	var mean float32
-	for _, v := range src {
-		mean += v
-	}
-	mean /= float32(len(src))
-	var vr float32
-	for _, v := range src {
-		d := v - mean
-		vr += d * d
-	}
-	vr /= float32(len(src))
-	is := float32(1 / math.Sqrt(float64(vr)+eps))
-	for j, v := range src {
-		dst[j] = (v-mean)*is*gain[j] + bias[j]
-	}
-}
-
-// layerNormRows applies layerNormRow to n rows of a flat slice.
-func layerNormRows(dst, src []float32, n int, gain, bias []float32) {
-	c := len(gain)
-	for i := 0; i < n; i++ {
-		layerNormRow(dst[i*c:(i+1)*c], src[i*c:(i+1)*c], gain, bias)
 	}
 }
 

@@ -65,6 +65,53 @@ func TestForwardEncodeMatchesEncode(t *testing.T) {
 	}
 }
 
+// FuzzEncodeBatchAgainstTape packs random ragged batches — 1-row
+// samples, inputs longer than MaxSeq, any mix — through the float32
+// EncodeBatch and checks every sample's memory against the tape's Encode
+// of that sample alone, bit for bit: the batched encoder and the
+// training tape run the same attention forward, so packing must not
+// change a bit.
+func FuzzEncodeBatchAgainstTape(f *testing.F) {
+	const vocab = 40
+	var models []*Transformer
+	for _, cfg := range kvConfigs(vocab) {
+		models = append(models, NewTransformer(cfg))
+	}
+	f.Add(int64(1), uint8(0), uint8(3))
+	f.Add(int64(2), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(2), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, which, count uint8) {
+		m := models[int(which)%len(models)]
+		rng := rand.New(rand.NewSource(seed))
+		lo := numSpecial + NumConfidenceBuckets
+		inputs := make([][]int, int(count)%6+1)
+		for s := range inputs {
+			n := 1 + rng.Intn(m.Cfg.MaxSeq+8)
+			if rng.Intn(3) == 0 {
+				n = 1
+			}
+			in := []int{CLS}
+			for len(in) < n {
+				in = append(in, lo+rng.Intn(vocab-lo))
+			}
+			inputs[s] = in
+		}
+		mems := m.EncodeBatch(inputs, false)
+		for s, in := range inputs {
+			want := m.Encode(NewTape(), in).Data
+			if len(mems[s]) != len(want) {
+				t.Fatalf("sample %d: %d memory values, Encode %d", s, len(mems[s]), len(want))
+			}
+			for i := range want {
+				if math.Float32bits(mems[s][i]) != math.Float32bits(want[i]) {
+					t.Fatalf("sample %d of %d (%d tokens): memory[%d] = %v, want %v (bit-exact)",
+						s, len(inputs), len(in), i, mems[s][i], want[i])
+				}
+			}
+		}
+	})
+}
+
 func TestGenerateCachedMatchesUncached(t *testing.T) {
 	const vocab = 40
 	for _, cfg := range kvConfigs(vocab) {

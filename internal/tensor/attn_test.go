@@ -5,26 +5,54 @@ import (
 	"testing"
 )
 
-// naiveAttnScores is the contract reference for AttnScoresInto: terms
-// in ascending p, one rounding each, zero-skip on q.
-func naiveAttnScores(out, q, k []float32, ctxLen, dh int) {
+// attnScoresRef is the per-row scorer the transposed-key path replaced
+// (its pure-Go loop, which its AVX2 kernel matched bit for bit): out[j]
+// = Σ_p q[p]·k[j*dh+p] over a dense ctxLen×dh key block, terms in
+// ascending p, one rounding each, zero-skip on q, out overwritten.
+func attnScoresRef(out, q, k []float32, ctxLen, dh int) {
 	for j := 0; j < ctxLen; j++ {
+		row := k[j*dh : (j+1)*dh]
 		var s float32
-		for p := 0; p < dh; p++ {
-			if av := q[p]; av != 0 {
-				s += av * k[j*dh+p]
+		for p, av := range q[:dh] {
+			if av == 0 {
+				continue
 			}
+			s += av * row[p]
 		}
 		out[j] = s
 	}
 }
 
-// attnShapes cross the AVX2 dispatch gates (ctxLen ≥ 8, dh ≥ 8) and
-// both tails (row count not a multiple of 8, head dim not a multiple
-// of 8), plus the shipped model's dh=16.
+// transposeKeys lays a dense ctxLen×dh key block out as dh rows of ld ≥
+// ctxLen floats, the layout of the decoder's key caches (ld > ctxLen is
+// a self-attention cache with headroom). The spare columns hold junk
+// the scores must never read.
+func transposeKeys(k []float32, ctxLen, dh, ld int, rng *rand.Rand) []float32 {
+	kT := make([]float32, dh*ld)
+	fill(kT, rng, 0)
+	for j := 0; j < ctxLen; j++ {
+		for p := 0; p < dh; p++ {
+			kT[p*ld+j] = k[j*dh+p]
+		}
+	}
+	return kT
+}
+
+// scoresTransposed is the decoder's score row: one MulRowInto of q
+// against transposed keys into a zeroed row.
+func scoresTransposed(out, q, kT []float32, ctxLen, dh, ld int) {
+	clear(out[:ctxLen])
+	MulRowInto(out, q, kT, dh, ctxLen, ld, 0)
+}
+
+// attnShapes cross the row kernel's 8-lane vectors and masked tails in
+// both the context length (output columns) and the head width (terms),
+// plus the shipped model's dh=16.
 var attnCtxLens = []int{1, 3, 7, 8, 9, 16, 23, 64, 129}
 var attnHeadDims = []int{1, 3, 7, 8, 11, 16, 24}
 
+// TestAttnScoresMatchesNaive pins the transposed-key score row, at the
+// exact stride and with headroom, to the per-row scorer it replaced.
 func TestAttnScoresMatchesNaive(t *testing.T) {
 	eachKernelPath(func(path string) {
 		t.Run(path, func(t *testing.T) {
@@ -35,45 +63,57 @@ func TestAttnScoresMatchesNaive(t *testing.T) {
 					k := make([]float32, ctxLen*dh)
 					fill(q, rng, 0.25)
 					fill(k, rng, 0.1)
-					got := make([]float32, ctxLen)
 					want := make([]float32, ctxLen)
-					fill(got, rng, 0) // must be overwritten, not accumulated
-					AttnScoresInto(got, q, k, ctxLen, dh)
-					naiveAttnScores(want, q, k, ctxLen, dh)
-					equalBits(t, "AttnScoresInto", got, want)
+					attnScoresRef(want, q, k, ctxLen, dh)
+					for _, ld := range []int{ctxLen, 2*ctxLen + 1} {
+						got := make([]float32, ctxLen)
+						fill(got, rng, 0) // must be overwritten, not accumulated
+						scoresTransposed(got, q, transposeKeys(k, ctxLen, dh, ld, rng), ctxLen, dh, ld)
+						equalBits(t, "transposed-key scores", got, want)
+					}
 				}
 			}
 		})
 	})
 }
 
-// TestAttnScoresMatchesDotColumns pins the layout seam: packing a head
-// slice of full-width K rows into a dense block and running the new
-// kernel must reproduce the strided dotColumns path bit for bit.
+// TestAttnScoresMatchesDotColumns pins the layout seam: a head's slice
+// of full-width K rows, transposed, must give the strided dotColumns
+// path's scores bit for bit, one row at a time (MulRowInto, the
+// decoder) and a block at a time (MatMulStrided from full-width Q rows,
+// the encoder and the training tape).
 func TestAttnScoresMatchesDotColumns(t *testing.T) {
 	eachKernelPath(func(path string) {
 		t.Run(path, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(22))
 			for _, ctxLen := range attnCtxLens {
 				for _, dh := range attnHeadDims {
-					heads := 3
+					const heads, nq = 3, 2
 					stride := heads * dh
 					kfull := make([]float32, ctxLen*stride)
+					qfull := make([]float32, nq*stride)
 					fill(kfull, rng, 0.1)
+					fill(qfull, rng, 0.25)
 					for h := 0; h < heads; h++ {
 						off := h * dh
-						q := make([]float32, dh)
-						fill(q, rng, 0.25)
-						want := make([]float32, ctxLen)
-						dotColumns(want, q, kfull, ctxLen, stride, off, dh)
-
-						khead := make([]float32, ctxLen*dh)
-						for j := 0; j < ctxLen; j++ {
-							copy(khead[j*dh:(j+1)*dh], kfull[j*stride+off:j*stride+off+dh])
+						want := make([]float32, nq*ctxLen)
+						for i := 0; i < nq; i++ {
+							dotColumns(want[i*ctxLen:], qfull[i*stride+off:], kfull, ctxLen, stride, off, dh)
 						}
-						got := make([]float32, ctxLen)
-						AttnScoresInto(got, q, khead, ctxLen, dh)
-						equalBits(t, "AttnScoresInto(vs dotColumns)", got, want)
+						kT := make([]float32, dh*ctxLen)
+						for j := 0; j < ctxLen; j++ {
+							for p := 0; p < dh; p++ {
+								kT[p*ctxLen+j] = kfull[j*stride+off+p]
+							}
+						}
+						got := make([]float32, nq*ctxLen)
+						for i := 0; i < nq; i++ {
+							scoresTransposed(got[i*ctxLen:], qfull[i*stride+off:i*stride+off+dh], kT, ctxLen, dh, ctxLen)
+						}
+						equalBits(t, "MulRowInto(vs dotColumns)", got, want)
+						clear(got)
+						MatMulStrided(got, ctxLen, qfull[off:], stride, 1, kT, ctxLen, nq, dh, ctxLen)
+						equalBits(t, "MatMulStrided(vs dotColumns)", got, want)
 					}
 				}
 			}
@@ -118,23 +158,36 @@ func TestAttnWeightedSumMatchesStridedMulRow(t *testing.T) {
 	})
 }
 
+// FuzzAttnScoresAgainstNaive checks both transposed-key score paths
+// against attnScoresRef: a decoder score row with ld-ctxLen columns of
+// headroom, and an encoder block of three full-width query rows
+// through MatMulStrided.
 func FuzzAttnScoresAgainstNaive(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(16))
 	f.Add(int64(5), uint8(7), uint8(9))
 	f.Add(int64(13), uint8(40), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, cc, dd uint8) {
 		ctxLen, dh := int(cc%48)+1, int(dd%32)+1
+		ld := ctxLen + int(cc/48)%3
 		eachKernelPath(func(path string) {
+			const heads, nq = 2, 3
 			rng := rand.New(rand.NewSource(seed))
-			q := make([]float32, dh)
+			qfull := make([]float32, nq*heads*dh)
 			k := make([]float32, ctxLen*dh)
-			fill(q, rng, 0.3)
+			fill(qfull, rng, 0.3)
 			fill(k, rng, 0.1)
-			got := make([]float32, ctxLen)
-			want := make([]float32, ctxLen)
-			AttnScoresInto(got, q, k, ctxLen, dh)
-			naiveAttnScores(want, q, k, ctxLen, dh)
-			equalBits(t, "AttnScoresInto(fuzz, "+path+")", got, want)
+			kT := transposeKeys(k, ctxLen, dh, ld, rng)
+			want := make([]float32, nq*ctxLen)
+			got := make([]float32, nq*ctxLen)
+			for i := 0; i < nq; i++ {
+				q := qfull[i*heads*dh+dh : (i+1)*heads*dh] // head 1
+				attnScoresRef(want[i*ctxLen:], q, k, ctxLen, dh)
+				scoresTransposed(got[i*ctxLen:], q, kT, ctxLen, dh, ld)
+			}
+			equalBits(t, "MulRowInto(fuzz, "+path+")", got, want)
+			clear(got)
+			MatMulStrided(got, ctxLen, qfull[dh:], heads*dh, 1, kT, ld, nq, dh, ctxLen)
+			equalBits(t, "MatMulStrided(fuzz, "+path+")", got, want)
 		})
 	})
 }
@@ -142,7 +195,8 @@ func FuzzAttnScoresAgainstNaive(f *testing.F) {
 // Benchmarks at the shipped model shape: Dim=64, Heads=4 → dh=16, a
 // mid-generation context of 128 rows. "FullWidth" is the old strided
 // path (dotColumns + per-term MulRowInto over Dim-wide rows);
-// "HeadContiguous" is the dense-block path the decoder now runs.
+// "TransposedK" is the path the decoder runs: scores against transposed
+// keys, the weighted sum against a head-contiguous value block.
 
 const (
 	benchCtx   = 128
@@ -151,17 +205,19 @@ const (
 	benchDim   = benchHeads * benchDh
 )
 
-func benchAttnData(rng *rand.Rand) (q, kfull, vfull, khead, vhead, scores, out []float32) {
+func benchAttnData(rng *rand.Rand) (q, kfull, vfull, kT, vhead, scores, out []float32) {
 	q = make([]float32, benchDh)
 	kfull = make([]float32, benchCtx*benchDim)
 	vfull = make([]float32, benchCtx*benchDim)
 	fill(q, rng, 0.1)
 	fill(kfull, rng, 0)
 	fill(vfull, rng, 0)
-	khead = make([]float32, benchCtx*benchDh)
+	kT = make([]float32, benchDh*benchCtx)
 	vhead = make([]float32, benchCtx*benchDh)
 	for j := 0; j < benchCtx; j++ {
-		copy(khead[j*benchDh:(j+1)*benchDh], kfull[j*benchDim:j*benchDim+benchDh])
+		for p := 0; p < benchDh; p++ {
+			kT[p*benchCtx+j] = kfull[j*benchDim+p]
+		}
 		copy(vhead[j*benchDh:(j+1)*benchDh], vfull[j*benchDim:j*benchDim+benchDh])
 	}
 	scores = make([]float32, benchCtx)
@@ -181,12 +237,12 @@ func BenchmarkAttendRowFullWidth(b *testing.B) {
 	}
 }
 
-func BenchmarkAttendRowHeadContiguous(b *testing.B) {
+func BenchmarkAttendRowTransposedK(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
-	q, _, _, khead, vhead, scores, out := benchAttnData(rng)
+	q, _, _, kT, vhead, scores, out := benchAttnData(rng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		AttnScoresInto(scores, q, khead, benchCtx, benchDh)
+		scoresTransposed(scores, q, kT, benchCtx, benchDh, benchCtx)
 		clear(out)
 		AttnWeightedSumInto(out, scores, vhead, benchCtx, benchDh)
 	}

@@ -89,8 +89,8 @@ func eachKernelPath(f func(path string)) {
 // p < cols — a row times the transpose of a sub-matrix of b, in the term
 // order MatMul(a, Transpose(b)) produces after materializing the
 // transpose (ascending p per element, zero terms skipped). Four output
-// lanes share each pass over a. It is the strided path the
-// head-contiguous attention kernels replaced, kept as their reference.
+// lanes share each pass over a. It is the strided score path the
+// transposed-key attention replaced, kept as its reference.
 func dotColumns(out, a, b []float32, outer, rows, off, cols int) {
 	a = a[:cols]
 	j := 0
