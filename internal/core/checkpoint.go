@@ -176,6 +176,39 @@ func readCheckpointFile(path string) (*checkpoint, error) {
 	return &ck, nil
 }
 
+// checkModelConfig rejects a checkpoint whose model config cannot size
+// the model its parameters came from, before any construction allocates
+// from it: a zero head count would divide by zero at the first encode,
+// a head count that does not divide Dim would drop columns, and a
+// negative or inflated Dim, Vocab or MaxSeq would panic or exhaust memory
+// in the constructor (the decoder pools MaxSeq×Dim blocks per decode).
+// Every architecture stores its Vocab×Dim token embedding first; those
+// with positions store the MaxSeq×Dim table second.
+func checkModelConfig(ck *checkpoint) error {
+	c := ck.ModelCfg
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Vocab", c.Vocab}, {"Dim", c.Dim}, {"Heads", c.Heads}, {"EncLayers", c.EncLayers},
+		{"DecLayers", c.DecLayers}, {"FFMult", c.FFMult}, {"MaxSeq", c.MaxSeq}} {
+		if f.v <= 0 {
+			return fmt.Errorf("%w: model %s %d is not positive", ErrCheckpointArch, f.name, f.v)
+		}
+	}
+	if c.Dim%c.Heads != 0 {
+		return fmt.Errorf("%w: %d heads do not divide Dim %d", ErrCheckpointArch, c.Heads, c.Dim)
+	}
+	// Compare by division, so an inflated field cannot overflow a product.
+	sized := func(n, rows int) bool { return n%c.Dim == 0 && n/c.Dim == rows }
+	if len(ck.Params) == 0 || !sized(len(ck.Params[0]), c.Vocab) {
+		return fmt.Errorf("%w: embedding does not hold Vocab %d × Dim %d", ErrCheckpointArch, c.Vocab, c.Dim)
+	}
+	if ck.Arch != "gru" && (len(ck.Params) < 2 || !sized(len(ck.Params[1]), c.MaxSeq)) {
+		return fmt.Errorf("%w: positional table does not hold MaxSeq %d × Dim %d", ErrCheckpointArch, c.MaxSeq, c.Dim)
+	}
+	return nil
+}
+
 // Load restores a trained model and vocabulary saved with Save. The
 // pipeline must have been built over the same corpus with the same seed.
 func (p *Pipeline) Load(path string) error {
@@ -194,6 +227,9 @@ func (p *Pipeline) Load(path string) error {
 	if vocab.Size() != ck.ModelCfg.Vocab {
 		return fmt.Errorf("%w: vocab size %d != config %d",
 			ErrCheckpointCorrupt, vocab.Size(), ck.ModelCfg.Vocab)
+	}
+	if err := checkModelConfig(ck); err != nil {
+		return err
 	}
 	var m model.Seq2Seq
 	switch ck.Arch {

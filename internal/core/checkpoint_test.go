@@ -184,6 +184,42 @@ func TestCheckpointWrongArch(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsBadModelConfig reseals checkpoints whose model
+// config cannot describe their parameters — a correct checksum, so only
+// the config check stands between them and a divide by zero, dropped
+// columns or a runaway allocation in the constructor.
+func TestCheckpointRejectsBadModelConfig(t *testing.T) {
+	_, path := savedCheckpoint(t)
+	ck, err := readCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*model.Config){
+		"zero heads":              func(c *model.Config) { c.Heads = 0 },
+		"heads not dividing Dim":  func(c *model.Config) { c.Heads = 3 },
+		"negative Dim":            func(c *model.Config) { c.Dim = -c.Dim },
+		"Dim not matching embeds": func(c *model.Config) { c.Dim /= 2 },
+		"negative MaxSeq":         func(c *model.Config) { c.MaxSeq = -1 },
+		"huge MaxSeq":             func(c *model.Config) { c.MaxSeq = 1 << 40 },
+		"zero FFMult":             func(c *model.Config) { c.FFMult = 0 },
+		"zero DecLayers":          func(c *model.Config) { c.DecLayers = 0 },
+	} {
+		tampered := *ck
+		edit(&tampered.ModelCfg)
+		tpath := filepath.Join(t.TempDir(), "cfg.vega")
+		if err := writeCheckpointFile(tpath, &tampered, nil); err != nil {
+			t.Fatal(err)
+		}
+		p, _ := New(testCorpus(t), tinyConfig())
+		if err := p.Load(tpath); !errors.Is(err, ErrCheckpointArch) {
+			t.Errorf("%s: err = %v, want ErrCheckpointArch", name, err)
+		}
+		if p.Model != nil {
+			t.Errorf("%s: a rejected Load installed a model", name)
+		}
+	}
+}
+
 func TestCheckpointFaultInjectedBitFlip(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()

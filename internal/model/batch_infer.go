@@ -1,10 +1,6 @@
 package model
 
-import (
-	"sync"
-
-	"vega/internal/tensor"
-)
+import "vega/internal/tensor"
 
 // Batched inference encoding. EncodeBatch reuses LossBatch's ragged
 // packing — samples laid back to back with an offset table, no padding,
@@ -19,31 +15,55 @@ import (
 // encoded alone or packed with others (kvcache_test.go enforces this),
 // and deterministic for any worker count on both paths. A one-sample
 // call is the incremental decoder's encoder.
+//
+// Temporaries come as one recycled scratch set per call (encScratch),
+// not one buffer at a time from a pool holding every size: a set's
+// buffers keep the shape of the largest batch it has served, so
+// steady-state encoding allocates only the returned memories, which
+// callers retain.
 
-// bufPool recycles the batched encoder's float32 temporaries (x, h and
-// the per-layer projection outputs). Only scratch that dies inside
-// EncodeBatch goes through it — the returned memories are always freshly
-// allocated, since callers retain them.
-var bufPool sync.Pool
-
-// getBuf returns a float32 buffer of length n, reusing pooled backing
-// storage when it is large enough. A reused buffer is not zeroed: it
-// holds whatever its last user left, so callers write every element
-// before reading it.
-func getBuf(n int) []float32 {
-	p, _ := bufPool.Get().(*[]float32)
-	if p == nil || cap(*p) < n {
-		if p != nil {
-			bufPool.Put(p)
-		}
-		return make([]float32, n)
-	}
-	return (*p)[:n]
+// encScratch is EncodeBatch's working set: the residual stream x, the
+// layer-norm output h, the q/k/v projections, the attention output, the
+// sublayer output so, the feed-forward hidden block f and the sample
+// offsets. Buffers only grow and are not cleared between uses: each is
+// written before it is read.
+type encScratch struct {
+	x, h, qp, kp, vp, attn, so, f []float32
+	offs                          []int
 }
 
-func putBuf(s []float32) {
-	s = s[:0]
-	bufPool.Put(&s)
+// takeEncScratch takes an idle scratch set from the transformer's free
+// list, or a new empty one. The list is not a sync.Pool on purpose:
+// Stage 3 encodes a backend's rows in one burst and then decodes and
+// evaluates for long enough that two garbage collections pass, and a
+// sync.Pool drops its items at the second, so each backend would
+// allocate its multi-megabyte set afresh.
+func (t *Transformer) takeEncScratch() *encScratch {
+	t.encMu.Lock()
+	defer t.encMu.Unlock()
+	n := len(t.encFree)
+	if n == 0 {
+		return new(encScratch)
+	}
+	sc := t.encFree[n-1]
+	t.encFree = t.encFree[:n-1]
+	return sc
+}
+
+// putEncScratch returns a set taken with takeEncScratch.
+func (t *Transformer) putEncScratch(sc *encScratch) {
+	t.encMu.Lock()
+	t.encFree = append(t.encFree, sc)
+	t.encMu.Unlock()
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short; the contents are not preserved.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // EncodeBatch encodes several inputs at once and returns one memory per
@@ -60,27 +80,26 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 	if quantized {
 		qv = t.quantView()
 	}
-	offs := make([]int, n+1)
-	clamped := make([][]int, n)
+	sc := t.takeEncScratch()
+	sc.offs = grow(sc.offs, n+1)
+	offs := sc.offs
+	offs[0] = 0
 	maxRows := 0
 	for i, in := range inputs {
-		clamped[i] = t.clampSeq(in)
-		offs[i+1] = offs[i] + len(clamped[i])
-		if len(clamped[i]) > maxRows {
-			maxRows = len(clamped[i])
-		}
+		r := len(t.clampSeq(in))
+		offs[i+1] = offs[i] + r
+		maxRows = max(maxRows, r)
 	}
 	rows := offs[n]
 	ffw := dim
 	for _, l := range t.Enc {
-		if c := l.FF.In.W.C; c > ffw {
-			ffw = c
-		}
+		ffw = max(ffw, l.FF.In.W.C)
 	}
-	x := getBuf(rows * dim)
-	for s, in := range clamped {
+	sc.x = grow(sc.x, rows*dim)
+	x := sc.x
+	for s, in := range inputs {
 		base := offs[s]
-		for i, tok := range in {
+		for i, tok := range t.clampSeq(in) {
 			er := t.Embed.Row(tok)
 			pr := t.PosEnc.Row(i)
 			row := x[(base+i)*dim : (base+i+1)*dim]
@@ -89,19 +108,16 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 			}
 		}
 	}
-	// The pooled buffers come back unzeroed, and each is written before it
-	// is read: h by layer norm; qp, kp, vp, so and f by the projections
-	// (which zero their outputs); attn by the per-layer clear below.
-	// Attention's scratch — one sample's probability block and its
-	// transposed K head — lives in f, which is dead until the feed-forward
-	// input projection overwrites it, and is written by attentionForward.
-	h := getBuf(rows * dim)
-	qp := getBuf(rows * dim)
-	kp := getBuf(rows * dim)
-	vp := getBuf(rows * dim)
-	attn := getBuf(rows * dim)
-	so := getBuf(rows * dim)
-	f := getBuf(max(rows*ffw, maxRows*(maxRows+dim)))
+	// Each scratch buffer is written before it is read: h by layer norm;
+	// qp, kp, vp, so and f by the projections (which zero their outputs);
+	// attn by the per-layer clear below. Attention's scratch — one
+	// sample's probability block and its transposed K head — lives in f,
+	// which is dead until the feed-forward input projection overwrites
+	// it, and is written by attentionForward.
+	sc.h, sc.qp, sc.kp = grow(sc.h, rows*dim), grow(sc.qp, rows*dim), grow(sc.kp, rows*dim)
+	sc.vp, sc.attn, sc.so = grow(sc.vp, rows*dim), grow(sc.attn, rows*dim), grow(sc.so, rows*dim)
+	sc.f = grow(sc.f, max(rows*ffw, maxRows*(maxRows+dim)))
+	h, qp, kp, vp, attn, so, f := sc.h, sc.qp, sc.kp, sc.vp, sc.attn, sc.so, sc.f
 	probs, headT := f[:maxRows*maxRows], f[maxRows*maxRows:]
 	smax, gelu := softmaxRow, geluRow
 	if qv != nil {
@@ -163,12 +179,10 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 	}
 	out := make([]float32, rows*dim)
 	layerNormRows(out, x, rows, t.NormE.Gain.Data, t.NormE.Bias.Data, nil, nil)
-	for _, b := range [][]float32{x, h, qp, kp, vp, attn, so, f} {
-		putBuf(b)
-	}
 	mems := make([][]float32, n)
 	for s := 0; s < n; s++ {
 		mems[s] = out[offs[s]*dim : offs[s+1]*dim]
 	}
+	t.putEncScratch(sc)
 	return mems
 }

@@ -19,6 +19,9 @@ type Decoder interface {
 	// then evolves independently.
 	Clone() Decoder
 	// Release returns any pooled resources once the decoder is finished.
+	// A second Release is a no-op; the decoder must not Step or Clone
+	// after it (the cached decoder panics, since its pooled state may
+	// already belong to another decoder).
 	Release()
 }
 

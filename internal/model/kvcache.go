@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 
 	"vega/internal/tensor"
@@ -19,9 +20,18 @@ import (
 //   - each decoder layer's cross-attention K/V projections of that
 //     memory, computed once per sequence, and
 //   - each decoder layer's self-attention K/V rows for every previously
-//     fed position, appended as decoding advances,
+//     fed position, written in place as decoding advances,
 //
 // for O(L) decoder row computations and zero autodiff bookkeeping.
+//
+// All of a decoder's buffers live in one decState of fixed shape: every
+// K/V block is sized for MaxSeq positions, the bound both the encoder
+// (clampSeq) and the positional table put on a sequence, so neither
+// construction nor Step ever allocates or moves cached rows. The states
+// are recycled through the Transformer's pool: a decoder takes one when
+// it is built or cloned and returns it on Release, so a backend's
+// hundreds of short decodes reuse a handful of states instead of
+// allocating fresh projection blocks per row.
 //
 // The outputs are bit-identical to the reference path. Layer norm is
 // the tape's own layerNormRows, and every other helper below mirrors the
@@ -34,28 +44,40 @@ import (
 // attention.go and internal/tensor when changing any of them.
 
 // IncrementalDecoder is the KV-cached Decoder: it decodes one output
-// sequence token by token against a fixed encoder memory. It is cheap to
-// Clone, which beam search uses to branch hypotheses without re-decoding
-// their shared prefix. A decoder is single-goroutine; distinct decoders
-// over the same (read-only) Transformer may run concurrently.
+// sequence token by token against a fixed encoder memory. Clone copies
+// its state, which beam search uses to branch hypotheses without
+// re-decoding their shared prefix. A decoder is single-goroutine;
+// distinct decoders over the same (read-only) Transformer may run
+// concurrently.
 type IncrementalDecoder struct {
-	t      *Transformer
-	memR   int             // encoder memory rows
-	layers []decLayerCache // one per decoder layer
-	pos    int             // next position to be fed
-	scr    *decScratch     // lazily allocated, never shared across clones
+	t    *Transformer
+	memR int       // encoder memory rows
+	pos  int       // next position to be fed
+	st   *decState // owned exclusively; nil once released
 
 	// quant switches Step's linears and logits onto the int8 weight view
 	// (nil = exact float32 path). ambiguous latches when any step's top-2
 	// logit margin falls under QuantMargin: the quantized argmax may then
 	// differ from float32, and the caller should re-decode that row at
-	// full precision.
+	// full precision. It stays readable after Release.
 	quant     *qView
 	ambiguous bool
 }
 
-// decScratch holds the per-decoder buffers Step reuses between calls, so
-// a long decode performs no per-step allocations. The logits slice Step
+// decState is one decoder's pooled storage: Step's scratch, every
+// layer's attention cache and the staging buffer the cross projections
+// pass through. All decoders over one Transformer share its shape. A
+// recycled state is not cleared; every region is written before it is
+// read (the cross blocks at construction or Clone, a self-attention
+// position when it is fed, the scratch within each Step).
+type decState struct {
+	decScratch
+	layers []decLayerCache // one per decoder layer
+	proj   []float32       // MaxSeq×Dim: one cross projection, row-major
+}
+
+// decScratch holds the buffers Step reuses between calls, so a long
+// decode performs no per-step allocations. The logits slice Step
 // returns aliases one of them.
 type decScratch struct {
 	x, h, q, attn, o, st []float32
@@ -71,15 +93,69 @@ type decScratch struct {
 // Dim×ctx matrix, so a head's score row is one tensor.MulRowInto of the
 // query's dh values against dh contiguous key rows. Values stay
 // head-contiguous, one dense ctx×dh block per head, under
-// tensor.AttnWeightedSumInto. crossK/crossV are computed once per
-// sequence and shared (read-only) across clones; selfK gains one column
-// and each selfV block one dh-wide row per fed token, and both are
-// copied on Clone.
+// tensor.AttnWeightedSumInto. Every block has room for MaxSeq positions.
 type decLayerCache struct {
-	selfK  []float32   // Dim×(len/Dim) with row stride len/Dim; columns < pos hold keys
-	selfV  [][]float32 // per head: pos×dh, appended per step
-	crossK []float32   // Dim×memR, fixed per sequence
-	crossV [][]float32 // per head: memR×dh, fixed per sequence
+	selfK  []float32   // Dim×MaxSeq; column j holds position j's key
+	selfV  [][]float32 // per head: MaxSeq×dh; row j holds position j's value
+	crossK []float32   // the memory's keys as Dim×memR (room for memR = MaxSeq)
+	crossV [][]float32 // per head: memR×dh values (room for MaxSeq rows)
+}
+
+// newDecState allocates a state for t's shape, carving every float32
+// buffer from one backing array.
+func newDecState(t *Transformer) *decState {
+	dim, maxSeq := t.Cfg.Dim, t.Cfg.MaxSeq
+	ffw := dim
+	heads := 0
+	for _, l := range t.Dec {
+		ffw = max(ffw, l.FF.In.W.C)
+		heads += l.Self.Heads + l.Cross.Heads
+	}
+	block := dim * maxSeq
+	buf := make([]float32, 8*dim+ffw+maxSeq+t.Cfg.Vocab+(4*len(t.Dec)+1)*block)
+	take := func(n int) []float32 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	views := make([][]float32, heads)
+	split := func(blk []float32, nh int) [][]float32 {
+		hs := views[:nh:nh]
+		views = views[nh:]
+		n := len(blk) / nh
+		for h := range hs {
+			hs[h] = blk[h*n : (h+1)*n : (h+1)*n]
+		}
+		return hs
+	}
+	s := &decState{
+		decScratch: decScratch{
+			x: take(dim), h: take(dim), q: take(dim), attn: take(dim),
+			o: take(dim), st: take(dim), k: take(dim), v: take(dim),
+			f: take(ffw), scores: take(maxSeq), logits: take(t.Cfg.Vocab),
+			qrow: make([]int8, ffw),
+		},
+		layers: make([]decLayerCache, len(t.Dec)),
+		proj:   take(block),
+	}
+	for li, l := range t.Dec {
+		s.layers[li] = decLayerCache{
+			selfK:  take(block),
+			selfV:  split(take(block), l.Self.Heads),
+			crossK: take(block),
+			crossV: split(take(block), l.Cross.Heads),
+		}
+	}
+	return s
+}
+
+// takeDecState takes a state from the transformer's pool, allocating one
+// when the pool is empty.
+func (t *Transformer) takeDecState() *decState {
+	if s, ok := t.decPool.Get().(*decState); ok {
+		return s
+	}
+	return newDecState(t)
 }
 
 // NewIncrementalDecoder runs the encoder over input (a one-sample
@@ -90,49 +166,49 @@ func (t *Transformer) NewIncrementalDecoder(input []int) *IncrementalDecoder {
 }
 
 // NewIncrementalDecoderFromMemory builds a decoder over an
-// already-computed encoder memory (a flat rows×Dim slice, e.g. one
-// sample's slice of an EncodeBatch result; it is only read). quantized
-// routes the cross projections here and every per-step linear plus the
-// logits through the int8 weight view; the float32 path is bit-identical
-// to NewIncrementalDecoder.
+// already-computed encoder memory (a flat rows×Dim slice of at most
+// MaxSeq rows, e.g. one sample's slice of an EncodeBatch result; it is
+// only read). quantized routes the cross projections here and every
+// per-step linear plus the logits through the int8 weight view; the
+// float32 path is bit-identical to NewIncrementalDecoder.
 func (t *Transformer) NewIncrementalDecoderFromMemory(mem []float32, quantized bool) *IncrementalDecoder {
-	d := &IncrementalDecoder{t: t, memR: len(mem) / t.Cfg.Dim}
+	dim := t.Cfg.Dim
+	memR := len(mem) / dim
+	if memR > t.Cfg.MaxSeq {
+		panic(fmt.Sprintf("model: encoder memory of %d rows exceeds MaxSeq %d", memR, t.Cfg.MaxSeq))
+	}
+	d := &IncrementalDecoder{t: t, memR: memR, st: t.takeDecState()}
+	var qm *tensor.QMat
 	if quantized {
 		d.quant = t.quantView()
-	}
-	d.layers = make([]decLayerCache, len(t.Dec))
-	var qm *tensor.QMat
-	if d.quant != nil {
 		// One activation quantization of the memory serves every layer's
 		// cross K/V projection.
 		qm = getQa()
-		tensor.QuantizeRowsInto(qm, mem, d.memR, t.Cfg.Dim)
+		tensor.QuantizeRowsInto(qm, mem, memR, dim)
 	}
-	// The cross projections are computed full-width (one batched kernel
-	// call over the memory rows), then K is transposed and V repacked
-	// into per-head dense blocks; tmp is reused across layers.
-	dim := t.Cfg.Dim
-	tmp := make([]float32, d.memR*dim)
+	// Each cross projection is computed full-width into the staging
+	// buffer (one batched kernel call over the memory rows), then K is
+	// transposed and V repacked into the state's per-head blocks.
+	proj := d.st.proj[:memR*dim]
 	for li, l := range t.Dec {
-		lc := &d.layers[li]
-		if d.quant != nil {
-			qLinearRowsFwdPre(tmp, qm, &d.quant.dec[li].cross.wk)
+		lc := &d.st.layers[li]
+		if qm != nil {
+			qLinearRowsFwdPre(proj, qm, &d.quant.dec[li].cross.wk)
 		} else {
-			linearRowsFwdInto(tmp, mem, d.memR, l.Cross.WK)
+			linearRowsFwdInto(proj, mem, memR, l.Cross.WK)
 		}
-		lc.crossK = transposeHead(make([]float32, dim*d.memR), tmp, d.memR, dim, dim)
-		if d.quant != nil {
-			qLinearRowsFwdPre(tmp, qm, &d.quant.dec[li].cross.wv)
+		transposeHead(lc.crossK, proj, memR, dim, dim)
+		if qm != nil {
+			qLinearRowsFwdPre(proj, qm, &d.quant.dec[li].cross.wv)
 		} else {
-			linearRowsFwdInto(tmp, mem, d.memR, l.Cross.WV)
+			linearRowsFwdInto(proj, mem, memR, l.Cross.WV)
 		}
-		lc.crossV = splitHeads(tmp, d.memR, l.Cross.Heads, l.Cross.D/l.Cross.Heads)
-		// selfK/selfV start empty and grow on demand (Step, growKV):
-		// typical decodes emit far fewer than MaxSeq tokens, so pre-sizing
-		// to the MaxSeq·Dim bound wasted ~8× the memory a real decode
-		// touches and made decoder construction the dominant allocation
-		// site.
-		lc.selfV = make([][]float32, l.Self.Heads)
+		dh := l.Cross.D / l.Cross.Heads
+		for h, blk := range lc.crossV {
+			for i := 0; i < memR; i++ {
+				copy(blk[i*dh:(i+1)*dh], proj[i*dim+h*dh:])
+			}
+		}
 	}
 	if qm != nil {
 		qaPool.Put(qm)
@@ -146,124 +222,55 @@ func (t *Transformer) NewIncrementalDecoderFromMemory(mem []float32, quantized b
 // full precision by callers that need exactness.
 func (d *IncrementalDecoder) Ambiguous() bool { return d.ambiguous }
 
-// Clone branches the decoder: the growing self-attention blocks are
-// copied per head, the per-sequence memory projections are shared.
+// Clone branches the decoder into one with its own pooled state: the
+// cross blocks and the fed self-attention positions are copied, so
+// parent and clone share no storage and either may be released first.
 func (d *IncrementalDecoder) Clone() Decoder {
-	c := &IncrementalDecoder{t: d.t, memR: d.memR, pos: d.pos,
+	src := d.state()
+	t := d.t
+	c := &IncrementalDecoder{t: t, memR: d.memR, pos: d.pos, st: t.takeDecState(),
 		quant: d.quant, ambiguous: d.ambiguous}
-	c.layers = make([]decLayerCache, len(d.layers))
-	for i, l := range d.t.Dec {
-		c.layers[i].crossK = d.layers[i].crossK
-		c.layers[i].crossV = d.layers[i].crossV
-		// Copy with one position of headroom so the clone's first Step
-		// doesn't immediately reallocate; beyond that it grows like any
-		// decoder.
-		if d.pos > 0 {
-			c.layers[i].selfK = restrideKT(d.layers[i].selfK, d.t.Cfg.Dim, d.pos, d.pos+1)
+	dim, maxSeq := t.Cfg.Dim, t.Cfg.MaxSeq
+	for li, l := range t.Dec {
+		sl, cl := &src.layers[li], &c.st.layers[li]
+		copy(cl.crossK, sl.crossK[:dim*d.memR])
+		dh := l.Cross.D / l.Cross.Heads
+		for h, blk := range sl.crossV {
+			copy(cl.crossV[h], blk[:d.memR*dh])
 		}
-		c.layers[i].selfV = cloneKV(d.layers[i].selfV, l.Self.D/l.Self.Heads)
+		for r := 0; r < dim; r++ {
+			copy(cl.selfK[r*maxSeq:r*maxSeq+d.pos], sl.selfK[r*maxSeq:])
+		}
+		dh = l.Self.D / l.Self.Heads
+		for h, blk := range sl.selfV {
+			copy(cl.selfV[h], blk[:d.pos*dh])
+		}
 	}
 	return c
-}
-
-// cloneKV copies a head-contiguous V cache: each head's dense block is
-// copied with headroom for one more dh-wide row.
-func cloneKV(s [][]float32, dh int) [][]float32 {
-	c := make([][]float32, len(s))
-	for h, blk := range s {
-		if len(blk) == 0 {
-			continue
-		}
-		c[h] = append(make([]float32, 0, len(blk)+dh), blk...)
-	}
-	return c
-}
-
-// splitHeads repacks n full-width rows (n×(heads·dh), row-major) into
-// per-head dense n×dh blocks carved from one fresh backing array.
-func splitHeads(src []float32, n, heads, dh int) [][]float32 {
-	buf := make([]float32, n*heads*dh)
-	views := make([][]float32, heads)
-	for h := range views {
-		blk := buf[h*n*dh : (h+1)*n*dh]
-		for i := 0; i < n; i++ {
-			copy(blk[i*dh:(i+1)*dh], src[i*heads*dh+h*dh:])
-		}
-		views[h] = blk
-	}
-	return views
-}
-
-// growKV extends a V cache block to need elements, doubling the backing
-// array when it is full. The amortized growth replaces the old MaxSeq·Dim
-// pre-allocation; values are unaffected, so determinism is too.
-func growKV(s []float32, need int) []float32 {
-	if cap(s) >= need {
-		return s[:need]
-	}
-	ns := make([]float32, need, 2*need)
-	copy(ns, s)
-	return ns
-}
-
-// restrideKT copies the first n columns of a transposed K cache of rows
-// rows into a fresh block with row stride c ≥ n.
-func restrideKT(kt []float32, rows, n, c int) []float32 {
-	ns := make([]float32, rows*c)
-	if n > 0 {
-		old := len(kt) / rows
-		for r := 0; r < rows; r++ {
-			copy(ns[r*c:r*c+n], kt[r*old:r*old+n])
-		}
-	}
-	return ns
 }
 
 // Pos returns how many tokens have been fed so far (the position the
 // next token will occupy).
 func (d *IncrementalDecoder) Pos() int { return d.pos }
 
-// scratch returns the decoder's reusable buffers, taking a recycled set
-// from the transformer's pool (all decoders over one transformer share
-// buffer shapes) or allocating on first use. Step overwrites every
-// region it reads, so a dirty pooled scratch cannot affect outputs.
-func (d *IncrementalDecoder) scratch() *decScratch {
-	if d.scr == nil {
-		t := d.t
-		if s, ok := t.scrPool.Get().(*decScratch); ok {
-			d.scr = s
-			return s
-		}
-		dim := t.Cfg.Dim
-		ffw := dim
-		for _, l := range t.Dec {
-			if c := l.FF.In.W.C; c > ffw {
-				ffw = c
-			}
-		}
-		d.scr = &decScratch{
-			x: make([]float32, dim), h: make([]float32, dim),
-			q: make([]float32, dim), attn: make([]float32, dim),
-			o: make([]float32, dim), st: make([]float32, dim),
-			k: make([]float32, dim), v: make([]float32, dim),
-			f:      make([]float32, ffw),
-			scores: make([]float32, t.Cfg.MaxSeq),
-			logits: make([]float32, t.Cfg.Vocab),
-			qrow:   make([]int8, ffw),
-		}
+// state returns the decoder's state, panicking once it has been
+// released: the state may already belong to another decoder.
+func (d *IncrementalDecoder) state() *decState {
+	if d.st == nil {
+		panic("model: IncrementalDecoder used after Release")
 	}
-	return d.scr
+	return d.st
 }
 
-// Release returns the decoder's scratch buffers to the transformer's
-// pool. Call it when the decode is finished and the last Step's returned
-// logits row is dead; the decoder itself stays valid (a later Step just
-// draws fresh scratch), but typical callers release exactly once, after
-// the final Step.
+// Release returns the decoder's state to the transformer's pool. Call it
+// once the decode is finished and the last Step's logits row is dead.
+// Releasing again is a no-op; Step or Clone after Release panics, since
+// the state may by then belong to another decoder. Ambiguous and Pos
+// stay readable.
 func (d *IncrementalDecoder) Release() {
-	if d.scr != nil {
-		d.t.scrPool.Put(d.scr)
-		d.scr = nil
+	if d.st != nil {
+		d.t.decPool.Put(d.st)
+		d.st = nil
 	}
 }
 
@@ -271,12 +278,12 @@ func (d *IncrementalDecoder) Release() {
 // next-token logits row. The caller must keep Pos() < Cfg.MaxSeq, the
 // same bound the reference path enforces on its growing prefix. The
 // returned slice aliases a scratch buffer: it is valid until the next
-// Step on this decoder.
+// Step or Release on this decoder.
 func (d *IncrementalDecoder) Step(token int) []float32 {
 	t := d.t
-	dim := t.Cfg.Dim
+	dim, maxSeq := t.Cfg.Dim, t.Cfg.MaxSeq
 	pos := d.pos
-	s := d.scratch()
+	s := d.state()
 	smax, gelu := softmaxRow, geluRow
 	if d.quant != nil {
 		smax, gelu = qSoftmaxRow, qGeluRow
@@ -293,7 +300,7 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 
 	h := s.h
 	for li, l := range t.Dec {
-		lc := &d.layers[li]
+		lc := &s.layers[li]
 		var qd *qDecoderLayer
 		if d.quant != nil {
 			qd = &d.quant.dec[li]
@@ -318,22 +325,14 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 			linearRowFwdInto(s.k, h, l.Self.WK)
 			linearRowFwdInto(s.v, h, l.Self.WV)
 		}
-		if pos == len(lc.selfK)/dim {
-			// Full: re-stride to 2·(pos+1) columns, the doubling growKV
-			// gives each value block.
-			lc.selfK = restrideKT(lc.selfK, dim, pos, 2*(pos+1))
-		}
-		kc := len(lc.selfK) / dim
 		for r, kv := range s.k {
-			lc.selfK[r*kc+pos] = kv
+			lc.selfK[r*maxSeq+pos] = kv
 		}
 		dh := l.Self.D / l.Self.Heads
-		n := pos * dh
-		for hd := range lc.selfV {
-			lc.selfV[hd] = growKV(lc.selfV[hd], n+dh)
-			copy(lc.selfV[hd][n:], s.v[hd*dh:(hd+1)*dh])
+		for hd, blk := range lc.selfV {
+			copy(blk[pos*dh:], s.v[hd*dh:(hd+1)*dh])
 		}
-		attendRowInto(s.attn, s.scores, s.q, lc.selfK, kc, lc.selfV, pos+1, l.Self, smax)
+		attendRowInto(s.attn, s.scores, s.q, lc.selfK, maxSeq, lc.selfV, pos+1, l.Self, smax)
 		if qd != nil {
 			qLinearRowFwdInto(s.o, s.attn, s.qrow, &qd.self.wo)
 		} else {

@@ -59,10 +59,18 @@ type Transformer struct {
 		view *qView
 	}
 
-	// scrPool recycles incremental-decoder scratch buffers (*decScratch)
-	// across the hundreds of short decodes a backend generation performs;
-	// all decoders over one transformer share buffer shapes.
-	scrPool sync.Pool
+	// decPool recycles incremental-decoder states (*decState, see
+	// kvcache.go) across the hundreds of short decodes a backend
+	// generation performs; all decoders over one transformer share their
+	// fixed shape.
+	decPool sync.Pool
+
+	// encFree holds EncodeBatch's idle grow-only scratch sets (see
+	// batch_infer.go): at most one per EncodeBatch call that ever ran
+	// concurrently on this model, each sized for the largest batch it
+	// encoded.
+	encMu   sync.Mutex
+	encFree []*encScratch
 }
 
 // embedT returns the cached Dim×Vocab transpose of Embed, building it on
