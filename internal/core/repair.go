@@ -7,37 +7,20 @@ import (
 	"vega/internal/cpp"
 	"vega/internal/feature"
 	"vega/internal/generate"
-	"vega/internal/model"
 )
 
-// repairBeams is the beam width used when mining repair candidates:
-// generation decodes greedily, and once a counterexample refutes a
-// statement the repair round widens the search to look past the model's
-// first choice. This is the only place Stage 3 runs beam search.
-const repairBeams = 4
-
-// beamSearcher is the decoding capability repair's beam candidates
-// require. The transformer implements it; the GRU and BERT baselines do
-// not, and repair then mines only the template and fleet candidates.
-type beamSearcher interface {
-	BeamGenerate(input []int, maxLen, width int) []model.Beam
-}
-
 // repairDecoder adapts the pipeline's Stage 3 decoder to the repair
-// engine's constrained re-decoding interface. Candidates come from four
+// engine's constrained re-decoding interface. Candidates come from three
 // deterministic sources, in preference order:
 //
 //  1. the row template instantiated with the generation target's own
 //     mined placeholder values (the value grid counterexamples prune —
 //     the model's top choice was refuted, so its competitors get their
 //     turn in similarity-rank order);
-//  2. beam-search alternatives for the row, re-decoded through the same
-//     statement reconstruction as generation (the surviving beams the
-//     engine re-ranks by verification outcome);
-//  3. the training targets' own statements for the row, in fleet order
+//  2. the training targets' own statements for the row, in fleet order
 //     (the template's PerTarget variants — ground-truth shapes the model
 //     may have mis-scored);
-//  4. when the row may legitimately be absent, the explicit drop.
+//  3. when the row may legitimately be absent, the explicit drop.
 //
 // Texts in banned (refuted by earlier rounds) are pruned. Candidate
 // scores are lifted to the confidence threshold so an adopted candidate
@@ -108,13 +91,6 @@ func (d repairDecoder) Candidates(fnName string, row int, banned []string, force
 
 	for _, st := range d.templateCandidates(g, row, tv) {
 		add(st)
-	}
-	if bs, ok := d.p.Model.(beamSearcher); ok {
-		in := d.p.rowInputTokens(g, row, tv, d.target)
-		inIDs := append([]int{model.CLS}, d.p.Vocab.Encode(in)...)
-		for _, beam := range bs.BeamGenerate(inIDs, d.p.Cfg.MaxOutPieces, repairBeams) {
-			add(d.p.decodeStatement(g, row, tv, beam.IDs))
-		}
 	}
 	for _, tgt := range g.Targets {
 		toks, ok := g.FT.Rows[row].PerTarget[tgt]

@@ -71,7 +71,7 @@ func (l *Lexer) advance() byte {
 func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
 
 func (l *Lexer) errorf(format string, args ...any) error {
-	return fmt.Errorf("cpp: %d:%d: %s", l.line, l.col, fmt.Sprintf(format, args...))
+	return &SyntaxError{Pos: l.pos(), Msg: fmt.Sprintf(format, args...)}
 }
 
 func isIdentStart(c byte) bool {

@@ -8,9 +8,29 @@ import (
 // Parser builds ASTs from token streams. It is a recursive-descent parser
 // with single-point backtracking for the declaration/expression ambiguity.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // statements and expressions open on the call stack
 }
+
+// maxDepth caps how deeply statements and expressions may nest. The
+// parser and every tree walker recurse once per level, so unbounded
+// nesting (a megabyte of "(") would overflow the goroutine stack, a
+// fatal error no recover catches. Real backend code nests a few dozen
+// levels at most.
+const maxDepth = 256
+
+// enter opens one nesting level, rejecting input nested past maxDepth;
+// the caller defers p.leave.
+func (p *Parser) enter() error {
+	p.depth++
+	if p.depth > maxDepth {
+		return p.errorf("nesting deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // NewParser returns a parser over toks.
 func NewParser(toks []Token) *Parser { return &Parser{toks: toks} }
@@ -131,7 +151,7 @@ func (p *Parser) errorf(format string, args ...any) error {
 	} else if len(p.toks) > 0 {
 		pos = p.toks[len(p.toks)-1].Pos
 	}
-	return fmt.Errorf("cpp: %s: %s", pos, fmt.Sprintf(format, args...))
+	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 // --- functions ---
@@ -234,6 +254,10 @@ func (p *Parser) parseBlock() (*Node, error) {
 }
 
 func (p *Parser) parseStatement() (*Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	start := p.cur().Pos
 	t := p.cur()
 	var st *Node
@@ -712,6 +736,10 @@ var assignOps = map[string]bool{
 func (p *Parser) parseExpr() (*Node, error) { return p.parseAssignExpr() }
 
 func (p *Parser) parseAssignExpr() (*Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lhs, err := p.parseTernary()
 	if err != nil {
 		return nil, err
@@ -773,6 +801,10 @@ func (p *Parser) parseBinary(minPrec int) (*Node, error) {
 }
 
 func (p *Parser) parseUnary() (*Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.Kind == TokPunct {
 		switch t.Text {

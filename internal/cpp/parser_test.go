@@ -1,6 +1,8 @@
 package cpp
 
 import (
+	"errors"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -322,5 +324,34 @@ func TestPrintContainsExpectedLines(t *testing.T) {
 		if !strings.Contains(printed, want) {
 			t.Errorf("printed output missing %q:\n%s", want, printed)
 		}
+	}
+}
+
+// TestParseRejectsDeepNesting feeds each recursive construct nested far
+// past maxDepth: it must come back as a *SyntaxError, not exhaust the
+// stack. The stack is capped at 64 MB for the test, so a parser that
+// recursed without bound fails here (as a fatal overflow) well before
+// the default 1 GB limit, which real inputs a megabyte long would reach.
+func TestParseRejectsDeepNesting(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	const n = 100_000
+	for name, src := range map[string]string{
+		"parens":      "int f() { return " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; }",
+		"unary":       "int f() { return " + strings.Repeat("-", n) + "1; }",
+		"assignments": "int f() { " + strings.Repeat("x = ", n) + "1; }",
+		"ternaries":   "int f() { return " + strings.Repeat("c ? 1 : ", n) + "0; }",
+		"blocks":      "int f() { " + strings.Repeat("{", n) + strings.Repeat("}", n) + " }",
+		"ifs":         "int f() { " + strings.Repeat("if (c) ", n) + "return 1; }",
+	} {
+		_, err := ParseFunction(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nesting deeper") {
+			t.Errorf("%s nested %d deep: got %v, want a nesting SyntaxError", name, n, err)
+		}
+	}
+	// Nesting within the cap still parses.
+	src := "int f() { return " + strings.Repeat("(", 100) + "1" + strings.Repeat(")", 100) + "; }"
+	if _, err := ParseFunction(src); err != nil {
+		t.Errorf("100 nested parentheses: %v", err)
 	}
 }

@@ -53,6 +53,15 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
+// SyntaxError is the error Lex and the Parse functions return for text
+// they reject: the position and what went wrong there.
+type SyntaxError struct {
+	Pos Pos
+	Msg string
+}
+
+func (e *SyntaxError) Error() string { return "cpp: " + e.Pos.String() + ": " + e.Msg }
+
 // Token is one lexical token.
 type Token struct {
 	Kind TokenKind

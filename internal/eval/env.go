@@ -23,12 +23,21 @@ const regBase = 1000
 const firstTargetFixupKind = 128
 
 // Universe is the symbol and stub environment of one target, shared by
-// every regression case.
+// every regression case. Its first RunCase builds the case-independent
+// interpreter environment (enums, target symbols, builtins and the
+// sibling-function stubs), and every later case shares it: the
+// interpreter never writes an environment's maps, and a case that
+// overrides globals gets its own copy of the Globals map. A Universe is
+// single-goroutine: cases record effects into it.
 type Universe struct {
 	T       *corpus.TargetSpec
 	Backend *corpus.Backend
 	// effects collects observable side effects during one case run.
 	effects []string
+	// base is the environment RunCase builds once; running is the
+	// environment of the case in flight, which the sibling stubs in
+	// base.Funcs call into.
+	base, running *interp.Env
 }
 
 // NewUniverse builds the universe for a target's backend.
@@ -55,9 +64,18 @@ func (u *Universe) Effects() []string {
 	return append([]string{}, u.effects...)
 }
 
-// Env builds a fresh interpreter environment bound to this universe.
-// optLevel parametrizes the ambient MachineFunction stub.
+// Env builds a fresh interpreter environment bound to this universe,
+// independent of the one RunCase reuses. optLevel parametrizes the
+// ambient MachineFunction stub.
 func (u *Universe) Env(optLevel int64) *interp.Env {
+	var env *interp.Env
+	env = u.buildEnv(optLevel, func() *interp.Env { return env })
+	return env
+}
+
+// buildEnv builds an interpreter environment whose sibling-function
+// stubs run in the environment caller returns at call time.
+func (u *Universe) buildEnv(optLevel int64, caller func() *interp.Env) *interp.Env {
 	env := interp.NewEnv()
 	t := u.T
 
@@ -181,7 +199,7 @@ func (u *Universe) Env(optLevel int64) *interp.Env {
 	for name, fn := range u.Backend.Funcs {
 		name, fn := name, fn
 		env.Funcs[name] = func(args []any) (any, error) {
-			return interp.Call(fn, env, bindArgs(fn, args))
+			return interp.Call(fn, caller(), bindArgs(fn, args))
 		}
 	}
 	return env

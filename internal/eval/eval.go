@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 
 	"vega/internal/cpp"
@@ -33,15 +34,32 @@ func (o Outcome) Equal(p Outcome) bool {
 	return true
 }
 
-// RunCase executes fn under one case and captures the outcome.
+// RunCase executes fn under one case and captures the outcome. The case
+// shares the universe's base environment; one that overrides globals
+// gets its own copy of the base Globals with the overrides applied.
 func (u *Universe) RunCase(fn *cpp.Node, c Case) Outcome {
 	u.ResetEffects()
-	env := u.Env(0)
-	for k, v := range c.Globals {
-		env.Globals[k] = v
+	if u.base == nil {
+		u.base = u.buildEnv(0, func() *interp.Env { return u.running })
 	}
-	env.MaxSteps = 200_000
+	env := &interp.Env{
+		Globals:   u.base.Globals,
+		Qualified: u.base.Qualified,
+		Funcs:     u.base.Funcs,
+		MaxSteps:  200_000,
+	}
+	if len(c.Globals) > 0 {
+		env.Globals = maps.Clone(env.Globals)
+		maps.Copy(env.Globals, c.Globals)
+	}
+	u.running = env
 	ret, err := interp.Call(fn, env, c.Args)
+	return u.outcome(ret, err)
+}
+
+// outcome captures a finished case run: its return value or the kind of
+// error that ended it, and the effects it recorded.
+func (u *Universe) outcome(ret any, err error) Outcome {
 	out := Outcome{Effects: u.Effects()}
 	switch {
 	case err == nil:

@@ -2,44 +2,42 @@ package model
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
-// decodeLedger tracks every fakeDecoder of one decode run: how many
-// exist, which are released, and the most that were alive at once.
+// decodeLedger tracks every fakeDecoder of one decode run and which of
+// them are released.
 type decodeLedger struct {
-	t        *testing.T
-	maxSeq   int
-	eos      bool // whether the script ever prefers EOS
-	all      []*fakeDecoder
-	alive    int
-	maxAlive int
+	t      *testing.T
+	maxSeq int
+	eos    bool // whether the script ever prefers EOS
+	all    []*fakeDecoder
 }
 
 // fakeDecoder is a scripted Decoder: each logits row is a fixed function
-// of the prefix fed so far, so clones and fresh decoders over the same
-// prefix agree, and lifecycle misuse is reported through the ledger.
+// of the prefix fed so far, and lifecycle misuse is reported through the
+// ledger.
 type fakeDecoder struct {
 	l        *decodeLedger
+	lane     int // keys the script, so side-by-side decodes differ
 	prefix   []int
 	released int
 }
 
 const fakeVocab = 12
 
-func (l *decodeLedger) newDecoder(prefix []int) *fakeDecoder {
-	d := &fakeDecoder{l: l, prefix: append([]int(nil), prefix...)}
+func (l *decodeLedger) newDecoder(lane int) *fakeDecoder {
+	d := &fakeDecoder{l: l, lane: lane}
 	l.all = append(l.all, d)
-	l.alive++
-	l.maxAlive = max(l.maxAlive, l.alive)
 	return d
 }
 
-// fakeLogits is the script: pseudo-random scores hashed from the prefix,
-// with EOS either never preferred or winning on roughly a third of
-// prefixes.
-func fakeLogits(prefix []int, eos bool) []float32 {
-	h := uint32(2166136261)
+// fakeLogits is the script: pseudo-random scores hashed from the lane
+// and the prefix, with EOS either never preferred or winning on roughly
+// a third of prefixes.
+func fakeLogits(lane int, prefix []int, eos bool) []float32 {
+	h := uint32(2166136261) + uint32(lane)*2654435769
 	for _, tok := range prefix {
 		h = (h ^ uint32(tok)) * 16777619
 	}
@@ -63,19 +61,11 @@ func (d *fakeDecoder) Step(token int) []float32 {
 		d.l.t.Errorf("Step(%d) at position %d, past MaxSeq %d", token, len(d.prefix), d.l.maxSeq)
 	}
 	d.prefix = append(d.prefix, token)
-	return fakeLogits(d.prefix, d.l.eos)
-}
-
-func (d *fakeDecoder) Clone() Decoder {
-	if d.released > 0 {
-		d.l.t.Errorf("Clone of a released decoder (prefix %v)", d.prefix)
-	}
-	return d.l.newDecoder(d.prefix)
+	return fakeLogits(d.lane, d.prefix, d.l.eos)
 }
 
 func (d *fakeDecoder) Release() {
 	d.released++
-	d.l.alive--
 }
 
 // checkReleased requires every decoder of the run released exactly once.
@@ -90,11 +80,11 @@ func (l *decodeLedger) checkReleased() {
 
 // scriptedGreedy follows the script's argmax directly: the output Greedy
 // must reproduce.
-func scriptedGreedy(maxLen, maxSeq int, eos bool) []int {
+func scriptedGreedy(lane, maxLen, maxSeq int, eos bool) []int {
 	var out []int
 	prefix := []int{BOS}
 	for len(out) < maxLen && len(prefix) < maxSeq {
-		next := argmax(fakeLogits(prefix, eos))
+		next := argmax(fakeLogits(lane, prefix, eos))
 		if next == EOS {
 			break
 		}
@@ -117,9 +107,9 @@ func TestGreedyDecoderLifecycleAndBounds(t *testing.T) {
 			t.Run(fmt.Sprintf("eos=%v/maxLen=%d/maxSeq=%d", eos, c.maxLen, c.maxSeq), func(t *testing.T) {
 				l := &decodeLedger{t: t, maxSeq: c.maxSeq, eos: eos}
 				m := &Transformer{Cfg: Config{MaxSeq: c.maxSeq}}
-				out := m.Greedy(l.newDecoder(nil), c.maxLen)
+				out := m.Greedy(l.newDecoder(0), c.maxLen)
 				l.checkReleased()
-				if want := scriptedGreedy(c.maxLen, c.maxSeq, eos); !equalInts(out, want) {
+				if want := scriptedGreedy(0, c.maxLen, c.maxSeq, eos); !equalInts(out, want) {
 					t.Errorf("Greedy = %v, want %v", out, want)
 				}
 				if len(out) > c.maxLen || (len(out) > 0 && 1+len(out) > c.maxSeq) {
@@ -130,6 +120,12 @@ func TestGreedyDecoderLifecycleAndBounds(t *testing.T) {
 	}
 }
 
+// TestBeamDecoderLifecycleAndBounds runs width greedy decodes side by
+// side on one model, as parallel generation does, each over its own
+// scripted decoder. Every decode must follow its own script, stay within
+// maxLen and MaxSeq, and release its decoder exactly once. (The name is
+// kept from the beam search it covered before repair stopped using one;
+// width is now the number of decodes in flight.)
 func TestBeamDecoderLifecycleAndBounds(t *testing.T) {
 	for _, eos := range []bool{false, true} {
 		for _, c := range decodeCases {
@@ -137,31 +133,27 @@ func TestBeamDecoderLifecycleAndBounds(t *testing.T) {
 				t.Run(fmt.Sprintf("eos=%v/maxLen=%d/maxSeq=%d/width=%d", eos, c.maxLen, c.maxSeq, width), func(t *testing.T) {
 					l := &decodeLedger{t: t, maxSeq: c.maxSeq, eos: eos}
 					m := &Transformer{Cfg: Config{MaxSeq: c.maxSeq}}
-					beams := m.Beam(l.newDecoder(nil), c.maxLen, width)
+					decs := make([]*fakeDecoder, width)
+					for lane := range decs {
+						decs[lane] = l.newDecoder(lane)
+					}
+					outs := make([][]int, width)
+					var wg sync.WaitGroup
+					for lane, d := range decs {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							outs[lane] = m.Greedy(d, c.maxLen)
+						}()
+					}
+					wg.Wait()
 					l.checkReleased()
-					// Each step's old parents and new clones: never more.
-					if l.maxAlive > 2*width {
-						t.Errorf("%d decoders alive at once, want at most %d", l.maxAlive, 2*width)
-					}
-					if len(beams) == 0 || len(beams) > width {
-						t.Fatalf("%d beams, want 1..%d", len(beams), width)
-					}
-					for i, b := range beams {
-						if len(b.IDs) > c.maxLen || (len(b.IDs) > 0 && 1+len(b.IDs) > c.maxSeq) {
-							t.Errorf("beam %d has %d tokens past maxLen %d / MaxSeq %d", i, len(b.IDs), c.maxLen, c.maxSeq)
+					for lane, out := range outs {
+						if want := scriptedGreedy(lane, c.maxLen, c.maxSeq, eos); !equalInts(out, want) {
+							t.Errorf("lane %d: Greedy = %v, want %v", lane, out, want)
 						}
-						for _, id := range b.IDs {
-							if id == EOS {
-								t.Errorf("beam %d keeps EOS in IDs %v", i, b.IDs)
-							}
-						}
-						if i > 0 && b.Score() > beams[i-1].Score() {
-							t.Errorf("beam %d scores %v above beam %d's %v", i, b.Score(), i-1, beams[i-1].Score())
-						}
-					}
-					if width == 1 {
-						if want := scriptedGreedy(c.maxLen, c.maxSeq, eos); !equalInts(beams[0].IDs, want) {
-							t.Errorf("width-1 beam %v, want greedy %v", beams[0].IDs, want)
+						if len(out) > c.maxLen || (len(out) > 0 && 1+len(out) > c.maxSeq) {
+							t.Errorf("lane %d: Greedy emitted %d tokens past maxLen %d / MaxSeq %d", lane, len(out), c.maxLen, c.maxSeq)
 						}
 					}
 				})

@@ -29,9 +29,9 @@ import (
 // (clampSeq) and the positional table put on a sequence, so neither
 // construction nor Step ever allocates or moves cached rows. The states
 // are recycled through the Transformer's pool: a decoder takes one when
-// it is built or cloned and returns it on Release, so a backend's
-// hundreds of short decodes reuse a handful of states instead of
-// allocating fresh projection blocks per row.
+// it is built and returns it on Release, so a backend's hundreds of
+// short decodes reuse a handful of states instead of allocating fresh
+// projection blocks per row.
 //
 // The outputs are bit-identical to the reference path. Layer norm is
 // the tape's own layerNormRows, and every other helper below mirrors the
@@ -44,11 +44,9 @@ import (
 // attention.go and internal/tensor when changing any of them.
 
 // IncrementalDecoder is the KV-cached Decoder: it decodes one output
-// sequence token by token against a fixed encoder memory. Clone copies
-// its state, which beam search uses to branch hypotheses without
-// re-decoding their shared prefix. A decoder is single-goroutine;
-// distinct decoders over the same (read-only) Transformer may run
-// concurrently.
+// sequence token by token against a fixed encoder memory. A decoder is
+// single-goroutine; distinct decoders over the same (read-only)
+// Transformer may run concurrently.
 type IncrementalDecoder struct {
 	t    *Transformer
 	memR int       // encoder memory rows
@@ -68,8 +66,8 @@ type IncrementalDecoder struct {
 // layer's attention cache and the staging buffer the cross projections
 // pass through. All decoders over one Transformer share its shape. A
 // recycled state is not cleared; every region is written before it is
-// read (the cross blocks at construction or Clone, a self-attention
-// position when it is fed, the scratch within each Step).
+// read (the cross blocks at construction, a self-attention position
+// when it is fed, the scratch within each Step).
 type decState struct {
 	decScratch
 	layers []decLayerCache // one per decoder layer
@@ -222,33 +220,6 @@ func (t *Transformer) NewIncrementalDecoderFromMemory(mem []float32, quantized b
 // full precision by callers that need exactness.
 func (d *IncrementalDecoder) Ambiguous() bool { return d.ambiguous }
 
-// Clone branches the decoder into one with its own pooled state: the
-// cross blocks and the fed self-attention positions are copied, so
-// parent and clone share no storage and either may be released first.
-func (d *IncrementalDecoder) Clone() Decoder {
-	src := d.state()
-	t := d.t
-	c := &IncrementalDecoder{t: t, memR: d.memR, pos: d.pos, st: t.takeDecState(),
-		quant: d.quant, ambiguous: d.ambiguous}
-	dim, maxSeq := t.Cfg.Dim, t.Cfg.MaxSeq
-	for li, l := range t.Dec {
-		sl, cl := &src.layers[li], &c.st.layers[li]
-		copy(cl.crossK, sl.crossK[:dim*d.memR])
-		dh := l.Cross.D / l.Cross.Heads
-		for h, blk := range sl.crossV {
-			copy(cl.crossV[h], blk[:d.memR*dh])
-		}
-		for r := 0; r < dim; r++ {
-			copy(cl.selfK[r*maxSeq:r*maxSeq+d.pos], sl.selfK[r*maxSeq:])
-		}
-		dh = l.Self.D / l.Self.Heads
-		for h, blk := range sl.selfV {
-			copy(cl.selfV[h], blk[:d.pos*dh])
-		}
-	}
-	return c
-}
-
 // Pos returns how many tokens have been fed so far (the position the
 // next token will occupy).
 func (d *IncrementalDecoder) Pos() int { return d.pos }
@@ -264,9 +235,9 @@ func (d *IncrementalDecoder) state() *decState {
 
 // Release returns the decoder's state to the transformer's pool. Call it
 // once the decode is finished and the last Step's logits row is dead.
-// Releasing again is a no-op; Step or Clone after Release panics, since
-// the state may by then belong to another decoder. Ambiguous and Pos
-// stay readable.
+// Releasing again is a no-op; Step after Release panics, since the
+// state may by then belong to another decoder. Ambiguous and Pos stay
+// readable.
 func (d *IncrementalDecoder) Release() {
 	if d.st != nil {
 		d.t.decPool.Put(d.st)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -13,9 +14,8 @@ import (
 // Dim×MaxSeq matrix per layer, a dh×MaxSeq block per head, one column
 // per fed position), values head-contiguous (one MaxSeq×dh block per
 // head), recycled through the Transformer's pool. They decode up to
-// MaxSeq, clone and release decoders while others reuse the released
-// states, and pin the steady-state allocations. `make check` runs them
-// under -race.
+// MaxSeq, release decoders while others reuse the released states, and
+// pin the steady-state allocations. `make check` runs them under -race.
 
 // refStepLogits is the tape-path ground truth for one decode step: the
 // full decoder stack over the whole prefix, last row's logits (what a
@@ -53,37 +53,6 @@ func decodeTokens(vocab, n int, seed int64) []int {
 	return toks
 }
 
-// checkCloneLayout checks that a fresh clone of parent owns a state of
-// its own and holds every layer's fed key columns and value rows, and
-// the memory's cross blocks, bit for bit.
-func checkCloneLayout(t *testing.T, parent, clone *IncrementalDecoder) {
-	t.Helper()
-	if clone.st == parent.st {
-		t.Fatalf("pos %d: clone shares the parent's state", parent.pos)
-	}
-	dim, maxSeq, pos, memR := parent.t.Cfg.Dim, parent.t.Cfg.MaxSeq, parent.pos, parent.memR
-	same := func(what string, li int, got, want []float32) {
-		t.Helper()
-		for i := range want {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("pos %d layer %d: clone %s[%d] = %v, want %v", pos, li, what, i, got[i], want[i])
-			}
-		}
-	}
-	for li := range parent.st.layers {
-		pl, cl := &parent.st.layers[li], &clone.st.layers[li]
-		for r := 0; r < dim; r++ {
-			same("selfK", li, cl.selfK[r*maxSeq:r*maxSeq+pos], pl.selfK[r*maxSeq:r*maxSeq+pos])
-		}
-		same("crossK", li, cl.crossK[:dim*memR], pl.crossK[:dim*memR])
-		for h := range pl.selfV {
-			dh := len(pl.selfV[h]) / maxSeq
-			same("selfV", li, cl.selfV[h][:pos*dh], pl.selfV[h][:pos*dh])
-			same("crossV", li, cl.crossV[h][:memR*dh], pl.crossV[h][:memR*dh])
-		}
-	}
-}
-
 // TestKVDecodeToMaxSeq drives the incremental decoder to exactly MaxSeq
 // fed positions, checking every step's logits against the uncached
 // tape path bit for bit, and checks that no step moves the cache: the
@@ -115,119 +84,68 @@ func TestKVDecodeToMaxSeq(t *testing.T) {
 // drops pooled items at random, so there it may not be).
 func freshPool(m *Transformer) { m.decPool = sync.Pool{} }
 
-// TestClonePoolReuseHazard branches a decoder, branches the branch, and
-// releases the parent; a new decoder over a different memory then takes
-// the parent's state from the pool and steps on other tokens, writing
-// over everything the parent had cached. The clone and the
-// clone-of-clone, stepped interleaved with it on divergent tokens, must
-// still equal the tape reference fed the same prefix bit for bit, so a
-// clone that shared any storage with its parent would show in the
-// content (and under -race).
-func TestClonePoolReuseHazard(t *testing.T) {
+// TestPoolReuseHazard releases a decoder A that has fed some positions
+// of one memory; a decoder B over a different memory then takes A's
+// state from the pool and steps other tokens over everything A left in
+// it (a recycled state is not cleared). Every logits row of B must equal
+// the reference bit for bit, so a stale region B read before writing
+// would show in the content. The float32 reference is the tape; the
+// int8 path has no uncached form, so its reference is the same decode
+// on a newly allocated state.
+func TestPoolReuseHazard(t *testing.T) {
 	const vocab = 40
 	cfg := Config{Vocab: vocab, Dim: 24, Heads: 3, EncLayers: 1, DecLayers: 2, FFMult: 2, MaxSeq: 24, Seed: 17}
 	m := NewTransformer(cfg)
 	ins := kvInputs(vocab, cfg.Seed)
 	in, otherIn := ins[2], ins[0]
 	toks := decodeTokens(vocab, cfg.MaxSeq, cfg.Seed+1)
-	otherToks := decodeTokens(vocab, cfg.MaxSeq, cfg.Seed+2)
-	lo := numSpecial + NumConfidenceBuckets
-	alt := func(i int) int { return lo + (i*7)%(vocab-lo) } // divergent branch tokens
+	otherToks := decodeTokens(vocab, 10, cfg.Seed+2)
 
-	reused := 0
-	for _, branchAt := range []int{1, 2, 7, 15} {
-		freshPool(m)
-		parent := m.NewIncrementalDecoder(in)
-		for _, tok := range toks[:branchAt] {
-			parent.Step(tok)
-		}
-		clone := parent.Clone().(*IncrementalDecoder)
-		checkCloneLayout(t, parent, clone)
-		grand := clone.Clone().(*IncrementalDecoder)
-		checkCloneLayout(t, clone, grand)
-		pst := parent.st
-		parent.Release()
-		other := m.NewIncrementalDecoder(otherIn)
-		if other.st == pst {
-			reused++
-		}
+	for _, quantized := range []bool{false, true} {
+		t.Run(map[bool]string{false: "float32", true: "int8"}[quantized], func(t *testing.T) {
+			mems := m.EncodeBatch([][]int{in, otherIn}, quantized)
+			var want [][]float32
+			if quantized {
+				freshPool(m)
+				d := m.NewIncrementalDecoderFromMemory(mems[1], true)
+				for _, tok := range otherToks {
+					want = append(want, append([]float32(nil), d.Step(tok)...))
+				}
+				d.Release()
+			} else {
+				for i := range otherToks {
+					want = append(want, refStepLogits(m, otherIn, otherToks[:i+1]))
+				}
+			}
 
-		cloneToks := append([]int{}, toks[:branchAt]...)
-		grandToks := append([]int{}, toks[:branchAt]...)
-		for i := 0; i < 4; i++ {
-			oToks := otherToks[:2*i+2]
-			other.Step(oToks[len(oToks)-2])
-			equalLogits(t, "decoder on the reused state", other.Step(oToks[len(oToks)-1]),
-				refStepLogits(m, otherIn, oToks))
-			cloneToks = append(cloneToks, alt(branchAt+i))
-			equalLogits(t, "clone", clone.Step(cloneToks[len(cloneToks)-1]), refStepLogits(m, in, cloneToks))
-			grandToks = append(grandToks, alt(99+i))
-			equalLogits(t, "clone-of-clone", grand.Step(grandToks[len(grandToks)-1]), refStepLogits(m, in, grandToks))
-		}
-		other.Release()
-		clone.Release()
-		grand.Release()
-	}
-	if reused == 0 && !raceEnabled {
-		t.Fatal("no new decoder took the released parent's state: the hazard went untested")
-	}
-}
-
-// TestCloneQuantizedSelfConsistent is the pool-reuse hazard on the int8
-// path, where the reference is a fresh quantized decoder over the same
-// memory (there is no uncached quantized path): clones and a clone of
-// each clone, stepped after their parent's state went to a decoder over
-// another memory, must match it bit for bit.
-func TestCloneQuantizedSelfConsistent(t *testing.T) {
-	const vocab = 40
-	cfg := Config{Vocab: vocab, Dim: 32, Heads: 4, EncLayers: 1, DecLayers: 2, FFMult: 2, MaxSeq: 16, Seed: 23}
-	m := NewTransformer(cfg)
-	ins := kvInputs(vocab, cfg.Seed)
-	mems := m.EncodeBatch([][]int{ins[1], ins[2]}, false)
-	mem, otherMem := mems[0], mems[1]
-	toks := decodeTokens(vocab, 10, cfg.Seed+2)
-	lo := numSpecial + NumConfidenceBuckets
-
-	fresh := func(tokens []int) []float32 {
-		d := m.NewIncrementalDecoderFromMemory(mem, true)
-		defer d.Release()
-		var row []float32
-		for _, tok := range tokens {
-			row = d.Step(tok)
-		}
-		return append([]float32(nil), row...)
-	}
-
-	for _, branchAt := range []int{1, 2, 3, 7} {
-		freshPool(m)
-		parent := m.NewIncrementalDecoderFromMemory(mem, true)
-		for _, tok := range toks[:branchAt] {
-			parent.Step(tok)
-		}
-		clone := parent.Clone().(*IncrementalDecoder)
-		checkCloneLayout(t, parent, clone)
-		grand := clone.Clone().(*IncrementalDecoder)
-		parentNext := append([]float32(nil), parent.Step(toks[branchAt])...)
-		parent.Release()
-		other := m.NewIncrementalDecoderFromMemory(otherMem, true)
-		for _, tok := range toks[:branchAt+2] {
-			other.Step(lo + (tok+5)%(vocab-lo))
-		}
-
-		cloneToks := append(append([]int{}, toks[:branchAt]...), lo+3)
-		equalLogits(t, "quantized clone", clone.Step(lo+3), fresh(cloneToks))
-		grandToks := append(append([]int{}, toks[:branchAt]...), lo+5)
-		equalLogits(t, "quantized clone-of-clone", grand.Step(lo+5), fresh(grandToks))
-		equalLogits(t, "quantized parent", parentNext, fresh(toks[:branchAt+1]))
-		other.Release()
-		clone.Release()
-		grand.Release()
+			reused := 0
+			for _, fedA := range []int{1, 2, 7, cfg.MaxSeq} {
+				freshPool(m)
+				a := m.NewIncrementalDecoderFromMemory(mems[0], quantized)
+				for _, tok := range toks[:fedA] {
+					a.Step(tok)
+				}
+				ast := a.st
+				a.Release()
+				b := m.NewIncrementalDecoderFromMemory(mems[1], quantized)
+				if b.st == ast {
+					reused++
+				}
+				for i, tok := range otherToks {
+					equalLogits(t, fmt.Sprintf("A fed %d, B step %d", fedA, i), b.Step(tok), want[i])
+				}
+				b.Release()
+			}
+			if reused == 0 && !raceEnabled {
+				t.Fatal("no decoder took the released decoder's state: the hazard went untested")
+			}
+		})
 	}
 }
 
 // TestReleaseContract pins Release's contract: a second Release is a
-// no-op that cannot pool one state twice, Step and Clone after Release
-// panic instead of writing into a state another decoder may own, and
+// no-op that cannot pool one state twice, Step after Release panics
+// instead of writing into a state another decoder may own, and
 // Ambiguous stays readable (decodeRow in internal/core reads it after
 // Greedy has released the decoder).
 func TestReleaseContract(t *testing.T) {
@@ -257,29 +175,21 @@ func TestReleaseContract(t *testing.T) {
 		t.Fatal("a double Release pooled the same state twice")
 	}
 
-	for name, use := range map[string]func(){
-		"Step":  func() { d.Step(BOS) },
-		"Clone": func() { d.Clone() },
-	} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "after Release") {
-					t.Errorf("%s after Release: recovered %q, want a panic naming Release", name, msg)
-				}
-			}()
-			use()
-		}()
-	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "after Release") {
+			t.Errorf("Step after Release: recovered %q, want a panic naming Release", msg)
+		}
+	}()
+	d.Step(BOS)
 }
 
 // FuzzPooledDecodersAgainstReference runs a seeded sequence of create,
-// step, clone and release operations over float32 decoders on memories
-// of 1…MaxSeq rows (and one longer input, clamped), so live decoders keep
+// step and release operations over float32 decoders on memories of
+// 1…MaxSeq rows (and one longer input, clamped), so live decoders keep
 // taking states that released ones have written. Each decoder is paired
-// with a ReferenceDecoder over the same input that is stepped and cloned
-// alongside it, and every logits row must equal the reference's bit for
-// bit.
+// with a ReferenceDecoder over the same input that is stepped alongside
+// it, and every logits row must equal the reference's bit for bit.
 func FuzzPooledDecodersAgainstReference(f *testing.F) {
 	const vocab = 40
 	var models []*Transformer
@@ -317,8 +227,6 @@ func FuzzPooledDecodersAgainstReference(f *testing.F) {
 			switch r := rng.Intn(10); {
 			case r == 0 && len(live) < 6:
 				create()
-			case r == 1 && len(live) < 6:
-				live = append(live, pair{p.d.Clone().(*IncrementalDecoder), p.ref.Clone()})
 			case r == 2:
 				p.d.Release()
 				live = append(live[:i], live[i+1:]...)
@@ -341,9 +249,8 @@ func FuzzPooledDecodersAgainstReference(f *testing.F) {
 
 // TestPooledDecodersConcurrent shares one Transformer's pooled decoder
 // states and encoder scratch sets among goroutines, each encoding a
-// batch and decoding it greedily and with width-3 beams (which clone and
-// release decoders), and requires the serial results from every one of
-// them. `make check` runs it under -race.
+// batch and decoding it greedily, and requires the serial results from
+// every one of them. `make check` runs it under -race.
 func TestPooledDecodersConcurrent(t *testing.T) {
 	const vocab = 40
 	cfg := kvConfigs(vocab)[1]
@@ -353,9 +260,6 @@ func TestPooledDecodersConcurrent(t *testing.T) {
 		var out [][]int
 		for _, mem := range m.EncodeBatch(inputs, false) {
 			out = append(out, m.Greedy(m.NewIncrementalDecoderFromMemory(mem, false), 12))
-			for _, b := range m.Beam(m.NewIncrementalDecoderFromMemory(mem, false), 6, 3) {
-				out = append(out, b.IDs)
-			}
 		}
 		return out
 	}
@@ -413,17 +317,15 @@ func TestDecodeAllocsSteadyState(t *testing.T) {
 	m := NewTransformer(cfg)
 	mem := m.EncodeBatch([][]int{kvInputs(vocab, cfg.Seed)[2]}, false)[0]
 	objects, bytes := allocsPerRun(50, func() { m.Greedy(m.NewIncrementalDecoderFromMemory(mem, false), 16) })
-	// The decoder, tensor.MatMul's closure for each cross K/V projection,
-	// and at most five appends to Greedy's 16-token output.
-	if want := uint64(1 + 2*cfg.DecLayers + 5); objects > want || bytes > 2048 {
+	// The decoder and at most five appends to Greedy's 16-token output.
+	if want := uint64(1 + 5); objects > want || bytes > 2048 {
 		t.Errorf("%d objects, %d bytes per decode; want at most %d objects, 2048 bytes", objects, bytes, want)
 	}
 }
 
 // TestEncodeBatchAllocsSteadyState: once a scratch set has seen the
 // batch shape, EncodeBatch allocates only the memories it returns (one
-// backing array and the per-sample slice headers), beside a closure per
-// batched linear in tensor.MatMul.
+// backing array and the per-sample slice headers).
 func TestEncodeBatchAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -438,7 +340,7 @@ func TestEncodeBatchAllocsSteadyState(t *testing.T) {
 		returned += uint64(4 * len(mem))
 	}
 	objects, bytes := allocsPerRun(50, func() { m.EncodeBatch(inputs, false) })
-	if want := uint64(2 + 6*cfg.EncLayers); objects > want || bytes > returned+2048 {
+	if want := uint64(2); objects > want || bytes > returned+2048 {
 		t.Errorf("%d objects, %d bytes per EncodeBatch; want at most %d objects, %d bytes",
 			objects, bytes, want, returned+2048)
 	}

@@ -125,116 +125,3 @@ func TestGenerateCachedMatchesUncached(t *testing.T) {
 		}
 	}
 }
-
-func TestBeamGenerateCachedMatchesUncached(t *testing.T) {
-	const vocab = 40
-	for _, cfg := range kvConfigs(vocab) {
-		m := NewTransformer(cfg)
-		for _, width := range []int{1, 2, 4} {
-			for _, in := range kvInputs(vocab, cfg.Seed+3) {
-				want := m.Beam(m.NewReferenceDecoder(in), 16, width)
-				got := m.BeamGenerate(in, 16, width)
-				if len(got) != len(want) {
-					t.Fatalf("cfg %+v width %d: %d beams cached, %d uncached", cfg, width, len(got), len(want))
-				}
-				for i := range got {
-					if !equalInts(got[i].IDs, want[i].IDs) || got[i].LogP != want[i].LogP ||
-						got[i].done != want[i].done || got[i].emitted != want[i].emitted {
-						t.Fatalf("cfg %+v width %d beam %d: cached %+v, uncached %+v",
-							cfg, width, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBeamGenerateRespectsMaxSeq is the regression test for the missing
-// MaxSeq clamp: an untrained model rarely emits EOS, so with a small
-// MaxSeq a long beam decode used to grow past the positional table.
-// Both paths must stop every hypothesis at prefix length MaxSeq.
-func TestBeamGenerateRespectsMaxSeq(t *testing.T) {
-	cfg := Config{Vocab: 30, Dim: 16, Heads: 2, EncLayers: 1, DecLayers: 1, FFMult: 2, MaxSeq: 8, Seed: 5}
-	m := NewTransformer(cfg)
-	in := []int{CLS, 20, 21, SEP}
-	reference := func(in []int, maxLen, width int) []Beam {
-		return m.Beam(m.NewReferenceDecoder(in), maxLen, width)
-	}
-	for _, gen := range []func([]int, int, int) []Beam{m.BeamGenerate, reference} {
-		beams := gen(in, 20, 3)
-		if len(beams) == 0 {
-			t.Fatal("no beams returned")
-		}
-		for _, b := range beams {
-			if 1+len(b.IDs) > cfg.MaxSeq {
-				t.Errorf("beam prefix length %d exceeds MaxSeq %d", 1+len(b.IDs), cfg.MaxSeq)
-			}
-		}
-	}
-}
-
-// TestBeamScoreNormalizesEmittedCount is the regression test for the
-// pruning bias: a finished beam (EOS stripped from IDs) must normalize
-// over the same emitted-token count as a live beam at the same step.
-func TestBeamScoreNormalizesEmittedCount(t *testing.T) {
-	finished := Beam{IDs: []int{5, 6}, LogP: -3, done: true, emitted: 3}
-	live := Beam{IDs: []int{5, 6, 7}, LogP: -3, emitted: 3}
-	if finished.Score() != live.Score() {
-		t.Errorf("finished %f vs live %f: same LogP over same emitted count must score equal",
-			finished.Score(), live.Score())
-	}
-	// Pre-fix behaviour: finished would divide by len(IDs)=2 and outrank
-	// the live beam despite identical probability mass.
-	if got, want := finished.Score(), -1.0; got != want {
-		t.Errorf("finished.Score() = %f, want %f (LogP/emitted)", got, want)
-	}
-	// Beams that never set emitted (zero value) fall back to len(IDs).
-	legacy := Beam{IDs: []int{5, 6}, LogP: -3}
-	if legacy.Score() != -1.5 {
-		t.Errorf("legacy score = %f, want -1.5", legacy.Score())
-	}
-	if (Beam{}).Score() != 0 {
-		t.Errorf("empty beam score = %f, want 0", (Beam{}).Score())
-	}
-}
-
-// TestIncrementalDecoderClone checks that a cloned decoder diverges
-// independently: stepping the clone must not disturb the parent, and
-// both must match fresh decoders fed the same sequences.
-func TestIncrementalDecoderClone(t *testing.T) {
-	cfg := Config{Vocab: 30, Dim: 24, Heads: 2, EncLayers: 1, DecLayers: 2, FFMult: 2, MaxSeq: 16, Seed: 9}
-	m := NewTransformer(cfg)
-	in := []int{CLS, 20, 21, SEP}
-
-	parent := m.NewIncrementalDecoder(in)
-	parent.Step(BOS)
-	parent.Step(10)
-	clone := parent.Clone().(*IncrementalDecoder)
-
-	cloneRow := clone.Step(11)
-	parentRow := parent.Step(12)
-
-	fresh := func(tokens []int) []float32 {
-		d := m.NewIncrementalDecoder(in)
-		var row []float32
-		for _, tok := range tokens {
-			row = d.Step(tok)
-		}
-		return row
-	}
-	wantClone := fresh([]int{BOS, 10, 11})
-	wantParent := fresh([]int{BOS, 10, 12})
-	for i := range cloneRow {
-		if cloneRow[i] != wantClone[i] {
-			t.Fatalf("clone logits[%d] = %v, want %v", i, cloneRow[i], wantClone[i])
-		}
-	}
-	for i := range parentRow {
-		if parentRow[i] != wantParent[i] {
-			t.Fatalf("parent logits[%d] = %v, want %v", i, parentRow[i], wantParent[i])
-		}
-	}
-	if parent.Pos() != 3 || clone.Pos() != 3 {
-		t.Errorf("positions: parent %d, clone %d, want 3", parent.Pos(), clone.Pos())
-	}
-}

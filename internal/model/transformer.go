@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -266,15 +265,17 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TopK returns the indexes of the k largest values (for inspection tools).
-func TopK(xs []float32, k int) []int {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
+// Perplexity computes exp(mean cross entropy) of the model over samples,
+// a convergence diagnostic.
+func Perplexity(m Seq2Seq, samples []Sample) float64 {
+	if len(samples) == 0 {
+		return 0
 	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] > xs[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
+	var total float64
+	for _, s := range samples {
+		tp := NewTape()
+		loss := m.Loss(tp, s.Input, s.Output)
+		total += float64(loss.Data[0])
 	}
-	return idx[:k]
+	return math.Exp(total / float64(len(samples)))
 }

@@ -130,34 +130,6 @@ func TestNumParams(t *testing.T) {
 	}
 }
 
-func TestBeamGenerateOrdering(t *testing.T) {
-	m := NewTransformer(tinyConfig(30))
-	beams := m.BeamGenerate([]int{CLS, 20, SEP}, 6, 3)
-	if len(beams) == 0 || len(beams) > 3 {
-		t.Fatalf("beams = %d", len(beams))
-	}
-	for i := 1; i < len(beams); i++ {
-		if beams[i-1].Score() < beams[i].Score() {
-			t.Errorf("beams not sorted: %f < %f", beams[i-1].Score(), beams[i].Score())
-		}
-	}
-	for _, b := range beams {
-		if len(b.IDs) > 6 {
-			t.Errorf("beam exceeds maxLen: %d", len(b.IDs))
-		}
-	}
-}
-
-func TestBeamWidthOneMatchesGreedy(t *testing.T) {
-	m := NewTransformer(tinyConfig(30))
-	in := []int{CLS, 21, 22, SEP}
-	greedy := m.Generate(in, 6)
-	beams := m.BeamGenerate(in, 6, 1)
-	if len(beams) != 1 || !equalInts(beams[0].IDs, greedy) {
-		t.Errorf("beam-1 %v vs greedy %v", beams, greedy)
-	}
-}
-
 func TestPerplexityFiniteAndPositive(t *testing.T) {
 	m := NewTransformer(tinyConfig(24))
 	samples := copyTask(24, 6, 2, 11)

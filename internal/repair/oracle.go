@@ -5,8 +5,8 @@
 // it captures a minimal counterexample — the first failing input grid
 // case plus the first diverging statement — and the engine re-decodes the
 // refuted statements under constraints: refuted candidates are pruned,
-// surviving beams are re-ranked by verification outcome, and the loop
-// retries for a bounded number of CEGAR rounds. A function that cannot be
+// the surviving candidates are re-ranked by verification outcome, and the
+// loop retries for a bounded number of CEGAR rounds. A function that cannot be
 // repaired is returned exactly as generated, so verified pass@1 is never
 // below plain pass@1.
 package repair
@@ -92,7 +92,9 @@ type Verdict struct {
 
 // Oracle verifies generated functions against one reference backend.
 // Each Verify call builds a fresh eval.Universe, so the oracle is safe
-// for concurrent use from the generation worker pool.
+// for concurrent use from the generation worker pool; within the call,
+// the universe builds its interpreter environment once and every
+// regression case of both implementations reuses it.
 type Oracle struct {
 	// Ref is the ground-truth backend (nil = nothing to verify against).
 	Ref *corpus.Backend

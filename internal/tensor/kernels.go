@@ -30,13 +30,11 @@ const parFlops = 1 << 21
 
 // parallelRows runs body over [0,r) split into at most GOMAXPROCS
 // contiguous chunks. Output rows are disjoint across chunks, so the
-// partitioning never changes results. The gate is checked first, so
-// kernels below it never read GOMAXPROCS.
-func parallelRows(r, flops int, body func(lo, hi int)) {
-	if flops < parFlops {
-		body(0, r)
-		return
-	}
+// partitioning never changes results. Callers check the parFlops gate
+// first and run their row loop directly below it: body escapes to the
+// worker goroutines, so building it would cost a heap closure per call
+// even where the work stays serial.
+func parallelRows(r int, body func(lo, hi int)) {
 	w := min(runtime.GOMAXPROCS(0), r)
 	if w <= 1 {
 		body(0, r)
@@ -108,11 +106,18 @@ func rowAcc(o, a, b []float32, k, astride, ldb int) {
 // rounding each — bit-identical to the naive kernel. Large shapes fan
 // out over disjoint row ranges.
 func MatMul(out, a, b []float32, r, k, c int) {
-	parallelRows(r, r*k*c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rowAcc(out[i*c:(i+1)*c], a[i*k:(i+1)*k], b, k, 1, c)
-		}
-	})
+	if r*k*c < parFlops {
+		matMulRows(out, a, b, k, c, 0, r)
+		return
+	}
+	parallelRows(r, func(lo, hi int) { matMulRows(out, a, b, k, c, lo, hi) })
+}
+
+// matMulRows is MatMul over output rows [lo,hi).
+func matMulRows(out, a, b []float32, k, c, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		rowAcc(out[i*c:(i+1)*c], a[i*k:(i+1)*k], b, k, 1, c)
+	}
 }
 
 // ntPool recycles MatMulNT's transpose scratch; the transpose costs k·c
@@ -171,11 +176,18 @@ func MatMulNT(dst, a, b []float32, r, k, c int) {
 // nonzero terms in ascending-k (=r2) order, one rounding each. Parallel
 // over dst rows.
 func MatMulTN(dst, a, b []float32, r, r2, c int) {
-	parallelRows(r, r*r2*c, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rowAcc(dst[i*c:(i+1)*c], a[i:], b, r2, r, c)
-		}
-	})
+	if r*r2*c < parFlops {
+		matMulTNRows(dst, a, b, r, r2, c, 0, r)
+		return
+	}
+	parallelRows(r, func(lo, hi int) { matMulTNRows(dst, a, b, r, r2, c, lo, hi) })
+}
+
+// matMulTNRows is MatMulTN over dst rows [lo,hi).
+func matMulTNRows(dst, a, b []float32, r, r2, c, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		rowAcc(dst[i*c:(i+1)*c], a[i:], b, r2, r, c)
+	}
 }
 
 // MulRowInto accumulates out[j] += a[p]·b[p*stride+off+j] for j < cols,

@@ -133,20 +133,28 @@ func QMatMulNT(dst []float32, a, b *QMat) {
 	if a.C != b.C {
 		panic("tensor: QMatMulNT inner dimensions differ")
 	}
-	r, c := a.R, b.R
-	parallelRows(r, r*a.C*c, func(lo, hi int) {
-		acc := getAcc(c)
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*a.C : (i+1)*a.C]
-			sa := a.Scale[i]
-			drow := dst[i*c : (i+1)*c]
-			dotInt8Rows(acc, arow, b.Data, c, b.C)
-			for j := 0; j < c; j++ {
-				drow[j] += float32(acc[j]) * sa * b.Scale[j]
-			}
+	r := a.R
+	if r*a.C*b.R < parFlops {
+		qMatMulNTRows(dst, a, b, 0, r)
+		return
+	}
+	parallelRows(r, func(lo, hi int) { qMatMulNTRows(dst, a, b, lo, hi) })
+}
+
+// qMatMulNTRows is QMatMulNT over dst rows [lo,hi).
+func qMatMulNTRows(dst []float32, a, b *QMat, lo, hi int) {
+	c := b.R
+	acc := getAcc(c)
+	for i := lo; i < hi; i++ {
+		arow := a.Data[i*a.C : (i+1)*a.C]
+		sa := a.Scale[i]
+		drow := dst[i*c : (i+1)*c]
+		dotInt8Rows(acc, arow, b.Data, c, b.C)
+		for j := 0; j < c; j++ {
+			drow[j] += float32(acc[j]) * sa * b.Scale[j]
 		}
-		putAcc(acc)
-	})
+	}
+	putAcc(acc)
 }
 
 // QMulRowInto accumulates out[j] += (Σₚ a[p]·b[j][p]) · sa · bScale[j]
