@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKernelsAgainstScalar$$' -fuzztime 3s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzSimCacheAgainstTokenLCS$$' -fuzztime 3s ./internal/gumtree
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNormalize$$' -fuzztime 3s ./internal/cpp
+	$(GO) test -run '^$$' -fuzz '^FuzzDiscoveryAgainstScan$$' -fuzztime 3s ./internal/feature
 	$(GO) test -run '^$$' -fuzz '^FuzzTapeAttentionAgainstComposed$$' -fuzztime 3s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBatchAgainstTape$$' -fuzztime 3s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzPooledDecodersAgainstReference$$' -fuzztime 3s ./internal/model
@@ -74,10 +75,11 @@ bench: bench-stage1 bench-stage2 bench-stage3 bench-repair
 # One invocation covers all three Stage 1 variants: cold (full
 # templatization + feature mining), warm (every group a per-group cache
 # hit), and warm-one-target-dirty (one edited implementation; exactly
-# one group rebuilds). benchjson derives speedup_vs_cold for both warm
-# rows in BENCH_stage1.json.
+# one group rebuilds). Each runs three times; benchjson records the
+# median with its range and derives speedup_vs_cold for both warm rows
+# in BENCH_stage1.json.
 bench-stage1:
-	$(GO) test -run '^$$' -bench 'Stage1Templatization' -benchmem -benchtime 3x . \
+	$(GO) test -run '^$$' -bench 'Stage1Templatization' -benchmem -benchtime 3x -count 3 . \
 		| $(GO) run ./cmd/benchjson -out BENCH_stage1.json
 
 bench-stage2:

@@ -1,7 +1,9 @@
 // Command benchjson tees `go test -bench` output to stdout while parsing
 // the benchmark result lines into a small JSON document, so `make bench`
 // leaves machine-readable artifacts (BENCH_stage2.json, BENCH_stage3.json)
-// next to the human-readable log. Standard library only.
+// next to the human-readable log. A benchmark repeated with `-count N` is
+// recorded once, as the median of its runs with their range. Standard
+// library only.
 package main
 
 import (
@@ -11,16 +13,72 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// result is one parsed benchmark line.
+// result is one parsed benchmark line, or the aggregate of a benchmark
+// that `go test -count N` ran N times: then NsPerOp and every metric are
+// the median over the runs, and Runs, NsMin and NsMax record the spread.
 type result struct {
 	Name    string             `json:"name"`
 	Iters   int64              `json:"iters"`
 	NsPerOp float64            `json:"ns_per_op"`
+	Runs    int                `json:"runs,omitempty"`
+	NsMin   float64            `json:"ns_per_op_min,omitempty"`
+	NsMax   float64            `json:"ns_per_op_max,omitempty"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// aggregate folds repeated runs of one benchmark into a single result,
+// keeping first-appearance order.
+func aggregate(rs []result) []result {
+	var order []string
+	runs := make(map[string][]result)
+	for _, r := range rs {
+		if _, ok := runs[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := make([]result, 0, len(order))
+	for _, name := range order {
+		group := runs[name]
+		if len(group) == 1 {
+			out = append(out, group[0])
+			continue
+		}
+		agg := result{Name: name, Iters: group[0].Iters, Runs: len(group)}
+		ns := make([]float64, len(group))
+		metrics := make(map[string][]float64)
+		for i, r := range group {
+			ns[i] = r.NsPerOp
+			for k, v := range r.Metrics {
+				metrics[k] = append(metrics[k], v)
+			}
+		}
+		agg.NsPerOp, agg.NsMin, agg.NsMax = median(ns), slices.Min(ns), slices.Max(ns)
+		for k, vs := range metrics {
+			if agg.Metrics == nil {
+				agg.Metrics = make(map[string]float64)
+			}
+			agg.Metrics[k] = median(vs)
+		}
+		out = append(out, agg)
+	}
+	return out
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count); xs is sorted in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 type doc struct {
@@ -118,6 +176,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
 		os.Exit(1)
 	}
+	d.Results = aggregate(d.Results)
 	deriveSpeedups(&d)
 	if *out == "" {
 		return

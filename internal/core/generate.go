@@ -466,8 +466,13 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 		// Best-effort: a target outside the fleet (generating for a brand
 		// new ISA) simply has no reference, and the oracle degrades.
 		ref, _ := p.Provider.ReferenceBackend(target)
-		eng = repair.NewEngine(&repair.Oracle{Ref: ref},
-			repairDecoder{p: p, target: target},
+		dec := repairDecoder{p: p, target: target, tvs: make(map[string]*feature.TargetFeatures, len(tasks))}
+		for i, t := range tasks {
+			if tvs[i] != nil {
+				dec.tvs[t.g.Func.Name] = tvs[i]
+			}
+		}
+		eng = repair.NewEngine(&repair.Oracle{Ref: ref}, dec,
 			repair.Options{MaxRounds: p.Cfg.RepairRounds}, p.Cfg.Obs)
 		if opt.SkipRepair {
 			repairRounds = 0 // verify only: the degrade ladder's rung

@@ -29,6 +29,10 @@ import (
 type repairDecoder struct {
 	p      *Pipeline
 	target string
+	// tvs holds the target values generation already resolved, by
+	// function name; read-only once the engine runs. A function missing
+	// from it (its resolution panicked) resolves its own.
+	tvs map[string]*feature.TargetFeatures
 }
 
 func (d repairDecoder) Candidates(fnName string, row int, banned []string, forcePresent bool) []generate.Statement {
@@ -36,7 +40,10 @@ func (d repairDecoder) Candidates(fnName string, row int, banned []string, force
 	if g == nil || row < 0 || row >= len(g.FT.Rows) {
 		return nil
 	}
-	tv := d.p.Extractor.TargetValues(g.TF, d.target)
+	tv := d.tvs[fnName]
+	if tv == nil {
+		tv = d.p.Extractor.TargetValues(g.TF, d.target)
+	}
 	skip := make(map[string]bool, len(banned))
 	for _, b := range banned {
 		skip[b] = true

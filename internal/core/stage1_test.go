@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vega/internal/corpus"
@@ -88,6 +90,103 @@ func TestStage1FingerprintPinned(t *testing.T) {
 	sum := sha256.Sum256([]byte(stage1Fingerprint(t, p)))
 	if got := hex.EncodeToString(sum[:]); got != stage1PinnedSHA256 {
 		t.Fatalf("Stage 1 fingerprint = %s, want %s", got, stage1PinnedSHA256)
+	}
+}
+
+// stage1PinnedExtendedSHA256 is the SHA-256 of extendedFingerprint,
+// recorded before feature discovery was memoized per target and parsed
+// .td files moved onto the source tree. It pins the extended fleet's
+// Stage 1 state plus every group's TargetValues for the three eval
+// targets, the unseen-target path Stage 3 takes.
+const stage1PinnedExtendedSHA256 = "8b12b5e7f3383fc141b336a07deb90944390bc0ed0d218d4833bff18b2b3a6a7"
+
+// extendedFingerprint is stage1Fingerprint over a streamed extended-fleet
+// pipeline, followed by every group's TargetValues for RISCV, RI5CY and
+// XCore in group order.
+func extendedFingerprint(t *testing.T) string {
+	t.Helper()
+	specs, err := corpus.Fleet("extended")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewFromProvider(corpus.NewStream(specs), tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString(stage1Fingerprint(t, p))
+	for _, g := range p.Groups {
+		for _, tgt := range []string{"RISCV", "RI5CY", "XCore"} {
+			raw, err := json.Marshal(p.Extractor.TargetValues(g.TF, tgt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "\n%s/%s %s", g.Func.Name, tgt, raw)
+		}
+	}
+	return b.String()
+}
+
+// TestStage1FingerprintPinnedExtended is TestStage1FingerprintPinned for
+// the 56-target extended fleet, with the eval targets' feature values.
+func TestStage1FingerprintPinnedExtended(t *testing.T) {
+	sum := sha256.Sum256([]byte(extendedFingerprint(t)))
+	if got := hex.EncodeToString(sum[:]); got != stage1PinnedExtendedSHA256 {
+		t.Fatalf("extended Stage 1 fingerprint = %s, want %s", got, stage1PinnedExtendedSHA256)
+	}
+}
+
+// TestTargetValuesConcurrentMatchesSerial resolves every group's values
+// for every eval target from 4 goroutines sharing one fresh Extractor, as
+// Stage 3's generation workers do, and requires each answer to equal a
+// serial run on another fresh Extractor. Under -race it also checks the
+// discovery memos for data races.
+func TestTargetValuesConcurrentMatchesSerial(t *testing.T) {
+	p, err := New(testCorpus(t), tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type job struct {
+		g      *Group
+		target string
+	}
+	var jobs []job
+	for _, g := range p.Groups {
+		for _, spec := range corpus.EvalTargets() {
+			jobs = append(jobs, job{g, spec.Name})
+		}
+	}
+	resolve := func(e *feature.Extractor, j job) string {
+		raw, err := json.Marshal(e.TargetValues(j.g.TF, j.target))
+		if err != nil {
+			panic(err)
+		}
+		return string(raw)
+	}
+	serial := feature.NewExtractor(p.Provider.SourceTree(), nil)
+	want := make([]string, len(jobs))
+	for i, j := range jobs {
+		want[i] = resolve(serial, j)
+	}
+	shared := feature.NewExtractor(p.Provider.SourceTree(), nil)
+	got := make([]string, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+				got[i] = resolve(shared, jobs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		if got[i] != want[i] {
+			t.Fatalf("%s/%s: concurrent TargetValues differ from serial:\n got %s\nwant %s",
+				j.g.Func.Name, j.target, got[i], want[i])
+		}
 	}
 }
 

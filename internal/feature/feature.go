@@ -170,29 +170,65 @@ func (tf *TemplateFeatures) DependentProps() []Property {
 }
 
 // Extractor mines properties from a source tree laid out with LLVM
-// conventions.
+// conventions. It assumes the tree no longer changes: its PropList and
+// discovery memos describe the tree as it was when the Extractor was
+// built.
+//
+// Every discovery answer is a pure function of (token or property,
+// target) and is memoized here, so each Algorithm 1 question is asked
+// once per target however many groups (Select) or generation tasks
+// (TargetValues) ask it. Stage 1's templatization workers and Stage 3's
+// generation workers share one Extractor, so every memo is mutex-guarded.
+// Answers are shared between callers: in particular DepInfo.Candidates
+// slices are read-only.
 type Extractor struct {
 	Tree     *tablegen.SourceTree
 	LLVMDirs []string
 
 	propSites map[string]string // PropList: identifier -> identified site
 
-	// caches (keyed by path / target) for the hot discovery loops.
-	// Lazily filled on first use, so concurrent extraction — Stage 3's
-	// generation worker pool calls TargetValues from several goroutines —
-	// must hold mu around every lookup/build. The builds are
-	// deterministic and idempotent, so coarse serialization is enough.
-	mu          sync.Mutex
-	tdCache     map[string]*tablegen.TDFile
-	tdFailed    map[string]bool // negative cache: paths whose parse errored
-	recordCache map[string]*recordMaps
+	targets  memo[string, *targetIndex]   // target -> its description files, indexed
+	ind      memo[tokenTarget, indResult] // discoverIndependent
+	sites    memo[tokenTarget, string]    // partialAssignSite; "" when unassigned
+	dep      memo[tokenTarget, depResult] // discoverDependent
+	cands    memo[propTarget, DepInfo]    // dependentCandidates
+	matchers memo[string, *tokenMatcher]  // token -> PartialMatch's token side
+	records  memo[string, *recordMaps]    // target -> TableGen records
+}
 
-	// pmCache memoizes PartialMatch verdicts. The same (token, RHS)
-	// pairs recur across every group and target — common-code tokens
-	// repeat fleet-wide — and the camel-case run expansion inside
-	// PartialMatch is costly enough to dominate Stage 1 without this.
-	pmMu    sync.Mutex
-	pmCache map[[2]string]bool
+// memo is a mutex-guarded cache of a pure function. A miss computes
+// outside the lock, so two goroutines may compute the same entry; the
+// computation is deterministic, so either result may be kept.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+}
+
+// get returns the memoized value for k, computing it on first use.
+func (c *memo[K, V]) get(k K, compute func() V) V {
+	c.mu.Lock()
+	v, ok := c.m[k]
+	c.mu.Unlock()
+	if ok {
+		return v
+	}
+	v = compute()
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[K]V)
+	}
+	c.m[k] = v
+	c.mu.Unlock()
+	return v
+}
+
+// tokenTarget keys a discovery answer for one token on one target.
+type tokenTarget struct{ tok, target string }
+
+// propTarget keys a target's candidate values for one property.
+type propTarget struct {
+	p      Property
+	target string
 }
 
 // recordMaps indexes one target's TableGen records (plus the LLVM core's).
@@ -216,60 +252,9 @@ func NewExtractor(tree *tablegen.SourceTree, llvmDirs []string) *Extractor {
 	if llvmDirs == nil {
 		llvmDirs = DefaultLLVMDirs()
 	}
-	e := &Extractor{
-		Tree: tree, LLVMDirs: llvmDirs,
-		tdCache:     make(map[string]*tablegen.TDFile),
-		tdFailed:    make(map[string]bool),
-		recordCache: make(map[string]*recordMaps),
-		pmCache:     make(map[[2]string]bool),
-	}
+	e := &Extractor{Tree: tree, LLVMDirs: llvmDirs}
 	e.buildPropList()
 	return e
-}
-
-// parseTD returns a cached parse of a .td file.
-func (e *Extractor) parseTD(path string) (*tablegen.TDFile, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.parseTDLocked(path)
-}
-
-// parseTDLocked is parseTD for callers already holding e.mu. Parse
-// failures are remembered in a separate negative cache (tdFailed), so a
-// cached failure reports !ok exactly like the first attempt did — it is
-// never conflated with a successfully parsed (possibly empty) file.
-func (e *Extractor) parseTDLocked(path string) (*tablegen.TDFile, bool) {
-	if td, ok := e.tdCache[path]; ok {
-		return td, true
-	}
-	if e.tdFailed[path] {
-		return nil, false
-	}
-	content, _ := e.Tree.Content(path)
-	td, err := tablegen.ParseTD(content)
-	if err != nil {
-		e.tdFailed[path] = true
-		return nil, false
-	}
-	e.tdCache[path] = td
-	return td, true
-}
-
-// partialMatch is PartialMatch with per-extractor memoization; exact,
-// safe for concurrent use.
-func (e *Extractor) partialMatch(tok, str string) bool {
-	key := [2]string{tok, str}
-	e.pmMu.Lock()
-	v, ok := e.pmCache[key]
-	e.pmMu.Unlock()
-	if ok {
-		return v
-	}
-	v = PartialMatch(tok, str)
-	e.pmMu.Lock()
-	e.pmCache[key] = v
-	e.pmMu.Unlock()
-	return v
 }
 
 // buildPropList gathers class names, enum names and global variables
@@ -284,24 +269,22 @@ func (e *Extractor) buildPropList() {
 			e.propSites[name] = path
 		}
 	}
+	enums := e.Tree.EnumsUnder(e.LLVMDirs)
 	for _, path := range e.Tree.PathsUnder(e.LLVMDirs) {
-		content, _ := e.Tree.Content(path)
 		// Enum names (and the enums' own members count as locatable but
 		// not as properties).
 		if strings.HasSuffix(path, ".h") {
-			enums, err := tablegen.ParseEnums(content)
-			if err == nil {
-				for _, en := range enums {
-					add(en.Name, path)
-				}
+			for _, en := range enums[path] {
+				add(en.Name, path)
 			}
 			// Class names: "class X" / "struct X".
+			content, _ := e.Tree.Content(path)
 			for _, name := range classNames(content) {
 				add(name, path)
 			}
 		}
 		if strings.HasSuffix(path, ".td") {
-			td, err := tablegen.ParseTD(content)
+			td, err := e.Tree.TD(path)
 			if err != nil {
 				continue
 			}

@@ -55,12 +55,12 @@ func (e *Extractor) Select(ft *template.FunctionTemplate, targets []string) *Tem
 
 	commonTokens := commonTokenSet(ft)
 	for _, target := range targets {
-		tgtDirs := TGTDirs(target)
 		for _, tok := range commonTokens {
-			name, method, site, ok := e.discoverIndependent(tok, tgtDirs)
-			if !ok {
+			r := e.discoverIndependent(tok, target)
+			if !r.ok {
 				continue
 			}
+			name, method, site := r.name, r.method, r.site
 			d := indFound[name]
 			if d == nil {
 				d = &indDiscovery{
@@ -115,10 +115,11 @@ func (e *Extractor) Select(ft *template.FunctionTemplate, targets []string) *Tem
 				}
 				for _, vtok := range strings.Fields(val) {
 					vtok = strings.Trim(vtok, "\"")
-					prop, ok := e.discoverDependent(vtok, target)
-					if !ok {
+					r := e.discoverDependent(vtok, target)
+					if !r.ok {
 						continue
 					}
+					prop := r.prop
 					pi, exists := depIndex[prop.Name]
 					if !exists {
 						pi = len(tf.Props)
@@ -142,9 +143,10 @@ func (e *Extractor) Select(ft *template.FunctionTemplate, targets []string) *Tem
 
 // TargetValues resolves every property of the schema against one target's
 // description files. It works for training targets and unseen ones alike —
-// this is what Stage 3 calls for a new target.
+// this is what Stage 3 calls for a new target. The result's
+// DepInfo.Candidates slices are shared with the Extractor's memo and with
+// every other caller: read-only.
 func (e *Extractor) TargetValues(tf *TemplateFeatures, target string) *TargetFeatures {
-	tgtDirs := TGTDirs(target)
 	out := &TargetFeatures{
 		Target: target,
 		Bools:  make(map[string]BoolVal),
@@ -157,9 +159,9 @@ func (e *Extractor) TargetValues(tf *TemplateFeatures, target string) *TargetFea
 				out.Bools[p.Name] = BoolVal{Value: true, UpdateSite: p.IdentifiedSite}
 				continue
 			}
-			if name, m, site, ok := e.discoverIndependent(p.Name, tgtDirs); ok && name == p.Name && m != MethodCore {
-				out.Bools[p.Name] = BoolVal{Value: true, UpdateSite: site}
-			} else if site, ok := e.partialAssignSite(p.Name, tgtDirs); ok {
+			if r := e.discoverIndependent(p.Name, target); r.ok && r.name == p.Name && r.method != MethodCore {
+				out.Bools[p.Name] = BoolVal{Value: true, UpdateSite: r.site}
+			} else if site, ok := e.partialAssignSite(p.Name, target); ok {
 				out.Bools[p.Name] = BoolVal{Value: true, UpdateSite: site}
 			} else {
 				out.Bools[p.Name] = BoolVal{Value: false}
@@ -190,53 +192,126 @@ func commonTokenSet(ft *template.FunctionTemplate) []string {
 	return out
 }
 
-// discoverIndependent applies the three cases of lines 8-24 to one token.
-func (e *Extractor) discoverIndependent(tok string, tgtDirs []string) (name string, method Method, site string, ok bool) {
-	// Case 1: token occurs under TGTDIRs and is a candidate property.
-	if e.InPropList(tok) {
-		if paths := e.Tree.FindToken(tok, tgtDirs); len(paths) > 0 {
-			return tok, MethodToken, paths[0], true
-		}
-	}
-	// Case 2: partial match against assignment RHS under TGTDIRs.
-	if name, site, ok := e.partialAssignProp(tok, tgtDirs); ok {
-		return name, MethodPartial, site, true
-	}
-	// Case 3: declared only in LLVMDIRs.
-	if e.InPropList(tok) {
-		return tok, MethodCore, e.propSites[tok], true
-	}
-	return "", 0, "", false
+// targetIndex is what discovery reads of one target's description
+// files, gathered once per Extractor and target.
+type targetIndex struct {
+	target string
+	dirs   []string // TGTDirs(target)
+	// paths lists targetPaths(target); own is the same set.
+	paths []string
+	own   map[string]bool
+	// propAssigns are the assignments under dirs whose LHS is in the
+	// PropList, in tree order; strAssigns is their string-valued subset
+	// with each RHS normalized once for partial matching.
+	propAssigns []tablegen.Assignment
+	strAssigns  []normAssign
 }
 
-// partialAssignProp finds an assignment "prop = str" under tgtDirs whose
-// RHS partially matches tok, with prop in the candidate set.
-func (e *Extractor) partialAssignProp(tok string, tgtDirs []string) (string, string, bool) {
-	for _, a := range e.Tree.AssignmentsUnder(tgtDirs) {
-		if !a.IsStr || !e.InPropList(a.LHS) {
-			continue
+// normAssign is a string assignment with its normalized RHS.
+type normAssign struct {
+	lhs, path, norm string
+}
+
+// targetIndex returns the target's index, building it on first use.
+func (e *Extractor) targetIndex(target string) *targetIndex {
+	return e.targets.get(target, func() *targetIndex {
+		ti := &targetIndex{target: target, dirs: TGTDirs(target), own: map[string]bool{}}
+		ti.paths = e.targetPaths(target, ti.dirs)
+		for _, path := range ti.paths {
+			ti.own[path] = true
 		}
-		if e.partialMatch(tok, a.RHS) {
-			return a.LHS, a.Path, true
+		for _, a := range e.Tree.AssignmentsUnder(ti.dirs) {
+			if !e.InPropList(a.LHS) {
+				continue
+			}
+			ti.propAssigns = append(ti.propAssigns, a)
+			if a.IsStr {
+				ti.strAssigns = append(ti.strAssigns, normAssign{lhs: a.LHS, path: a.Path, norm: normalize(a.RHS)})
+			}
+		}
+		return ti
+	})
+}
+
+// matcher returns tok's prepared PartialMatch token side.
+func (e *Extractor) matcher(tok string) *tokenMatcher {
+	return e.matchers.get(tok, func() *tokenMatcher { return newTokenMatcher(tok) })
+}
+
+// indResult is one discoverIndependent answer.
+type indResult struct {
+	name   string
+	method Method
+	site   string
+	ok     bool
+}
+
+// discoverIndependent applies the three cases of lines 8-24 to one token.
+func (e *Extractor) discoverIndependent(tok, target string) indResult {
+	return e.ind.get(tokenTarget{tok, target}, func() indResult {
+		ti := e.targetIndex(target)
+		// Case 1: token occurs under TGTDIRS and is a candidate property.
+		if e.InPropList(tok) {
+			if paths := e.Tree.FindToken(tok, ti.dirs); len(paths) > 0 {
+				return indResult{tok, MethodToken, paths[0], true}
+			}
+		}
+		// Case 2: partial match against assignment RHS under TGTDIRS.
+		if a, ok := e.partialAssign(tok, ti); ok {
+			return indResult{a.lhs, MethodPartial, a.path, true}
+		}
+		// Case 3: declared only in LLVMDIRs.
+		if e.InPropList(tok) {
+			return indResult{tok, MethodCore, e.propSites[tok], true}
+		}
+		return indResult{}
+	})
+}
+
+// partialAssign finds the first string assignment "prop = str" under the
+// target's TGTDIRS whose RHS partially matches tok, with prop in the
+// candidate set.
+func (e *Extractor) partialAssign(tok string, ti *targetIndex) (normAssign, bool) {
+	m := e.matcher(tok)
+	for _, a := range ti.strAssigns {
+		if m.match(a.norm) {
+			return a, true
 		}
 	}
-	return "", "", false
+	return normAssign{}, false
 }
 
 // partialAssignSite checks whether the property itself is assigned under
-// tgtDirs ("OperandType = ..." present for this target).
-func (e *Extractor) partialAssignSite(prop string, tgtDirs []string) (string, bool) {
-	for _, a := range e.Tree.AssignmentsUnder(tgtDirs) {
-		if a.LHS == prop {
-			return a.Path, true
+// the target's TGTDIRS ("OperandType = ..." present for this target).
+func (e *Extractor) partialAssignSite(prop, target string) (string, bool) {
+	site := e.sites.get(tokenTarget{prop, target}, func() string {
+		for _, a := range e.Tree.AssignmentsUnder(TGTDirs(target)) {
+			if a.LHS == prop {
+				return a.Path
+			}
 		}
-	}
-	return "", false
+		return ""
+	})
+	return site, site != ""
+}
+
+// depResult is one discoverDependent answer.
+type depResult struct {
+	prop Property
+	ok   bool
 }
 
 // discoverDependent applies lines 25-40 to one placeholder value token.
-func (e *Extractor) discoverDependent(val, target string) (Property, bool) {
-	tgtDirs := TGTDirs(target)
+func (e *Extractor) discoverDependent(val, target string) depResult {
+	return e.dep.get(tokenTarget{val, target}, func() depResult {
+		prop, ok := e.discoverDependentScan(val, e.targetIndex(target))
+		return depResult{prop, ok}
+	})
+}
+
+// discoverDependentScan computes discoverDependent.
+func (e *Extractor) discoverDependentScan(val string, ti *targetIndex) (Property, bool) {
+	tgtDirs := ti.dirs
 	// Case 1a: enum membership under TGTDIRs.
 	if enumName, path, ok := e.Tree.EnumContaining(val, tgtDirs); ok {
 		if e.InPropList(enumName) {
@@ -269,8 +344,8 @@ func (e *Extractor) discoverDependent(val, target string) (Property, bool) {
 		}
 	}
 	// Case 1c: exact assignment "prop = val".
-	for _, a := range e.Tree.AssignmentsUnder(tgtDirs) {
-		if a.RHS == val && e.InPropList(a.LHS) {
+	for _, a := range ti.propAssigns {
+		if a.RHS == val {
 			return Property{
 				Name: a.LHS, Kind: Dependent, Method: MethodAssign,
 				IdentifiedSite: e.propSites[a.LHS],
@@ -278,20 +353,18 @@ func (e *Extractor) discoverDependent(val, target string) (Property, bool) {
 		}
 	}
 	// Case 1d: TableGen record whose class chain reaches an LLVMDIRs class.
-	if class, ok := e.recordClass(val, tgtDirs); ok {
+	if class, ok := e.recordClass(val, ti); ok {
 		return Property{
 			Name: class, Kind: Dependent, Method: MethodRecord,
 			IdentifiedSite: e.propSites[class], ClassName: class,
 		}, true
 	}
 	// Case 2: partial match against assignment RHS.
-	for _, a := range e.Tree.AssignmentsUnder(tgtDirs) {
-		if a.IsStr && e.InPropList(a.LHS) && e.partialMatch(val, a.RHS) {
-			return Property{
-				Name: a.LHS, Kind: Dependent, Method: MethodAssign,
-				IdentifiedSite: e.propSites[a.LHS],
-			}, true
-		}
+	if a, ok := e.partialAssign(val, ti); ok {
+		return Property{
+			Name: a.lhs, Kind: Dependent, Method: MethodAssign,
+			IdentifiedSite: e.propSites[a.lhs],
+		}, true
 	}
 	return Property{}, false
 }
@@ -305,6 +378,7 @@ func (e *Extractor) correlateEnum(enumName, path string) (string, bool) {
 		return "", false
 	}
 	llvmEnums := e.Tree.EnumsUnder(e.LLVMDirs)
+	corePaths := e.Tree.PathsUnder(e.LLVMDirs)
 	for _, en := range enums {
 		if en.Name != enumName {
 			continue
@@ -314,10 +388,11 @@ func (e *Extractor) correlateEnum(enumName, path string) (string, bool) {
 				continue
 			}
 			for _, ref := range strings.Fields(m.Value) {
-				for corePath, ces := range llvmEnums {
-					for _, ce := range ces {
+				// Core enums in path order, so a reference two core enums
+				// declare resolves the same way every time.
+				for _, corePath := range corePaths {
+					for _, ce := range llvmEnums[corePath] {
 						if ce.Has(ref) {
-							_ = corePath
 							return ce.Name, true
 						}
 					}
@@ -328,39 +403,35 @@ func (e *Extractor) correlateEnum(enumName, path string) (string, bool) {
 	return "", false
 }
 
-// recordsFor builds (and caches) the class/def indexes of one directory
-// set, keyed by the joined prefix list.
-func (e *Extractor) recordsFor(tgtDirs []string) *recordMaps {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := strings.Join(tgtDirs, "|")
-	if rm, ok := e.recordCache[key]; ok {
-		return rm
-	}
-	rm := &recordMaps{classes: map[string][]string{}, defs: map[string][]string{}}
-	for _, path := range e.append2(e.Tree.PathsUnder(tgtDirs), e.Tree.PathsUnder(e.LLVMDirs)) {
-		if !strings.HasSuffix(path, ".td") {
-			continue
-		}
-		td, ok := e.parseTDLocked(path)
-		if !ok {
-			continue
-		}
-		for _, rec := range td.Records {
-			if rec.Kind == "class" {
-				rm.classes[rec.Name] = rec.Parents
-			} else if rec.Name != "" {
-				rm.defs[rec.Name] = rec.Parents
+// recordsFor builds (and caches) the class/def indexes of one target's
+// TGTDIRS plus LLVMDIRS.
+func (e *Extractor) recordsFor(ti *targetIndex) *recordMaps {
+	return e.records.get(ti.target, func() *recordMaps {
+		rm := &recordMaps{classes: map[string][]string{}, defs: map[string][]string{}}
+		for _, path := range e.append2(e.Tree.PathsUnder(ti.dirs), e.Tree.PathsUnder(e.LLVMDirs)) {
+			if !strings.HasSuffix(path, ".td") {
+				continue
+			}
+			td, err := e.Tree.TD(path)
+			if err != nil {
+				continue
+			}
+			for _, rec := range td.Records {
+				if rec.Kind == "class" {
+					rm.classes[rec.Name] = rec.Parents
+				} else if rec.Name != "" {
+					rm.defs[rec.Name] = rec.Parents
+				}
 			}
 		}
-	}
-	e.recordCache[key] = rm
-	return rm
+		return rm
+	})
 }
 
-// recordClass resolves a def name under tgtDirs to its root LLVMDIRs class.
-func (e *Extractor) recordClass(val string, tgtDirs []string) (string, bool) {
-	rm := e.recordsFor(tgtDirs)
+// recordClass resolves a def name under the target's TGTDIRS to its root
+// LLVMDIRs class.
+func (e *Extractor) recordClass(val string, ti *targetIndex) (string, bool) {
+	rm := e.recordsFor(ti)
 	classes, defs := rm.classes, rm.defs
 	parents, ok := defs[val]
 	if !ok {
@@ -393,16 +464,17 @@ func (e *Extractor) append2(a, b []string) []string {
 // targetPaths lists the description files that belong to one target:
 // everything under lib/Target/<T>, plus files in shared TGTDIRs whose base
 // name carries the target's name (llvm/BinaryFormat/ELFRelocs/<T>.def).
-func (e *Extractor) targetPaths(target string) []string {
+func (e *Extractor) targetPaths(target string, tgtDirs []string) []string {
 	var out []string
 	ownPrefix := "lib/Target/" + target + "/"
-	for _, path := range e.Tree.PathsUnder(TGTDirs(target)) {
+	lowerTarget := strings.ToLower(target)
+	for _, path := range e.Tree.PathsUnder(tgtDirs) {
 		if strings.HasPrefix(path, ownPrefix) {
 			out = append(out, path)
 			continue
 		}
 		base := path[strings.LastIndex(path, "/")+1:]
-		if strings.HasPrefix(strings.ToLower(base), strings.ToLower(target)) {
+		if strings.HasPrefix(strings.ToLower(base), lowerTarget) {
 			out = append(out, path)
 		}
 	}
@@ -410,14 +482,21 @@ func (e *Extractor) targetPaths(target string) []string {
 }
 
 // dependentCandidates mines a target's TgtValSet for one dependent
-// property.
+// property, once per (property, target).
 func (e *Extractor) dependentCandidates(p Property, target string) DepInfo {
-	tgtDirs := TGTDirs(target)
+	return e.cands.get(propTarget{p, target}, func() DepInfo {
+		return e.dependentCandidatesScan(p, e.targetIndex(target))
+	})
+}
+
+// dependentCandidatesScan computes dependentCandidates.
+func (e *Extractor) dependentCandidatesScan(p Property, ti *targetIndex) DepInfo {
+	tgtDirs := ti.dirs
 	switch p.Method {
 	case MethodEnum:
 		// Find the enum under TGTDIRs correlated with p.EnumName: same
 		// name, or member initializers referencing it.
-		for _, path := range e.targetPaths(target) {
+		for _, path := range ti.paths {
 			content, _ := e.Tree.Content(path)
 			if !strings.HasSuffix(path, ".h") && !strings.HasSuffix(path, ".def") {
 				continue
@@ -450,19 +529,19 @@ func (e *Extractor) dependentCandidates(p Property, target string) DepInfo {
 	case MethodRecord:
 		var cands []string
 		var site string
-		for _, path := range e.targetPaths(target) {
+		for _, path := range ti.paths {
 			if !strings.HasSuffix(path, ".td") {
 				continue
 			}
-			td, ok := e.parseTD(path)
-			if !ok {
+			td, err := e.Tree.TD(path)
+			if err != nil {
 				continue
 			}
 			for _, rec := range td.Records {
 				if rec.Kind != "def" || rec.Name == "" {
 					continue
 				}
-				if _, ok := e.recordClassIs(rec.Name, p.ClassName, tgtDirs); ok {
+				if _, ok := e.recordClassIs(rec.Name, p.ClassName, ti); ok {
 					cands = append(cands, rec.Name)
 					site = path
 				}
@@ -470,12 +549,8 @@ func (e *Extractor) dependentCandidates(p Property, target string) DepInfo {
 		}
 		return DepInfo{Candidates: cands, UpdateSite: site}
 	case MethodList:
-		own := map[string]bool{}
-		for _, path := range e.targetPaths(target) {
-			own[path] = true
-		}
 		for _, la := range e.Tree.ListAssignmentsUnder(tgtDirs) {
-			if la.LHS == p.Name && own[la.Path] {
+			if la.LHS == p.Name && ti.own[la.Path] {
 				return DepInfo{Candidates: la.Items, UpdateSite: la.Path}
 			}
 		}
@@ -483,12 +558,8 @@ func (e *Extractor) dependentCandidates(p Property, target string) DepInfo {
 		var cands []string
 		var site string
 		seen := map[string]bool{}
-		own := map[string]bool{}
-		for _, path := range e.targetPaths(target) {
-			own[path] = true
-		}
 		for _, a := range e.Tree.AssignmentsUnder(tgtDirs) {
-			if !own[a.Path] {
+			if !ti.own[a.Path] {
 				continue
 			}
 			if a.LHS == p.Name && !seen[a.RHS] {
@@ -524,8 +595,8 @@ func (e *Extractor) enumReferences(en tablegen.Enum, coreEnum string) bool {
 }
 
 // recordClassIs checks whether def's class chain reaches class.
-func (e *Extractor) recordClassIs(def, class string, tgtDirs []string) (string, bool) {
-	got, ok := e.recordClass(def, tgtDirs)
+func (e *Extractor) recordClassIs(def, class string, ti *targetIndex) (string, bool) {
+	got, ok := e.recordClass(def, ti)
 	if ok && got == class {
 		return got, true
 	}
@@ -559,7 +630,41 @@ func containsInt(xs []int, x int) bool {
 // identifiers like IsPCRel match values like "OPERAND_PCREL" because a
 // camel-case run of one, normalized, is a substring of the other.
 func PartialMatch(tok, str string) bool {
-	nt, ns := normalize(tok), normalize(str)
+	return newTokenMatcher(tok).match(normalize(str))
+}
+
+// tokenMatcher is PartialMatch with the token side prepared once: the
+// normalized token and the normalized concatenations of its contiguous
+// camel-case runs that are long enough to count. Discovery matches one
+// token against every string assignment of a target, so the preparation
+// is shared (Extractor.matcher) and matching allocates nothing.
+type tokenMatcher struct {
+	norm string
+	// subs holds, per starting run, the shortest concatenation of runs
+	// from it that normalizes to 4 or more bytes. normalize works byte by
+	// byte, so every longer concatenation from the same run extends that
+	// one, and a value containing the longer also contains the shorter:
+	// these subs match exactly when all of them would.
+	subs []string
+}
+
+func newTokenMatcher(tok string) *tokenMatcher {
+	m := &tokenMatcher{norm: normalize(tok)}
+	runs := camelRuns(tok)
+	for i := range runs {
+		for j := i; j < len(runs); j++ {
+			if sub := normalize(strings.Join(runs[i:j+1], "")); len(sub) >= 4 {
+				m.subs = append(m.subs, sub)
+				break
+			}
+		}
+	}
+	return m
+}
+
+// match reports PartialMatch(tok, str) given ns = normalize(str).
+func (m *tokenMatcher) match(ns string) bool {
+	nt := m.norm
 	if nt == "" || ns == "" {
 		return false
 	}
@@ -574,14 +679,10 @@ func PartialMatch(tok, str string) bool {
 	if len(ns) >= 3 && strings.HasPrefix(nt, ns) {
 		return true
 	}
-	// Contiguous camel-case runs of tok (length >= 4 normalized).
-	runs := camelRuns(tok)
-	for i := 0; i < len(runs); i++ {
-		for j := i; j < len(runs); j++ {
-			sub := normalize(strings.Join(runs[i:j+1], ""))
-			if len(sub) >= 4 && strings.Contains(ns, sub) {
-				return true
-			}
+	// Contiguous camel-case runs of tok.
+	for _, sub := range m.subs {
+		if strings.Contains(ns, sub) {
+			return true
 		}
 	}
 	return false

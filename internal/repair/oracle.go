@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"vega/internal/corpus"
 	"vega/internal/cpp"
@@ -98,6 +99,40 @@ type Verdict struct {
 type Oracle struct {
 	// Ref is the ground-truth backend (nil = nothing to verify against).
 	Ref *corpus.Backend
+
+	// refs caches each reference function's canonical statements and
+	// their tokens by function name: the reference never changes, and
+	// every failing verification of a repair loop aligns against it.
+	// One engine serves every generation worker, hence mu.
+	mu   sync.Mutex
+	refs map[string]*refStatements
+}
+
+// refStatements is a reference function in the comparison space: its
+// canonical statements and each one's tokens. Shared; read-only.
+type refStatements struct {
+	texts []string
+	toks  [][]string
+}
+
+// refStatementsFor returns the cached canonical form of the reference
+// function name.
+func (o *Oracle) refStatementsFor(name string, ref *cpp.Node) *refStatements {
+	o.mu.Lock()
+	rs, ok := o.refs[name]
+	o.mu.Unlock()
+	if ok {
+		return rs
+	}
+	texts := canonicalStatements(ref)
+	rs = &refStatements{texts: texts, toks: tokenizeLines(texts)}
+	o.mu.Lock()
+	if o.refs == nil {
+		o.refs = make(map[string]*refStatements)
+	}
+	o.refs[name] = rs
+	o.mu.Unlock()
+	return rs
 }
 
 // Verify executes fn against the reference implementation and derives
@@ -127,13 +162,13 @@ func (o *Oracle) Verify(fn *generate.Function) Verdict {
 		cpp.Normalize(genFn)
 		cases := eval.Suite(fn.Name, u)
 		if len(cases) == 0 {
-			v = textualVerdict(genFn, ref)
+			v = textualVerdict(genFn, o.refStatementsFor(fn.Name, ref))
 		} else {
 			v = suiteVerdict(u, genFn, ref, cases)
 		}
 	}
 	if !v.Pass {
-		v.Suspects = suspects(fn, ref)
+		v.Suspects = suspects(fn, o.refStatementsFor(fn.Name, ref))
 		if v.CE != nil && v.CE.Row < 0 && len(v.Suspects) > 0 {
 			v.CE.Row = v.Suspects[0].Row
 			v.CE.Stmt = v.Suspects[0].Text
@@ -172,16 +207,16 @@ func suiteVerdict(u *eval.Universe, genFn, ref *cpp.Node, cases []eval.Case) Ver
 // textualVerdict is the no-suite fallback: canonical statement equality,
 // scored by exactly-matching aligned statements so the engine still has a
 // gradient to re-rank candidates by.
-func textualVerdict(genFn, ref *cpp.Node) Verdict {
+func textualVerdict(genFn *cpp.Node, ref *refStatements) Verdict {
 	genTexts := canonicalStatements(genFn)
-	refTexts := canonicalStatements(ref)
+	refTexts := ref.texts
 	v := Verdict{Total: len(refTexts)}
 	if strings.Join(genTexts, "\n") == strings.Join(refTexts, "\n") {
 		v.Pass = true
 		v.Passed = v.Total
 		return v
 	}
-	pairs := gumtree.AlignTokenized(tokenizeLines(genTexts), tokenizeLines(refTexts),
+	pairs := gumtree.AlignTokenized(tokenizeLines(genTexts), ref.toks,
 		gumtree.AlignOptions{MinSim: 0.3})
 	for _, p := range pairs {
 		if p.A >= 0 && p.B >= 0 && genTexts[p.A] == refTexts[p.B] {
@@ -201,7 +236,7 @@ func textualVerdict(genFn, ref *cpp.Node) Verdict {
 // Mismatched rows come first (wrong values), then spurious rows (matched
 // nothing), then — when reference statements went unmatched — the
 // dropped/absent rows with ForcePresent set.
-func suspects(fn *generate.Function, ref *cpp.Node) []Suspect {
+func suspects(fn *generate.Function, ref *refStatements) []Suspect {
 	type keptRow struct {
 		row  int
 		text string // raw
@@ -213,13 +248,12 @@ func suspects(fn *generate.Function, ref *cpp.Node) []Suspect {
 			kept = append(kept, keptRow{row: s.Row, text: s.Text, can: canonicalText(s.Text)})
 		}
 	}
-	refTexts := canonicalStatements(ref)
+	refTexts := ref.texts
 	tg := make([][]string, len(kept))
 	for i, k := range kept {
 		tg[i] = tokenizeLine(k.can)
 	}
-	pairs := gumtree.AlignTokenized(tg, tokenizeLines(refTexts),
-		gumtree.AlignOptions{MinSim: 0.3})
+	pairs := gumtree.AlignTokenized(tg, ref.toks, gumtree.AlignOptions{MinSim: 0.3})
 	var mismatched, spurious []Suspect
 	refMatched := make([]bool, len(refTexts))
 	for _, p := range pairs {

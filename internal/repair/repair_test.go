@@ -2,6 +2,7 @@ package repair
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -185,6 +186,48 @@ func TestOracleTextualFallback(t *testing.T) {
 	if v.Pass || v.CE == nil || !strings.Contains(v.CE.Want, "text equality") {
 		t.Errorf("%s: corrupted textual verdict = %+v, want textual counterexample", name, v)
 	}
+}
+
+// TestOracleCachedReferenceMatchesFresh verifies failing functions, one
+// with a regression suite and one checked textually, from 4 goroutines
+// sharing one Oracle, so most calls align against its cached reference
+// statements; every verdict must equal a fresh Oracle's.
+func TestOracleCachedReferenceMatchesFresh(t *testing.T) {
+	b := refBackend(t, "RISCV")
+	u := eval.NewUniverse(b)
+	suiteFn := selfFunction(t, b, "isLegalICmpImmediate")
+	corrupt(t, suiteFn, "return Imm >=", "  return Imm >= -16 && Imm < 16;")
+	fns := []*generate.Function{suiteFn}
+	for _, f := range corpus.AllFuncs() {
+		if b.Funcs[f.Name] != nil && len(eval.Suite(f.Name, u)) == 0 {
+			fn := selfFunction(t, b, f.Name)
+			fn.Statements[len(fn.Statements)/2].Text = "int totallyBogus = 99;"
+			fns = append(fns, fn)
+			break
+		}
+	}
+	want := make([]Verdict, len(fns))
+	for i, fn := range fns {
+		if want[i] = (&Oracle{Ref: b}).Verify(fn); want[i].Pass {
+			t.Fatalf("%s: corrupted function passed", fn.Name)
+		}
+	}
+	shared := &Oracle{Ref: b}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i, fn := range fns {
+					if got := shared.Verify(fn); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("%s: cached verdict %+v, fresh %+v", fn.Name, got, want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // ---- engine ---------------------------------------------------------------

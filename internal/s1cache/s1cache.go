@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,8 +121,25 @@ func FleetKey(funcs []string, targets []string) string {
 // TreeHashes classifies the source tree into the shared core and
 // per-target slices, hashing each bucket: paths under lib/Target/<T>/
 // and llvm/BinaryFormat/ELFRelocs/<T>.def belong to target T, everything
-// else to the core. targets lists the fleet's target names.
+// else to the core. targets lists the fleet's target names. The hashes
+// are memoized on the tree per target list (tree.Add drops them), so
+// repeated builds over one shared tree hash it once; byTarget is the
+// caller's own copy.
 func TreeHashes(tree *tablegen.SourceTree, targets []string) (core string, byTarget map[string]string) {
+	type hashes struct {
+		core     string
+		byTarget map[string]string
+	}
+	key := "s1cache.TreeHashes\x00" + strings.Join(targets, "\x00")
+	h := tree.Memo(key, func() any {
+		core, byTarget := treeHashes(tree, targets)
+		return hashes{core, byTarget}
+	}).(hashes)
+	return h.core, maps.Clone(h.byTarget)
+}
+
+// treeHashes computes TreeHashes.
+func treeHashes(tree *tablegen.SourceTree, targets []string) (core string, byTarget map[string]string) {
 	owner := func(p string) string {
 		if rest, ok := strings.CutPrefix(p, "lib/Target/"); ok {
 			if t, _, ok := strings.Cut(rest, "/"); ok {

@@ -9,6 +9,7 @@ import (
 
 	"vega/internal/corpus"
 	"vega/internal/feature"
+	"vega/internal/tablegen"
 	"vega/internal/template"
 )
 
@@ -292,5 +293,44 @@ func TestFleetKeySensitivity(t *testing.T) {
 	}
 	if k := FleetKey(funcs, []string{"ARM", "Mips", "X86"}); k == k1 {
 		t.Fatal("fleet change did not change the fleet key")
+	}
+}
+
+// TestTreeHashesSeeAdd pins TreeHashes' memo on the tree: repeated calls
+// agree and hand out independent maps, and Add replacing a target's .td
+// file re-hashes exactly that target's bucket, matching a tree built
+// with the new content from scratch, while the tree's parse of the file
+// sees the new content too.
+func TestTreeHashesSeeAdd(t *testing.T) {
+	build := func(armTD string) *tablegen.SourceTree {
+		tree := tablegen.NewSourceTree()
+		tree.Add("llvm/Target/Target.td", "class Target;")
+		tree.Add("lib/Target/ARM/ARM.td", armTD)
+		tree.Add("lib/Target/Mips/Mips.td", "def MipsTarget : Target;")
+		return tree
+	}
+	targets := []string{"ARM", "Mips"}
+	tree := build("def ARMTarget : Target;")
+	core, byTarget := TreeHashes(tree, targets)
+	byTarget["ARM"] = "scribbled"
+	core2, byTarget2 := TreeHashes(tree, targets)
+	if core2 != core || byTarget2["ARM"] == "scribbled" {
+		t.Fatal("memoized TreeHashes not stable, or its map shared with a caller")
+	}
+	if td, err := tree.TD("lib/Target/ARM/ARM.td"); err != nil || td.Records[0].Name != "ARMTarget" {
+		t.Fatalf("parse before Add: %+v, %v", td, err)
+	}
+
+	tree.Add("lib/Target/ARM/ARM.td", "def ARMv2 : Target;")
+	core3, byTarget3 := TreeHashes(tree, targets)
+	wantCore, want := TreeHashes(build("def ARMv2 : Target;"), targets)
+	if core3 != wantCore || !reflect.DeepEqual(byTarget3, want) {
+		t.Fatal("TreeHashes after Add differ from a fresh tree with the same content")
+	}
+	if byTarget3["ARM"] == byTarget2["ARM"] || byTarget3["Mips"] != byTarget2["Mips"] || core3 != core {
+		t.Fatal("Add re-hashed the wrong buckets")
+	}
+	if td, err := tree.TD("lib/Target/ARM/ARM.td"); err != nil || td.Records[0].Name != "ARMv2" {
+		t.Fatalf("parse after Add: %+v, %v", td, err)
 	}
 }

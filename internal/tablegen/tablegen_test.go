@@ -278,3 +278,60 @@ func TestListAssignmentsIgnoreNonTd(t *testing.T) {
 		t.Errorf("non-td list assignments = %v", got)
 	}
 }
+
+// TestParseTDNegativeCache pins the tree's parsed-.td cache: a file that
+// fails to parse keeps reporting its error on every later call — it is
+// never stored as a nil success, and never conflated with a file that
+// parses to an empty (but valid) TDFile — and Add replacing a file
+// drops the cached parses and memos, so both see the new content.
+func TestParseTDNegativeCache(t *testing.T) {
+	tree := NewSourceTree()
+	tree.Add("lib/Target/ARM/Bad.td", "def Foo {") // unterminated record body
+	tree.Add("lib/Target/ARM/Empty.td", "")        // valid, parses to an empty file
+
+	var firstErr error
+	for i := 0; i < 2; i++ { // second round is served from the cache
+		td, err := tree.TD("lib/Target/ARM/Bad.td")
+		if err == nil || td != nil {
+			t.Fatalf("round %d: bad file parsed: td=%v err=%v", i, td, err)
+		}
+		if i == 0 {
+			firstErr = err
+		} else if err != firstErr {
+			t.Fatalf("cached failure %v differs from the first %v", err, firstErr)
+		}
+		if td, err := tree.TD("lib/Target/ARM/Empty.td"); err != nil || td == nil {
+			t.Fatalf("round %d: valid empty file rejected: td=%v err=%v", i, td, err)
+		}
+	}
+	if _, ok := tree.memos["tablegen.TD\x00lib/Target/ARM/Bad.td"]; !ok {
+		t.Fatal("parse failure not remembered")
+	}
+	empty, _ := tree.TD("lib/Target/ARM/Empty.td")
+	if again, _ := tree.TD("lib/Target/ARM/Empty.td"); again != empty {
+		t.Fatal("second parse not served from the cache")
+	}
+
+	builds := 0
+	memo := func() any {
+		return tree.Memo("test", func() any {
+			builds++
+			content, _ := tree.Content("lib/Target/ARM/Bad.td")
+			return content
+		})
+	}
+	if memo() != "def Foo {" || memo() != "def Foo {" || builds != 1 {
+		t.Fatalf("memo built %d times, want 1", builds)
+	}
+
+	// Replacing the failing file with valid text drops both its cached
+	// failure and every memo.
+	tree.Add("lib/Target/ARM/Bad.td", "def Foo;")
+	td, err := tree.TD("lib/Target/ARM/Bad.td")
+	if err != nil || len(td.Records) != 1 || td.Records[0].Name != "Foo" {
+		t.Fatalf("parse after Add: td=%+v err=%v", td, err)
+	}
+	if got := memo(); got != "def Foo;" || builds != 2 {
+		t.Fatalf("memo after Add = %v after %d builds, want the new content from a second build", got, builds)
+	}
+}

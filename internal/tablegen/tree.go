@@ -22,7 +22,7 @@ type SourceTree struct {
 	// so queries after the build need no lock — the build's mutex release
 	// publishes the maps.
 	mu          sync.Mutex
-	tokens      map[string]map[string]bool  // path -> token set
+	tokens      map[string][]string         // token -> sorted paths containing it
 	assigns     map[string][]Assignment     // path -> assignments
 	listAssigns map[string][]ListAssignment // path -> list assignments
 	enums       map[string][]Enum           // path -> enums
@@ -35,6 +35,12 @@ type SourceTree struct {
 	pathsMemo  map[string][]string
 	assignMemo map[string][]Assignment
 	listMemo   map[string][]ListAssignment
+
+	// Values derived from the tree (parsed .td files among them), guarded
+	// by memoMu rather than mu so a derivation in progress never blocks
+	// the index queries above. See Memo.
+	memoMu sync.Mutex
+	memos  map[string]any // Memo key -> derived value
 }
 
 // Assignment is a "key = value" pair found in a file, whether a TableGen
@@ -60,6 +66,54 @@ func (t *SourceTree) Add(path, content string) {
 	t.files[path] = content
 	t.tokens, t.assigns, t.listAssigns, t.enums = nil, nil, nil, nil
 	t.pathsMemo, t.assignMemo, t.listMemo = nil, nil, nil
+	t.memoMu.Lock()
+	t.memos = nil
+	t.memoMu.Unlock()
+}
+
+// TD returns the parsed TableGen file at path, parsing it on first use.
+// Successes and failures are both remembered until the next Add. The
+// returned file is shared — callers must not mutate it.
+func (t *SourceTree) TD(path string) (*TDFile, error) {
+	r := t.Memo("tablegen.TD\x00"+path, func() any {
+		content, _ := t.Content(path)
+		td, err := ParseTD(content)
+		return tdParse{td, err}
+	}).(tdParse)
+	return r.td, r.err
+}
+
+// tdParse is one memoized ParseTD outcome. A failed parse keeps its
+// error, so the cache answers a failure exactly as the first attempt did
+// and never conflates it with a file that parses to an empty TDFile.
+type tdParse struct {
+	td  *TDFile
+	err error
+}
+
+// Memo returns build's value under key, computing it once per tree
+// content: Add drops every memo. It keeps values derived from the tree —
+// parsed .td files, and other packages' derivations such as Stage 1's
+// cache-key hashes — on the tree itself, so they live exactly as long as
+// the content they describe. build must be a pure function of the tree,
+// and runs outside the lock: two goroutines may build the same key, and
+// either value may be kept. The value is shared — callers must not
+// mutate it.
+func (t *SourceTree) Memo(key string, build func() any) any {
+	t.memoMu.Lock()
+	v, ok := t.memos[key]
+	t.memoMu.Unlock()
+	if ok {
+		return v
+	}
+	v = build()
+	t.memoMu.Lock()
+	if t.memos == nil {
+		t.memos = make(map[string]any)
+	}
+	t.memos[key] = v
+	t.memoMu.Unlock()
+	return v
 }
 
 // Content returns a file's content.
@@ -91,7 +145,7 @@ func (t *SourceTree) PathsUnder(dirs []string) []string {
 	var out []string
 	for p := range t.files {
 		for _, d := range dirs {
-			if strings.HasPrefix(p, strings.TrimSuffix(d, "/")+"/") {
+			if underDir(p, d) {
 				out = append(out, p)
 				break
 			}
@@ -112,27 +166,34 @@ func (t *SourceTree) buildTokenIndex() {
 	if t.tokens != nil {
 		return
 	}
-	tokens := make(map[string]map[string]bool, len(t.files))
-	for p, c := range t.files {
-		set := make(map[string]bool)
+	tokens := make(map[string][]string)
+	seen := make(map[string]bool)
+	add := func(p, tok string) {
+		if !seen[tok] {
+			seen[tok] = true
+			tokens[tok] = append(tokens[tok], p)
+		}
+	}
+	for _, p := range t.Paths() { // sorted, so every posting list is too
+		clear(seen)
+		c := t.files[p]
 		toks, err := cpp.Lex(c)
 		if err != nil {
 			// Fall back to whitespace splitting on unlexable content so a
 			// single odd file cannot hide the rest of the tree.
 			for _, w := range strings.Fields(c) {
-				set[w] = true
+				add(p, w)
 			}
-		} else {
-			for _, tok := range toks {
-				set[tok.Text] = true
-				if tok.Kind == cpp.TokString {
-					// Index string contents too: feature selection matches
-					// tokens against values like Name = "RISCV".
-					set[unquote(tok.Text)] = true
-				}
+			continue
+		}
+		for _, tok := range toks {
+			add(p, tok.Text)
+			if tok.Kind == cpp.TokString {
+				// Index string contents too: feature selection matches
+				// tokens against values like Name = "RISCV".
+				add(p, unquote(tok.Text))
 			}
 		}
-		tokens[p] = set
 	}
 	t.tokens = tokens
 }
@@ -142,12 +203,21 @@ func (t *SourceTree) buildTokenIndex() {
 func (t *SourceTree) FindToken(tok string, dirs []string) []string {
 	t.buildTokenIndex()
 	var out []string
-	for _, p := range t.PathsUnder(dirs) {
-		if t.tokens[p][tok] {
-			out = append(out, p)
+	for _, p := range t.tokens[tok] {
+		for _, d := range dirs {
+			if underDir(p, d) {
+				out = append(out, p)
+				break
+			}
 		}
 	}
 	return out
+}
+
+// underDir reports whether path lies under directory d ("a/b" or "a/b/").
+func underDir(path, d string) bool {
+	d = strings.TrimSuffix(d, "/")
+	return len(path) > len(d) && path[len(d)] == '/' && strings.HasPrefix(path, d)
 }
 
 // HasToken reports whether tok occurs in any file under dirs.
