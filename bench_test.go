@@ -109,29 +109,11 @@ func BenchmarkFig6TrainingTime(b *testing.B) {
 }
 
 // BenchmarkFig7InferenceTime measures Stage 3 generation of one complete
-// backend (Fig. 7's quantity) on the production fast path — int8
-// quantized decoding over the cross-function batched encoder — reporting
-// per-module seconds. Output is identical to the float32 variant below
-// (ambiguous rows re-decode at full precision), so the pairing in
-// BENCH_stage3.json is a pure speed delta. The generation pool and the
-// kernels run GOMAXPROCS wide; `go test -cpu 1` gives the one-core
-// number.
+// backend (Fig. 7's quantity) on the production path — float32 greedy
+// decoding over the cross-function batched encoder — reporting
+// per-module seconds. The generation pool and the kernels run GOMAXPROCS
+// wide; `go test -cpu 1` gives the one-core number.
 func BenchmarkFig7InferenceTime(b *testing.B) {
-	f := sharedFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gen := f.p.GenerateBackendOptions(context.Background(), "RISCV",
-			core.GenOptions{Quantize: true})
-		b.StopTimer()
-		b.ReportMetric(backendSeconds(gen), "s/backend")
-		b.StartTimer()
-	}
-}
-
-// BenchmarkFig7InferenceTimeFloat32 is the full-precision baseline for
-// the quantized benchmark above; benchjson derives the speedup from the
-// pair ("X" vs "XFloat32").
-func BenchmarkFig7InferenceTimeFloat32(b *testing.B) {
 	f := sharedFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -91,27 +91,16 @@ type doc struct {
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
-// deriveSpeedups annotates paired variants (-cpu suffixes stripped):
-//
-//   - "X" + "XWarm…": any warm variant ("XWarm", "XWarmOneDirty", …)
-//     gains speedup_vs_cold against the name before "Warm", so the
-//     cold/warm ratio is recorded in the artifact itself (e.g.
-//     BenchmarkStage1Templatization vs its cache-hit and
-//     incremental-one-target-dirty variants).
-//   - "X" + "XFloat32": the base variant gains speedup_vs_float32 —
-//     here the suffixed run is the full-precision baseline and the bare
-//     name is the quantized fast path (BenchmarkFig7InferenceTime).
+// deriveSpeedups annotates paired variants (-cpu suffixes stripped): any
+// warm variant of a benchmark X ("XWarm", "XWarmOneDirty", …) gains
+// speedup_vs_cold against X, so the cold/warm ratio is recorded in the
+// artifact itself (e.g. BenchmarkStage1Templatization vs its cache-hit
+// and incremental-one-target-dirty variants).
 func deriveSpeedups(d *doc) {
 	byBase := make(map[string]float64)
 	for _, r := range d.Results {
 		base, _, _ := strings.Cut(r.Name, "-")
 		byBase[base] = r.NsPerOp
-	}
-	addMetric := func(r *result, key string, v float64) {
-		if r.Metrics == nil {
-			r.Metrics = make(map[string]float64)
-		}
-		r.Metrics[key] = v
 	}
 	for i := range d.Results {
 		r := &d.Results[i]
@@ -121,11 +110,11 @@ func deriveSpeedups(d *doc) {
 		base, _, _ := strings.Cut(r.Name, "-")
 		if at := strings.LastIndex(base, "Warm"); at > 0 {
 			if cold, ok := byBase[base[:at]]; ok {
-				addMetric(r, "speedup_vs_cold", cold/r.NsPerOp)
+				if r.Metrics == nil {
+					r.Metrics = make(map[string]float64)
+				}
+				r.Metrics["speedup_vs_cold"] = cold / r.NsPerOp
 			}
-		}
-		if f32, ok := byBase[base+"Float32"]; ok {
-			addMetric(r, "speedup_vs_float32", f32/r.NsPerOp)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	vega-serve [-addr :8080] [-queue 64] [-workers N] [-deadline 60s]
-//	           [-load ckpt.vega | -epochs 14] [-quantize]
+//	           [-load ckpt.vega | -epochs 14]
 //	           [-metrics out.jsonl] [-pprof localhost:6060]
 //	           [-save-on-exit ckpt.vega]
 //
@@ -68,7 +68,6 @@ func main() {
 		samples   = flag.Int("samples", 2600, "max deduplicated training samples")
 		seed      = flag.Int64("seed", 1, "random seed")
 		arch      = flag.String("arch", "transformer", "model architecture: transformer, gru, bert")
-		quantize  = flag.Bool("quantize", false, "decode every request through int8 quantized weights (identical output, lower latency)")
 		s1workers = flag.Int("stage1-workers", 0, "parallel templatization workers (0 = NumCPU)")
 		s1cache   = flag.String("stage1-cache", "", "directory for the per-group content-addressed Stage 1 cache")
 		fleetName = flag.String("targets", "standard", "target fleet: standard, or extended (adds the VLIW, predicated, tensor, and RISC-V-extension families)")
@@ -108,7 +107,6 @@ func main() {
 	cfg.Train.Epochs = *epochs
 	cfg.MaxSamples = *samples
 	cfg.Arch = *arch
-	cfg.Quantize = *quantize
 	cfg.Stage1Workers = *s1workers
 	cfg.Stage1Cache = *s1cache
 	cfg.Obs = o

@@ -8,7 +8,6 @@
 //
 //	vega -target RISCV [-epochs 14] [-samples 2600] [-arch transformer]
 //	     [-out generated/] [-seed 1] [-quiet] [-timeout 10m] [-verify]
-//	     [-quantize]
 //	     [-metrics out.jsonl] [-pprof localhost:6060]
 //
 // The run honors a deadline (-timeout) and Ctrl-C: a canceled training
@@ -69,7 +68,6 @@ func main() {
 		pprofAt   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		verify    = flag.Bool("verify", false, "execute generated functions against the reference and repair divergences (CEGAR)")
 		repRounds = flag.Int("repair-rounds", 0, "max counterexample-guided repair rounds per function (0 = default 3; needs -verify)")
-		quantize  = flag.Bool("quantize", false, "decode through int8 quantized weights (identical output; ambiguous rows re-decode float32)")
 	)
 	flag.Parse()
 
@@ -147,7 +145,6 @@ func main() {
 	cfg.Stage1Cache = *s1cache
 	cfg.Verify = *verify
 	cfg.RepairRounds = *repRounds
-	cfg.Quantize = *quantize
 	cfg.Obs = o
 	if !*quiet {
 		cfg.Train.Verbose = func(e int, l float64) {

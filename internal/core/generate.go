@@ -26,24 +26,20 @@ func joinTokens(toks []string) string { return template.JoinTokens(toks) }
 // field is nil — and therefore a no-cost no-op — when no observer is
 // installed.
 type genMetrics struct {
-	functions      *obs.Counter   // gen.functions: interface functions decoded
-	decodeSeconds  *obs.Histogram // gen.decode_seconds: per-function decode time
-	queueWait      *obs.Histogram // gen.queue_wait_seconds: pool start → task pickup
-	recovered      *obs.Counter   // gen.recovered_panics: functions salvaged by the panic boundary
-	greedyRuns     *obs.Counter   // gen.decode_path.greedy: greedy decode runs, re-decodes included
-	quantDecodes   *obs.Counter   // gen.quant_decodes: rows decoded on the int8 path
-	quantFallbacks *obs.Counter   // gen.quant_fallbacks: ambiguous int8 rows re-decoded in float32
+	functions     *obs.Counter   // gen.functions: interface functions decoded
+	decodeSeconds *obs.Histogram // gen.decode_seconds: per-function decode time
+	queueWait     *obs.Histogram // gen.queue_wait_seconds: pool start → task pickup
+	recovered     *obs.Counter   // gen.recovered_panics: functions salvaged by the panic boundary
+	greedyRuns    *obs.Counter   // gen.decode_path.greedy: greedy decode runs, one per row
 }
 
 func newGenMetrics(o *obs.Obs) genMetrics {
 	return genMetrics{
-		functions:      o.Counter("gen.functions"),
-		decodeSeconds:  o.Histogram("gen.decode_seconds"),
-		queueWait:      o.Histogram("gen.queue_wait_seconds"),
-		recovered:      o.Counter("gen.recovered_panics"),
-		greedyRuns:     o.Counter("gen.decode_path.greedy"),
-		quantDecodes:   o.Counter("gen.quant_decodes"),
-		quantFallbacks: o.Counter("gen.quant_fallbacks"),
+		functions:     o.Counter("gen.functions"),
+		decodeSeconds: o.Histogram("gen.decode_seconds"),
+		queueWait:     o.Histogram("gen.queue_wait_seconds"),
+		recovered:     o.Counter("gen.recovered_panics"),
+		greedyRuns:    o.Counter("gen.decode_path.greedy"),
 	}
 }
 
@@ -60,20 +56,14 @@ func (p *Pipeline) GenerateFunction(g *Group, target string) (fn *generate.Funct
 	return p.generateFunction(g, target, genMode{})
 }
 
-// genMode carries one generation call's decode precision and any
-// precomputed state from the batch pre-pass. The zero value decodes each
-// row in float32 from its own encoding.
+// genMode carries one generation call's precomputed state from the
+// batch pre-pass. The zero value decodes each row from its own encoding.
 type genMode struct {
-	// quantize routes row decodes through the int8 quantized weight view;
-	// rows whose quantized decode is Ambiguous are re-decoded in float32,
-	// so output accuracy is preserved by construction.
-	quantize bool
 	// tv, when non-nil, is the precomputed target-value set (the batch
 	// pre-pass resolves it once per task; nil recomputes locally).
 	tv *feature.TargetFeatures
 	// rowMems, when non-nil, holds one pre-encoded encoder memory per
-	// template row (quantized iff quantize is set); nil entries, and a
-	// nil slice, self-encode per row.
+	// template row; nil entries, and a nil slice, self-encode per row.
 	rowMems [][]float32
 	// rowIDs, when non-nil, holds the encoded input token ids per
 	// template row, exactly what the batch pre-pass fed EncodeBatch —
@@ -114,7 +104,7 @@ func (p *Pipeline) generateFunction(g *Group, target string, mode genMode) (fn *
 		if ri < len(mode.rowMems) {
 			mem = mode.rowMems[ri]
 		}
-		outIDs := p.decodeRow(inIDs, mode, mem)
+		outIDs := p.decodeRow(inIDs, mem)
 		fn.Statements = append(fn.Statements, p.decodeStatement(g, ri, tv, outIDs))
 	}
 	return fn
@@ -122,31 +112,18 @@ func (p *Pipeline) generateFunction(g *Group, target string, mode genMode) (fn *
 
 // decodeRow greedily decodes one template row. On the transformer the
 // row decodes from its pre-encoded memory (or encodes itself when the
-// pre-pass left none), and an ambiguous quantized row re-decodes in
-// float32, so quantizing trades only time, never accuracy. The GRU and
-// BERT baselines decode through Model.Generate.
-func (p *Pipeline) decodeRow(inIDs []int, mode genMode, mem []float32) []int {
+// pre-pass left none). The GRU and BERT baselines decode through
+// Model.Generate.
+func (p *Pipeline) decodeRow(inIDs []int, mem []float32) []int {
 	p.gm.greedyRuns.Inc()
 	t, isT := p.Model.(*model.Transformer)
 	if !isT {
 		return p.Model.Generate(inIDs, p.Cfg.MaxOutPieces)
 	}
 	if mem == nil {
-		mem = t.EncodeBatch([][]int{inIDs}, mode.quantize)[0]
+		mem = t.EncodeBatch([][]int{inIDs}, false)[0]
 	}
-	d := t.NewIncrementalDecoderFromMemory(mem, mode.quantize)
-	out := t.Greedy(d, p.Cfg.MaxOutPieces)
-	if mode.quantize {
-		p.gm.quantDecodes.Inc()
-		if d.Ambiguous() {
-			// The quantized argmax may disagree with float32: re-decode
-			// the row at full precision.
-			p.gm.quantFallbacks.Inc()
-			p.gm.greedyRuns.Inc()
-			out = t.Generate(inIDs, p.Cfg.MaxOutPieces)
-		}
-	}
-	return out
+	return t.Greedy(t.NewIncrementalDecoderFromMemory(mem, false), p.Cfg.MaxOutPieces)
 }
 
 // decodeStatement reconstructs a statement from the model's decision
@@ -254,11 +231,6 @@ type GenOptions struct {
 	// Functions still carry a verification status; diverging ones report
 	// VerifyFailed with zero rounds instead of burning decode budget.
 	SkipRepair bool
-	// Quantize routes this request's decodes through the int8 quantized
-	// weight view (OR-ed with Cfg.Quantize). Ambiguous rows re-decode in
-	// float32, so results match the full-precision path; the serving
-	// ladder's QuantizeAt rung sets this under pressure.
-	Quantize bool
 }
 
 // moduleListed reports whether module survives a Modules filter (an empty
@@ -323,9 +295,9 @@ func (p *Pipeline) GenerateBackendContext(ctx context.Context, target string) *g
 
 // GenerateBackendOptions is GenerateBackendContext narrowed by opt: the
 // request can scope generation to a module subset or an explicit function
-// list, truncate after MaxFunctions (marked Truncated), verify, or decode
-// quantized. The cancellation, panic-isolation, determinism, and Seconds
-// contracts of GenerateBackendContext hold unchanged within the scope.
+// list, truncate after MaxFunctions (marked Truncated), or verify. The
+// cancellation, panic-isolation, determinism, and Seconds contracts of
+// GenerateBackendContext hold unchanged within the scope.
 //
 // The method is safe for concurrent use: model weights and Stage 1 state
 // are read-only after training, metrics are atomic, and all per-run state
@@ -367,8 +339,6 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	}
 
 	workers := min(runtime.GOMAXPROCS(0), len(tasks))
-
-	quantize := opt.Quantize || p.Cfg.Quantize
 
 	// Batch encode pre-pass: resolve each task's target values once, build
 	// every (task, row) encoder input in deterministic task order, and
@@ -438,7 +408,7 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 						m = nil
 					}
 				}()
-				return tModel.EncodeBatch(inputs[lo:hi], quantize)
+				return tModel.EncodeBatch(inputs[lo:hi], false)
 			}()
 			if mems == nil {
 				continue // these rows self-encode in decodeRow
@@ -507,10 +477,9 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 					obs.String("module", tasks[i].module))
 				start := time.Now()
 				results[i] = p.generateFunction(tasks[i].g, target, genMode{
-					quantize: quantize,
-					tv:       tvs[i],
-					rowMems:  taskMems[i],
-					rowIDs:   taskIDs[i],
+					tv:      tvs[i],
+					rowMems: taskMems[i],
+					rowIDs:  taskIDs[i],
 				})
 				durs[i] = time.Since(start).Seconds() + encShare[i]
 				if eng != nil {

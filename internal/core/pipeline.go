@@ -67,12 +67,6 @@ type Config struct {
 	// the MaxSamples convention: 0 (or negative) bounds nothing.
 	// DefaultConfig applies the usual 400.
 	VerifyCap int
-	// Quantize routes Stage 3 decoding through the int8 quantized weight
-	// view (transformer only; training always runs float32). Rows whose
-	// quantized decode is ambiguous re-decode in float32, so generated
-	// backends match the full-precision output. Per-request GenOptions.
-	// Quantize ORs with this.
-	Quantize bool
 	// Verify turns on the verify-and-repair loop: every generated
 	// function is executed against the held-out ground truth through the
 	// eval harness, and diverging functions get counterexample-guided

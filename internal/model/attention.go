@@ -51,7 +51,7 @@ func (tp *Tape) Attention(q, k, v *Tensor, qOffs, kOffs []int, heads int, causal
 	headT := tp.arena.AllocNoZero(dh * maxLk)
 	out := tp.newTensor(q.R, d)
 	attentionForward(out.Data, q.Data, k.Data, v.Data, d, heads, qOffs, kOffs, causal,
-		probs, true, headT, softmaxRow)
+		probs, true, headT)
 
 	return tp.record(out, func() {
 		if q.R == 0 {
@@ -141,19 +141,18 @@ func (tp *Tape) Attention(q, k, v *Tensor, qOffs, kOffs []int, heads int, causal
 // zeroed by the caller) from the full-width q, k and v rows. Per
 // (sample, head) it transposes the K head into headT (dh·max lk floats),
 // computes Q·Kᵀ into a zeroed lq×lk probability block with
-// tensor.MatMulStrided, scales it, adds the causal mask, applies smax to
-// each row, and accumulates P·V straight from V's full-width rows. With
-// keep, the blocks lie back to back in probs (sample-major, heads
-// inside), which the tape's backward reads; without it, probs holds one
-// block of the largest lq·lk and every (sample, head) reuses it.
+// tensor.MatMulStrided, scales it, adds the causal mask, applies the
+// softmax to each row, and accumulates P·V straight from V's full-width
+// rows. With keep, the blocks lie back to back in probs (sample-major,
+// heads inside), which the tape's backward reads; without it, probs holds
+// one block of the largest lq·lk and every (sample, head) reuses it.
 //
 // Each score is one ascending-p float32 chain with the zero-skip on q,
 // and each output element one ascending-j chain with the zero-skip on
-// P, so the training tape (smax = softmaxRow) and the float32 inference
-// encoder get the same bits from this one loop; the int8 encoder passes
-// qSoftmaxRow.
+// P, so the training tape and the inference encoder get the same bits
+// from this one loop.
 func attentionForward(out, q, k, v []float32, d, heads int, qOffs, kOffs []int, causal bool,
-	probs []float32, keep bool, headT []float32, smax func([]float32)) {
+	probs []float32, keep bool, headT []float32) {
 	dh := d / heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	negInf := float32(math.Inf(-1))
@@ -188,7 +187,7 @@ func attentionForward(out, q, k, v []float32, d, heads int, qOffs, kOffs []int, 
 						row[j] = x * scale
 					}
 				}
-				smax(row)
+				softmaxRow(row)
 			}
 			tensor.MatMulStrided(out[q0*d+ho:], d, pb, lk, 1, v[k0*d+ho:], d, lq, lk, dh)
 		}

@@ -10,11 +10,10 @@ import "vega/internal/tensor"
 // cross the tensor layer's parallel-dispatch gate, while attention — the
 // only op that mixes rows — runs the training tape's own forward loop
 // (attentionForward), which keeps each sample to its own row range.
-// Because each op is row-local, the per-sample results on the float32
-// path are bit-identical to the tape's Encode, whether a sample is
-// encoded alone or packed with others (kvcache_test.go enforces this),
-// and deterministic for any worker count on both paths. A one-sample
-// call is the incremental decoder's encoder.
+// Because each op is row-local, the per-sample results are bit-identical
+// to the tape's Encode, whether a sample is encoded alone or packed with
+// others (kvcache_test.go enforces this), and deterministic for any
+// worker count. A one-sample call is the incremental decoder's encoder.
 //
 // Temporaries come as one recycled scratch set per call (encScratch),
 // not one buffer at a time from a pool holding every size: a set's
@@ -68,18 +67,16 @@ func grow[T any](buf []T, n int) []T {
 
 // EncodeBatch encodes several inputs at once and returns one memory per
 // input (each a rows×Dim flat slice into a shared backing array; treat
-// them as read-only). quantized routes the linear projections through
-// the int8 weight view.
+// them as read-only).
+//
+// quantized is ignored: it stays only until a benchmark change drops
+// perfbench's model.step_q_us probe, which still passes it.
 func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 	n := len(inputs)
 	if n == 0 {
 		return nil
 	}
 	dim := t.Cfg.Dim
-	var qv *qView
-	if quantized {
-		qv = t.quantView()
-	}
 	sc := t.takeEncScratch()
 	sc.offs = grow(sc.offs, n+1)
 	offs := sc.offs
@@ -119,63 +116,24 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 	sc.f = grow(sc.f, max(rows*ffw, maxRows*(maxRows+dim)))
 	h, qp, kp, vp, attn, so, f := sc.h, sc.qp, sc.kp, sc.vp, sc.attn, sc.so, sc.f
 	probs, headT := f[:maxRows*maxRows], f[maxRows*maxRows:]
-	smax, gelu := softmaxRow, geluRow
-	if qv != nil {
-		smax, gelu = qSoftmaxRow, qGeluRow
-	}
-	var qm *tensor.QMat
-	if qv != nil {
-		qm = getQa()
-	}
-	// qlin batch-quantizes src once, then runs it through each (dst,
-	// weight) pair — the encoder quantizes h a single time for all three
-	// attention projections.
-	qlin := func(src []float32, c int, dsts [][]float32, qls []*qLin) {
-		tensor.QuantizeRowsInto(qm, src, rows, c)
-		for i, dst := range dsts {
-			qLinearRowsFwdPre(dst, qm, qls[i])
-		}
-	}
-	for li, l := range t.Enc {
-		var qe *qEncoderLayer
-		if qv != nil {
-			qe = &qv.enc[li]
-		}
+	for _, l := range t.Enc {
 		layerNormRows(h, x, rows, l.N1.Gain.Data, l.N1.Bias.Data, nil, nil)
-		if qe != nil {
-			qlin(h, dim, [][]float32{qp, kp, vp},
-				[]*qLin{&qe.attn.wq, &qe.attn.wk, &qe.attn.wv})
-		} else {
-			linearRowsFwdInto(qp, h, rows, l.Attn.WQ)
-			linearRowsFwdInto(kp, h, rows, l.Attn.WK)
-			linearRowsFwdInto(vp, h, rows, l.Attn.WV)
-		}
+		linearRowsFwdInto(qp, h, rows, l.Attn.WQ)
+		linearRowsFwdInto(kp, h, rows, l.Attn.WK)
+		linearRowsFwdInto(vp, h, rows, l.Attn.WV)
 		clear(attn)
 		attentionForward(attn, qp, kp, vp, dim, l.Attn.Heads, offs, offs, false,
-			probs, false, headT, smax)
-		if qe != nil {
-			qlin(attn, dim, [][]float32{so}, []*qLin{&qe.attn.wo})
-		} else {
-			linearRowsFwdInto(so, attn, rows, l.Attn.WO)
-		}
+			probs, false, headT)
+		linearRowsFwdInto(so, attn, rows, l.Attn.WO)
 		tensor.Axpy(x, so, 1)
 		layerNormRows(h, x, rows, l.N2.Gain.Data, l.N2.Bias.Data, nil, nil)
 		fl := f[:rows*l.FF.In.W.C]
 		// so is dead after the attention residual; reuse it for the
 		// feed-forward output.
-		if qe != nil {
-			qlin(h, dim, [][]float32{fl}, []*qLin{&qe.ffIn})
-			gelu(fl)
-			qlin(fl, l.FF.In.W.C, [][]float32{so}, []*qLin{&qe.ffOut})
-		} else {
-			linearRowsFwdInto(fl, h, rows, l.FF.In)
-			gelu(fl)
-			linearRowsFwdInto(so, fl, rows, l.FF.Out)
-		}
+		linearRowsFwdInto(fl, h, rows, l.FF.In)
+		geluRow(fl)
+		linearRowsFwdInto(so, fl, rows, l.FF.Out)
 		tensor.Axpy(x, so, 1)
-	}
-	if qm != nil {
-		qaPool.Put(qm)
 	}
 	out := make([]float32, rows*dim)
 	layerNormRows(out, x, rows, t.NormE.Gain.Data, t.NormE.Bias.Data, nil, nil)

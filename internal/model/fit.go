@@ -104,10 +104,8 @@ func FitContext(ctx context.Context, m Seq2Seq, samples []Sample, opt TrainOptio
 	tr, _ := m.(*Transformer)
 	if tr != nil {
 		// Training mutates the weights in place; the incremental decoder's
-		// transposed-embedding cache and the int8 quantized view must be
-		// rebuilt afterwards.
+		// transposed-embedding cache must be rebuilt afterwards.
 		defer tr.invalidateEmbT()
-		defer tr.invalidateQuant()
 	}
 	adam := NewAdam(params, opt.LR)
 	rng := rand.New(rand.NewSource(opt.Seed))

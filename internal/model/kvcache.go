@@ -52,14 +52,6 @@ type IncrementalDecoder struct {
 	memR int       // encoder memory rows
 	pos  int       // next position to be fed
 	st   *decState // owned exclusively; nil once released
-
-	// quant switches Step's linears and logits onto the int8 weight view
-	// (nil = exact float32 path). ambiguous latches when any step's top-2
-	// logit margin falls under QuantMargin: the quantized argmax may then
-	// differ from float32, and the caller should re-decode that row at
-	// full precision. It stays readable after Release.
-	quant     *qView
-	ambiguous bool
 }
 
 // decState is one decoder's pooled storage: Step's scratch, every
@@ -83,7 +75,6 @@ type decScratch struct {
 	f                    []float32 // feed-forward hidden row
 	scores               []float32 // attention scores, MaxSeq wide
 	logits               []float32
-	qrow                 []int8 // quantized-activation row (quant path)
 }
 
 // decLayerCache holds one decoder layer's attention state. Keys are
@@ -131,7 +122,6 @@ func newDecState(t *Transformer) *decState {
 			x: take(dim), h: take(dim), q: take(dim), attn: take(dim),
 			o: take(dim), st: take(dim), k: take(dim), v: take(dim),
 			f: take(ffw), scores: take(maxSeq), logits: take(t.Cfg.Vocab),
-			qrow: make([]int8, ffw),
 		},
 		layers: make([]decLayerCache, len(t.Dec)),
 		proj:   take(block),
@@ -166,9 +156,10 @@ func (t *Transformer) NewIncrementalDecoder(input []int) *IncrementalDecoder {
 // NewIncrementalDecoderFromMemory builds a decoder over an
 // already-computed encoder memory (a flat rows×Dim slice of at most
 // MaxSeq rows, e.g. one sample's slice of an EncodeBatch result; it is
-// only read). quantized routes the cross projections here and every
-// per-step linear plus the logits through the int8 weight view; the
-// float32 path is bit-identical to NewIncrementalDecoder.
+// only read); the decoder is bit-identical to NewIncrementalDecoder.
+//
+// quantized is ignored: it stays only until a benchmark change drops
+// perfbench's model.step_q_us probe, which still passes it.
 func (t *Transformer) NewIncrementalDecoderFromMemory(mem []float32, quantized bool) *IncrementalDecoder {
 	dim := t.Cfg.Dim
 	memR := len(mem) / dim
@@ -176,31 +167,15 @@ func (t *Transformer) NewIncrementalDecoderFromMemory(mem []float32, quantized b
 		panic(fmt.Sprintf("model: encoder memory of %d rows exceeds MaxSeq %d", memR, t.Cfg.MaxSeq))
 	}
 	d := &IncrementalDecoder{t: t, memR: memR, st: t.takeDecState()}
-	var qm *tensor.QMat
-	if quantized {
-		d.quant = t.quantView()
-		// One activation quantization of the memory serves every layer's
-		// cross K/V projection.
-		qm = getQa()
-		tensor.QuantizeRowsInto(qm, mem, memR, dim)
-	}
 	// Each cross projection is computed full-width into the staging
 	// buffer (one batched kernel call over the memory rows), then K is
 	// transposed and V repacked into the state's per-head blocks.
 	proj := d.st.proj[:memR*dim]
 	for li, l := range t.Dec {
 		lc := &d.st.layers[li]
-		if qm != nil {
-			qLinearRowsFwdPre(proj, qm, &d.quant.dec[li].cross.wk)
-		} else {
-			linearRowsFwdInto(proj, mem, memR, l.Cross.WK)
-		}
+		linearRowsFwdInto(proj, mem, memR, l.Cross.WK)
 		transposeHead(lc.crossK, proj, memR, dim, dim)
-		if qm != nil {
-			qLinearRowsFwdPre(proj, qm, &d.quant.dec[li].cross.wv)
-		} else {
-			linearRowsFwdInto(proj, mem, memR, l.Cross.WV)
-		}
+		linearRowsFwdInto(proj, mem, memR, l.Cross.WV)
 		dh := l.Cross.D / l.Cross.Heads
 		for h, blk := range lc.crossV {
 			for i := 0; i < memR; i++ {
@@ -208,17 +183,8 @@ func (t *Transformer) NewIncrementalDecoderFromMemory(mem []float32, quantized b
 			}
 		}
 	}
-	if qm != nil {
-		qaPool.Put(qm)
-	}
 	return d
 }
-
-// Ambiguous reports whether any step so far had a top-2 logit margin
-// under QuantMargin on the quantized path (always false on the float32
-// path); such a decode may disagree with float32 and should be redone at
-// full precision by callers that need exactness.
-func (d *IncrementalDecoder) Ambiguous() bool { return d.ambiguous }
 
 // Pos returns how many tokens have been fed so far (the position the
 // next token will occupy).
@@ -236,8 +202,7 @@ func (d *IncrementalDecoder) state() *decState {
 // Release returns the decoder's state to the transformer's pool. Call it
 // once the decode is finished and the last Step's logits row is dead.
 // Releasing again is a no-op; Step after Release panics, since the
-// state may by then belong to another decoder. Ambiguous and Pos stay
-// readable.
+// state may by then belong to another decoder. Pos stays readable.
 func (d *IncrementalDecoder) Release() {
 	if d.st != nil {
 		d.t.decPool.Put(d.st)
@@ -255,10 +220,6 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 	dim, maxSeq := t.Cfg.Dim, t.Cfg.MaxSeq
 	pos := d.pos
 	s := d.state()
-	smax, gelu := softmaxRow, geluRow
-	if d.quant != nil {
-		smax, gelu = qSoftmaxRow, qGeluRow
-	}
 
 	// Token embedding + learned positional embedding (panics past MaxSeq
 	// exactly like the reference path's PosEnc lookup would).
@@ -272,10 +233,6 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 	h := s.h
 	for li, l := range t.Dec {
 		lc := &s.layers[li]
-		var qd *qDecoderLayer
-		if d.quant != nil {
-			qd = &d.quant.dec[li]
-		}
 
 		// Self attention: project the new row, write its K as a new
 		// column of the transposed key cache and its V as a new row of
@@ -283,19 +240,9 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 		// newest row is never masked, so the causal softmax degenerates to
 		// a plain one.
 		layerNormRows(h, x, 1, l.N1.Gain.Data, l.N1.Bias.Data, nil, nil)
-		if qd != nil {
-			// One quantization of h serves all three projections.
-			qa := s.qrow[:dim]
-			var sa float32
-			tensor.QuantizeRowInto(qa, h, &sa)
-			qMulRowPre(s.q, qa, sa, &qd.self.wq)
-			qMulRowPre(s.k, qa, sa, &qd.self.wk)
-			qMulRowPre(s.v, qa, sa, &qd.self.wv)
-		} else {
-			linearRowFwdInto(s.q, h, l.Self.WQ)
-			linearRowFwdInto(s.k, h, l.Self.WK)
-			linearRowFwdInto(s.v, h, l.Self.WV)
-		}
+		linearRowFwdInto(s.q, h, l.Self.WQ)
+		linearRowFwdInto(s.k, h, l.Self.WK)
+		linearRowFwdInto(s.v, h, l.Self.WV)
 		for r, kv := range s.k {
 			lc.selfK[r*maxSeq+pos] = kv
 		}
@@ -303,91 +250,39 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 		for hd, blk := range lc.selfV {
 			copy(blk[pos*dh:], s.v[hd*dh:(hd+1)*dh])
 		}
-		attendRowInto(s.attn, s.scores, s.q, lc.selfK, maxSeq, lc.selfV, pos+1, l.Self, smax)
-		if qd != nil {
-			qLinearRowFwdInto(s.o, s.attn, s.qrow, &qd.self.wo)
-		} else {
-			linearRowFwdInto(s.o, s.attn, l.Self.WO)
-		}
+		attendRowInto(s.attn, s.scores, s.q, lc.selfK, maxSeq, lc.selfV, pos+1, l.Self)
+		linearRowFwdInto(s.o, s.attn, l.Self.WO)
 		tensor.Axpy(x, s.o, 1)
 
 		// Cross attention over the cached memory projections.
 		layerNormRows(h, x, 1, l.N2.Gain.Data, l.N2.Bias.Data, nil, nil)
-		if qd != nil {
-			qLinearRowFwdInto(s.q, h, s.qrow, &qd.cross.wq)
-		} else {
-			linearRowFwdInto(s.q, h, l.Cross.WQ)
-		}
-		attendRowInto(s.attn, s.scores, s.q, lc.crossK, d.memR, lc.crossV, d.memR, l.Cross, smax)
-		if qd != nil {
-			qLinearRowFwdInto(s.o, s.attn, s.qrow, &qd.cross.wo)
-		} else {
-			linearRowFwdInto(s.o, s.attn, l.Cross.WO)
-		}
+		linearRowFwdInto(s.q, h, l.Cross.WQ)
+		attendRowInto(s.attn, s.scores, s.q, lc.crossK, d.memR, lc.crossV, d.memR, l.Cross)
+		linearRowFwdInto(s.o, s.attn, l.Cross.WO)
 		tensor.Axpy(x, s.o, 1)
 
 		// Position-wise feed-forward.
 		layerNormRows(h, x, 1, l.N3.Gain.Data, l.N3.Bias.Data, nil, nil)
 		f := s.f[:l.FF.In.W.C]
-		if qd != nil {
-			qLinearRowFwdInto(f, h, s.qrow, &qd.ffIn)
-			gelu(f)
-			qLinearRowFwdInto(s.o, f, s.qrow, &qd.ffOut)
-		} else {
-			linearRowFwdInto(f, h, l.FF.In)
-			gelu(f)
-			linearRowFwdInto(s.o, f, l.FF.Out)
-		}
+		linearRowFwdInto(f, h, l.FF.In)
+		geluRow(f)
+		linearRowFwdInto(s.o, f, l.FF.Out)
 		tensor.Axpy(x, s.o, 1)
 	}
 
 	layerNormRows(s.st, x, 1, t.NormD.Gain.Data, t.NormD.Bias.Data, nil, nil)
 
-	// Tied output projection. Float32 path: against the cached Dim×Vocab
-	// transpose, logits[j] = Σ_p st[p]·Embed[j][p], accumulated in the
-	// same p-outer order MatMul(states, Transpose(Embed)) uses but
-	// reading the embedding row-contiguously. Quantized path: the
-	// Vocab×Dim embedding is already the NT operand, so the state row is
-	// quantized once and dotted against each int8 embedding row; a thin
-	// top-2 margin afterwards latches the ambiguity flag.
+	// Tied output projection against the cached Dim×Vocab transpose:
+	// logits[j] = Σ_p st[p]·Embed[j][p], accumulated in the same p-outer
+	// order MatMul(states, Transpose(Embed)) uses but reading the
+	// embedding row-contiguously.
 	logits := s.logits
-	if d.quant != nil {
-		qa := s.qrow[:dim]
-		var sa float32
-		tensor.QuantizeRowInto(qa, s.st, &sa)
-		for j := range logits {
-			logits[j] = 0
-		}
-		tensor.QMulRowInto(logits, qa, sa, d.quant.embed)
-		if top2Margin(logits) < QuantMargin {
-			d.ambiguous = true
-		}
-	} else {
-		for j := range logits {
-			logits[j] = 0
-		}
-		mulRowsInto(logits, s.st, t.embedT(), dim, t.Cfg.Vocab, t.Cfg.Vocab, 0)
+	for j := range logits {
+		logits[j] = 0
 	}
+	mulRowsInto(logits, s.st, t.embedT(), dim, t.Cfg.Vocab, t.Cfg.Vocab, 0)
 	d.pos++
 	return logits
-}
-
-// top2Margin returns the gap between the largest and second-largest
-// logit (0 when the row has fewer than two entries).
-func top2Margin(row []float32) float32 {
-	if len(row) < 2 {
-		return 0
-	}
-	best := float32(math.Inf(-1))
-	second := best
-	for _, v := range row {
-		if v > best {
-			second, best = best, v
-		} else if v > second {
-			second = v
-		}
-	}
-	return best - second
 }
 
 // --- forward-only kernels, each mirroring a Tape op's float order.
@@ -431,11 +326,10 @@ func linearRowsFwdInto(out, x []float32, n int, l *Linear) {
 // side by side). kT holds the keys transposed, Dim rows with row stride
 // ld (head h's dh×ctxLen block starts at row h·dh); v holds one dense
 // ctxLen×dh block per head. scores is caller-provided scratch of at
-// least ctxLen elements. smax is the softmax to apply per head —
-// softmaxRow on the exact float32 path, qSoftmaxRow on the quantized
-// one. Each score is the ascending-p chain with the zero-skip on q that
-// attentionForward's MatMulStrided computes, so this matches the tape.
-func attendRowInto(out, scores, q, kT []float32, ld int, v [][]float32, ctxLen int, m *MHA, smax func([]float32)) {
+// least ctxLen elements. Each score is the ascending-p chain with the
+// zero-skip on q that attentionForward's MatMulStrided computes, so this
+// matches the tape.
+func attendRowInto(out, scores, q, kT []float32, ld int, v [][]float32, ctxLen int, m *MHA) {
 	dh := m.D / m.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	clear(out)
@@ -447,7 +341,7 @@ func attendRowInto(out, scores, q, kT []float32, ld int, v [][]float32, ctxLen i
 		for j := range scores {
 			scores[j] *= scale
 		}
-		smax(scores)
+		softmaxRow(scores)
 		tensor.AttnWeightedSumInto(out[off:off+dh], scores, v[h], ctxLen, dh)
 	}
 }
@@ -457,38 +351,3 @@ func softmaxRow(row []float32) { tensor.SoftmaxRow(row, row) }
 
 // geluRow mirrors GELU's forward pass in place.
 func geluRow(xs []float32) { tensor.GELURow(xs, xs, nil) }
-
-// --- quantized-path approximations. The int8 decode is already inexact
-// (guarded by the QuantMargin ambiguity fallback), so its softmax and
-// GELU use tensor's float32 polynomials instead of the exact float64
-// math.Exp/math.Tanh replicas the float32 path above runs. ---
-
-// qSoftmaxRow is softmaxRow with FastExp32.
-func qSoftmaxRow(row []float32) {
-	maxv := float32(math.Inf(-1))
-	for _, v := range row {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float32
-	for j, v := range row {
-		e := tensor.FastExp32(v - maxv)
-		row[j] = e
-		sum += e
-	}
-	if sum > 0 {
-		inv := 1 / sum
-		for j := range row {
-			row[j] *= inv
-		}
-	}
-}
-
-// qGeluRow is geluRow with FastTanh32, in float32 throughout.
-func qGeluRow(xs []float32) {
-	const c0 = float32(0.7978845608028654) // sqrt(2/pi)
-	for i, v := range xs {
-		xs[i] = 0.5 * v * (1 + tensor.FastTanh32(c0*(v+0.044715*v*v*v)))
-	}
-}

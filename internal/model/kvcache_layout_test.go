@@ -89,9 +89,7 @@ func freshPool(m *Transformer) { m.decPool = sync.Pool{} }
 // state from the pool and steps other tokens over everything A left in
 // it (a recycled state is not cleared). Every logits row of B must equal
 // the reference bit for bit, so a stale region B read before writing
-// would show in the content. The float32 reference is the tape; the
-// int8 path has no uncached form, so its reference is the same decode
-// on a newly allocated state.
+// would show in the content. The reference is the tape.
 func TestPoolReuseHazard(t *testing.T) {
 	const vocab = 40
 	cfg := Config{Vocab: vocab, Dim: 24, Heads: 3, EncLayers: 1, DecLayers: 2, FFMult: 2, MaxSeq: 24, Seed: 17}
@@ -101,73 +99,61 @@ func TestPoolReuseHazard(t *testing.T) {
 	toks := decodeTokens(vocab, cfg.MaxSeq, cfg.Seed+1)
 	otherToks := decodeTokens(vocab, 10, cfg.Seed+2)
 
-	for _, quantized := range []bool{false, true} {
-		t.Run(map[bool]string{false: "float32", true: "int8"}[quantized], func(t *testing.T) {
-			mems := m.EncodeBatch([][]int{in, otherIn}, quantized)
-			var want [][]float32
-			if quantized {
-				freshPool(m)
-				d := m.NewIncrementalDecoderFromMemory(mems[1], true)
-				for _, tok := range otherToks {
-					want = append(want, append([]float32(nil), d.Step(tok)...))
-				}
-				d.Release()
-			} else {
-				for i := range otherToks {
-					want = append(want, refStepLogits(m, otherIn, otherToks[:i+1]))
-				}
-			}
+	// The decoder has one precision path; the subtest keeps its name.
+	t.Run("float32", func(t *testing.T) {
+		mems := m.EncodeBatch([][]int{in, otherIn}, false)
+		var want [][]float32
+		for i := range otherToks {
+			want = append(want, refStepLogits(m, otherIn, otherToks[:i+1]))
+		}
 
-			reused := 0
-			for _, fedA := range []int{1, 2, 7, cfg.MaxSeq} {
-				freshPool(m)
-				a := m.NewIncrementalDecoderFromMemory(mems[0], quantized)
-				for _, tok := range toks[:fedA] {
-					a.Step(tok)
-				}
-				ast := a.st
-				a.Release()
-				b := m.NewIncrementalDecoderFromMemory(mems[1], quantized)
-				if b.st == ast {
-					reused++
-				}
-				for i, tok := range otherToks {
-					equalLogits(t, fmt.Sprintf("A fed %d, B step %d", fedA, i), b.Step(tok), want[i])
-				}
-				b.Release()
+		reused := 0
+		for _, fedA := range []int{1, 2, 7, cfg.MaxSeq} {
+			freshPool(m)
+			a := m.NewIncrementalDecoderFromMemory(mems[0], false)
+			for _, tok := range toks[:fedA] {
+				a.Step(tok)
 			}
-			if reused == 0 && !raceEnabled {
-				t.Fatal("no decoder took the released decoder's state: the hazard went untested")
+			ast := a.st
+			a.Release()
+			b := m.NewIncrementalDecoderFromMemory(mems[1], false)
+			if b.st == ast {
+				reused++
 			}
-		})
-	}
+			for i, tok := range otherToks {
+				equalLogits(t, fmt.Sprintf("A fed %d, B step %d", fedA, i), b.Step(tok), want[i])
+			}
+			b.Release()
+		}
+		if reused == 0 && !raceEnabled {
+			t.Fatal("no decoder took the released decoder's state: the hazard went untested")
+		}
+	})
 }
 
 // TestReleaseContract pins Release's contract: a second Release is a
 // no-op that cannot pool one state twice, Step after Release panics
-// instead of writing into a state another decoder may own, and
-// Ambiguous stays readable (decodeRow in internal/core reads it after
-// Greedy has released the decoder).
+// instead of writing into a state another decoder may own, and Pos
+// stays readable.
 func TestReleaseContract(t *testing.T) {
 	const vocab = 40
 	cfg := kvConfigs(vocab)[1]
 	m := NewTransformer(cfg)
-	mem := m.EncodeBatch([][]int{kvInputs(vocab, cfg.Seed)[1]}, true)[0]
+	mem := m.EncodeBatch([][]int{kvInputs(vocab, cfg.Seed)[1]}, false)[0]
 
 	freshPool(m)
-	d := m.NewIncrementalDecoderFromMemory(mem, true)
+	d := m.NewIncrementalDecoderFromMemory(mem, false)
 	st := d.st
 	for _, tok := range decodeTokens(vocab, 6, cfg.Seed) {
 		d.Step(tok)
 	}
-	amb := d.Ambiguous()
 	d.Release()
 	d.Release()
 	if d.st != nil {
 		t.Fatal("Release left the decoder holding its state")
 	}
-	if d.Ambiguous() != amb || d.Pos() != 6 {
-		t.Fatalf("after Release: Ambiguous %v, Pos %d; want %v, 6", d.Ambiguous(), d.Pos(), amb)
+	if d.Pos() != 6 {
+		t.Fatalf("after Release: Pos %d, want 6", d.Pos())
 	}
 	a, _ := m.decPool.Get().(*decState)
 	b, _ := m.decPool.Get().(*decState)
@@ -303,11 +289,9 @@ func allocsPerRun(runs int, f func()) (objects, bytes uint64) {
 }
 
 // TestDecodeAllocsSteadyState pins the pooled decoder's allocation
-// profile: once a state is pooled, building a float32 decoder over a
+// profile: once a state is pooled, building a decoder over a
 // pre-encoded memory and decoding it greedily allocates a few small
-// objects, against the tens of kilobytes one state holds. (The int8
-// path's tensor.QMulRowInto draws its accumulator from a size-blind pool
-// and allocates per call, so it is not pinned here.)
+// objects, against the tens of kilobytes one state holds.
 func TestDecodeAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -347,8 +331,8 @@ func TestEncodeBatchAllocsSteadyState(t *testing.T) {
 }
 
 // TestDecodeKernelWorkerBitIdentity pins decode outputs across
-// GOMAXPROCS 1/3/8 on both precision paths: the tensor layer's
-// parallel dispatch must not change a single logit bit.
+// GOMAXPROCS 1/3/8: the tensor layer's parallel dispatch must not
+// change a single logit bit.
 func TestDecodeKernelWorkerBitIdentity(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const vocab = 40
@@ -357,9 +341,9 @@ func TestDecodeKernelWorkerBitIdentity(t *testing.T) {
 	in := kvInputs(vocab, cfg.Seed+6)[2]
 	toks := decodeTokens(vocab, 10, cfg.Seed+7)
 
-	decode := func(quantized bool) [][]float32 {
-		mem := m.EncodeBatch([][]int{in}, quantized)[0]
-		d := m.NewIncrementalDecoderFromMemory(mem, quantized)
+	decode := func() [][]float32 {
+		mem := m.EncodeBatch([][]int{in}, false)[0]
+		d := m.NewIncrementalDecoderFromMemory(mem, false)
 		defer d.Release()
 		var rows [][]float32
 		for _, tok := range toks {
@@ -368,15 +352,13 @@ func TestDecodeKernelWorkerBitIdentity(t *testing.T) {
 		return rows
 	}
 
-	for _, quantized := range []bool{false, true} {
-		runtime.GOMAXPROCS(1)
-		want := decode(quantized)
-		for _, w := range []int{3, 8} {
-			runtime.GOMAXPROCS(w)
-			got := decode(quantized)
-			for i := range want {
-				equalLogits(t, "worker bit-identity", got[i], want[i])
-			}
+	runtime.GOMAXPROCS(1)
+	want := decode()
+	for _, w := range []int{3, 8} {
+		runtime.GOMAXPROCS(w)
+		got := decode()
+		for i := range want {
+			equalLogits(t, "worker bit-identity", got[i], want[i])
 		}
 	}
 }

@@ -112,6 +112,53 @@ func FuzzEncodeBatchAgainstTape(f *testing.F) {
 	})
 }
 
+// TestEncodeBatchMatchesForwardEncode pins the batched encoder
+// to the one-sample forward encode bit-exactly: every op in EncodeBatch
+// is row-local except attention, which runs per sample, so packing must
+// not change a single float.
+func TestEncodeBatchMatchesForwardEncode(t *testing.T) {
+	const vocab = 40
+	for _, cfg := range kvConfigs(vocab) {
+		m := NewTransformer(cfg)
+		ins := kvInputsWithLong(cfg, cfg.Seed+3)
+		mems := m.EncodeBatch(ins, false)
+		if len(mems) != len(ins) {
+			t.Fatalf("cfg %+v: %d memories for %d inputs", cfg, len(mems), len(ins))
+		}
+		for s, in := range ins {
+			want := m.EncodeBatch([][]int{in}, false)[0]
+			if len(mems[s]) != len(want) {
+				t.Fatalf("cfg %+v sample %d: %d values, want %d", cfg, s, len(mems[s]), len(want))
+			}
+			for i := range want {
+				if math.Float32bits(mems[s][i]) != math.Float32bits(want[i]) {
+					t.Fatalf("cfg %+v sample %d: memory[%d] = %v, want %v (bit-exact)",
+						cfg, s, i, mems[s][i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDecoderFromMemoryMatchesGenerate pins the decode-from-batched-
+// memory path to the plain cached generator bit-exactly.
+func TestDecoderFromMemoryMatchesGenerate(t *testing.T) {
+	const vocab = 40
+	for _, cfg := range kvConfigs(vocab) {
+		m := NewTransformer(cfg)
+		ins := kvInputs(vocab, cfg.Seed+4)
+		mems := m.EncodeBatch(ins, false)
+		for s, in := range ins {
+			want := m.Generate(in, 20)
+			d := m.NewIncrementalDecoderFromMemory(mems[s], false)
+			got := m.Greedy(d, 20)
+			if !equalInts(got, want) {
+				t.Fatalf("cfg %+v input %v: from-memory %v, direct %v", cfg, in, got, want)
+			}
+		}
+	}
+}
+
 func TestGenerateCachedMatchesUncached(t *testing.T) {
 	const vocab = 40
 	for _, cfg := range kvConfigs(vocab) {

@@ -50,14 +50,6 @@ type Transformer struct {
 		data []float32
 	}
 
-	// qv lazily caches the int8 quantized weight view (see quant.go).
-	// Same lifecycle as embT: built once per weight snapshot, dropped at
-	// the training boundary, inference-only.
-	qv struct {
-		once sync.Once
-		view *qView
-	}
-
 	// decPool recycles incremental-decoder states (*decState, see
 	// kvcache.go) across the hundreds of short decodes a backend
 	// generation performs; all decoders over one transformer share their

@@ -7,23 +7,17 @@ import (
 )
 
 // DegradePolicy is the graceful-degradation ladder applied between
-// admission and execution. Rather than a binary serve-or-shed, moderate
-// pressure cheapens requests in three rungs, each marked explicitly in the
+// admission and execution. Rather than a binary serve-or-shed, high
+// pressure cheapens requests in two rungs, each marked explicitly in the
 // response so a degraded 200 is never mistaken for a full-fidelity one:
 //
-//  1. pressure >= QuantizeAt:   decoding switches to the int8 quantized
-//     weight view (ambiguous rows still re-decode float32, so results
-//     stay full-accuracy — the rung trades only latency).
-//  2. pressure >= TruncateAt:   whole-backend requests are truncated to
+//  1. pressure >= TruncateAt:   whole-backend requests are truncated to
 //     TruncateFunctions functions.
-//  3. pressure >= SkipRepairAt: verify-enabled requests keep verification
+//  2. pressure >= SkipRepairAt: verify-enabled requests keep verification
 //     but skip the CEGAR repair rounds (the most expensive re-decode work).
 //
 // Pressure is Scheduler.Pressure(): (waiting+running)/(queue+workers).
 type DegradePolicy struct {
-	// QuantizeAt is the pressure at which requests are forced onto the
-	// quantized decode path (0 disables the rung).
-	QuantizeAt float64
 	// TruncateAt is the pressure at which MaxFunctions truncation kicks
 	// in (0 disables the rung).
 	TruncateAt float64
@@ -37,10 +31,9 @@ type DegradePolicy struct {
 }
 
 // DefaultDegradePolicy mirrors the queue-sizing rationale in DESIGN.md:
-// start cheapening at half load, start truncating (and dropping repair
-// rounds) at three quarters.
+// start truncating (and dropping repair rounds) at three quarters load.
 func DefaultDegradePolicy() DegradePolicy {
-	return DegradePolicy{QuantizeAt: 0.5, TruncateAt: 0.75, SkipRepairAt: 0.75, TruncateFunctions: 16}
+	return DegradePolicy{TruncateAt: 0.75, SkipRepairAt: 0.75, TruncateFunctions: 16}
 }
 
 // Apply folds the ladder into a request's GenOptions at the given
@@ -54,13 +47,6 @@ func DefaultDegradePolicy() DegradePolicy {
 // to the degrade reasons only on a Truncated backend — a scoped request
 // smaller than the cap stays a full-fidelity 200.
 func (d DegradePolicy) Apply(opt core.GenOptions, pressure float64) (_ core.GenOptions, reasons []string, truncReason string) {
-	if d.QuantizeAt > 0 && pressure >= d.QuantizeAt && !opt.Quantize {
-		// The rung exists to shed decode latency; ambiguous rows already
-		// re-decode at full precision, so accuracy is unchanged.
-		opt.Quantize = true
-		reasons = append(reasons,
-			fmt.Sprintf("int8 quantized greedy decode: pressure %.2f >= %.2f", pressure, d.QuantizeAt))
-	}
 	if d.TruncateAt > 0 && pressure >= d.TruncateAt && d.TruncateFunctions > 0 {
 		if opt.MaxFunctions <= 0 || opt.MaxFunctions > d.TruncateFunctions {
 			opt.MaxFunctions = d.TruncateFunctions

@@ -45,9 +45,10 @@ type GenerateRequest struct {
 	// pressure >= the policy's SkipRepairAt, repair rounds are skipped
 	// (verification still runs) and the degradation is marked.
 	Verify bool `json:"verify,omitempty"`
-	// Quantize opts this request into the int8 quantized decode path
-	// (identical output — ambiguous rows re-decode float32 — at lower
-	// latency). The degrade ladder may force it under pressure.
+	// Quantize is accepted and ignored: every request decodes in
+	// float32. The field stays so that clients which still send it get
+	// the same 200 as before, and because perfbench's serve-mix workload
+	// still sets it.
 	Quantize bool `json:"quantize,omitempty"`
 }
 
@@ -206,7 +207,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown target %q", req.Target), 0)
 		return
 	}
-	opt := core.GenOptions{MaxFunctions: req.MaxFunctions, Verify: req.Verify, Quantize: req.Quantize}
+	opt := core.GenOptions{MaxFunctions: req.MaxFunctions, Verify: req.Verify}
 	if req.Module != "" {
 		if !moduleListed(moduleNames(), req.Module) {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown module %q", req.Module), 0)

@@ -334,24 +334,18 @@ func TestSnapshotHealthCheck(t *testing.T) {
 func TestDegradePolicyLadder(t *testing.T) {
 	d := DefaultDegradePolicy()
 
-	opt, reasons, trunc := d.Apply(core.GenOptions{}, 0.2)
-	if opt.Quantize || opt.MaxFunctions != 0 || len(reasons) != 0 || trunc != "" {
-		t.Errorf("low pressure degraded: opt=%+v reasons=%v trunc=%q", opt, reasons, trunc)
+	// Below the 0.75 rungs every request keeps full fidelity, including
+	// the 0.5–0.75 band.
+	for _, p := range []float64{0.2, 0.6, 0.74} {
+		opt, reasons, trunc := d.Apply(core.GenOptions{Verify: true}, p)
+		if opt.SkipRepair || opt.MaxFunctions != 0 || len(reasons) != 0 || trunc != "" {
+			t.Errorf("pressure %.2f degraded: opt=%+v reasons=%v trunc=%q", p, opt, reasons, trunc)
+		}
 	}
 
-	opt, reasons, trunc = d.Apply(core.GenOptions{}, 0.6)
-	if !opt.Quantize || opt.MaxFunctions != 0 || trunc != "" ||
-		!reflect.DeepEqual(reasons, []string{"int8 quantized greedy decode: pressure 0.60 >= 0.50"}) {
-		t.Errorf("mid pressure: opt=%+v reasons=%q trunc=%q, want the quantize rung only",
-			opt, reasons, trunc)
-	}
-
-	opt, reasons, trunc = d.Apply(core.GenOptions{Verify: true}, 0.9)
-	wantReasons := []string{
-		"int8 quantized greedy decode: pressure 0.90 >= 0.50",
-		"repair rounds skipped: pressure 0.90 >= 0.75",
-	}
-	if !opt.Quantize || !opt.SkipRepair || opt.MaxFunctions != d.TruncateFunctions ||
+	opt, reasons, trunc := d.Apply(core.GenOptions{Verify: true}, 0.9)
+	wantReasons := []string{"repair rounds skipped: pressure 0.90 >= 0.75"}
+	if !opt.SkipRepair || opt.MaxFunctions != d.TruncateFunctions ||
 		!reflect.DeepEqual(reasons, wantReasons) || trunc != "maxFunctions=16: pressure 0.90 >= 0.75" {
 		t.Errorf("high pressure: opt=%+v reasons=%q trunc=%q, want all rungs", opt, reasons, trunc)
 	}
@@ -365,10 +359,10 @@ func TestDegradePolicyLadder(t *testing.T) {
 	}
 
 	// A request already below the truncation cap keeps its own tighter
-	// cap; the quantize rung still fires.
+	// cap, and without verify no rung fires.
 	opt, reasons, trunc = d.Apply(core.GenOptions{MaxFunctions: 3}, 0.9)
-	if !opt.Quantize || opt.MaxFunctions != 3 || len(reasons) != 1 || trunc != "" {
-		t.Errorf("tight request: opt=%+v reasons=%v trunc=%q, want quantize rung only",
+	if opt.MaxFunctions != 3 || len(reasons) != 0 || trunc != "" {
+		t.Errorf("tight request: opt=%+v reasons=%v trunc=%q, want no rung",
 			opt, reasons, trunc)
 	}
 
@@ -380,7 +374,7 @@ func TestDegradePolicyLadder(t *testing.T) {
 
 	// The zero policy disables every rung.
 	opt, reasons, trunc = DegradePolicy{}.Apply(core.GenOptions{Verify: true}, 1.0)
-	if opt.Quantize || opt.SkipRepair || opt.MaxFunctions != 0 || len(reasons) != 0 || trunc != "" {
+	if opt.SkipRepair || opt.MaxFunctions != 0 || len(reasons) != 0 || trunc != "" {
 		t.Errorf("zero policy degraded: opt=%+v reasons=%v trunc=%q", opt, reasons, trunc)
 	}
 }
@@ -407,6 +401,43 @@ func TestHandleGenerateFunctionScope(t *testing.T) {
 	}
 	if f := gr.Functions[0]; f.Name != "getRelocType" || f.Failed || len(f.Statements) == 0 {
 		t.Errorf("function = %+v, want non-failed getRelocType with statements", f)
+	}
+}
+
+// TestServeIgnoresQuantizeField pins the wire contract of the retired
+// "quantize" request field: the server still accepts it, and a request
+// that sets it returns 200, is not marked degraded, and carries functions
+// byte-identical to the same request without it.
+func TestServeIgnoresQuantizeField(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generation test")
+	}
+	_, ts := testServer(t, nil)
+
+	_, refBody := postJSON(t, ts.URL+"/v1/generate",
+		GenerateRequest{Target: "RISCV", Module: "EMI"})
+	var ref GenerateResponse
+	if err := json.Unmarshal(refBody, &ref); err != nil {
+		t.Fatal(err)
+	}
+
+	// A raw body, as an old client sends it.
+	resp, qBody := postJSON(t, ts.URL+"/v1/generate",
+		map[string]any{"target": "RISCV", "module": "EMI", "quantize": true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s", resp.StatusCode, qBody)
+	}
+	var q GenerateResponse
+	if err := json.Unmarshal(qBody, &q); err != nil {
+		t.Fatal(err)
+	}
+	if q.Degraded {
+		t.Errorf("request with quantize set marked degraded: %v", q.DegradeReasons)
+	}
+	refFns, _ := json.Marshal(ref.Functions)
+	qFns, _ := json.Marshal(q.Functions)
+	if string(refFns) != string(qFns) {
+		t.Error("request with quantize set returned different functions")
 	}
 }
 

@@ -459,6 +459,75 @@ func FuzzMatMulAgainstNaive(f *testing.F) {
 	})
 }
 
+// TestScratchPoolRetainsUndersized is the getScratch regression test: an
+// undersized pooled buffer must be re-Put (not silently dropped) when a
+// larger request arrives, so the pool still serves the next small shape.
+func TestScratchPoolRetainsUndersized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for ntPool.Get() != nil { // drain anything earlier tests parked
+	}
+	small := make([]float32, 16, 16)
+	ntPool.Put(&small)
+	big := getScratch(1024)
+	if cap(*big) < 1024 {
+		t.Fatalf("getScratch(1024) returned cap %d", cap(*big))
+	}
+	v := ntPool.Get()
+	if v == nil {
+		t.Fatalf("undersized buffer was dropped from the pool on Get")
+	}
+	if got := *v.(*[]float32); cap(got) != cap(small) {
+		t.Fatalf("pool returned cap %d, want the re-Put %d", cap(got), cap(small))
+	}
+}
+
+// TestScratchAscendingSizesNoThrash covers the other half of the fix:
+// without size-class rounding, ascending requests within one class each
+// see cap(pooled) one element short and reallocate every call. With
+// rounding (next power of two, min 256) the first allocation serves the
+// whole sweep, so the byte churn collapses by ~two orders of magnitude.
+func TestScratchAscendingSizesNoThrash(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for ntPool.Get() != nil {
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 257; n < 512; n++ { // one post-fix size class (512)
+		ntPool.Put(getScratch(n)) // as MatMulNT does
+	}
+	runtime.ReadMemStats(&after)
+	delta := after.TotalAlloc - before.TotalAlloc
+	// Pre-fix this sweep reallocates every call: ~255 × ~385 floats
+	// ≈ 390 KiB. Post-fix only the first call allocates (~2 KiB).
+	if delta > 64<<10 {
+		t.Fatalf("ascending getScratch sweep allocated %d bytes; pool is thrashing", delta)
+	}
+}
+
+// TestMatMulNTScratchAllocatesNothing checks that the pooled transpose
+// scratch costs MatMulNT no allocation once warm: the pool holds
+// *[]float32 and gets back the pointer it handed out, so MatMulNT
+// allocates exactly what the MatMul it wraps does.
+func TestMatMulNTScratchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const r, k, c = 4, 6, 5
+	a, b, dst := make([]float32, r*k), make([]float32, c*k), make([]float32, r*c)
+	nt := testing.AllocsPerRun(100, func() { MatMulNT(dst, a, b, r, k, c) })
+	mm := testing.AllocsPerRun(100, func() { MatMul(dst, a, b[:k*c], r, k, c) })
+	if nt != mm {
+		t.Fatalf("MatMulNT allocates %v times per call, the MatMul it wraps %v", nt, mm)
+	}
+}
+
 func TestArenaAllocZeroesReusedMemory(t *testing.T) {
 	var a Arena
 	s1 := a.Alloc(100)
