@@ -36,16 +36,15 @@ import (
 )
 
 var (
-	expFlag   = flag.String("exp", "all", "experiment to run")
-	epochs    = flag.Int("epochs", 26, "fine-tuning epochs")
-	samples   = flag.Int("samples", 2600, "max training samples")
-	seed      = flag.Int64("seed", 1, "random seed")
-	fast      = flag.Bool("fast", false, "reduced budgets everywhere (smoke run)")
-	quiet     = flag.Bool("quiet", false, "suppress epoch logs")
-	s1workers = flag.Int("stage1-workers", 0, "parallel templatization workers (0 = NumCPU); output is identical for any count")
-	s1dir     = flag.String("stage1-cache", "", "directory for the content-addressed Stage 1 artifact cache (empty = disabled)")
-	metrics   = flag.String("metrics", "", "write stage spans and a metric snapshot to this JSON-lines file")
-	pprofAt   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	expFlag = flag.String("exp", "all", "experiment to run")
+	epochs  = flag.Int("epochs", 26, "fine-tuning epochs")
+	samples = flag.Int("samples", 2600, "max training samples")
+	seed    = flag.Int64("seed", 1, "random seed")
+	fast    = flag.Bool("fast", false, "reduced budgets everywhere (smoke run)")
+	quiet   = flag.Bool("quiet", false, "suppress epoch logs")
+	s1dir   = flag.String("stage1-cache", "", "directory for the content-addressed Stage 1 artifact cache (empty = disabled)")
+	metrics = flag.String("metrics", "", "write stage spans and a metric snapshot to this JSON-lines file")
+	pprofAt = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 )
 
 func main() {
@@ -140,7 +139,6 @@ func (h *harness) config() core.Config {
 	cfg.Seed = *seed
 	cfg.Train.Epochs = *epochs
 	cfg.MaxSamples = *samples
-	cfg.Stage1Workers = *s1workers
 	cfg.Stage1Cache = *s1dir
 	cfg.Obs = h.obs
 	if *fast {

@@ -68,7 +68,6 @@ func main() {
 		samples   = flag.Int("samples", 2600, "max deduplicated training samples")
 		seed      = flag.Int64("seed", 1, "random seed")
 		arch      = flag.String("arch", "transformer", "model architecture: transformer, gru, bert")
-		s1workers = flag.Int("stage1-workers", 0, "parallel templatization workers (0 = NumCPU)")
 		s1cache   = flag.String("stage1-cache", "", "directory for the per-group content-addressed Stage 1 cache")
 		fleetName = flag.String("targets", "standard", "target fleet: standard, or extended (adds the VLIW, predicated, tensor, and RISC-V-extension families)")
 		health    = flag.String("health-target", "RISCV", "target used for snapshot health-check smoke generations")
@@ -107,7 +106,6 @@ func main() {
 	cfg.Train.Epochs = *epochs
 	cfg.MaxSamples = *samples
 	cfg.Arch = *arch
-	cfg.Stage1Workers = *s1workers
 	cfg.Stage1Cache = *s1cache
 	cfg.Obs = o
 

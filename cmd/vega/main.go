@@ -61,7 +61,6 @@ func main() {
 		saveCk    = flag.String("save", "", "write a model checkpoint after training")
 		loadCk    = flag.String("load", "", "load a model checkpoint instead of training")
 		timeout   = flag.Duration("timeout", 0, "overall deadline for the run (0 = none)")
-		s1workers = flag.Int("stage1-workers", 0, "parallel templatization workers (0 = NumCPU); output is identical for any count")
 		s1cache   = flag.String("stage1-cache", "", "directory for the per-group content-addressed Stage 1 cache (empty = disabled)")
 		fleetName = flag.String("targets", "standard", "target fleet: standard, or extended (adds the VLIW, predicated, tensor, and RISC-V-extension families)")
 		metrics   = flag.String("metrics", "", "write stage spans and a metric snapshot to this JSON-lines file")
@@ -141,7 +140,6 @@ func main() {
 	cfg.Train.Epochs = *epochs
 	cfg.MaxSamples = *samples
 	cfg.Arch = *arch
-	cfg.Stage1Workers = *s1workers
 	cfg.Stage1Cache = *s1cache
 	cfg.Verify = *verify
 	cfg.RepairRounds = *repRounds

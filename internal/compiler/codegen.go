@@ -52,21 +52,6 @@ type Object struct {
 	Init   map[string][]int64
 }
 
-// StaticSize sums instruction sizes (bytes) over the object.
-func (o *Object) StaticSize(tb *Tables) int {
-	n := 0
-	for _, f := range o.Funcs {
-		for _, in := range f.Code {
-			if s, ok := tb.Size[in.Opcode]; ok {
-				n += s
-			} else {
-				n += 4
-			}
-		}
-	}
-	return n
-}
-
 // Register conventions (abstract register numbers, independent of the
 // target's own numbering; the Tables only drive opcode/cost selection).
 const (

@@ -231,16 +231,9 @@ func (p *Pipeline) Load(path string) error {
 	if err := checkModelConfig(ck); err != nil {
 		return err
 	}
-	var m model.Seq2Seq
-	switch ck.Arch {
-	case "", "transformer":
-		m = model.NewTransformer(ck.ModelCfg)
-	case "gru":
-		m = model.NewGRUSeq2Seq(ck.ModelCfg)
-	case "bert":
-		m = model.NewBERTStyle(ck.ModelCfg, p.Cfg.MaxOutPieces)
-	default:
-		return fmt.Errorf("%w: unknown architecture %q", ErrCheckpointArch, ck.Arch)
+	m, err := newModel(ck.Arch, ck.ModelCfg, p.Cfg.MaxOutPieces)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrCheckpointArch, err)
 	}
 	params := m.Params()
 	if len(params) != len(ck.Params) {

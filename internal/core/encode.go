@@ -160,25 +160,6 @@ func (p *Pipeline) ordinal(g *Group, prop string, row, varID int) int {
 	return n
 }
 
-// unitSimilarity is the dice coefficient over subword unit sets.
-func unitSimilarity(a, b string) float64 {
-	ua, ub := model.Units(a), model.Units(b)
-	if len(ua) == 0 || len(ub) == 0 {
-		return 0
-	}
-	set := make(map[string]bool, len(ua))
-	for _, u := range ua {
-		set[u] = true
-	}
-	common := 0
-	for _, u := range ub {
-		if set[u] {
-			common++
-		}
-	}
-	return 2 * float64(common) / float64(len(ua)+len(ub))
-}
-
 // varCandidates returns the flat, ordered candidate list shown for one
 // placeholder (prop-major, each prop contributing its similarity-ranked
 // window), plus N(SV) — the total choice count behind it. The same list

@@ -76,12 +76,9 @@ type Config struct {
 	// RepairRounds bounds the CEGAR repair rounds per diverging function
 	// when Verify is on (0 = the repair.DefaultRounds of 3).
 	RepairRounds int
-	// Stage1Workers bounds the templatization worker pool: how many
-	// function groups Stage 1 templatizes and feature-mines concurrently
-	// in New. 0 or negative means runtime.NumCPU(). Results are merged
-	// back in corpus.AllFuncs() order, so output is byte-identical for
-	// any worker count — the same determinism contract as the Stage 2/3
-	// pools, whose sizes follow GOMAXPROCS.
+	// Stage1Workers is ignored: the Stage 1 pool follows GOMAXPROCS,
+	// like the Stage 2/3 pools. The field stays only so that perfbench,
+	// which reads it, keeps compiling until a benchmark change drops it.
 	Stage1Workers int
 	// Stage1Cache names a directory for the content-addressed Stage 1
 	// artifact cache (internal/s1cache). Empty disables caching. On a
@@ -132,10 +129,7 @@ type Pipeline struct {
 	Cfg Config
 	// Provider streams the corpus: target specs, the source tree, and one
 	// function group at a time. Always set by New/NewFromProvider.
-	Provider corpus.Provider
-	// Corpus is the resident corpus when the pipeline was built from one
-	// (New); nil under a purely streaming provider.
-	Corpus    *corpus.Corpus
+	Provider  corpus.Provider
 	Extractor *feature.Extractor
 	Groups    []*Group
 	Vocab     *model.Vocab
@@ -162,23 +156,17 @@ type Pipeline struct {
 }
 
 // New builds the pipeline through Stage 1 (templates + features) over a
-// resident corpus. It is NewFromProvider with the resident provider; the
-// Corpus field is additionally set for callers that still reach into it.
+// resident corpus. It is NewFromProvider with the resident provider.
 func New(c *corpus.Corpus, cfg Config) (*Pipeline, error) {
-	p, err := NewFromProvider(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.Corpus = c
-	return p, nil
+	return NewFromProvider(c, cfg)
 }
 
 // NewFromProvider builds the pipeline through Stage 1 (templates +
 // features) over any corpus provider — resident (*corpus.Corpus) or
 // streaming (corpus.Stream). Templatization is sharded per function group
-// over Cfg.Stage1Workers goroutines and merged back in corpus.AllFuncs()
-// order, so the result is byte-identical for any worker count. When
-// Cfg.Stage1Cache names a directory, each group is separately
+// over min(GOMAXPROCS, groups) goroutines and merged back in
+// corpus.AllFuncs() order, so the result is byte-identical for any worker
+// count. When Cfg.Stage1Cache names a directory, each group is separately
 // content-addressed (s1cache.GroupKey): a warm build hits every group, an
 // edit to one target rebuilds only the groups that include it, and a
 // corrupt entry rebuilds and overwrites only itself.
@@ -190,9 +178,6 @@ func NewFromProvider(pr corpus.Provider, cfg Config) (*Pipeline, error) {
 		TrainFns:  make(map[string]bool),
 		VerifyFns: make(map[string]bool),
 		gm:        newGenMetrics(cfg.Obs),
-	}
-	if c, ok := pr.(*corpus.Corpus); ok {
-		p.Corpus = c
 	}
 	o := cfg.Obs
 
@@ -242,13 +227,7 @@ func (p *Pipeline) templatize() error {
 	sc := p.openStage1Cache()
 	funcs := corpus.AllFuncs()
 
-	workers := p.Cfg.Stage1Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(funcs) {
-		workers = len(funcs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(funcs))
 	groups := make([]*Group, len(funcs)) // nil where a function has no group
 	keys := make([]string, len(funcs))
 	errs := make([]error, len(funcs))

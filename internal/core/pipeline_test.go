@@ -272,4 +272,7 @@ func TestArchSelection(t *testing.T) {
 	if _, err := p.Train(); err == nil {
 		t.Error("unknown arch must error")
 	}
+	if err := p.InitUntrained(); err == nil {
+		t.Error("InitUntrained: unknown arch must error")
+	}
 }

@@ -117,7 +117,7 @@ func (d repairDecoder) Candidates(fnName string, row int, banned []string, force
 }
 
 // Caps on the template-instantiation grid: values per placeholder and
-// instantiations per row. The engine's own MaxCandidates caps the final
+// instantiations per row. The engine's DefaultCandidates caps the final
 // pool, so these only bound the enumeration work.
 const (
 	repairMaxVarValues = 4

@@ -61,17 +61,26 @@ func (p *Pipeline) InitUntrained() error {
 	if cfg.Seed == 0 {
 		cfg.Seed = p.Cfg.Seed
 	}
-	switch p.Cfg.Arch {
-	case "", "transformer":
-		p.Model = model.NewTransformer(cfg)
-	case "gru":
-		p.Model = model.NewGRUSeq2Seq(cfg)
-	case "bert":
-		p.Model = model.NewBERTStyle(cfg, p.Cfg.MaxOutPieces)
-	default:
-		return fmt.Errorf("core: unknown architecture %q", p.Cfg.Arch)
+	m, err := newModel(p.Cfg.Arch, cfg, p.Cfg.MaxOutPieces)
+	if err != nil {
+		return err
 	}
+	p.Model = m
 	return nil
+}
+
+// newModel constructs a freshly initialized model of the named
+// architecture ("" means transformer).
+func newModel(arch string, cfg model.Config, maxOut int) (model.Seq2Seq, error) {
+	switch arch {
+	case "", "transformer":
+		return model.NewTransformer(cfg), nil
+	case "gru":
+		return model.NewGRUSeq2Seq(cfg), nil
+	case "bert":
+		return model.NewBERTStyle(cfg, maxOut), nil
+	}
+	return nil, fmt.Errorf("core: unknown architecture %q", arch)
 }
 
 // TrainContext runs Stage 2: builds the vocabulary, encodes the training
@@ -94,16 +103,11 @@ func (p *Pipeline) TrainContext(ctx context.Context) (*TrainResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = p.Cfg.Seed
 	}
-	switch p.Cfg.Arch {
-	case "", "transformer":
-		p.Model = model.NewTransformer(cfg)
-	case "gru":
-		p.Model = model.NewGRUSeq2Seq(cfg)
-	case "bert":
-		p.Model = model.NewBERTStyle(cfg, p.Cfg.MaxOutPieces)
-	default:
-		return nil, fmt.Errorf("core: unknown architecture %q", p.Cfg.Arch)
+	m, err := newModel(p.Cfg.Arch, cfg, p.Cfg.MaxOutPieces)
+	if err != nil {
+		return nil, err
 	}
+	p.Model = m
 
 	res := &TrainResult{VocabSize: p.Vocab.Size()}
 	if t, ok := p.Model.(*model.Transformer); ok {

@@ -169,15 +169,3 @@ func (c *Corpus) EvalBackends() []*Backend {
 	}
 	return out
 }
-
-// FunctionGroup gathers the implementations of one interface function
-// across the given backends, preserving backend order.
-func FunctionGroup(backends []*Backend, name string) map[string]*cpp.Node {
-	out := make(map[string]*cpp.Node)
-	for _, b := range backends {
-		if fn, ok := b.Funcs[name]; ok {
-			out[b.Target.Name] = fn
-		}
-	}
-	return out
-}

@@ -178,13 +178,30 @@ func TestStatementCounts(t *testing.T) {
 
 func TestFunctionGroupGathering(t *testing.T) {
 	c := buildCorpus(t)
-	g := FunctionGroup(c.TrainingBackends(), "getRelocType")
-	if len(g) != len(c.TrainingBackends()) {
-		t.Errorf("getRelocType group size = %d", len(g))
+	size := func(name string) int {
+		t.Helper()
+		fn, ok := FuncByName(name)
+		if !ok {
+			t.Fatalf("no interface function %s", name)
+		}
+		gs := c.GroupSource(fn)
+		impls, err := gs.Impls()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tn := range gs.Targets {
+			if impls[i] != c.Backends[tn].Funcs[name] {
+				t.Errorf("%s: impl %d is not %s's function", name, i, tn)
+			}
+		}
+		return len(gs.Targets)
 	}
-	g2 := FunctionGroup(c.TrainingBackends(), "convertToHardwareLoop")
-	if len(g2) == 0 || len(g2) >= len(c.TrainingBackends()) {
-		t.Errorf("convertToHardwareLoop group size = %d, want a proper subset", len(g2))
+	n := len(c.TrainingBackends())
+	if got := size("getRelocType"); got != n {
+		t.Errorf("getRelocType group size = %d, want %d", got, n)
+	}
+	if got := size("convertToHardwareLoop"); got == 0 || got >= n {
+		t.Errorf("convertToHardwareLoop group size = %d, want a proper subset", got)
 	}
 }
 

@@ -293,17 +293,6 @@ func Targets() []*TargetSpec {
 	return ts
 }
 
-// TrainingTargets filters the fleet to the non-eval backends.
-func TrainingTargets() []*TargetSpec {
-	var out []*TargetSpec
-	for _, t := range Targets() {
-		if !t.Eval {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // EvalTargets returns the three held-out targets.
 func EvalTargets() []*TargetSpec {
 	var out []*TargetSpec

@@ -2,13 +2,12 @@ package cpp
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
 // NodeKind classifies AST nodes. The AST is deliberately generic — a kind, a
-// value, and children — so tree algorithms (GumTree matching, LCS,
-// templatization) can treat all nodes uniformly.
+// value, and children — so every pass over it (printing, normalization,
+// inlining, interpretation) walks one node type.
 type NodeKind int
 
 // Node kinds.
@@ -38,7 +37,7 @@ const (
 	KindCall      // children: callee, args...
 	KindMember    // value: "." or "->"; children: base, name
 	KindIndex     // children: base, index
-	KindQualified // value: joined "A::B::c"; children: ident leaves
+	KindQualified // value: joined "A::B::c"; no children
 	KindIdent     // value: name
 	KindNumber    // value: literal text
 	KindString    // value: literal text with quotes
@@ -98,37 +97,8 @@ func (n *Node) Clone() *Node {
 	return c
 }
 
-// Size returns the number of nodes in the subtree.
-func (n *Node) Size() int {
-	if n == nil {
-		return 0
-	}
-	s := 1
-	for _, c := range n.Children {
-		s += c.Size()
-	}
-	return s
-}
-
-// Height returns the height of the subtree (leaf = 1).
-func (n *Node) Height() int {
-	if n == nil {
-		return 0
-	}
-	h := 0
-	for _, c := range n.Children {
-		if ch := c.Height(); ch > h {
-			h = ch
-		}
-	}
-	return h + 1
-}
-
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
-
-// Label is the matching label used by tree differencing: kind plus value.
-func (n *Node) Label() string { return n.Kind.String() + ":" + n.Value }
 
 // Equal reports deep structural equality.
 func (n *Node) Equal(m *Node) bool {
@@ -144,79 +114,6 @@ func (n *Node) Equal(m *Node) bool {
 		}
 	}
 	return true
-}
-
-// Hash returns a structural hash of the subtree (ignores positions).
-func (n *Node) Hash() uint64 {
-	h := fnv.New64a()
-	n.hashInto(h)
-	return h.Sum64()
-}
-
-func (n *Node) hashInto(h interface{ Write([]byte) (int, error) }) {
-	if n == nil {
-		h.Write([]byte{0})
-		return
-	}
-	fmt.Fprintf(h.(interface{ Write([]byte) (int, error) }), "(%d:%s", n.Kind, n.Value)
-	for _, c := range n.Children {
-		c.hashInto(h)
-	}
-	h.Write([]byte(")"))
-}
-
-// Walk visits the subtree pre-order; if fn returns false the node's
-// children are skipped.
-func (n *Node) Walk(fn func(*Node) bool) {
-	if n == nil {
-		return
-	}
-	if !fn(n) {
-		return
-	}
-	for _, c := range n.Children {
-		c.Walk(fn)
-	}
-}
-
-// PostOrder appends the subtree's nodes in post-order to dst and returns it.
-func (n *Node) PostOrder(dst []*Node) []*Node {
-	if n == nil {
-		return dst
-	}
-	for _, c := range n.Children {
-		dst = c.PostOrder(dst)
-	}
-	return append(dst, n)
-}
-
-// Leaves returns the leaf nodes of the subtree, left to right.
-func (n *Node) Leaves() []*Node {
-	var out []*Node
-	n.Walk(func(m *Node) bool {
-		if m.IsLeaf() {
-			out = append(out, m)
-		}
-		return true
-	})
-	return out
-}
-
-// Idents returns the identifier leaf values in the subtree, in order,
-// including the components of qualified names.
-func (n *Node) Idents() []string {
-	var out []string
-	n.Walk(func(m *Node) bool {
-		switch m.Kind {
-		case KindIdent:
-			out = append(out, m.Value)
-		case KindQualified:
-			out = append(out, strings.Split(m.Value, "::")...)
-			return false
-		}
-		return true
-	})
-	return out
 }
 
 // String renders a compact s-expression form, useful in tests and debugging.

@@ -975,14 +975,7 @@ func (p *Parser) parsePrimary() (*Node, error) {
 			return nil, err
 		}
 		if strings.Contains(name, "::") {
-			q := NewNode(KindQualified, name)
-			for _, part := range strings.Split(name, "::") {
-				q.Children = append(q.Children, NewNode(KindIdent, part))
-			}
-			// Qualified leaves keep children for Idents() but count as one
-			// unit for matching; collapse children into the label only.
-			q.Children = nil
-			return q, nil
+			return NewNode(KindQualified, name), nil
 		}
 		return NewNode(KindIdent, name), nil
 	case t.IsPunct("{"):

@@ -5,8 +5,8 @@
 // function definitions, declarations, if/else, switch/case, loops,
 // return/break/continue, calls, member access, qualified names
 // (Target::fixup_x), casts, and the usual expression operators. It is the
-// substrate every later VEGA stage builds on: statement splitting for
-// templatization, ASTs for GumTree alignment, printing for emitted code,
+// substrate every later VEGA stage builds on: statement splitting and
+// lexing for templatization's token alignment, printing for emitted code,
 // normalization and inlining for pre-processing.
 package cpp
 

@@ -153,7 +153,7 @@ func (u *Universe) EvaluateFunction(f *generate.Function, ref *cpp.Node, ft *tem
 
 	var refTexts []string
 	if ref != nil {
-		refTexts = canonicalStatements(ref)
+		refTexts = CanonicalStatements(ref)
 		res.RefStatements = len(refTexts)
 	}
 
@@ -197,34 +197,33 @@ func (u *Universe) EvaluateFunction(f *generate.Function, ref *cpp.Node, ft *tem
 	return res
 }
 
-// canonicalStatements renders a function's statements in canonical token
-// form (the comparison space used throughout evaluation).
-func canonicalStatements(fn *cpp.Node) []string {
+// CanonicalStatements renders a function's statements in canonical token
+// form: the comparison space of evaluation and repair.
+func CanonicalStatements(fn *cpp.Node) []string {
 	var out []string
 	for _, s := range cpp.SplitFunction(fn) {
-		toks, err := cpp.Lex(s.Text)
-		if err != nil {
-			out = append(out, s.Text)
-			continue
-		}
-		out = append(out, template.JoinTokens(cpp.TokenTexts(toks)))
+		out = append(out, CanonicalText(s.Text))
 	}
 	return out
+}
+
+// CanonicalText re-joins a statement's tokens canonically; text that does
+// not lex is returned unchanged.
+func CanonicalText(text string) string {
+	toks, err := cpp.Lex(text)
+	if err != nil {
+		return text
+	}
+	return template.JoinTokens(cpp.TokenTexts(toks))
 }
 
 // keptTexts collects the canonical texts of the statements VEGA kept.
 func keptTexts(f *generate.Function) []string {
 	var out []string
 	for _, s := range f.Statements {
-		if !s.Kept() {
-			continue
+		if s.Kept() {
+			out = append(out, CanonicalText(s.Text))
 		}
-		toks, err := cpp.Lex(s.Text)
-		if err != nil {
-			out = append(out, s.Text)
-			continue
-		}
-		out = append(out, template.JoinTokens(cpp.TokenTexts(toks)))
 	}
 	return out
 }
@@ -232,8 +231,8 @@ func keptTexts(f *generate.Function) []string {
 // statementAccuracy aligns generated against reference statements and
 // counts exact matches; the rest of the reference is manual effort.
 func statementAccuracy(gen, ref []string) (accurate, manual int) {
-	tg := tokenize(gen)
-	tr := tokenize(ref)
+	tg := TokenizeLines(gen)
+	tr := TokenizeLines(ref)
 	pairs := gumtree.AlignTokenized(tg, tr, gumtree.AlignOptions{MinSim: 0.3})
 	matched := 0
 	for _, p := range pairs {
@@ -244,17 +243,23 @@ func statementAccuracy(gen, ref []string) (accurate, manual int) {
 	return matched, len(ref) - matched
 }
 
-func tokenize(lines []string) [][]string {
+// TokenizeLines lexes each canonical line into its token texts, for
+// statement alignment; a line that does not lex becomes one opaque token.
+func TokenizeLines(lines []string) [][]string {
 	out := make([][]string, len(lines))
 	for i, l := range lines {
-		toks, err := cpp.Lex(l)
-		if err != nil {
-			out[i] = []string{l}
-			continue
-		}
-		out[i] = cpp.TokenTexts(toks)
+		out[i] = TokenizeLine(l)
 	}
 	return out
+}
+
+// TokenizeLine is TokenizeLines for one line.
+func TokenizeLine(l string) []string {
+	toks, err := cpp.Lex(l)
+	if err != nil {
+		return []string{l}
+	}
+	return cpp.TokenTexts(toks)
 }
 
 // classifyErrors derives the paper's three error types for an inaccurate
@@ -264,8 +269,8 @@ func classifyErrors(f *generate.Function, gen, ref []string, accurate bool) (err
 	if accurate {
 		return false, false, false
 	}
-	tg := tokenize(gen)
-	tr := tokenize(ref)
+	tg := TokenizeLines(gen)
+	tr := TokenizeLines(ref)
 	pairs := gumtree.AlignTokenized(tg, tr, gumtree.AlignOptions{MinSim: 0.3})
 	matchedRef := map[int]bool{}
 	for _, p := range pairs {

@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"sort"
-
 	"vega/internal/corpus"
 	"vega/internal/generate"
 	"vega/internal/template"
@@ -257,15 +255,4 @@ func (e EffortModel) TotalHours(mods []ModuleStats) float64 {
 		total += h
 	}
 	return total
-}
-
-// SortedFunctionNames lists evaluated function names sorted (helper for
-// stable reports).
-func (be *BackendEval) SortedFunctionNames() []string {
-	var out []string
-	for _, r := range be.Results {
-		out = append(out, r.Name)
-	}
-	sort.Strings(out)
-	return out
 }

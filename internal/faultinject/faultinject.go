@@ -79,9 +79,6 @@ func Points() []Point {
 	return out
 }
 
-// Registered reports whether p names a compiled-in fault point.
-func Registered(p Point) bool { return registry[p] }
-
 var (
 	mu      sync.Mutex
 	armed   map[Point]string

@@ -147,17 +147,6 @@ func (tf *TemplateFeatures) PropIndex(name string) int {
 	return -1
 }
 
-// IndependentProps returns the independent subset, in order.
-func (tf *TemplateFeatures) IndependentProps() []Property {
-	var out []Property
-	for _, p := range tf.Props {
-		if p.Kind == Independent {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // DependentProps returns the dependent subset, in order.
 func (tf *TemplateFeatures) DependentProps() []Property {
 	var out []Property
@@ -342,9 +331,6 @@ func (e *Extractor) InPropList(name string) bool {
 
 // IdentifiedSite returns a property's declaration path under LLVMDIRs.
 func (e *Extractor) IdentifiedSite(name string) string { return e.propSites[name] }
-
-// PropListSize reports the candidate-set size (for diagnostics).
-func (e *Extractor) PropListSize() int { return len(e.propSites) }
 
 // PropNames returns the sorted candidate identifiers (for diagnostics).
 func (e *Extractor) PropNames() []string {

@@ -1,3 +1,10 @@
+// Package gumtree aligns statements across target-specific
+// implementations of the same interface function. VEGA's Stage 1 does this
+// with GumTree AST differencing (Falleri et al.); this package stands in
+// for it with token-sequence primitives instead: longest common
+// subsequence, Dice similarity over LCS length, and dynamic-programming
+// statement alignment. GumTree's top-down and bottom-up tree matching is
+// not implemented.
 package gumtree
 
 import "vega/internal/cpp"

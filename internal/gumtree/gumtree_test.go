@@ -42,63 +42,6 @@ const mipsReloc = `unsigned MipsELFObjectWriter::getRelocType(unsigned Kind, boo
   return ELF::R_MIPS_32;
 }`
 
-func TestMatchIdenticalTrees(t *testing.T) {
-	a := parseFn(t, armReloc)
-	b := parseFn(t, armReloc)
-	mappings := Match(a, b)
-	if len(mappings) != a.Size() {
-		t.Errorf("identical trees: %d mappings, want %d", len(mappings), a.Size())
-	}
-	for _, m := range mappings {
-		if m.Src.Label() != m.Dst.Label() {
-			t.Errorf("mismatched labels: %q vs %q", m.Src.Label(), m.Dst.Label())
-		}
-	}
-}
-
-func TestMatchSimilarFunctions(t *testing.T) {
-	a := parseFn(t, armReloc)
-	b := parseFn(t, mipsReloc)
-	mappings := Match(a, b)
-	// The two functions share most of their structure; the mapping should
-	// cover a majority of nodes.
-	if len(mappings) < a.Size()/2 {
-		t.Errorf("only %d of %d nodes matched", len(mappings), a.Size())
-	}
-	// The declaration statements (identical) must be matched to each other.
-	declA := a.Children[2].Children[0]
-	found := false
-	for _, m := range mappings {
-		if m.Src == declA {
-			found = true
-			if m.Dst.Kind != cpp.KindDecl {
-				t.Errorf("decl matched to %v", m.Dst.Kind)
-			}
-		}
-	}
-	if !found {
-		t.Error("declaration statement unmatched")
-	}
-}
-
-func TestMatchMappingIsInjective(t *testing.T) {
-	a := parseFn(t, armReloc)
-	b := parseFn(t, mipsReloc)
-	mappings := Match(a, b)
-	srcSeen := map[*cpp.Node]bool{}
-	dstSeen := map[*cpp.Node]bool{}
-	for _, m := range mappings {
-		if srcSeen[m.Src] {
-			t.Error("src node mapped twice")
-		}
-		if dstSeen[m.Dst] {
-			t.Error("dst node mapped twice")
-		}
-		srcSeen[m.Src] = true
-		dstSeen[m.Dst] = true
-	}
-}
-
 func TestTokenLCS(t *testing.T) {
 	a := []string{"case", "ARM", "::", "fixup_arm_movt_hi16", ":"}
 	b := []string{"case", "Mips", "::", "fixup_MIPS_HI16", ":"}

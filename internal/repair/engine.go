@@ -25,12 +25,6 @@ type Options struct {
 	// MaxRounds bounds repair rounds per function (<=0 means the
 	// DefaultRounds of 3).
 	MaxRounds int
-	// MaxCandidates bounds candidates tried per suspect per round
-	// (<=0 = DefaultCandidates).
-	MaxCandidates int
-	// MaxSuspects bounds how many suspect rows one round examines
-	// (<=0 = DefaultSuspects).
-	MaxSuspects int
 }
 
 // Default bounds: three rounds of up to four suspects, six candidates
@@ -45,12 +39,6 @@ const (
 func (o Options) filled() Options {
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = DefaultRounds
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = DefaultCandidates
-	}
-	if o.MaxSuspects <= 0 {
-		o.MaxSuspects = DefaultSuspects
 	}
 	return o
 }
@@ -196,8 +184,8 @@ func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]gener
 		return true
 	}
 	suspects := v.Suspects
-	if len(suspects) > e.opt.MaxSuspects {
-		suspects = suspects[:e.opt.MaxSuspects]
+	if len(suspects) > DefaultSuspects {
+		suspects = suspects[:DefaultSuspects]
 	}
 	for _, s := range suspects {
 		if ctx.Err() != nil {
@@ -212,8 +200,8 @@ func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]gener
 		if e.dec != nil {
 			cands = e.dec.Candidates(fn.Name, s.Row, rowBans, s.ForcePresent)
 		}
-		if len(cands) > e.opt.MaxCandidates {
-			cands = cands[:e.opt.MaxCandidates]
+		if len(cands) > DefaultCandidates {
+			cands = cands[:DefaultCandidates]
 		}
 		cur := (*work)[idx]
 		var best *Verdict

@@ -23,7 +23,6 @@ import (
 	"vega/internal/generate"
 	"vega/internal/gumtree"
 	"vega/internal/interp"
-	"vega/internal/template"
 )
 
 // Counterexample is the minimal divergence witness the oracle derives
@@ -124,8 +123,8 @@ func (o *Oracle) refStatementsFor(name string, ref *cpp.Node) *refStatements {
 	if ok {
 		return rs
 	}
-	texts := canonicalStatements(ref)
-	rs = &refStatements{texts: texts, toks: tokenizeLines(texts)}
+	texts := eval.CanonicalStatements(ref)
+	rs = &refStatements{texts: texts, toks: eval.TokenizeLines(texts)}
 	o.mu.Lock()
 	if o.refs == nil {
 		o.refs = make(map[string]*refStatements)
@@ -208,7 +207,7 @@ func suiteVerdict(u *eval.Universe, genFn, ref *cpp.Node, cases []eval.Case) Ver
 // scored by exactly-matching aligned statements so the engine still has a
 // gradient to re-rank candidates by.
 func textualVerdict(genFn *cpp.Node, ref *refStatements) Verdict {
-	genTexts := canonicalStatements(genFn)
+	genTexts := eval.CanonicalStatements(genFn)
 	refTexts := ref.texts
 	v := Verdict{Total: len(refTexts)}
 	if strings.Join(genTexts, "\n") == strings.Join(refTexts, "\n") {
@@ -216,7 +215,7 @@ func textualVerdict(genFn *cpp.Node, ref *refStatements) Verdict {
 		v.Passed = v.Total
 		return v
 	}
-	pairs := gumtree.AlignTokenized(tokenizeLines(genTexts), ref.toks,
+	pairs := gumtree.AlignTokenized(eval.TokenizeLines(genTexts), ref.toks,
 		gumtree.AlignOptions{MinSim: 0.3})
 	for _, p := range pairs {
 		if p.A >= 0 && p.B >= 0 && genTexts[p.A] == refTexts[p.B] {
@@ -245,13 +244,13 @@ func suspects(fn *generate.Function, ref *refStatements) []Suspect {
 	var kept []keptRow
 	for _, s := range fn.Statements {
 		if s.Kept() {
-			kept = append(kept, keptRow{row: s.Row, text: s.Text, can: canonicalText(s.Text)})
+			kept = append(kept, keptRow{row: s.Row, text: s.Text, can: eval.CanonicalText(s.Text)})
 		}
 	}
 	refTexts := ref.texts
 	tg := make([][]string, len(kept))
 	for i, k := range kept {
-		tg[i] = tokenizeLine(k.can)
+		tg[i] = eval.TokenizeLine(k.can)
 	}
 	pairs := gumtree.AlignTokenized(tg, ref.toks, gumtree.AlignOptions{MinSim: 0.3})
 	var mismatched, spurious []Suspect
@@ -336,38 +335,4 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-// --- canonical text helpers (the comparison space eval uses) ---
-
-func canonicalStatements(fn *cpp.Node) []string {
-	var out []string
-	for _, s := range cpp.SplitFunction(fn) {
-		out = append(out, canonicalText(s.Text))
-	}
-	return out
-}
-
-func canonicalText(text string) string {
-	toks, err := cpp.Lex(text)
-	if err != nil {
-		return text
-	}
-	return template.JoinTokens(cpp.TokenTexts(toks))
-}
-
-func tokenizeLines(lines []string) [][]string {
-	out := make([][]string, len(lines))
-	for i, l := range lines {
-		out[i] = tokenizeLine(l)
-	}
-	return out
-}
-
-func tokenizeLine(l string) []string {
-	toks, err := cpp.Lex(l)
-	if err != nil {
-		return []string{l}
-	}
-	return cpp.TokenTexts(toks)
 }

@@ -5,7 +5,8 @@
 //
 // Templates are built by progressive multi-way alignment: each
 // implementation's statement sequence is aligned against the growing
-// template with the GumTree/LCS machinery, matched statements are merged
+// template by token-LCS statement alignment (package gumtree, which stands
+// in for the paper's GumTree tree matching), matched statements are merged
 // token-wise (tokens outside the longest common subsequence become
 // placeholders), and unmatched statements extend the template as
 // target-conditional rows.

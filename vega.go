@@ -25,11 +25,12 @@
 // isolation, checkpoint checksumming, and NaN-retry behaviour.
 //
 // Subsystems live under internal/: the C++-subset frontend (cpp), the
-// mini TableGen (tablegen), GumTree-style alignment (gumtree),
-// templatization (template), feature selection (feature), the from-scratch
-// transformer stack (model), the synthetic backend corpus (corpus), the
-// regression interpreter (interp), evaluation (eval), the fork-flow
-// baseline (forkflow), and the Fig. 10 substrate (compiler, sim, bench).
+// mini TableGen (tablegen), token-LCS statement alignment standing in for
+// GumTree (gumtree), templatization (template), feature selection
+// (feature), the from-scratch transformer stack (model), the synthetic
+// backend corpus (corpus), the regression interpreter (interp), evaluation
+// (eval), the fork-flow baseline (forkflow), and the Fig. 10 substrate
+// (compiler, sim, bench).
 // DESIGN.md maps every paper experiment to its module and bench target.
 package vega
 
