@@ -103,7 +103,7 @@ func BenchmarkFig6TrainingTime(b *testing.B) {
 		b.StopTimer()
 		m := model.NewTransformer(mcfg)
 		b.StartTimer()
-		model.Fit(m, samples, opt)
+		model.FitContext(context.Background(), m, samples, opt)
 	}
 	b.ReportMetric(float64(len(samples)), "samples/epoch")
 }
@@ -393,7 +393,7 @@ func BenchmarkModelTrainingEpoch(b *testing.B) {
 	opt := model.TrainOptions{Epochs: 1, Batch: 16, LR: 3e-3, Seed: 9}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.Fit(m, samples, opt)
+		model.FitContext(context.Background(), m, samples, opt)
 	}
 	b.ReportMetric(float64(len(samples)), "samples/epoch")
 }

@@ -19,9 +19,9 @@ const Threshold = 0.5
 
 // NaN policy: a score that is NaN (a corrupted model output, a poisoned
 // feature ratio) carries no information and must never pass a filter by
-// accident. Likely treats NaN as explicitly not-likely, BandOf maps it to
-// BandLow, and Statement/Function clamp non-finite results to 0 — the
-// same bucket as "maximal uncertainty". Before these guards, NaN reached
+// accident. Likely treats NaN as explicitly not-likely, and
+// Statement/Function clamp non-finite results to 0, "maximal
+// uncertainty". Before these guards, NaN reached
 // the same outcomes only through the incidental semantics of failed
 // float comparisons.
 
@@ -75,40 +75,4 @@ func Likely(score float64) bool {
 		return false
 	}
 	return score >= Threshold
-}
-
-// Band buckets a score the way Fig. 8 reports it: "≈1.00" means > 0.99.
-type Band int
-
-// Bands.
-const (
-	BandLow  Band = iota // below threshold
-	BandMid              // [Threshold, 0.99]
-	BandHigh             // > 0.99 ("≈ 1.00")
-)
-
-// BandOf classifies a score. NaN maps to BandLow by policy: an
-// uninterpretable score is flagged for review, never trusted.
-func BandOf(score float64) Band {
-	switch {
-	case math.IsNaN(score):
-		return BandLow
-	case score > 0.99:
-		return BandHigh
-	case score >= Threshold:
-		return BandMid
-	default:
-		return BandLow
-	}
-}
-
-func (b Band) String() string {
-	switch b {
-	case BandHigh:
-		return "≈1.00"
-	case BandMid:
-		return "[0.5,0.99]"
-	default:
-		return "<0.5"
-	}
 }

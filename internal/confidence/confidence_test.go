@@ -70,25 +70,6 @@ func TestLikelyThreshold(t *testing.T) {
 	}
 }
 
-func TestBands(t *testing.T) {
-	cases := map[float64]Band{
-		1.0:   BandHigh,
-		0.995: BandHigh,
-		0.99:  BandMid,
-		0.5:   BandMid,
-		0.49:  BandLow,
-		0:     BandLow,
-	}
-	for score, want := range cases {
-		if got := BandOf(score); got != want {
-			t.Errorf("BandOf(%f) = %v, want %v", score, got, want)
-		}
-	}
-	if BandHigh.String() == "" || BandMid.String() == "" || BandLow.String() == "" {
-		t.Error("bands must render")
-	}
-}
-
 // Property: scores are always in [0, 1], and absent statements always
 // score exactly 0.
 func TestStatementRangeProperty(t *testing.T) {
@@ -117,9 +98,6 @@ func TestNaNEdgeCases(t *testing.T) {
 	nan := math.NaN()
 	if Likely(nan) {
 		t.Error("Likely(NaN) = true; NaN must never clear the threshold")
-	}
-	if got := BandOf(nan); got != BandLow {
-		t.Errorf("BandOf(NaN) = %v, want BandLow", got)
 	}
 	if got := Function(nil); got != 0 {
 		t.Errorf("Function(nil) = %v, want 0", got)

@@ -464,15 +464,6 @@ func (p *Pipeline) Stats() Stats {
 	return s
 }
 
-// TrainingTargetNames lists training targets in fleet order.
-func (p *Pipeline) TrainingTargetNames() []string {
-	var out []string
-	for _, t := range corpus.TrainingSpecs(p.Provider) {
-		out = append(out, t.Name)
-	}
-	return out
-}
-
 // TargetSpecs lists the provider's fleet in canonical order.
 func (p *Pipeline) TargetSpecs() []*corpus.TargetSpec {
 	return corpus.Specs(p.Provider)

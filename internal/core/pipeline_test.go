@@ -58,7 +58,7 @@ func TestPipelineStageOne(t *testing.T) {
 	if g == nil || g.FT.Module != "EMI" {
 		t.Fatalf("getRelocType group: %+v", g)
 	}
-	if len(g.Targets) != len(p.TrainingTargetNames()) {
+	if len(g.Targets) != len(corpus.TrainingSpecs(p.Provider)) {
 		t.Errorf("getRelocType targets = %d", len(g.Targets))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"vega/internal/corpus"
 	"vega/internal/cpp"
 	"vega/internal/generate"
 )
@@ -41,7 +42,7 @@ func TestAdoptBackendGrowsTrainingFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(adopted.TrainingTargetNames()), len(base.TrainingTargetNames())+1; got != want {
+	if got, want := len(corpus.TrainingSpecs(adopted.Provider)), len(corpus.TrainingSpecs(base.Provider))+1; got != want {
 		t.Fatalf("training fleet = %d, want %d", got, want)
 	}
 	// RISCV's implementations now participate in the function groups.

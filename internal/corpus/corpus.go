@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"vega/internal/cpp"
@@ -59,25 +58,6 @@ type Backend struct {
 	Funcs map[string]*cpp.Node
 	// Sources keeps the rendered C++ text.
 	Sources map[string]string
-}
-
-// FuncNames lists the backend's implemented functions, sorted.
-func (b *Backend) FuncNames() []string {
-	out := make([]string, 0, len(b.Funcs))
-	for n := range b.Funcs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// StatementCount totals the paper's statement metric over the backend.
-func (b *Backend) StatementCount() int {
-	n := 0
-	for _, fn := range b.Funcs {
-		n += len(cpp.NonClose(cpp.SplitFunction(fn)))
-	}
-	return n
 }
 
 // ParseFunction parses one rendered reference implementation into its
@@ -146,17 +126,6 @@ func BuildFleet(targets []*TargetSpec) (*Corpus, error) {
 		c.Backends[t.Name] = b
 	}
 	return c, nil
-}
-
-// TrainingBackends returns the non-eval backends, in fleet order.
-func (c *Corpus) TrainingBackends() []*Backend {
-	var out []*Backend
-	for _, t := range c.Targets {
-		if !t.Eval {
-			out = append(out, c.Backends[t.Name])
-		}
-	}
-	return out
 }
 
 // EvalBackends returns the held-out backends, in fleet order.

@@ -2,6 +2,8 @@ package cpp_test
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,7 +22,7 @@ func FuzzParseNormalize(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, b := range c.Backends {
-		for _, name := range b.FuncNames() {
+		for _, name := range slices.Sorted(maps.Keys(b.Funcs)) {
 			f.Add(b.Sources[name])
 		}
 	}

@@ -7,22 +7,14 @@ import (
 
 // Lexer tokenizes C++-subset source text.
 type Lexer struct {
-	src          string
-	off          int
-	line, col    int
-	keepComments bool
+	src       string
+	off       int
+	line, col int
 }
 
 // NewLexer returns a lexer over src. Comments are skipped.
 func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
-}
-
-// NewLexerKeepComments returns a lexer that emits comment tokens.
-func NewLexerKeepComments(src string) *Lexer {
-	l := NewLexer(src)
-	l.keepComments = true
-	return l
 }
 
 // Lex tokenizes the whole input, returning the token stream without the
@@ -103,19 +95,12 @@ func (l *Lexer) Next() (Token, error) {
 			continue
 		}
 		if l.peek() == '/' && l.peekAt(1) == '/' {
-			tok, keep := l.lexLineComment()
-			if keep {
-				return tok, nil
-			}
+			l.skipLineComment()
 			continue
 		}
 		if l.peek() == '/' && l.peekAt(1) == '*' {
-			tok, keep, err := l.lexBlockComment()
-			if err != nil {
+			if err := l.skipBlockComment(); err != nil {
 				return Token{}, err
-			}
-			if keep {
-				return tok, nil
 			}
 			continue
 		}
@@ -147,38 +132,26 @@ func (l *Lexer) Next() (Token, error) {
 	}
 }
 
-func (l *Lexer) lexLineComment() (Token, bool) {
-	pos := l.pos()
-	start := l.off
+func (l *Lexer) skipLineComment() {
 	for l.off < len(l.src) && l.peek() != '\n' {
 		l.advance()
 	}
-	if l.keepComments {
-		return Token{Kind: TokComment, Text: l.src[start:l.off], Pos: pos}, true
-	}
-	return Token{}, false
 }
 
-func (l *Lexer) lexBlockComment() (Token, bool, error) {
-	pos := l.pos()
-	start := l.off
+func (l *Lexer) skipBlockComment() error {
 	l.advance() // '/'
 	l.advance() // '*'
 	for {
 		if l.off >= len(l.src) {
-			return Token{}, false, l.errorf("unterminated block comment")
+			return l.errorf("unterminated block comment")
 		}
 		if l.peek() == '*' && l.peekAt(1) == '/' {
 			l.advance()
 			l.advance()
-			break
+			return nil
 		}
 		l.advance()
 	}
-	if l.keepComments {
-		return Token{Kind: TokComment, Text: l.src[start:l.off], Pos: pos}, true, nil
-	}
-	return Token{}, false, nil
 }
 
 func (l *Lexer) lexNumber(pos Pos) (Token, error) {
@@ -295,4 +268,16 @@ func TokenTexts(toks []Token) []string {
 		out[i] = t.Text
 	}
 	return out
+}
+
+// StatementTokens is the one tokenization rule that templatization,
+// evaluation and repair share: a statement's token texts, or, when the
+// text does not lex, the whole text as one opaque token so that
+// alignment still proceeds.
+func StatementTokens(text string) []string {
+	toks, err := Lex(text)
+	if err != nil {
+		return []string{text}
+	}
+	return TokenTexts(toks)
 }

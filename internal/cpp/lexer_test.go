@@ -24,6 +24,27 @@ func TestLexBasicTokens(t *testing.T) {
 	}
 }
 
+// TestStatementTokens covers both branches of the shared tokenization
+// rule: text that lexes, text that does not (Lex stops partway and
+// returns what it read so far, which the rule must not keep), and the
+// empty statement.
+func TestStatementTokens(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{"return ELF::R_ARM_NONE;", []string{"return", "ELF", "::", "R_ARM_NONE", ";"}},
+		{`Name = "unterminated;`, []string{`Name = "unterminated;`}},
+		{"case 'x:", []string{"case 'x:"}},
+		{"x = 1; /* open", []string{"x = 1; /* open"}},
+		{"", []string{}},
+	} {
+		if got := StatementTokens(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("StatementTokens(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestLexQualifiedName(t *testing.T) {
 	toks := mustLex(t, `case ARM::fixup_arm_movt_hi16:`)
 	want := []string{"case", "ARM", "::", "fixup_arm_movt_hi16", ":"}
@@ -88,25 +109,6 @@ func TestLexSkipsComments(t *testing.T) {
 	want := []string{"a", ";", "b", ";"}
 	if got := TokenTexts(mustLex(t, src)); !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestLexKeepComments(t *testing.T) {
-	l := NewLexerKeepComments("a; // note\nb;")
-	var kinds []TokenKind
-	for {
-		tok, err := l.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tok.Kind == TokEOF {
-			break
-		}
-		kinds = append(kinds, tok.Kind)
-	}
-	want := []TokenKind{TokIdent, TokPunct, TokComment, TokIdent, TokPunct}
-	if !reflect.DeepEqual(kinds, want) {
-		t.Errorf("got %v, want %v", kinds, want)
 	}
 }
 

@@ -111,15 +111,3 @@ func StatementTexts(sts []Statement) []string {
 	}
 	return out
 }
-
-// NonClose filters out synthetic closing-brace statements; what remains
-// are the paper's "statements" counted in all evaluation tables.
-func NonClose(sts []Statement) []Statement {
-	var out []Statement
-	for _, s := range sts {
-		if !s.Close && s.Text != "{" {
-			out = append(out, s)
-		}
-	}
-	return out
-}

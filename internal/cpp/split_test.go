@@ -43,15 +43,17 @@ func TestSplitStatementTerminators(t *testing.T) {
 
 func TestNonCloseFiltering(t *testing.T) {
 	fn := mustParseFunction(t, relocFuncSrc)
-	all := SplitFunction(fn)
-	open := NonClose(all)
-	if len(open) >= len(all) {
-		t.Errorf("NonClose did not remove closers: %d vs %d", len(open), len(all))
-	}
-	for _, s := range open {
-		if s.Close || s.Text == "}" || s.Text == "{" {
-			t.Errorf("NonClose kept %q", s.Text)
+	closers := 0
+	for _, s := range SplitFunction(fn) {
+		if s.Close != (s.Text == "}") {
+			t.Errorf("statement %q has Close = %v", s.Text, s.Close)
 		}
+		if s.Close {
+			closers++
+		}
+	}
+	if closers == 0 {
+		t.Error("no closing-brace statement marked Close")
 	}
 }
 

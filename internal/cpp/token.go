@@ -24,7 +24,6 @@ const (
 	TokString
 	TokChar
 	TokPunct
-	TokComment // retained only when lexing with comments enabled
 )
 
 var tokenKindNames = map[TokenKind]string{
@@ -35,7 +34,6 @@ var tokenKindNames = map[TokenKind]string{
 	TokString:  "String",
 	TokChar:    "Char",
 	TokPunct:   "Punct",
-	TokComment: "Comment",
 }
 
 func (k TokenKind) String() string {

@@ -24,17 +24,6 @@ func Suite(name string, u *Universe) []Case {
 	return nil
 }
 
-// SuiteNames lists the functions with regression suites.
-func SuiteNames() []string {
-	out := make([]string, 0, len(suites))
-	for _, f := range corpus.AllFuncs() {
-		if _, ok := suites[f.Name]; ok {
-			out = append(out, f.Name)
-		}
-	}
-	return out
-}
-
 var suites = map[string]func(u *Universe) []Case{
 	// --- SEL ---
 	"isLegalAddressingMode": func(u *Universe) []Case {

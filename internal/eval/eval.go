@@ -6,9 +6,9 @@ import (
 	"maps"
 	"strings"
 
+	"vega/internal/align"
 	"vega/internal/cpp"
 	"vega/internal/generate"
-	"vega/internal/gumtree"
 	"vega/internal/interp"
 	"vega/internal/template"
 )
@@ -180,22 +180,27 @@ func (u *Universe) EvaluateFunction(f *generate.Function, ref *cpp.Node, ft *tem
 		res.Accurate = u.FunctionPasses(f.Name, genFn, ref)
 	}
 
-	// Statement-level alignment for Fig. 9 / Table 3 and the taxonomy.
-	genTexts := keptTexts(f)
-	res.AccurateStatements, res.ManualEffort = statementAccuracy(genTexts, refTexts)
 	if res.Accurate {
 		// The paper counts every statement of an accurate function as
 		// accurate.
 		res.AccurateStatements = res.RefStatements
-		res.ManualEffort = 0
+		if ft != nil {
+			res.MultiSource = multiSource(f, ft)
+		}
+		return res
 	}
 
-	res.ErrV, res.ErrCS, res.ErrDef = classifyErrors(f, genTexts, refTexts, res.Accurate)
-	if ft != nil && res.Accurate {
-		res.MultiSource = multiSource(f, ft)
-	}
+	// Statement-level alignment for Fig. 9 / Table 3 and the taxonomy.
+	gen, want := tokenizedLines(keptTexts(f)), tokenizedLines(refTexts)
+	pairs := align.AlignTokenized(gen.toks, want.toks, AlignMinSim)
+	res.AccurateStatements, res.ManualEffort = statementAccuracy(pairs, gen, want)
+	res.ErrV, res.ErrCS, res.ErrDef = classifyErrors(f, pairs, gen, want)
 	return res
 }
+
+// AlignMinSim is the token similarity at or above which evaluation and
+// repair align a generated statement with a reference statement.
+const AlignMinSim = 0.3
 
 // CanonicalStatements renders a function's statements in canonical token
 // form: the comparison space of evaluation and repair.
@@ -208,13 +213,9 @@ func CanonicalStatements(fn *cpp.Node) []string {
 }
 
 // CanonicalText re-joins a statement's tokens canonically; text that does
-// not lex is returned unchanged.
+// not lex is one opaque token, so it is returned unchanged.
 func CanonicalText(text string) string {
-	toks, err := cpp.Lex(text)
-	if err != nil {
-		return text
-	}
-	return template.JoinTokens(cpp.TokenTexts(toks))
+	return template.JoinTokens(cpp.StatementTokens(text))
 }
 
 // keptTexts collects the canonical texts of the statements VEGA kept.
@@ -228,57 +229,45 @@ func keptTexts(f *generate.Function) []string {
 	return out
 }
 
-// statementAccuracy aligns generated against reference statements and
-// counts exact matches; the rest of the reference is manual effort.
-func statementAccuracy(gen, ref []string) (accurate, manual int) {
-	tg := TokenizeLines(gen)
-	tr := TokenizeLines(ref)
-	pairs := gumtree.AlignTokenized(tg, tr, gumtree.AlignOptions{MinSim: 0.3})
+// lines is a sequence of canonical statement texts and each one's tokens.
+type lines struct {
+	texts []string
+	toks  [][]string
+}
+
+// tokenizedLines pairs canonical texts with their tokens.
+func tokenizedLines(texts []string) lines {
+	toks := make([][]string, len(texts))
+	for i, t := range texts {
+		toks[i] = cpp.StatementTokens(t)
+	}
+	return lines{texts: texts, toks: toks}
+}
+
+// statementAccuracy counts the aligned statement pairs that match
+// exactly; the rest of the reference is manual effort.
+func statementAccuracy(pairs []align.AlignPair, gen, ref lines) (accurate, manual int) {
 	matched := 0
 	for _, p := range pairs {
-		if p.A >= 0 && p.B >= 0 && gen[p.A] == ref[p.B] {
+		if p.A >= 0 && p.B >= 0 && gen.texts[p.A] == ref.texts[p.B] {
 			matched++
 		}
 	}
-	return matched, len(ref) - matched
-}
-
-// TokenizeLines lexes each canonical line into its token texts, for
-// statement alignment; a line that does not lex becomes one opaque token.
-func TokenizeLines(lines []string) [][]string {
-	out := make([][]string, len(lines))
-	for i, l := range lines {
-		out[i] = TokenizeLine(l)
-	}
-	return out
-}
-
-// TokenizeLine is TokenizeLines for one line.
-func TokenizeLine(l string) []string {
-	toks, err := cpp.Lex(l)
-	if err != nil {
-		return []string{l}
-	}
-	return cpp.TokenTexts(toks)
+	return matched, len(ref.texts) - matched
 }
 
 // classifyErrors derives the paper's three error types for an inaccurate
 // function: wrong target-specific values (Err-V), contradicting confidence
 // scores (Err-CS), and deficient statements (Err-Def).
-func classifyErrors(f *generate.Function, gen, ref []string, accurate bool) (errV, errCS, errDef bool) {
-	if accurate {
-		return false, false, false
-	}
-	tg := TokenizeLines(gen)
-	tr := TokenizeLines(ref)
-	pairs := gumtree.AlignTokenized(tg, tr, gumtree.AlignOptions{MinSim: 0.3})
+func classifyErrors(f *generate.Function, pairs []align.AlignPair, gen, ref lines) (errV, errCS, errDef bool) {
+	tg, tr := gen.toks, ref.toks
 	matchedRef := map[int]bool{}
 	for _, p := range pairs {
 		if p.A < 0 || p.B < 0 {
 			continue
 		}
 		matchedRef[p.B] = true
-		if gen[p.A] == ref[p.B] {
+		if gen.texts[p.A] == ref.texts[p.B] {
 			continue
 		}
 		// Same shape, different tokens => wrong value.
@@ -296,7 +285,7 @@ func classifyErrors(f *generate.Function, gen, ref []string, accurate bool) (err
 		}
 		errDef = true
 	}
-	for i := range ref {
+	for i := range ref.texts {
 		if !matchedRef[i] {
 			errDef = true
 		}
@@ -305,18 +294,14 @@ func classifyErrors(f *generate.Function, gen, ref []string, accurate bool) (err
 	// reference statement (should have been kept), or a kept statement
 	// matching nothing (confidence said correct, it was not).
 	refSet := map[string]bool{}
-	for _, r := range ref {
+	for _, r := range ref.texts {
 		refSet[r] = true
 	}
 	for _, s := range f.Statements {
 		if s.Absent || s.Text == "" {
 			continue
 		}
-		canonical := s.Text
-		if toks, err := cpp.Lex(s.Text); err == nil {
-			canonical = template.JoinTokens(cpp.TokenTexts(toks))
-		}
-		inRef := refSet[canonical]
+		inRef := refSet[CanonicalText(s.Text)]
 		if s.Kept() && !inRef {
 			errCS = true
 		}
@@ -344,10 +329,7 @@ func multiSource(f *generate.Function, ft *template.FunctionTemplate) bool {
 		if len(distinct) < 2 {
 			continue // all training targets agree; no attribution signal
 		}
-		canonical := s.Text
-		if toks, err := cpp.Lex(s.Text); err == nil {
-			canonical = template.JoinTokens(cpp.TokenTexts(toks))
-		}
+		canonical := CanonicalText(s.Text)
 		for tgt, toks := range row.PerTarget {
 			if template.JoinTokens(toks) == canonical {
 				sources[tgt] = true

@@ -7,6 +7,7 @@ import (
 	"vega/internal/cpp"
 	"vega/internal/forkflow"
 	"vega/internal/generate"
+	"vega/internal/template"
 )
 
 func buildCorpus(t *testing.T) *corpus.Corpus {
@@ -36,6 +37,26 @@ func selfBackend(b *corpus.Backend) *generate.Backend {
 	return out
 }
 
+// CanonicalText is the shared tokenization rule re-joined: text that
+// lexes is respaced canonically, text that does not comes back unchanged.
+func TestCanonicalTextUsesStatementTokens(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"return  ELF :: R_ARM_NONE ;", "return ELF::R_ARM_NONE;"},
+		{`Name = "unterminated;`, `Name = "unterminated;`},
+		{"case 'x:", "case 'x:"},
+		{"x = 1; /* open", "x = 1; /* open"},
+		{"", ""},
+	} {
+		got := CanonicalText(tc.in)
+		if want := template.JoinTokens(cpp.StatementTokens(tc.in)); got != want {
+			t.Errorf("CanonicalText(%q) = %q, JoinTokens(StatementTokens) = %q", tc.in, got, want)
+		}
+		if got != tc.want {
+			t.Errorf("CanonicalText(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestSelfEvaluationIsPerfect(t *testing.T) {
 	c := buildCorpus(t)
 	for _, ref := range c.EvalBackends() {
@@ -57,12 +78,8 @@ func TestSelfEvaluationIsPerfect(t *testing.T) {
 }
 
 func TestEverySuiteCoversEveryFunction(t *testing.T) {
-	names := map[string]bool{}
-	for _, n := range SuiteNames() {
-		names[n] = true
-	}
 	for _, f := range corpus.AllFuncs() {
-		if !names[f.Name] {
+		if _, ok := suites[f.Name]; !ok {
 			t.Errorf("no regression suite for %s", f.Name)
 		}
 	}

@@ -13,7 +13,6 @@
 package feature
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -331,13 +330,3 @@ func (e *Extractor) InPropList(name string) bool {
 
 // IdentifiedSite returns a property's declaration path under LLVMDIRs.
 func (e *Extractor) IdentifiedSite(name string) string { return e.propSites[name] }
-
-// PropNames returns the sorted candidate identifiers (for diagnostics).
-func (e *Extractor) PropNames() []string {
-	out := make([]string, 0, len(e.propSites))
-	for n := range e.propSites {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}

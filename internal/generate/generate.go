@@ -186,22 +186,6 @@ func (f *Function) Parse() (*cpp.Node, error) {
 	return cpp.ParseFunction(src)
 }
 
-// StatementCount counts non-absent, non-brace statements (the paper's
-// statement metric).
-func (f *Function) StatementCount() int {
-	n := 0
-	for _, s := range f.Statements {
-		if s.Absent || !s.Kept() {
-			continue
-		}
-		if s.Text == "}" || s.Text == "{" {
-			continue
-		}
-		n++
-	}
-	return n
-}
-
 // Backend is a complete generated backend for one target.
 type Backend struct {
 	Target    string

@@ -86,14 +86,6 @@ func TestParseRendered(t *testing.T) {
 	}
 }
 
-func TestStatementCount(t *testing.T) {
-	f := sampleFunction()
-	// head + 2 kept body statements ("}" excluded, 0.23 dropped).
-	if got := f.StatementCount(); got != 3 {
-		t.Errorf("statement count = %d, want 3", got)
-	}
-}
-
 func TestBackendByModuleAndLookup(t *testing.T) {
 	b := &Backend{
 		Target: "RISCV",
@@ -176,8 +168,5 @@ func TestFailedFunctionIsZeroConfidence(t *testing.T) {
 	}
 	if !strings.Contains(f.RenderAnnotated(), "generation failed") {
 		t.Errorf("annotation hides the failure: %q", f.RenderAnnotated())
-	}
-	if f.StatementCount() != 0 {
-		t.Errorf("StatementCount = %d", f.StatementCount())
 	}
 }

@@ -20,7 +20,7 @@ import (
 // spent.
 var ErrTrainingDiverged = errors.New("model: training diverged")
 
-// TrainOptions tune Fit.
+// TrainOptions tune FitContext.
 type TrainOptions struct {
 	Epochs  int
 	Batch   int
@@ -33,8 +33,8 @@ type TrainOptions struct {
 	LRDecay float64
 	// MaxEpochRetries bounds how many times a bad epoch (NaN/Inf loss,
 	// non-finite weights, or divergence) is re-run from the last good
-	// weights with the LR halved (retryLRDecay) before Fit gives up. 0
-	// means the default of 2; negative disables retries.
+	// weights with the LR halved (retryLRDecay) before FitContext gives
+	// up. 0 means the default of 2; negative disables retries.
 	MaxEpochRetries int
 	// DivergeFactor flags an epoch as diverging when its mean loss
 	// exceeds DivergeFactor times the best epoch mean so far. 0
@@ -61,14 +61,6 @@ type FitStats struct {
 	// Canceled is set when the context was canceled before all epochs
 	// completed; EpochLosses then holds the finished epochs only.
 	Canceled bool
-}
-
-// Fit trains a model on samples and returns the per-epoch losses; it is
-// FitContext without cancellation, retaining the pre-context signature
-// used throughout the tests and examples.
-func Fit(m Seq2Seq, samples []Sample, opt TrainOptions) []float64 {
-	stats, _ := FitContext(context.Background(), m, samples, opt)
-	return stats.EpochLosses
 }
 
 // FitContext trains a model on samples with minibatch gradient
@@ -111,8 +103,8 @@ func FitContext(ctx context.Context, m Seq2Seq, samples []Sample, opt TrainOptio
 	rng := rand.New(rand.NewSource(opt.Seed))
 	var stats FitStats
 
-	// Instruments are fetched once per Fit so the epoch loop never takes
-	// the registry lock; all of them are inert nil no-ops without an
+	// Instruments are fetched once per FitContext so the epoch loop never
+	// takes the registry lock; all of them are inert nil no-ops without an
 	// observer in ctx.
 	o := obs.From(ctx)
 	epochC := o.Counter("fit.epochs")

@@ -103,7 +103,7 @@ func TestFitRetrySkipsNotDoubleCounted(t *testing.T) {
 
 func TestFitGivesUpAfterRetryBudget(t *testing.T) {
 	// A model whose loss is always NaN can never produce a good epoch;
-	// Fit must stop with ErrTrainingDiverged instead of looping.
+	// FitContext must stop with ErrTrainingDiverged instead of looping.
 	m := &nanModel{Transformer: NewTransformer(tinyConfig(24))}
 	stats, err := FitContext(context.Background(), m, copyTask(24, 8, 2, 1),
 		TrainOptions{Epochs: 3, Batch: 4, LR: 1e-3, Seed: 1, MaxEpochRetries: 1})

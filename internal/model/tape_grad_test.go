@@ -300,7 +300,7 @@ var pinnedFitLosses = []uint64{
 func pinnedFit() []float64 {
 	cfg := Config{Vocab: 53, Dim: 48, Heads: 4, EncLayers: 1, DecLayers: 1, FFMult: 4, MaxSeq: 32, Seed: 5}
 	samples := append(copyTask(53, 24, 5, 11), raggedSamples(53)...)
-	return Fit(NewTransformer(cfg), samples, TrainOptions{Epochs: 6, Batch: 8, LR: 3e-3, Seed: 2})
+	return fit(NewTransformer(cfg), samples, TrainOptions{Epochs: 6, Batch: 8, LR: 3e-3, Seed: 2})
 }
 
 func TestFitLossesPinned(t *testing.T) {

@@ -348,26 +348,6 @@ func (tp *Tape) Mul(a, b *Tensor) *Tensor {
 	}, a, b)
 }
 
-// ReLU applies max(0, x).
-func (tp *Tape) ReLU(a *Tensor) *Tensor {
-	out := tp.newTensor(a.R, a.C)
-	for i, v := range a.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
-	return tp.record(out, func() {
-		if a.requiresGrad {
-			ag := tp.g(a)
-			for i := range ag {
-				if a.Data[i] > 0 {
-					ag[i] += out.Grad[i]
-				}
-			}
-		}
-	}, a)
-}
-
 // GELU applies the tanh-approximated Gaussian error linear unit. When a
 // needs a gradient, the forward pass also keeps the derivative, rounded
 // to float32 as the backward uses it, in the tape's arena, so the

@@ -83,7 +83,6 @@ func TestNonlinearityGrads(t *testing.T) {
 	a := NewParam(2, 4, rng)
 	for name, f := range map[string]func(tp *Tape, x *Tensor) *Tensor{
 		"gelu":    func(tp *Tape, x *Tensor) *Tensor { return tp.GELU(x) },
-		"relu":    func(tp *Tape, x *Tensor) *Tensor { return tp.ReLU(x) },
 		"sigmoid": func(tp *Tape, x *Tensor) *Tensor { return tp.Sigmoid(x) },
 		"tanh":    func(tp *Tape, x *Tensor) *Tensor { return tp.Tanh(x) },
 	} {

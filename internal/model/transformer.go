@@ -256,18 +256,3 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
-
-// Perplexity computes exp(mean cross entropy) of the model over samples,
-// a convergence diagnostic.
-func Perplexity(m Seq2Seq, samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var total float64
-	for _, s := range samples {
-		tp := NewTape()
-		loss := m.Loss(tp, s.Input, s.Output)
-		total += float64(loss.Data[0])
-	}
-	return math.Exp(total / float64(len(samples)))
-}

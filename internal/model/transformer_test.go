@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -28,6 +29,12 @@ func tinyConfig(vocab int) Config {
 	return Config{Vocab: vocab, Dim: 32, Heads: 2, EncLayers: 1, DecLayers: 1, FFMult: 2, MaxSeq: 32, Seed: 1}
 }
 
+// fit trains without cancellation and returns the per-epoch losses.
+func fit(m Seq2Seq, samples []Sample, opt TrainOptions) []float64 {
+	stats, _ := FitContext(context.Background(), m, samples, opt)
+	return stats.EpochLosses
+}
+
 func TestTransformerLearnsCopyTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -36,7 +43,7 @@ func TestTransformerLearnsCopyTask(t *testing.T) {
 	samples := copyTask(vocab, 120, 4, 3)
 	m := NewTransformer(tinyConfig(vocab))
 	opt := TrainOptions{Epochs: 40, Batch: 16, LR: 3e-3, Seed: 1, MinLoss: 0.01}
-	losses := Fit(m, samples, opt)
+	losses := fit(m, samples, opt)
 	if losses[len(losses)-1] >= losses[0] {
 		t.Fatalf("loss did not fall: %v -> %v", losses[0], losses[len(losses)-1])
 	}
@@ -82,7 +89,7 @@ func TestGRULearnsTinyTask(t *testing.T) {
 	const vocab = 24
 	samples := copyTask(vocab, 60, 2, 5)
 	m := NewGRUSeq2Seq(Config{Vocab: vocab, Dim: 32, MaxSeq: 16, Seed: 2})
-	losses := Fit(m, samples, TrainOptions{Epochs: 30, Batch: 8, LR: 5e-3, Seed: 2})
+	losses := fit(m, samples, TrainOptions{Epochs: 30, Batch: 8, LR: 5e-3, Seed: 2})
 	if losses[len(losses)-1] >= losses[0]*0.8 {
 		t.Errorf("GRU loss did not fall: %v -> %v", losses[0], losses[len(losses)-1])
 	}
@@ -106,7 +113,7 @@ func TestFitDeterministicWithSeed(t *testing.T) {
 	samples := copyTask(vocab, 12, 2, 7)
 	run := func() []float64 {
 		m := NewTransformer(tinyConfig(vocab))
-		return Fit(m, samples, TrainOptions{Epochs: 2, Batch: 4, LR: 1e-3, Seed: 3})
+		return fit(m, samples, TrainOptions{Epochs: 2, Batch: 4, LR: 1e-3, Seed: 3})
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -127,17 +134,5 @@ func TestNumParams(t *testing.T) {
 	m := NewTransformer(tinyConfig(24))
 	if m.NumParams() < 1000 {
 		t.Errorf("NumParams = %d, suspiciously small", m.NumParams())
-	}
-}
-
-func TestPerplexityFiniteAndPositive(t *testing.T) {
-	m := NewTransformer(tinyConfig(24))
-	samples := copyTask(24, 6, 2, 11)
-	ppl := Perplexity(m, samples)
-	if ppl <= 1 || ppl != ppl {
-		t.Errorf("perplexity = %f", ppl)
-	}
-	if Perplexity(m, nil) != 0 {
-		t.Error("empty perplexity must be 0")
 	}
 }

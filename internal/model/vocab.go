@@ -93,16 +93,12 @@ func (v *Vocab) ForceCharList() []string {
 	return out
 }
 
-// BuildVocab constructs a vocabulary from token sequences. Units occurring
-// at least minCount times become whole pieces; units listed in forceChar
-// (e.g. target namespaces) always decompose to characters so the model
-// learns character-level copying for names it will never have seen.
-func BuildVocab(sequences [][]string, minCount int, forceChar []string) *Vocab {
-	return BuildVocabExtra(sequences, minCount, forceChar, nil)
-}
-
-// BuildVocabExtra additionally registers marker tokens (conventionally
-// "[NAME]") as atomic pieces; EncodeToken emits them whole.
+// BuildVocabExtra constructs a vocabulary from token sequences. Units
+// occurring at least minCount times become whole pieces; units listed in
+// forceChar (e.g. target namespaces) always decompose to characters so the
+// model learns character-level copying for names it will never have seen.
+// Marker tokens in extra (conventionally "[NAME]") are registered as
+// atomic pieces; EncodeToken emits them whole.
 func BuildVocabExtra(sequences [][]string, minCount int, forceChar, extra []string) *Vocab {
 	v := &Vocab{idx: make(map[string]int), forceChar: make(map[string]bool)}
 	for _, f := range forceChar {

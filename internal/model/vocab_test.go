@@ -19,7 +19,7 @@ func trainSeqs() [][]string {
 }
 
 func TestVocabRoundTrip(t *testing.T) {
-	v := BuildVocab(trainSeqs(), 1, nil)
+	v := BuildVocabExtra(trainSeqs(), 1, nil, nil)
 	for _, seq := range trainSeqs() {
 		ids := v.Encode(seq)
 		got := v.Decode(ids)
@@ -30,7 +30,7 @@ func TestVocabRoundTrip(t *testing.T) {
 }
 
 func TestVocabUnseenTokenRoundTrip(t *testing.T) {
-	v := BuildVocab(trainSeqs(), 1, nil)
+	v := BuildVocabExtra(trainSeqs(), 1, nil, nil)
 	// Never-seen identifier must still round-trip via shared units and
 	// character fallback.
 	for _, tok := range []string{"fixup_riscv_pcrel_hi20", "R_RISCV_PCREL_HI20", "RISCV", "q7!z"} {
@@ -43,7 +43,7 @@ func TestVocabUnseenTokenRoundTrip(t *testing.T) {
 }
 
 func TestVocabForceChar(t *testing.T) {
-	v := BuildVocab(trainSeqs(), 1, []string{"ARM", "Mips"})
+	v := BuildVocabExtra(trainSeqs(), 1, []string{"ARM", "Mips"}, nil)
 	ids := v.Encode([]string{"ARM"})
 	if len(ids) != 3 { // A, ##R, ##M
 		t.Errorf("forceChar ARM encoded as %d pieces, want 3", len(ids))
@@ -60,7 +60,7 @@ func TestVocabForceChar(t *testing.T) {
 }
 
 func TestConfidenceTokens(t *testing.T) {
-	v := BuildVocab(nil, 1, nil)
+	v := BuildVocabExtra(nil, 1, nil, nil)
 	for _, score := range []float64{0, 0.5, 1} {
 		id := v.ConfidenceToken(score)
 		got, ok := v.ConfidenceValue(id)
@@ -198,7 +198,7 @@ func FuzzSplitUnitsAgainstReference(f *testing.F) {
 // Property: Encode/Decode round-trips arbitrary printable-ASCII token
 // sequences.
 func TestVocabRoundTripProperty(t *testing.T) {
-	v := BuildVocab(trainSeqs(), 2, nil)
+	v := BuildVocabExtra(trainSeqs(), 2, nil, nil)
 	f := func(raw []uint8) bool {
 		var tok []rune
 		for _, b := range raw {
@@ -217,7 +217,7 @@ func TestVocabRoundTripProperty(t *testing.T) {
 }
 
 func TestVocabSpecialsStable(t *testing.T) {
-	v := BuildVocab(trainSeqs(), 1, nil)
+	v := BuildVocabExtra(trainSeqs(), 1, nil, nil)
 	if v.PieceText(PAD) != "[PAD]" || v.PieceText(SEP) != "[SEP]" || v.PieceText(ABSENT) != "[ABSENT]" {
 		t.Error("special token ids shifted")
 	}

@@ -17,11 +17,11 @@ import (
 	"strings"
 	"sync"
 
+	"vega/internal/align"
 	"vega/internal/corpus"
 	"vega/internal/cpp"
 	"vega/internal/eval"
 	"vega/internal/generate"
-	"vega/internal/gumtree"
 	"vega/internal/interp"
 )
 
@@ -124,7 +124,10 @@ func (o *Oracle) refStatementsFor(name string, ref *cpp.Node) *refStatements {
 		return rs
 	}
 	texts := eval.CanonicalStatements(ref)
-	rs = &refStatements{texts: texts, toks: eval.TokenizeLines(texts)}
+	rs = &refStatements{texts: texts, toks: make([][]string, len(texts))}
+	for i, t := range texts {
+		rs.toks[i] = cpp.StatementTokens(t)
+	}
 	o.mu.Lock()
 	if o.refs == nil {
 		o.refs = make(map[string]*refStatements)
@@ -215,8 +218,11 @@ func textualVerdict(genFn *cpp.Node, ref *refStatements) Verdict {
 		v.Passed = v.Total
 		return v
 	}
-	pairs := gumtree.AlignTokenized(eval.TokenizeLines(genTexts), ref.toks,
-		gumtree.AlignOptions{MinSim: 0.3})
+	tg := make([][]string, len(genTexts))
+	for i, t := range genTexts {
+		tg[i] = cpp.StatementTokens(t)
+	}
+	pairs := align.AlignTokenized(tg, ref.toks, eval.AlignMinSim)
 	for _, p := range pairs {
 		if p.A >= 0 && p.B >= 0 && genTexts[p.A] == refTexts[p.B] {
 			v.Passed++
@@ -250,9 +256,9 @@ func suspects(fn *generate.Function, ref *refStatements) []Suspect {
 	refTexts := ref.texts
 	tg := make([][]string, len(kept))
 	for i, k := range kept {
-		tg[i] = eval.TokenizeLine(k.can)
+		tg[i] = cpp.StatementTokens(k.can)
 	}
-	pairs := gumtree.AlignTokenized(tg, ref.toks, gumtree.AlignOptions{MinSim: 0.3})
+	pairs := align.AlignTokenized(tg, ref.toks, eval.AlignMinSim)
 	var mismatched, spurious []Suspect
 	refMatched := make([]bool, len(refTexts))
 	for _, p := range pairs {

@@ -8,6 +8,8 @@ package sim
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"vega/internal/compiler"
 )
@@ -56,12 +58,8 @@ func New(obj *compiler.Object, tb *compiler.Tables, cfg Config) (*VM, error) {
 		arrayBase: map[string]int{},
 	}
 	top := 0
-	for name, n := range obj.Arrays {
-		_ = name
-		_ = n
-	}
 	// Deterministic layout: sorted names.
-	for _, name := range sortedNames(obj.Arrays) {
+	for _, name := range slices.Sorted(maps.Keys(obj.Arrays)) {
 		vm.arrayBase[name] = top
 		top += obj.Arrays[name]
 	}
@@ -77,19 +75,6 @@ func New(obj *compiler.Object, tb *compiler.Tables, cfg Config) (*VM, error) {
 		copy(vm.mem[base:], vals)
 	}
 	return vm, nil
-}
-
-func sortedNames(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Run executes a function with arguments and returns its result and cost.

@@ -43,16 +43,6 @@ func (r *Record) Lookup(name string) (Field, bool) {
 	return Field{}, false
 }
 
-// HasParent reports whether the record inherits (directly) from parent.
-func (r *Record) HasParent(parent string) bool {
-	for _, p := range r.Parents {
-		if p == parent {
-			return true
-		}
-	}
-	return false
-}
-
 // TDFile is a parsed .td file.
 type TDFile struct {
 	Records []Record
@@ -69,17 +59,6 @@ func (f *TDFile) Def(name string) (*Record, bool) {
 		}
 	}
 	return nil, false
-}
-
-// DefsOf returns all defs inheriting from the given class.
-func (f *TDFile) DefsOf(class string) []*Record {
-	var out []*Record
-	for i := range f.Records {
-		if f.Records[i].Kind == "def" && f.Records[i].HasParent(class) {
-			out = append(out, &f.Records[i])
-		}
-	}
-	return out
 }
 
 // ParseTD parses TableGen source.

@@ -2,6 +2,7 @@ package tablegen
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -39,7 +40,7 @@ func TestParseTDRecords(t *testing.T) {
 	if !ok {
 		t.Fatal("def ADD not found")
 	}
-	if !add.HasParent("RVInst") {
+	if !slices.Contains(add.Parents, "RVInst") {
 		t.Errorf("ADD parents = %v", add.Parents)
 	}
 	name, ok := add.Lookup("Name")
@@ -86,23 +87,12 @@ func TestParseTDClassFields(t *testing.T) {
 	}
 }
 
-func TestDefsOf(t *testing.T) {
-	f, err := ParseTD(sampleTD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defs := f.DefsOf("RVInst")
-	if len(defs) != 1 || defs[0].Name != "ADD" {
-		t.Errorf("DefsOf(RVInst) = %v", defs)
-	}
-}
-
 func TestParseTDAnonymousDef(t *testing.T) {
 	f, err := ParseTD(`def : Proc<"generic">;`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Records) != 1 || f.Records[0].Name != "" || !f.Records[0].HasParent("Proc") {
+	if len(f.Records) != 1 || f.Records[0].Name != "" || !slices.Contains(f.Records[0].Parents, "Proc") {
 		t.Errorf("records = %+v", f.Records)
 	}
 }
@@ -189,10 +179,10 @@ func TestSourceTreeTokenSearch(t *testing.T) {
 	llvmDirs := []string{"llvm/MC"}
 	tgtDirs := []string{"lib/Target/RISCV"}
 
-	if !tree.HasToken("MCSymbolRefExpr", llvmDirs) {
+	if len(tree.FindToken("MCSymbolRefExpr", llvmDirs)) == 0 {
 		t.Error("MCSymbolRefExpr not found in LLVMDIRs")
 	}
-	if tree.HasToken("MCSymbolRefExpr", tgtDirs) {
+	if len(tree.FindToken("MCSymbolRefExpr", tgtDirs)) > 0 {
 		t.Error("MCSymbolRefExpr should not be in TGTDIRs")
 	}
 	paths := tree.FindToken("fixup_riscv_hi20", tgtDirs)
@@ -245,12 +235,12 @@ func TestSourceTreePathsUnder(t *testing.T) {
 func TestSourceTreeInvalidation(t *testing.T) {
 	tree := NewSourceTree()
 	tree.Add("a/x.td", "Name = \"One\"")
-	_ = tree.HasToken("One", []string{"a"}) // builds index
+	_ = tree.FindToken("One", []string{"a"}) // builds index
 	tree.Add("a/x.td", "Name = \"Two\"")
-	if tree.HasToken("One", []string{"a"}) {
+	if len(tree.FindToken("One", []string{"a"})) > 0 {
 		t.Error("stale token index after Add")
 	}
-	if !tree.HasToken("Two", []string{"a"}) {
+	if len(tree.FindToken("Two", []string{"a"})) == 0 {
 		t.Error("new content not indexed")
 	}
 }

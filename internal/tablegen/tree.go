@@ -220,11 +220,6 @@ func underDir(path, d string) bool {
 	return len(path) > len(d) && path[len(d)] == '/' && strings.HasPrefix(path, d)
 }
 
-// HasToken reports whether tok occurs in any file under dirs.
-func (t *SourceTree) HasToken(tok string, dirs []string) bool {
-	return len(t.FindToken(tok, dirs)) > 0
-}
-
 func (t *SourceTree) buildAssignIndex() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -5,7 +5,7 @@
 //
 // Templates are built by progressive multi-way alignment: each
 // implementation's statement sequence is aligned against the growing
-// template by token-LCS statement alignment (package gumtree, which stands
+// template by token-LCS statement alignment (package align, which stands
 // in for the paper's GumTree tree matching), matched statements are merged
 // token-wise (tokens outside the longest common subsequence become
 // placeholders), and unmatched statements extend the template as
@@ -17,8 +17,8 @@ import (
 	"strings"
 	"sync"
 
+	"vega/internal/align"
 	"vega/internal/cpp"
-	"vega/internal/gumtree"
 )
 
 // Impl is one target's implementation of an interface function, already
@@ -127,10 +127,10 @@ func Build(name string, impls []Impl) (*FunctionTemplate, error) {
 	// alignment; rowIDs tracks, per row, the interned ids of the distinct
 	// token lists its PerTarget map holds, so merge's best-of-targets
 	// loop scores each distinct list once per statement pair.
-	memo := gumtree.NewSimCache()
+	memo := align.NewSimCache()
 	var rowIDs [][]int
 	for _, st := range first.Stmts {
-		toks := gumtree.StatementTokens(st)
+		toks := cpp.StatementTokens(st.Text)
 		row := Row{PerTarget: map[string][]string{first.Target: toks}}
 		for _, t := range toks {
 			row.Pattern = append(row.Pattern, Elem{Text: t})
@@ -148,11 +148,11 @@ func Build(name string, impls []Impl) (*FunctionTemplate, error) {
 // merge aligns one more implementation into the template. rowIDs carries
 // the interned token-list ids per row (parallel to ft.Rows); the updated
 // slice for the merged row set is returned.
-func (ft *FunctionTemplate) merge(impl Impl, memo *gumtree.SimCache, rowIDs [][]int) [][]int {
+func (ft *FunctionTemplate) merge(impl Impl, memo *align.SimCache, rowIDs [][]int) [][]int {
 	implToks := make([][]string, len(impl.Stmts))
 	implIDs := make([]int, len(impl.Stmts))
 	for i, st := range impl.Stmts {
-		implToks[i] = gumtree.StatementTokens(st)
+		implToks[i] = cpp.StatementTokens(st.Text)
 		implIDs[i] = memo.Intern(implToks[i])
 	}
 	// Row-to-statement similarity: the best similarity against any target
@@ -169,7 +169,7 @@ func (ft *FunctionTemplate) merge(impl Impl, memo *gumtree.SimCache, rowIDs [][]
 		}
 		return best
 	}
-	pairs := gumtree.AlignFunc(len(ft.Rows), len(impl.Stmts), sim, 0.4)
+	pairs := align.AlignFunc(len(ft.Rows), len(impl.Stmts), sim, 0.4)
 
 	var rows []Row
 	var newIDs [][]int
@@ -214,7 +214,7 @@ func appendIDUnique(ids []int, id int) []int {
 // tokens force a placeholder in their segment.
 func (ft *FunctionTemplate) mergeRow(row *Row, target string, toks []string) {
 	lits, litPos := row.literalTokens()
-	lcs := gumtree.TokenLCS(lits, toks)
+	lcs := align.TokenLCS(lits, toks)
 
 	matchedLit := make(map[int]bool, len(lcs)) // pattern positions kept
 	type anchor struct{ pat, tok int }
@@ -317,7 +317,7 @@ func (ft *FunctionTemplate) valuesUncached(rowIdx int, target string) (vals map[
 	}
 	vals = make(map[int]string)
 	lits, litPos := row.literalTokens()
-	lcs := gumtree.TokenLCS(lits, toks)
+	lcs := align.TokenLCS(lits, toks)
 
 	type anchor struct{ pat, tok int }
 	anchors := make([]anchor, 0, len(lcs)+2)
@@ -385,16 +385,6 @@ func (ft *FunctionTemplate) Render(include func(row int) bool, value func(row, i
 		out = append(out, JoinTokens(toks))
 	}
 	return out
-}
-
-// StatementText renders one target's statement for a row, or "" when the
-// target lacks it.
-func (ft *FunctionTemplate) StatementText(rowIdx int, target string) string {
-	toks, ok := ft.Rows[rowIdx].PerTarget[target]
-	if !ok {
-		return ""
-	}
-	return JoinTokens(toks)
 }
 
 // CommonTokenCount returns |T_k^com| for a row: the number of literal

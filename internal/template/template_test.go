@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vega/internal/cpp"
-	"vega/internal/gumtree"
 )
 
 const armSrc = `unsigned ARMELFObjectWriter::getRelocType(unsigned Kind, bool IsPCRel) {
@@ -210,14 +209,13 @@ func TestRenderMatchesOriginalStatements(t *testing.T) {
 	impl := implOf(t, "MIPS", mipsSrc)
 	var mine []string
 	for i := range ft.Rows {
-		if s := ft.StatementText(i, "MIPS"); s != "" {
-			mine = append(mine, s)
+		if toks, ok := ft.Rows[i].PerTarget["MIPS"]; ok {
+			mine = append(mine, JoinTokens(toks))
 		}
 	}
 	var orig []string
 	for _, st := range impl.Stmts {
-		toks, _ := cpp.Lex(st.Text)
-		orig = append(orig, JoinTokens(cpp.TokenTexts(toks)))
+		orig = append(orig, JoinTokens(cpp.StatementTokens(st.Text)))
 	}
 	if len(mine) != len(orig) {
 		t.Fatalf("statement counts differ: %d vs %d", len(mine), len(orig))
@@ -338,7 +336,7 @@ func TestBuildRowsOwnPerTargetMaps(t *testing.T) {
 		}
 		var want, got [][]string
 		for _, st := range im.Stmts {
-			want = append(want, gumtree.StatementTokens(st))
+			want = append(want, cpp.StatementTokens(st.Text))
 		}
 		for _, row := range ft.Rows {
 			if toks, ok := row.PerTarget[im.Target]; ok {

@@ -60,13 +60,3 @@ func (a *Arena) AllocNoZero(n int) []float32 {
 func (a *Arena) Reset() {
 	a.ci, a.off = 0, 0
 }
-
-// Footprint reports the total floats held across chunks (observability
-// and tests; the arena never shrinks).
-func (a *Arena) Footprint() int {
-	n := 0
-	for _, ch := range a.chunks {
-		n += len(ch)
-	}
-	return n
-}

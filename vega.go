@@ -26,7 +26,7 @@
 //
 // Subsystems live under internal/: the C++-subset frontend (cpp), the
 // mini TableGen (tablegen), token-LCS statement alignment standing in for
-// GumTree (gumtree), templatization (template), feature selection
+// GumTree (align), templatization (template), feature selection
 // (feature), the from-scratch transformer stack (model), the synthetic
 // backend corpus (corpus), the regression interpreter (interp), evaluation
 // (eval), the fork-flow baseline (forkflow), and the Fig. 10 substrate
