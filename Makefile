@@ -86,8 +86,9 @@ bench-stage2:
 	$(GO) test -run '^$$' -bench 'Fig6TrainingTime' -benchmem -benchtime 1x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_stage2.json
 
+# Three one-backend runs; benchjson records the median and range.
 bench-stage3:
-	$(GO) test -run '^$$' -bench 'Fig7InferenceTime' -benchmem -benchtime 1x . \
+	$(GO) test -run '^$$' -bench 'Fig7InferenceTime' -benchmem -benchtime 1x -count 3 . \
 		| $(GO) run ./cmd/benchjson -out BENCH_stage3.json
 
 # Verify-and-repair loop: plain vs verified pass@1 and the repair rate,

@@ -94,8 +94,9 @@ func BenchmarkFig6TrainingTime(b *testing.B) {
 	}
 	samples := p.TrainingData()
 	mcfg := cfg.Model
-	mcfg.Vocab = p.Vocab.Size()
+	mcfg.Vocab, mcfg.Seed = p.Vocab.Size(), cfg.Seed
 	opt := cfg.Train
+	opt.Seed = cfg.Seed
 	opt.Epochs = 1
 	opt.MinLoss = 0
 	b.ResetTimer()
@@ -110,7 +111,7 @@ func BenchmarkFig6TrainingTime(b *testing.B) {
 
 // BenchmarkFig7InferenceTime measures Stage 3 generation of one complete
 // backend (Fig. 7's quantity) on the production path — float32 greedy
-// decoding over the cross-function batched encoder — reporting
+// decoding, each function's rows encoded in one batch — reporting
 // per-module seconds. The generation pool and the kernels run GOMAXPROCS
 // wide; `go test -cpu 1` gives the one-core number.
 func BenchmarkFig7InferenceTime(b *testing.B) {
@@ -388,7 +389,7 @@ func BenchmarkModelTrainingEpoch(b *testing.B) {
 	f := sharedFixture(b)
 	samples := trainSamples(f)
 	cfg := f.p.Cfg.Model
-	cfg.Vocab = f.p.Vocab.Size()
+	cfg.Vocab, cfg.Seed = f.p.Vocab.Size(), f.p.Cfg.Seed
 	m := model.NewTransformer(cfg)
 	opt := model.TrainOptions{Epochs: 1, Batch: 16, LR: 3e-3, Seed: 9}
 	b.ResetTimer()

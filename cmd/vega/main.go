@@ -141,7 +141,6 @@ func main() {
 	cfg.MaxSamples = *samples
 	cfg.Arch = *arch
 	cfg.Stage1Cache = *s1cache
-	cfg.Verify = *verify
 	cfg.RepairRounds = *repRounds
 	cfg.Obs = o
 	if !*quiet {
@@ -182,7 +181,7 @@ func main() {
 		}
 	}
 
-	gen := p.GenerateBackendContext(ctx, *target)
+	gen := p.GenerateBackendOptions(ctx, *target, core.GenOptions{Verify: *verify})
 	fmt.Printf("stage 3: %s\n", core.Describe(gen))
 	if gen.Partial {
 		fmt.Printf("  partial: generation stopped early; %d function(s) salvaged\n", len(gen.Functions))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"vega/internal/corpus"
@@ -191,5 +192,29 @@ func TestObservabilityCoverage(t *testing.T) {
 	}
 	if len(names) < 20 {
 		t.Errorf("only %d distinct metric/span names emitted: %v", len(names), names)
+	}
+}
+
+// TestSeedReachesWeightsAndShuffle: Cfg.Seed is the run's one seed. Two
+// pipelines that differ only in it must initialise different weights
+// and shuffle training differently, so DefaultConfig must not pin
+// Model.Seed or Train.Seed, which would take precedence over it.
+func TestSeedReachesWeightsAndShuffle(t *testing.T) {
+	p, err := New(testCorpus(t), tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := func(seed int64) []float32 {
+		p.Cfg.Seed = seed
+		if err := p.InitUntrained(); err != nil {
+			t.Fatal(err)
+		}
+		return p.Model.Params()[0].Data
+	}
+	if slices.Equal(weights(1), weights(2)) {
+		t.Error("Cfg.Seed 1 and 2 initialised identical weights")
+	}
+	if got := p.trainOptions().Seed; got != 2 {
+		t.Errorf("training shuffle seed = %d, want Cfg.Seed 2", got)
 	}
 }

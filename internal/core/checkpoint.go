@@ -59,11 +59,9 @@ func (p *Pipeline) Save(path string) error {
 	if p.Model == nil || p.Vocab == nil {
 		return fmt.Errorf("core: nothing trained to save")
 	}
-	cfg := p.Cfg.Model
-	cfg.Vocab = p.Vocab.Size()
 	ck := checkpoint{
 		Arch:      p.Cfg.Arch,
-		ModelCfg:  cfg,
+		ModelCfg:  p.modelConfig(),
 		Pieces:    p.Vocab.Pieces(),
 		ForceChar: p.Vocab.ForceCharList(),
 	}

@@ -16,9 +16,7 @@ import (
 func initModel(t *testing.T, p *Pipeline) {
 	t.Helper()
 	p.Vocab = model.BuildVocabExtra(p.trainingSequences(), 2, p.forceCharNames(), markerTokens)
-	cfg := p.Cfg.Model
-	cfg.Vocab = p.Vocab.Size()
-	p.Model = model.NewTransformer(cfg)
+	p.Model = model.NewTransformer(p.modelConfig())
 }
 
 // savedCheckpoint builds a pipeline with an untrained model and saves it.

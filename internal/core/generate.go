@@ -27,7 +27,7 @@ func joinTokens(toks []string) string { return template.JoinTokens(toks) }
 // installed.
 type genMetrics struct {
 	functions     *obs.Counter   // gen.functions: interface functions decoded
-	decodeSeconds *obs.Histogram // gen.decode_seconds: per-function decode time
+	decodeSeconds *obs.Histogram // gen.decode_seconds: per-function resolve + encode + decode time
 	queueWait     *obs.Histogram // gen.queue_wait_seconds: pool start → task pickup
 	recovered     *obs.Counter   // gen.recovered_panics: functions salvaged by the panic boundary
 	greedyRuns    *obs.Counter   // gen.decode_path.greedy: greedy decode runs, one per row
@@ -52,28 +52,18 @@ func newGenMetrics(o *obs.Obs) genMetrics {
 // decoding, or tensor math degrades to a zero-confidence, error-annotated
 // function — one bad template row flags itself for review (the paper's
 // per-function confidence behaviour) instead of killing the backend.
-func (p *Pipeline) GenerateFunction(g *Group, target string) (fn *generate.Function) {
-	return p.generateFunction(g, target, genMode{})
+func (p *Pipeline) GenerateFunction(g *Group, target string) *generate.Function {
+	fn, _ := p.generateFunction(g, target)
+	return fn
 }
 
-// genMode carries one generation call's precomputed state from the
-// batch pre-pass. The zero value decodes each row from its own encoding.
-type genMode struct {
-	// tv, when non-nil, is the precomputed target-value set (the batch
-	// pre-pass resolves it once per task; nil recomputes locally).
-	tv *feature.TargetFeatures
-	// rowMems, when non-nil, holds one pre-encoded encoder memory per
-	// template row; nil entries, and a nil slice, self-encode per row.
-	rowMems [][]float32
-	// rowIDs, when non-nil, holds the encoded input token ids per
-	// template row, exactly what the batch pre-pass fed EncodeBatch —
-	// reusing them skips rebuilding the row features and re-encoding the
-	// vocabulary a second time per row. A nil slice rebuilds locally.
-	rowIDs [][]int
-}
-
-// generateFunction is GenerateFunction under an explicit decode mode.
-func (p *Pipeline) generateFunction(g *Group, target string, mode genMode) (fn *generate.Function) {
+// generateFunction is GenerateFunction returning the target values it
+// resolved, which verify-and-repair reuses. It is the only path a
+// function takes through Stage 3: resolve the target values, build each
+// row's input ids, encode all rows with one EncodeBatch call (the
+// transformer; the GRU and BERT baselines decode through Model.Generate)
+// and greedily decode each row.
+func (p *Pipeline) generateFunction(g *Group, target string) (fn *generate.Function, tv *feature.TargetFeatures) {
 	defer func() {
 		if r := recover(); r != nil {
 			fn = generate.FailedFunction(g.Func.Name, g.FT.Module, target,
@@ -83,47 +73,32 @@ func (p *Pipeline) generateFunction(g *Group, target string, mode genMode) (fn *
 	if faultinject.Should(faultinject.GeneratePanic, g.Func.Name) {
 		panic(fmt.Sprintf("faultinject generate-panic in %s", g.Func.Name))
 	}
-	tv := mode.tv
-	if tv == nil {
-		tv = p.Extractor.TargetValues(g.TF, target)
+	tv = p.Extractor.TargetValues(g.TF, target)
+	inputs := make([][]int, len(g.FT.Rows))
+	for ri := range g.FT.Rows {
+		inputs[ri] = append([]int{model.CLS}, p.Vocab.Encode(p.rowInputTokens(g, ri, tv, target))...)
+	}
+	t, isT := p.Model.(*model.Transformer)
+	var mems [][]float32
+	if isT {
+		mems = t.EncodeBatch(inputs, false)
 	}
 	fn = &generate.Function{
 		Name:   g.Func.Name,
 		Module: g.FT.Module,
 		Target: target,
 	}
-	for ri := range g.FT.Rows {
-		var inIDs []int
-		if ri < len(mode.rowIDs) {
-			inIDs = mode.rowIDs[ri]
+	for ri, in := range inputs {
+		p.gm.greedyRuns.Inc()
+		var outIDs []int
+		if isT {
+			outIDs = t.Greedy(t.NewIncrementalDecoderFromMemory(mems[ri], false), p.Cfg.MaxOutPieces)
 		} else {
-			in := p.rowInputTokens(g, ri, tv, target)
-			inIDs = append([]int{model.CLS}, p.Vocab.Encode(in)...)
+			outIDs = p.Model.Generate(in, p.Cfg.MaxOutPieces)
 		}
-		var mem []float32
-		if ri < len(mode.rowMems) {
-			mem = mode.rowMems[ri]
-		}
-		outIDs := p.decodeRow(inIDs, mem)
 		fn.Statements = append(fn.Statements, p.decodeStatement(g, ri, tv, outIDs))
 	}
-	return fn
-}
-
-// decodeRow greedily decodes one template row. On the transformer the
-// row decodes from its pre-encoded memory (or encodes itself when the
-// pre-pass left none). The GRU and BERT baselines decode through
-// Model.Generate.
-func (p *Pipeline) decodeRow(inIDs []int, mem []float32) []int {
-	p.gm.greedyRuns.Inc()
-	t, isT := p.Model.(*model.Transformer)
-	if !isT {
-		return p.Model.Generate(inIDs, p.Cfg.MaxOutPieces)
-	}
-	if mem == nil {
-		mem = t.EncodeBatch([][]int{inIDs}, false)[0]
-	}
-	return t.Greedy(t.NewIncrementalDecoderFromMemory(mem, false), p.Cfg.MaxOutPieces)
+	return fn, tv
 }
 
 // decodeStatement reconstructs a statement from the model's decision
@@ -222,12 +197,12 @@ type GenOptions struct {
 	// (0 = unlimited). A truncated run is marked Backend.Truncated so the
 	// caller can surface the degradation explicitly.
 	MaxFunctions int
-	// Verify turns on verify-and-repair for this request (OR-ed with
-	// Cfg.Verify): generated functions are executed against ground truth
-	// and repaired from counterexamples on divergence.
+	// Verify turns on verify-and-repair for this request: generated
+	// functions are executed against ground truth and repaired from
+	// counterexamples on divergence (up to Cfg.RepairRounds rounds).
 	Verify bool
-	// SkipRepair keeps verification on but skips the repair rounds — the
-	// pressure ≥ SkipRepairAt rung of the serving degrade ladder.
+	// SkipRepair keeps verification on but skips the repair rounds — a
+	// rung of the serving degrade ladder (serve.DegradePolicy).
 	// Functions still carry a verification status; diverging ones report
 	// VerifyFailed with zero rounds instead of burning decode budget.
 	SkipRepair bool
@@ -283,8 +258,9 @@ func (o GenOptions) inScope(module, fn string) bool {
 //     for any worker count, with identical bytes (the differential
 //     tests in generate_parallel_test.go enforce this).
 //   - Seconds keeps Fig. 7's per-module semantics: each function's
-//     decode duration is recorded individually and aggregated into its
-//     module's entry. (Workers overlap, so module sums exceed wall
+//     inference time — resolving its target values, encoding its rows
+//     and decoding them — is recorded individually and aggregated into
+//     its module's entry. (Workers overlap, so module sums exceed wall
 //     clock on multi-core machines; cross-module ratios, the figure's
 //     subject, are preserved.)
 //   - Cancellation is observed per task: workers stop picking up work,
@@ -340,90 +316,6 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 
 	workers := min(runtime.GOMAXPROCS(0), len(tasks))
 
-	// Batch encode pre-pass: resolve each task's target values once, build
-	// every (task, row) encoder input in deterministic task order, and
-	// encode them in fixed-size chunks through the ragged batched encoder —
-	// wide enough to cross the kernel layer's parallel-dispatch gate, which
-	// per-row self-encoding rarely does. Rows then decode straight from
-	// their pre-encoded memories and input ids. The pass is skipped for a
-	// model other than *model.Transformer, which self-encodes anyway.
-	// Panics during value resolution or input building leave that task to
-	// the per-function boundary in generateFunction, which rebuilds its
-	// inputs; a panic while encoding a chunk leaves those rows to
-	// self-encode from their ids.
-	tvs := make([]*feature.TargetFeatures, len(tasks))
-	for i := range tasks {
-		func() {
-			defer func() { _ = recover() }() // leave nil: generateFunction re-resolves
-			tvs[i] = p.Extractor.TargetValues(tasks[i].g.TF, target)
-		}()
-	}
-	taskMems := make([][][]float32, len(tasks))
-	taskIDs := make([][][]int, len(tasks))
-	encShare := make([]float64, len(tasks))
-	if tModel, isT := p.Model.(*model.Transformer); isT {
-		type rowRef struct{ task, row int }
-		var refs []rowRef
-		var inputs [][]int
-		for i := range tasks {
-			if tvs[i] == nil {
-				continue
-			}
-			g := tasks[i].g
-			rows := func() (rows [][]int) {
-				defer func() {
-					if recover() != nil {
-						rows = nil
-					}
-				}()
-				for ri := range g.FT.Rows {
-					in := p.rowInputTokens(g, ri, tvs[i], target)
-					rows = append(rows, append([]int{model.CLS}, p.Vocab.Encode(in)...))
-				}
-				return rows
-			}()
-			if rows == nil {
-				continue
-			}
-			taskIDs[i] = rows
-			taskMems[i] = make([][]float32, len(rows))
-			for ri := range rows {
-				refs = append(refs, rowRef{i, ri})
-			}
-			inputs = append(inputs, rows...)
-		}
-		// Chunking bounds the shared backing array each batch pins (the
-		// memories are views into it) while still packing ~two orders of
-		// magnitude more rows per kernel call than self-encoding.
-		const encChunk = 128
-		for lo := 0; lo < len(inputs); lo += encChunk {
-			hi := lo + encChunk
-			if hi > len(inputs) {
-				hi = len(inputs)
-			}
-			chunkStart := time.Now()
-			mems := func() (m [][]float32) {
-				defer func() {
-					if recover() != nil {
-						m = nil
-					}
-				}()
-				return tModel.EncodeBatch(inputs[lo:hi], false)
-			}()
-			if mems == nil {
-				continue // these rows self-encode in decodeRow
-			}
-			// Seconds keeps Fig. 7's per-function semantics: the chunk's
-			// wall clock is attributed equally to the rows it encoded.
-			share := time.Since(chunkStart).Seconds() / float64(hi-lo)
-			for j, mem := range mems {
-				r := refs[lo+j]
-				taskMems[r.task][r.row] = mem
-				encShare[r.task] += share
-			}
-		}
-	}
-
 	// Verify-and-repair: built only when requested, so the default path
 	// pays nothing (no oracle, no engine, not even a nil-check per row).
 	// One engine serves every worker — it is stateless between functions
@@ -431,21 +323,17 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	// are independent and the output stays byte-identical for any worker
 	// count.
 	var eng *repair.Engine
-	repairRounds := -1 // engine default
-	if opt.Verify || p.Cfg.Verify {
+	rounds := 0 // verify only: the degrade ladder's SkipRepair rung
+	if opt.Verify {
 		// Best-effort: a target outside the fleet (generating for a brand
 		// new ISA) simply has no reference, and the oracle degrades.
 		ref, _ := p.Provider.ReferenceBackend(target)
-		dec := repairDecoder{p: p, target: target, tvs: make(map[string]*feature.TargetFeatures, len(tasks))}
-		for i, t := range tasks {
-			if tvs[i] != nil {
-				dec.tvs[t.g.Func.Name] = tvs[i]
+		eng = repair.NewEngine(&repair.Oracle{Ref: ref}, p.Cfg.Obs)
+		if !opt.SkipRepair {
+			rounds = p.Cfg.RepairRounds
+			if rounds <= 0 {
+				rounds = repair.DefaultRounds
 			}
-		}
-		eng = repair.NewEngine(&repair.Oracle{Ref: ref}, dec,
-			repair.Options{MaxRounds: p.Cfg.RepairRounds}, p.Cfg.Obs)
-		if opt.SkipRepair {
-			repairRounds = 0 // verify only: the degrade ladder's rung
 		}
 	}
 
@@ -476,16 +364,14 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 					obs.String("func", tasks[i].g.Func.Name),
 					obs.String("module", tasks[i].module))
 				start := time.Now()
-				results[i] = p.generateFunction(tasks[i].g, target, genMode{
-					tv:      tvs[i],
-					rowMems: taskMems[i],
-					rowIDs:  taskIDs[i],
-				})
-				durs[i] = time.Since(start).Seconds() + encShare[i]
+				fn, tv := p.generateFunction(tasks[i].g, target)
+				results[i] = fn
+				durs[i] = time.Since(start).Seconds()
 				if eng != nil {
-					// Outside the decode timing: Seconds keeps Fig. 7's
-					// pure-decode semantics whether or not verify is on.
-					eng.Run(ctx, results[i], repairRounds)
+					// Outside the timing: Seconds keeps Fig. 7's
+					// inference-only semantics whether or not verify is on.
+					// Repair reuses the target values generation resolved.
+					eng.Run(ctx, fn, repairDecoder{p: p, g: tasks[i].g, tv: tv}, rounds)
 				}
 				fnSpan.End()
 				p.gm.functions.Inc()

@@ -37,8 +37,9 @@ func functionFingerprint(f *generate.Function) string {
 
 // referenceModel decodes with the reference full-prefix decoder: the same
 // greedy loop as the transformer, over model.ReferenceDecoder instead of
-// the KV cache. It is not a *model.Transformer, so Stage 3
-// skips the batch-encode pre-pass and decodes it row by row.
+// the KV cache. It is not a *model.Transformer, so Stage 3 takes its
+// Model.Generate branch, which encodes each row on its own instead of
+// batch-encoding the function's rows.
 type referenceModel struct{ *model.Transformer }
 
 func (r referenceModel) Generate(input []int, maxLen int) []int {

@@ -34,7 +34,9 @@ var ErrDegenerateSplit = errors.New("core: degenerate train/verify split")
 // the full benchmark harness; the paper-scale equivalents are recorded in
 // EXPERIMENTS.md.
 type Config struct {
-	// Seed drives every random choice (splits, training, shuffles).
+	// Seed drives every random choice: splits, initial weights and the
+	// pre-training and fine-tuning shuffles. A nonzero Model.Seed or
+	// Train.Seed overrides it for the weights or the shuffles.
 	Seed int64
 	// TrainFraction is the share of each function group that goes to the
 	// training set (the paper's 75%).
@@ -67,14 +69,9 @@ type Config struct {
 	// the MaxSamples convention: 0 (or negative) bounds nothing.
 	// DefaultConfig applies the usual 400.
 	VerifyCap int
-	// Verify turns on the verify-and-repair loop: every generated
-	// function is executed against the held-out ground truth through the
-	// eval harness, and diverging functions get counterexample-guided
-	// repair rounds (internal/repair). Off by default — and strictly
-	// zero-cost when off: no oracle or engine is even constructed.
-	Verify bool
 	// RepairRounds bounds the CEGAR repair rounds per diverging function
-	// when Verify is on (0 = the repair.DefaultRounds of 3).
+	// when a generation request verifies (GenOptions.Verify; 0 = the
+	// repair.DefaultRounds of 3).
 	RepairRounds int
 	// Stage1Workers is ignored: the Stage 1 pool follows GOMAXPROCS,
 	// like the Stage 2/3 pools. The field stays only so that perfbench,
@@ -102,10 +99,10 @@ func DefaultConfig() Config {
 		MaxCandProps:    2,
 		Model: model.Config{
 			Dim: 48, Heads: 4, EncLayers: 2, DecLayers: 2,
-			FFMult: 2, MaxSeq: 160, Seed: 1,
+			FFMult: 2, MaxSeq: 160,
 		},
 		Train: model.TrainOptions{
-			Epochs: 12, Batch: 16, LR: 3e-3, Seed: 1, MinLoss: 0.015,
+			Epochs: 12, Batch: 16, LR: 3e-3, MinLoss: 0.015,
 			LRDecay: 0.15,
 		},
 		Pretrain:       true,

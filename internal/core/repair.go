@@ -26,23 +26,19 @@ import (
 // scores are lifted to the confidence threshold so an adopted candidate
 // renders; only fully verified functions ever keep these lifted scores —
 // failed repairs revert to the original statements.
+//
+// One decoder serves one generated function: g is its group and tv the
+// target values generation resolved for it.
 type repairDecoder struct {
-	p      *Pipeline
-	target string
-	// tvs holds the target values generation already resolved, by
-	// function name; read-only once the engine runs. A function missing
-	// from it (its resolution panicked) resolves its own.
-	tvs map[string]*feature.TargetFeatures
+	p  *Pipeline
+	g  *Group
+	tv *feature.TargetFeatures
 }
 
-func (d repairDecoder) Candidates(fnName string, row int, banned []string, forcePresent bool) []generate.Statement {
-	g := d.p.GroupByName(fnName)
-	if g == nil || row < 0 || row >= len(g.FT.Rows) {
+func (d repairDecoder) Candidates(row int, banned []string, forcePresent bool) []generate.Statement {
+	g, tv := d.g, d.tv
+	if row < 0 || row >= len(g.FT.Rows) {
 		return nil
-	}
-	tv := d.tvs[fnName]
-	if tv == nil {
-		tv = d.p.Extractor.TargetValues(g.TF, d.target)
 	}
 	skip := make(map[string]bool, len(banned))
 	for _, b := range banned {
@@ -134,7 +130,7 @@ func (d repairDecoder) templateCandidates(g *Group, row int, tv *feature.TargetF
 	formula := d.p.rowFormulaScore(g, row, tv, true)
 	vals := make([][]string, len(ids))
 	for i, id := range ids {
-		cands, _ := d.p.varCandidates(g, row, id, tv, d.target)
+		cands, _ := d.p.varCandidates(g, row, id, tv, tv.Target)
 		if len(cands) == 0 {
 			return nil
 		}

@@ -33,8 +33,7 @@ func TestGenerateVerifyStatuses(t *testing.T) {
 		t.Skip("full-backend generation test")
 	}
 	p := faultPipeline(t)
-	p.Cfg.Verify = true
-	b := p.GenerateBackend("RISCV")
+	b := p.GenerateBackendOptions(t.Context(), "RISCV", GenOptions{Verify: true})
 
 	var passed, repaired, failed, noOracle int
 	for _, f := range b.Functions {
@@ -42,7 +41,7 @@ func TestGenerateVerifyStatuses(t *testing.T) {
 			continue
 		}
 		if f.Verify == nil {
-			t.Fatalf("%s: no verification with Cfg.Verify on", f.Name)
+			t.Fatalf("%s: no verification with Verify on", f.Name)
 		}
 		switch f.Verify.Status {
 		case generate.VerifyPassed:
@@ -72,7 +71,6 @@ func TestGenerateVerifyStatuses(t *testing.T) {
 	}
 
 	// Verify off: zero residue.
-	p.Cfg.Verify = false
 	plain := p.GenerateBackend("RISCV")
 	for _, f := range plain.Functions {
 		if f.Verify != nil {
@@ -93,12 +91,12 @@ func TestVerifyWorkerCountInvariant(t *testing.T) {
 		t.Skip("full-backend generation test")
 	}
 	p := faultPipeline(t)
-	p.Cfg.Verify = true
+	verify := GenOptions{Verify: true}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	one := p.GenerateBackend("RISCV")
+	one := p.GenerateBackendOptions(t.Context(), "RISCV", verify)
 	runtime.GOMAXPROCS(8)
-	many := p.GenerateBackend("RISCV")
+	many := p.GenerateBackendOptions(t.Context(), "RISCV", verify)
 
 	if a, b := verifyFingerprint(one), verifyFingerprint(many); a != b {
 		t.Error("verified backend differs between GOMAXPROCS 1 and 8")
@@ -115,10 +113,9 @@ func TestVerifyOffMatchesBaseline(t *testing.T) {
 	p := faultPipeline(t)
 	base := backendFingerprint(p.GenerateBackend("RISCV"))
 
-	p.Cfg.Verify = true
-	_ = p.GenerateBackend("RISCV") // a verified run in between must not leak state
+	// A verified run in between must not leak state.
+	_ = p.GenerateBackendOptions(t.Context(), "RISCV", GenOptions{Verify: true})
 
-	p.Cfg.Verify = false
 	again := backendFingerprint(p.GenerateBackend("RISCV"))
 	if base != again {
 		t.Error("baseline backend changed after a verified run")
@@ -156,8 +153,7 @@ func TestRepairRecoversFunctions(t *testing.T) {
 		t.Skip("full-backend generation test")
 	}
 	p := faultPipeline(t)
-	p.Cfg.Verify = true
-	b := p.GenerateBackend("RISCV")
+	b := p.GenerateBackendOptions(t.Context(), "RISCV", GenOptions{Verify: true})
 	if b.Repaired < 1 {
 		t.Errorf("Repaired = %d, want >= 1 recovered function", b.Repaired)
 	}

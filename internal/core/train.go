@@ -22,7 +22,7 @@ type TrainResult struct {
 	VerifyExactMatch float64
 	VerifySamples    int
 	// RetriedEpochs counts epochs re-run from last-good weights after a
-	// NaN/Inf or diverging loss (pre-training included).
+	// NaN/Inf loss or weight (pre-training included).
 	RetriedEpochs int
 	// SkippedSamples counts samples dropped mid-epoch for non-finite
 	// losses or isolated panics.
@@ -56,17 +56,33 @@ func (p *Pipeline) TrainingData() []model.Sample {
 // serving stack, smoke tooling).
 func (p *Pipeline) InitUntrained() error {
 	p.Vocab = model.BuildVocabExtra(p.trainingSequences(), 2, p.forceCharNames(), markerTokens)
-	cfg := p.Cfg.Model
-	cfg.Vocab = p.Vocab.Size()
-	if cfg.Seed == 0 {
-		cfg.Seed = p.Cfg.Seed
-	}
-	m, err := newModel(p.Cfg.Arch, cfg, p.Cfg.MaxOutPieces)
+	m, err := newModel(p.Cfg.Arch, p.modelConfig(), p.Cfg.MaxOutPieces)
 	if err != nil {
 		return err
 	}
 	p.Model = m
 	return nil
+}
+
+// modelConfig is Cfg.Model sized to the vocabulary, with a zero seed
+// taken from Cfg.Seed.
+func (p *Pipeline) modelConfig() model.Config {
+	cfg := p.Cfg.Model
+	cfg.Vocab = p.Vocab.Size()
+	if cfg.Seed == 0 {
+		cfg.Seed = p.Cfg.Seed
+	}
+	return cfg
+}
+
+// trainOptions is Cfg.Train with a zero seed taken from Cfg.Seed; it
+// drives both pre-training and fine-tuning.
+func (p *Pipeline) trainOptions() model.TrainOptions {
+	opt := p.Cfg.Train
+	if opt.Seed == 0 {
+		opt.Seed = p.Cfg.Seed
+	}
+	return opt
 }
 
 // newModel constructs a freshly initialized model of the named
@@ -98,12 +114,7 @@ func (p *Pipeline) TrainContext(ctx context.Context) (*TrainResult, error) {
 	p.Vocab = model.BuildVocabExtra(p.trainingSequences(), 2, p.forceCharNames(), markerTokens)
 	o.Gauge("vocab.size").Set(float64(p.Vocab.Size()))
 
-	cfg := p.Cfg.Model
-	cfg.Vocab = p.Vocab.Size()
-	if cfg.Seed == 0 {
-		cfg.Seed = p.Cfg.Seed
-	}
-	m, err := newModel(p.Cfg.Arch, cfg, p.Cfg.MaxOutPieces)
+	m, err := newModel(p.Cfg.Arch, p.modelConfig(), p.Cfg.MaxOutPieces)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +129,7 @@ func (p *Pipeline) TrainContext(ctx context.Context) (*TrainResult, error) {
 	if p.Cfg.Pretrain && p.Cfg.PretrainEpochs > 0 {
 		pre := p.pretrainSamples()
 		o.Gauge("pretrain.samples").Set(float64(len(pre)))
-		opt := p.Cfg.Train
+		opt := p.trainOptions()
 		opt.Epochs = p.Cfg.PretrainEpochs
 		opt.MinLoss = 0
 		preCtx, preSpan := obs.Start(ctx, "stage2/pretrain", obs.Int("samples", len(pre)))
@@ -138,7 +149,7 @@ func (p *Pipeline) TrainContext(ctx context.Context) (*TrainResult, error) {
 	res.Samples = len(train)
 	o.Gauge("train.samples").Set(float64(len(train)))
 	fitCtx, fitSpan := obs.Start(ctx, "stage2/fit", obs.Int("samples", len(train)))
-	stats, err := model.FitContext(fitCtx, p.Model, train, p.Cfg.Train)
+	stats, err := model.FitContext(fitCtx, p.Model, train, p.trainOptions())
 	fitSpan.End()
 	res.EpochLosses = stats.EpochLosses
 	res.RetriedEpochs += stats.RetriedEpochs

@@ -32,11 +32,13 @@ type encScratch struct {
 }
 
 // takeEncScratch takes an idle scratch set from the transformer's free
-// list, or a new empty one. The list is not a sync.Pool on purpose:
-// Stage 3 encodes a backend's rows in one burst and then decodes and
-// evaluates for long enough that two garbage collections pass, and a
-// sync.Pool drops its items at the second, so each backend would
-// allocate its multi-megabyte set afresh.
+// list, or a new empty one. The list holds one set per concurrent
+// caller: each Stage 3 worker encodes one function's rows per call, then
+// decodes them (and, when asked, verifies them) before its next encode.
+// It is not a sync.Pool on purpose: a sync.Pool drops idle items at the
+// second garbage collection, so a worker whose decode and verify span
+// two collections would allocate its set afresh, while the free list
+// keeps each set, grown to the largest function it has encoded.
 func (t *Transformer) takeEncScratch() *encScratch {
 	t.encMu.Lock()
 	defer t.encMu.Unlock()

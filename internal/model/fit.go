@@ -16,7 +16,7 @@ import (
 )
 
 // ErrTrainingDiverged is returned by FitContext when an epoch keeps
-// producing non-finite or diverging losses after the retry budget is
+// producing non-finite losses or weights after the retry budget is
 // spent.
 var ErrTrainingDiverged = errors.New("model: training diverged")
 
@@ -31,15 +31,11 @@ type TrainOptions struct {
 	// LRDecay linearly anneals the learning rate to LR*LRDecay by the
 	// final epoch (0 disables; 0.1 ends at a tenth of the initial rate).
 	LRDecay float64
-	// MaxEpochRetries bounds how many times a bad epoch (NaN/Inf loss,
-	// non-finite weights, or divergence) is re-run from the last good
-	// weights with the LR halved (retryLRDecay) before FitContext gives
-	// up. 0 means the default of 2; negative disables retries.
+	// MaxEpochRetries bounds how many times a bad epoch (NaN/Inf loss or
+	// non-finite weights) is re-run from the last good weights with the
+	// LR halved (retryLRDecay) before FitContext gives up. 0 means the
+	// default of 2; negative disables retries.
 	MaxEpochRetries int
-	// DivergeFactor flags an epoch as diverging when its mean loss
-	// exceeds DivergeFactor times the best epoch mean so far. 0
-	// disables the check; NaN/Inf is always caught.
-	DivergeFactor float64
 }
 
 // retryLRDecay scales the learning rate on each epoch retry.
@@ -50,7 +46,7 @@ const retryLRDecay = 0.5
 type FitStats struct {
 	// EpochLosses holds the mean loss of every completed epoch.
 	EpochLosses []float64
-	// RetriedEpochs counts epoch re-runs after NaN/Inf or divergence.
+	// RetriedEpochs counts epoch re-runs after a NaN/Inf loss or weight.
 	RetriedEpochs int
 	// SkippedSamples counts samples whose forward pass produced a
 	// non-finite loss or panicked; their gradients were dropped. Only
@@ -71,9 +67,8 @@ type FitStats struct {
 //
 // The run is fault tolerant. A sample whose forward pass panics or
 // yields a non-finite loss is skipped (its gradients never merge). An
-// epoch whose mean loss or weights end up non-finite — or, with
-// DivergeFactor set, diverge from the best epoch so far — is rolled
-// back to the last good weights and optimizer state and re-run with a
+// epoch whose mean loss or weights end up non-finite is rolled back to
+// the last good weights and optimizer state and re-run with a
 // decayed learning rate, up to MaxEpochRetries times, before
 // ErrTrainingDiverged is returned. Cancellation is honored between
 // batches; the stats returned alongside ctx.Err() cover the epochs that
@@ -253,7 +248,6 @@ func FitContext(ctx context.Context, m Seq2Seq, samples []Sample, opt TrainOptio
 	}
 
 	retryScale := 1.0
-	best := math.Inf(1)
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			stats.Canceled = true
@@ -296,9 +290,6 @@ func FitContext(ctx context.Context, m Seq2Seq, samples []Sample, opt TrainOptio
 				return stats, err
 			}
 			bad := math.IsNaN(mean) || math.IsInf(mean, 0) || !paramsFinite(params)
-			if !bad && opt.DivergeFactor > 0 && !math.IsInf(best, 1) && mean > opt.DivergeFactor*best {
-				bad = true
-			}
 			if !bad {
 				stats.SkippedSamples += skipped
 				skippedC.Add(float64(skipped))
@@ -331,9 +322,6 @@ func FitContext(ctx context.Context, m Seq2Seq, samples []Sample, opt TrainOptio
 		epochC.Inc()
 		lossG.Set(mean)
 		epochH.Observe(time.Since(epochStart).Seconds())
-		if mean < best {
-			best = mean
-		}
 		stats.EpochLosses = append(stats.EpochLosses, mean)
 		if opt.Verbose != nil {
 			opt.Verbose(epoch, mean)

@@ -10,21 +10,14 @@ import (
 	"vega/internal/obs"
 )
 
-// Decoder supplies constrained re-decoding for one template row: the
-// alternative statements the model (and the training corpus) can offer
-// once the current candidate is refuted. Implementations must be
-// deterministic — candidate order is part of the repair loop's
-// byte-determinism contract — and must honor banned (refuted texts are
-// pruned, not re-proposed).
+// Decoder supplies constrained re-decoding for the rows of one generated
+// function: the alternative statements the model (and the training
+// corpus) can offer once the current candidate is refuted.
+// Implementations must be deterministic — candidate order is part of the
+// repair loop's byte-determinism contract — and must honor banned
+// (refuted texts are pruned, not re-proposed).
 type Decoder interface {
-	Candidates(fnName string, row int, banned []string, forcePresent bool) []generate.Statement
-}
-
-// Options bounds the CEGAR loop.
-type Options struct {
-	// MaxRounds bounds repair rounds per function (<=0 means the
-	// DefaultRounds of 3).
-	MaxRounds int
+	Candidates(row int, banned []string, forcePresent bool) []generate.Statement
 }
 
 // Default bounds: three rounds of up to four suspects, six candidates
@@ -35,13 +28,6 @@ const (
 	DefaultCandidates = 6
 	DefaultSuspects   = 4
 )
-
-func (o Options) filled() Options {
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = DefaultRounds
-	}
-	return o
-}
 
 // engineMetrics caches the repair instruments (nil and inert without an
 // observer, like every obs consumer in the pipeline).
@@ -74,36 +60,31 @@ func newEngineMetrics(o *obs.Obs) engineMetrics {
 // is safely shared by every generation worker.
 type Engine struct {
 	oracle *Oracle
-	dec    Decoder
-	opt    Options
 	obs    *obs.Obs
 	m      engineMetrics
 
 	panicWarn sync.Once
 }
 
-// NewEngine builds an engine over one oracle and decoder. dec may be nil:
-// verification still runs, but failing functions go straight to
-// VerifyFailed (no candidates to try).
-func NewEngine(o *Oracle, dec Decoder, opt Options, ob *obs.Obs) *Engine {
-	return &Engine{oracle: o, dec: dec, opt: opt.filled(), obs: ob, m: newEngineMetrics(ob)}
+// NewEngine builds an engine over one oracle.
+func NewEngine(o *Oracle, ob *obs.Obs) *Engine {
+	return &Engine{oracle: o, obs: ob, m: newEngineMetrics(ob)}
 }
 
-// Run verifies fn and, on divergence, attempts up to maxRounds CEGAR
-// repair rounds (maxRounds < 0 uses the engine default; 0 verifies only —
-// the degrade ladder's skip-repair rung). fn.Verify is always set on
-// return; fn.Statements is replaced only when a repair candidate fully
-// passes verification, and reverts to the original generation otherwise.
+// Run verifies fn and, on divergence, attempts up to rounds CEGAR repair
+// rounds with candidates from dec, fn's decoder (rounds 0 verifies only —
+// the degrade ladder's skip-repair rung; a nil dec has no candidates to
+// try, so a failing function goes straight to VerifyFailed). fn.Verify is
+// always set on return; fn.Statements is replaced only when a repair
+// candidate fully passes verification, and reverts to the original
+// generation otherwise.
 //
 // The call is a panic boundary per verification: a crash inside the
 // interpreter or parser refutes the candidate being tried (or fails the
 // round) instead of killing the generation worker.
-func (e *Engine) Run(ctx context.Context, fn *generate.Function, maxRounds int) {
+func (e *Engine) Run(ctx context.Context, fn *generate.Function, dec Decoder, rounds int) {
 	if e == nil || fn == nil || fn.Failed() {
 		return
-	}
-	if maxRounds < 0 {
-		maxRounds = e.opt.MaxRounds
 	}
 	ctx, span := obs.Start(obs.With(ctx, e.obs), "repair/function",
 		obs.String("func", fn.Name))
@@ -129,12 +110,12 @@ func (e *Engine) Run(ctx context.Context, fn *generate.Function, maxRounds int) 
 	orig := append([]generate.Statement(nil), fn.Statements...)
 	work := append([]generate.Statement(nil), fn.Statements...)
 	banned := map[int][]string{}
-	for round := 1; round <= maxRounds; round++ {
+	for round := 1; round <= rounds; round++ {
 		if ctx.Err() != nil {
 			break
 		}
 		ver.Rounds = round
-		improved := e.round(ctx, fn, &work, &v, banned)
+		improved := e.round(ctx, fn, dec, &work, &v, banned)
 		if v.Pass || !improved {
 			break
 		}
@@ -163,7 +144,7 @@ func (e *Engine) Run(ctx context.Context, fn *generate.Function, maxRounds int) 
 // of that, the candidate passing the most regression cases is adopted
 // when it strictly improves the current verdict, and the refuted text is
 // banned for later rounds. Returns whether the verdict improved.
-func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]generate.Statement, v *Verdict, banned map[int][]string) (improved bool) {
+func (e *Engine) round(ctx context.Context, fn *generate.Function, dec Decoder, work *[]generate.Statement, v *Verdict, banned map[int][]string) (improved bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			// A panic mid-round (bad candidate text crashing the lexer,
@@ -180,7 +161,7 @@ func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]gener
 	// parses) — substitute every suspect's top surviving candidate in one
 	// move and verify once. A pass ends the repair; a strict improvement
 	// is adopted and the next round re-localizes from the new verdict.
-	if len(v.Suspects) >= 2 && e.batchSubstitute(ctx, fn, work, v, banned) {
+	if len(v.Suspects) >= 2 && e.batchSubstitute(ctx, fn, dec, work, v, banned) {
 		return true
 	}
 	suspects := v.Suspects
@@ -197,8 +178,8 @@ func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]gener
 		}
 		rowBans := append(append([]string(nil), banned[s.Row]...), s.Text)
 		var cands []generate.Statement
-		if e.dec != nil {
-			cands = e.dec.Candidates(fn.Name, s.Row, rowBans, s.ForcePresent)
+		if dec != nil {
+			cands = dec.Candidates(s.Row, rowBans, s.ForcePresent)
 		}
 		if len(cands) > DefaultCandidates {
 			cands = cands[:DefaultCandidates]
@@ -242,8 +223,8 @@ func (e *Engine) round(ctx context.Context, fn *generate.Function, work *[]gener
 // batch only when it passes or strictly improves the verdict. The current
 // row text is NOT banned here: a dropped statement's own text, re-proposed
 // above the confidence threshold, is a legitimate (and common) fix.
-func (e *Engine) batchSubstitute(ctx context.Context, fn *generate.Function, work *[]generate.Statement, v *Verdict, banned map[int][]string) bool {
-	if e.dec == nil || ctx.Err() != nil {
+func (e *Engine) batchSubstitute(ctx context.Context, fn *generate.Function, dec Decoder, work *[]generate.Statement, v *Verdict, banned map[int][]string) bool {
+	if dec == nil || ctx.Err() != nil {
 		return false
 	}
 	saved := append([]generate.Statement(nil), *work...)
@@ -254,7 +235,7 @@ func (e *Engine) batchSubstitute(ctx context.Context, fn *generate.Function, wor
 			continue
 		}
 		rowBans := banned[s.Row]
-		for _, cand := range e.dec.Candidates(fn.Name, s.Row, rowBans, s.ForcePresent) {
+		for _, cand := range dec.Candidates(s.Row, rowBans, s.ForcePresent) {
 			if cand.Row != s.Row || sameStatement(cand, (*work)[idx]) || inBans(rowBans, cand) {
 				continue
 			}

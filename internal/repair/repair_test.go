@@ -86,7 +86,7 @@ type stubDecoder struct {
 	panic bool
 }
 
-func (d *stubDecoder) Candidates(fnName string, row int, banned []string, forcePresent bool) []generate.Statement {
+func (d *stubDecoder) Candidates(row int, banned []string, forcePresent bool) []generate.Statement {
 	d.calls++
 	if d.panic {
 		panic("stub decoder explosion")
@@ -236,7 +236,7 @@ func TestEngineVerifyPassesCleanFunction(t *testing.T) {
 	b := refBackend(t, "RISCV")
 	fn := selfFunction(t, b, "isLegalICmpImmediate")
 	dec := &stubDecoder{}
-	NewEngine(&Oracle{Ref: b}, dec, Options{}, nil).Run(context.Background(), fn, -1)
+	NewEngine(&Oracle{Ref: b}, nil).Run(context.Background(), fn, dec, DefaultRounds)
 	if fn.Verify == nil || fn.Verify.Status != generate.VerifyPassed {
 		t.Fatalf("verify = %+v, want VerifyPassed", fn.Verify)
 	}
@@ -257,7 +257,7 @@ func TestEngineRepairsCorruptedStatement(t *testing.T) {
 			{Row: row, Text: orig, Score: 1},
 		},
 	}}
-	NewEngine(&Oracle{Ref: b}, dec, Options{}, nil).Run(context.Background(), fn, -1)
+	NewEngine(&Oracle{Ref: b}, nil).Run(context.Background(), fn, dec, DefaultRounds)
 
 	v := fn.Verify
 	if v == nil || v.Status != generate.VerifyRepaired {
@@ -288,7 +288,7 @@ func TestEngineFailureRevertsToOriginal(t *testing.T) {
 	dec := &stubDecoder{cands: map[int][]generate.Statement{
 		row: {{Row: row, Text: "  return false;", Score: 1}},
 	}}
-	NewEngine(&Oracle{Ref: b}, dec, Options{}, nil).Run(context.Background(), fn, -1)
+	NewEngine(&Oracle{Ref: b}, nil).Run(context.Background(), fn, dec, DefaultRounds)
 
 	v := fn.Verify
 	if v == nil || v.Status != generate.VerifyFailed {
@@ -315,9 +315,9 @@ func TestEngineVerifyOnlySkipsRepair(t *testing.T) {
 	dec := &stubDecoder{cands: map[int][]generate.Statement{
 		row: {{Row: row, Text: orig, Score: 1}},
 	}}
-	// maxRounds 0 is the degrade ladder's skip-repair rung: status and
+	// rounds 0 is the degrade ladder's skip-repair rung: status and
 	// counterexample land, but no candidate is ever tried.
-	NewEngine(&Oracle{Ref: b}, dec, Options{}, nil).Run(context.Background(), fn, 0)
+	NewEngine(&Oracle{Ref: b}, nil).Run(context.Background(), fn, dec, 0)
 	v := fn.Verify
 	if v == nil || v.Status != generate.VerifyFailed || v.Rounds != 0 {
 		t.Fatalf("verify = %+v, want VerifyFailed with 0 rounds", v)
@@ -330,7 +330,7 @@ func TestEngineVerifyOnlySkipsRepair(t *testing.T) {
 func TestEngineNoOracle(t *testing.T) {
 	b := refBackend(t, "RISCV")
 	fn := selfFunction(t, b, "isLegalICmpImmediate")
-	NewEngine(&Oracle{}, &stubDecoder{}, Options{}, nil).Run(context.Background(), fn, -1)
+	NewEngine(&Oracle{}, nil).Run(context.Background(), fn, &stubDecoder{}, DefaultRounds)
 	if fn.Verify == nil || fn.Verify.Status != generate.VerifyNoOracle {
 		t.Fatalf("verify = %+v, want VerifyNoOracle", fn.Verify)
 	}
@@ -345,7 +345,7 @@ func TestEngineContextCancellation(t *testing.T) {
 	}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	NewEngine(&Oracle{Ref: b}, dec, Options{}, nil).Run(ctx, fn, -1)
+	NewEngine(&Oracle{Ref: b}, nil).Run(ctx, fn, dec, DefaultRounds)
 	if fn.Verify == nil || fn.Verify.Status != generate.VerifyFailed {
 		t.Fatalf("verify = %+v, want VerifyFailed under cancelled context", fn.Verify)
 	}
@@ -361,8 +361,8 @@ func TestEnginePanicIsolation(t *testing.T) {
 	before := append([]generate.Statement(nil), fn.Statements...)
 
 	o := obs.New(nil)
-	eng := NewEngine(&Oracle{Ref: b}, &stubDecoder{panic: true}, Options{}, o)
-	eng.Run(context.Background(), fn, -1) // must not crash the caller
+	eng := NewEngine(&Oracle{Ref: b}, o)
+	eng.Run(context.Background(), fn, &stubDecoder{panic: true}, DefaultRounds) // must not crash the caller
 	if fn.Verify == nil || fn.Verify.Status != generate.VerifyFailed {
 		t.Fatalf("verify = %+v, want VerifyFailed after decoder panic", fn.Verify)
 	}
@@ -377,13 +377,13 @@ func TestEnginePanicIsolation(t *testing.T) {
 }
 
 func TestEngineNilAndFailedFunctions(t *testing.T) {
-	eng := NewEngine(&Oracle{}, nil, Options{}, nil)
-	eng.Run(context.Background(), nil, -1) // must not crash
+	eng := NewEngine(&Oracle{}, nil)
+	eng.Run(context.Background(), nil, nil, DefaultRounds) // must not crash
 	failed := &generate.Function{Name: "x", Err: "decode exploded"}
-	eng.Run(context.Background(), failed, -1)
+	eng.Run(context.Background(), failed, nil, DefaultRounds)
 	if failed.Verify != nil {
 		t.Errorf("failed function got verification %+v, want none", failed.Verify)
 	}
 	var nilEngine *Engine
-	nilEngine.Run(context.Background(), failed, -1) // nil engine is inert
+	nilEngine.Run(context.Background(), failed, nil, DefaultRounds) // nil engine is inert
 }

@@ -42,7 +42,7 @@ type GenerateRequest struct {
 	// generated function is executed against the reference backend and
 	// repaired from counterexamples on divergence. The response carries a
 	// per-function verification status and repair-round count. Under
-	// pressure >= the policy's SkipRepairAt, repair rounds are skipped
+	// pressure >= the policy's At, repair rounds are skipped
 	// (verification still runs) and the degradation is marked.
 	Verify bool `json:"verify,omitempty"`
 	// Quantize is accepted and ignored: every request decodes in

@@ -172,8 +172,9 @@ func TestTruncationRungMarksOnlyWhenBound(t *testing.T) {
 		t.Skip("generation test")
 	}
 	srv, ts := testServer(t, func(c *Config) {
-		// Only the truncation rung, armed at any nonzero pressure.
-		c.Policy = DegradePolicy{TruncateAt: 0.1, TruncateFunctions: 16}
+		// Armed at any nonzero pressure; the requests do not verify, so
+		// only the truncation rung can fire.
+		c.Policy = DegradePolicy{At: 0.1, TruncateFunctions: 16}
 	})
 	release := pressurize(t, srv)
 	defer release()

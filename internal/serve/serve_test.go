@@ -53,7 +53,6 @@ func tinyConfig(seed int64) core.Config {
 	cfg.Model.MaxSeq = 128
 	cfg.MaxOutPieces = 24
 	cfg.Seed = seed
-	cfg.Model.Seed = seed // distinct seeds must mean distinct weights
 	return cfg
 }
 
