@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimCacheAgainstTokenLCS$$' -fuzztime 3s ./internal/align
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNormalize$$' -fuzztime 3s ./internal/cpp
 	$(GO) test -run '^$$' -fuzz '^FuzzDiscoveryAgainstScan$$' -fuzztime 3s ./internal/feature
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGroupEntry$$' -fuzztime 3s ./internal/s1cache
 	$(GO) test -run '^$$' -fuzz '^FuzzTapeAttentionAgainstComposed$$' -fuzztime 3s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBatchAgainstTape$$' -fuzztime 3s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzPooledDecodersAgainstReference$$' -fuzztime 3s ./internal/model

@@ -29,14 +29,16 @@ func runTraining(h *harness) {
 // rows are read from the metrics sink (the gen.seconds.<target>.<module>
 // counters Stage 3's worker pool emits), not from ad-hoc time.Since
 // bookkeeping — and each cell is asserted against Backend.Seconds so the
-// two instrumentations can never silently drift apart.
+// two instrumentations can never silently drift apart. The cells sum
+// per-function time over overlapping workers; the wall column is the
+// generation pool's wall clock (Backend.Wall).
 func runFig7(h *harness) {
 	header("Fig. 7: inference times per function module (seconds)")
 	fmt.Printf("%-8s", "")
 	for _, m := range corpus.Modules {
 		fmt.Printf("%8s", m)
 	}
-	fmt.Printf("%10s\n", "total")
+	fmt.Printf("%10s%8s\n", "total", "wall")
 	for _, tgt := range evalTargetNames() {
 		b := h.backend(tgt) // ensures Stage 3 ran and its metrics recorded
 		fmt.Printf("%-8s", paperName(tgt))
@@ -58,9 +60,11 @@ func runFig7(h *harness) {
 			total += sec
 			fmt.Printf("%8.1f", sec)
 		}
-		fmt.Printf("%10.1f\n", total)
+		fmt.Printf("%10.1f%8.1f\n", total, b.Wall)
 	}
-	fmt.Println("(rows from the metrics sink: gen.seconds.<target>.<module>;")
+	fmt.Println("(rows from the metrics sink: gen.seconds.<target>.<module>, each")
+	fmt.Println(" function's inference time summed over the overlapping generation")
+	fmt.Println(" workers; wall is the generation pool's wall clock per backend;")
 	fmt.Println(" paper: 1,383s RISC-V, 1,664s RI5CY, 424s xCORE — GPU inference;")
 	fmt.Println(" the shape to hold is per-module proportionality, all under an hour)")
 }

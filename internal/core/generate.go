@@ -262,7 +262,7 @@ func (o GenOptions) inScope(module, fn string) bool {
 //     and decoding them — is recorded individually and aggregated into
 //     its module's entry. (Workers overlap, so module sums exceed wall
 //     clock on multi-core machines; cross-module ratios, the figure's
-//     subject, are preserved.)
+//     subject, are preserved.) Wall records the pool's wall clock.
 //   - Cancellation is observed per task: workers stop picking up work,
 //     already-decoded functions are kept, and Partial is set.
 func (p *Pipeline) GenerateBackendContext(ctx context.Context, target string) *generate.Backend {
@@ -380,6 +380,7 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 		}()
 	}
 	wg.Wait()
+	b.Wall = time.Since(poolStart).Seconds()
 
 	if canceled.Load() || ctx.Err() != nil {
 		b.Partial = true

@@ -111,7 +111,9 @@ func TestDecodePathCounters(t *testing.T) {
 }
 
 // TestParallelWorkerCountInvariant checks output determinism across worker
-// counts on the cached path, plus the per-module Seconds contract.
+// counts on the cached path, plus the per-module Seconds contract and
+// Wall: one worker runs the functions back to back inside the pool's
+// wall clock, so their summed Seconds cannot exceed it.
 func TestParallelWorkerCountInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-backend generation test")
@@ -132,6 +134,16 @@ func TestParallelWorkerCountInvariant(t *testing.T) {
 				t.Errorf("Seconds missing module %s", m)
 			}
 		}
+		if b.Wall <= 0 {
+			t.Errorf("Wall = %v, want the pool's wall clock", b.Wall)
+		}
+	}
+	sum := 0.0
+	for _, sec := range one.Seconds {
+		sum += sec
+	}
+	if sum > one.Wall {
+		t.Errorf("one worker: summed Seconds %.6f exceed Wall %.6f", sum, one.Wall)
 	}
 }
 

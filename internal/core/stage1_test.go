@@ -294,7 +294,7 @@ func TestStage1CacheCorruptRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x20 // flip a bit deep in the gob payload
+	raw[len(raw)/2] ^= 0x20 // flip a bit deep in the payload
 	if err := os.WriteFile(entries[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -190,8 +190,15 @@ func (f *Function) Parse() (*cpp.Node, error) {
 type Backend struct {
 	Target    string
 	Functions []*Function
-	// Seconds records per-module generation time for Fig. 7.
+	// Seconds records per-module generation time for Fig. 7: each
+	// function's own inference time, summed over the module. Functions
+	// run on a pool of overlapping workers, so the sum is worker time and
+	// exceeds the wall clock on a multi-core machine.
 	Seconds map[string]float64
+	// Wall is the generation pool's wall-clock time in seconds, from its
+	// start until its last function finished (verify-and-repair included
+	// when requested).
+	Wall float64
 	// Recovered counts functions whose generation panicked and was
 	// converted into a zero-confidence placeholder.
 	Recovered int

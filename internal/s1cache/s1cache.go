@@ -16,22 +16,28 @@
 //
 // Files follow the checkpoint discipline of internal/core: a
 // self-verifying header (magic, format version, payload length, SHA-256
-// of the payload) over a gob payload, written atomically (temp file,
-// fsync, rename), so torn or bit-flipped entries surface as ErrCorrupt
-// and callers rebuild exactly the damaged group.
+// of the payload) written atomically (temp file, fsync, rename) with the
+// payload, so torn or bit-flipped entries surface as ErrCorrupt and
+// callers rebuild exactly the damaged group. The payload is a small
+// binary codec (codec.go): one section with the bytes of every string,
+// which decode as substrings of one string, then the fields in a fixed
+// order with maps in key order, so one entry has one encoding and loads
+// with few allocations. A malformed payload is ErrCorrupt, never a
+// panic, and no length is allocated before the bytes left are checked
+// to hold it.
 package s1cache
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"vega/internal/feature"
@@ -52,8 +58,9 @@ var magic = [8]byte{'V', 'E', 'G', 'A', 'S', '1', 'C', 'H'}
 // formatVersion is bumped whenever the entry layout or the meaning of
 // cached artifacts changes; it participates in every key, so
 // stale-format entries are simply never addressed. Version 2 introduced
-// per-group entries and the fleet manifest.
-const formatVersion = 2
+// per-group entries and the fleet manifest, version 3 the binary payload
+// codec (codec.go) in place of gob.
+const formatVersion = 3
 
 // headerLen is magic(8) + version(4) + payload length(8) + sha256(32).
 const headerLen = 8 + 4 + 8 + sha256.Size
@@ -87,35 +94,51 @@ type ManifestGroup struct {
 // its description-tree hash, plus the shared core-tree hash. Only edits
 // that can change this group's template or features change the key.
 func GroupKey(fnName, module string, targets, sources []string, targetHash map[string]string, coreHash string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "v%d|fn|%s|%s\n", formatVersion, fnName, module)
+	size := 64 + len(fnName) + len(module) + len(coreHash)
+	for i, t := range targets {
+		size += 64 + len(t) + len(targetHash[t])
+		if i < len(sources) {
+			size += len(sources[i])
+		}
+	}
+	b := strconv.AppendInt(append(make([]byte, 0, size), 'v'), formatVersion, 10)
+	b = cat(b, "|fn|", fnName, "|", module, "\n")
 	for i, t := range targets {
 		src := ""
 		if i < len(sources) {
 			src = sources[i]
 		}
-		fmt.Fprintf(h, "tgt|%s|td=%s|%d|", t, targetHash[t], len(src))
-		h.Write([]byte(src))
-		h.Write([]byte{'\n'})
+		b = strconv.AppendInt(cat(b, "tgt|", t, "|td=", targetHash[t], "|"), int64(len(src)), 10)
+		b = cat(b, "|", src, "\n")
 	}
-	fmt.Fprintf(h, "core|%s\n", coreHash)
-	return hex.EncodeToString(h.Sum(nil))
+	b = cat(b, "core|", coreHash, "\n")
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // FleetKey computes the manifest address for a fleet + function set: the
 // cache format version, every interface function, and every target's
-// name and eval role. Split parameters are deliberately excluded — the
+// name. Split parameters are deliberately excluded — the
 // train/verify split is recomputed from the cached groups on every load.
 func FleetKey(funcs []string, targets []string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "v%d|fleet\n", formatVersion)
+	b := strconv.AppendInt([]byte("v"), formatVersion, 10)
+	b = cat(b, "|fleet\n")
 	for _, f := range funcs {
-		fmt.Fprintf(h, "fn|%s\n", f)
+		b = cat(b, "fn|", f, "\n")
 	}
 	for _, t := range targets {
-		fmt.Fprintf(h, "tgt|%s\n", t)
+		b = cat(b, "tgt|", t, "\n")
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// cat appends parts to b.
+func cat(b []byte, parts ...string) []byte {
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
 }
 
 // TreeHashes classifies the source tree into the shared core and
@@ -157,23 +180,19 @@ func treeHashes(tree *tablegen.SourceTree, targets []string) (core string, byTar
 	for _, t := range targets {
 		known[t] = true
 	}
-	sums := map[string]*bytes.Buffer{"": {}}
+	sums := map[string][]byte{"": nil}
 	for _, p := range tree.Paths() { // Paths is sorted: buckets are deterministic
 		t := owner(p)
 		if !known[t] {
 			t = "" // unknown owners count as core, never silently dropped
 		}
-		buf := sums[t]
-		if buf == nil {
-			buf = &bytes.Buffer{}
-			sums[t] = buf
-		}
 		content, _ := tree.Content(p)
-		fmt.Fprintf(buf, "file|%s|%d|%s\n", p, len(content), content)
+		buf := strconv.AppendInt(cat(sums[t], "file|", p, "|"), int64(len(content)), 10)
+		sums[t] = cat(buf, "|", content, "\n")
 	}
 	byTarget = make(map[string]string, len(sums))
 	for t, buf := range sums {
-		sum := sha256.Sum256(buf.Bytes())
+		sum := sha256.Sum256(buf)
 		if t == "" {
 			core = hex.EncodeToString(sum[:])
 		} else {
@@ -198,7 +217,7 @@ func (c *Cache) manifestPath(key string) string {
 	return filepath.Join(c.Dir, key+".s1m")
 }
 
-// readBlob reads and verifies one self-checking file, returning the gob
+// readBlob reads and verifies one self-checking file, returning its
 // payload. ErrMiss when absent, ErrCorrupt (wrapped) on any damage.
 func readBlob(path, key string) ([]byte, error) {
 	raw, err := os.ReadFile(path)
@@ -228,28 +247,35 @@ func readBlob(path, key string) ([]byte, error) {
 	return payload, nil
 }
 
-// writeBlob writes one self-checking file atomically: header + payload
-// into a temp file in the cache directory, fsync, rename.
-func (c *Cache) writeBlob(path, key string, payload []byte) error {
+// writeBlob writes one self-checking file atomically: header + payload,
+// given as the parts it concatenates, into a temp file in the cache
+// directory, fsync, rename.
+func (c *Cache) writeBlob(path, key string, payload [][]byte) error {
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return fmt.Errorf("s1cache: store: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	buf := make([]byte, 0, headerLen+len(payload))
-	buf = append(buf, magic[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, formatVersion)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, sum[:]...)
-	buf = append(buf, payload...)
+	sum := sha256.New()
+	n := 0
+	for _, p := range payload {
+		sum.Write(p)
+		n += len(p)
+	}
+	header := make([]byte, 0, headerLen)
+	header = append(header, magic[:]...)
+	header = binary.BigEndian.AppendUint32(header, formatVersion)
+	header = binary.BigEndian.AppendUint64(header, uint64(n))
+	header = sum.Sum(header)
 
 	tmp, err := os.CreateTemp(c.Dir, "."+key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("s1cache: store: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("s1cache: store: %w", err)
+	for _, p := range append([][]byte{header}, payload...) {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			return fmt.Errorf("s1cache: store: %w", err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -266,40 +292,23 @@ func (c *Cache) writeBlob(path, key string, payload []byte) error {
 
 // LoadGroup reads and verifies one group entry. Returns ErrMiss when no
 // entry exists and ErrCorrupt (wrapped) when one exists but fails
-// verification or decoding.
+// verification or decoding. The loaded TF.FT is the loaded FT.
 func (c *Cache) LoadGroup(key string) (*GroupEntry, error) {
 	payload, err := readBlob(c.groupPath(key), key)
 	if err != nil {
 		return nil, err
 	}
-	var e GroupEntry
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, key, err)
+	e, err := decodeGroup(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w (entry %s)", err, key)
 	}
-	// Relink the template pointer the encoder detached (see StoreGroup).
-	if e.TF != nil {
-		e.TF.FT = e.FT
-	}
-	return &e, nil
+	return e, nil
 }
 
 // StoreGroup writes one group entry atomically, replacing any existing
-// entry for the same key.
+// entry for the same key. TF.FT is not stored: it must be e.FT.
 func (c *Cache) StoreGroup(key string, e *GroupEntry) error {
-	// Detach the TF's back-pointer to its template before encoding so the
-	// gob stream carries one copy of the template, not two; LoadGroup
-	// relinks. The shallow copy keeps the caller's structs untouched.
-	enc := *e
-	if enc.TF != nil {
-		tf := *enc.TF
-		tf.FT = nil
-		enc.TF = &tf
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&enc); err != nil {
-		return fmt.Errorf("s1cache: store: %w", err)
-	}
-	return c.writeBlob(c.groupPath(key), key, payload.Bytes())
+	return c.writeBlob(c.groupPath(key), key, encodeGroup(e))
 }
 
 // LoadManifest reads and verifies the manifest for a fleet key.
@@ -308,11 +317,11 @@ func (c *Cache) LoadManifest(key string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	var m Manifest
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, key, err)
+	m, err := decodeManifest(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w (manifest %s)", err, key)
 	}
-	return &m, nil
+	return m, nil
 }
 
 // StoreManifest writes the manifest for a fleet key and garbage-collects
@@ -323,11 +332,7 @@ func (c *Cache) StoreManifest(key string, m *Manifest) error {
 	if err != nil && !errors.Is(err, ErrMiss) && !errors.Is(err, ErrCorrupt) {
 		return err
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(m); err != nil {
-		return fmt.Errorf("s1cache: store: %w", err)
-	}
-	if err := c.writeBlob(c.manifestPath(key), key, payload.Bytes()); err != nil {
+	if err := c.writeBlob(c.manifestPath(key), key, encodeManifest(m)); err != nil {
 		return err
 	}
 	if prev != nil {

@@ -1,7 +1,11 @@
 package s1cache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -78,8 +82,7 @@ func TestGroupStoreLoadRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(got.TF.VarProps, e.TF.VarProps) {
 		t.Fatal("feature round-trip mismatch")
 	}
-	// StoreGroup must not have mutated the caller's entry (the TF.FT
-	// detach works on a shallow copy).
+	// StoreGroup must not have mutated the caller's entry.
 	if e.TF.FT != e.FT {
 		t.Fatal("StoreGroup detached the caller's TF.FT pointer")
 	}
@@ -332,5 +335,111 @@ func TestTreeHashesSeeAdd(t *testing.T) {
 	}
 	if td, err := tree.TD("lib/Target/ARM/ARM.td"); err != nil || td.Records[0].Name != "ARMv2" {
 		t.Fatalf("parse after Add: %+v, %v", td, err)
+	}
+}
+
+// The fmt-based key constructions GroupKey, FleetKey and treeHashes
+// replaced; the keys must hash the same bytes.
+
+func groupKeyFmt(fnName, module string, targets, sources []string, targetHash map[string]string, coreHash string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "v%d|fn|%s|%s\n", formatVersion, fnName, module)
+	for i, t := range targets {
+		src := ""
+		if i < len(sources) {
+			src = sources[i]
+		}
+		fmt.Fprintf(h, "tgt|%s|td=%s|%d|", t, targetHash[t], len(src))
+		h.Write([]byte(src))
+		h.Write([]byte{'\n'})
+	}
+	fmt.Fprintf(h, "core|%s\n", coreHash)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func fleetKeyFmt(funcs []string, targets []string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "v%d|fleet\n", formatVersion)
+	for _, f := range funcs {
+		fmt.Fprintf(h, "fn|%s\n", f)
+	}
+	for _, t := range targets {
+		fmt.Fprintf(h, "tgt|%s\n", t)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// treeBucketsFmt renders treeHashes' bucket contents, core under "".
+func treeBucketsFmt(tree *tablegen.SourceTree, owner map[string]string) map[string]string {
+	sums := map[string]*bytes.Buffer{"": {}}
+	for _, p := range tree.Paths() {
+		t := owner[p]
+		if sums[t] == nil {
+			sums[t] = &bytes.Buffer{}
+		}
+		content, _ := tree.Content(p)
+		fmt.Fprintf(sums[t], "file|%s|%d|%s\n", p, len(content), content)
+	}
+	out := map[string]string{}
+	for t, buf := range sums {
+		sum := sha256.Sum256(buf.Bytes())
+		out[t] = hex.EncodeToString(sum[:])
+	}
+	return out
+}
+
+// TestKeysMatchFmt compares the keys with their fmt-based constructions
+// on sample inputs: empty sources, fewer sources than targets, a target
+// with no tree hash, empty names, and no targets at all.
+func TestKeysMatchFmt(t *testing.T) {
+	hashes := map[string]string{"ARM": "a1", "Mips": ""}
+	groups := []struct {
+		fn, module       string
+		targets, sources []string
+		core             string
+	}{
+		{"getRelocType", "EMI", []string{"ARM", "Mips"}, []string{"int f() { return 1; }", ""}, "c0"},
+		{"getRelocType", "EMI", []string{"ARM", "X86"}, []string{""}, "c0"},
+		{"f", "", []string{"Missing"}, []string{"x|y\n"}, ""},
+		{"", "", nil, nil, ""},
+	}
+	for _, g := range groups {
+		if got, want := GroupKey(g.fn, g.module, g.targets, g.sources, hashes, g.core),
+			groupKeyFmt(g.fn, g.module, g.targets, g.sources, hashes, g.core); got != want {
+			t.Errorf("GroupKey(%q, %q, %q, %q) = %s, fmt gives %s", g.fn, g.module, g.targets, g.sources, got, want)
+		}
+	}
+	for _, f := range [][2][]string{{{"a", "b"}, {"ARM", "Mips"}}, {{""}, nil}, {nil, nil}} {
+		if got, want := FleetKey(f[0], f[1]), fleetKeyFmt(f[0], f[1]); got != want {
+			t.Errorf("FleetKey(%q, %q) = %s, fmt gives %s", f[0], f[1], got, want)
+		}
+	}
+
+	tree := tablegen.NewSourceTree()
+	owner := map[string]string{}
+	for path, t := range map[string]string{
+		"llvm/Target/Target.td":                 "",
+		"lib/Target/ARM/ARM.td":                 "ARM",
+		"lib/Target/ARM/ARMInstrInfo.td":        "ARM",
+		"llvm/BinaryFormat/ELFRelocs/Mips.def":  "Mips",
+		"lib/Target/Unknown/U.td":               "", // not in the fleet: core
+		"llvm/BinaryFormat/ELFRelocs/Other.def": "",
+		"lib/Target/Mips/Empty.td":              "Mips",
+	} {
+		content := "def " + path + ";"
+		if path == "lib/Target/Mips/Empty.td" {
+			content = ""
+		}
+		tree.Add(path, content)
+		owner[path] = t
+	}
+	core, byTarget := treeHashes(tree, []string{"ARM", "Mips", "NoFiles"})
+	want := treeBucketsFmt(tree, owner)
+	got := map[string]string{"": core}
+	for t, h := range byTarget {
+		got[t] = h
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("treeHashes = %v, fmt gives %v", got, want)
 	}
 }
