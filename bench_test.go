@@ -1,11 +1,14 @@
 package vega
 
-// One testing.B benchmark per table and figure of the paper's evaluation
-// (see DESIGN.md's per-experiment index). The expensive shared state — a
+// testing.B benchmarks for the experiments of the paper's evaluation that
+// do timed work of their own (see DESIGN.md's per-experiment index).
+// Quantities that are only read off an already trained and evaluated
+// pipeline (Table 2's error shares, Table 3's statement counts, the
+// verification exact match) have one home, `go run ./cmd/vega-bench`,
+// which prints every table and figure. The expensive shared state — a
 // trained pipeline at a reduced, single-core-friendly budget — is built
-// once; each benchmark then measures its experiment's own work. The
-// paper-style printed tables come from `go run ./cmd/vega-bench -exp all`,
-// which these benchmarks mirror code-path for code-path.
+// once; each benchmark then measures its experiment's own work on the
+// code path vega-bench runs.
 
 import (
 	"context"
@@ -27,7 +30,6 @@ import (
 type fixture struct {
 	c     *Corpus
 	p     *Pipeline
-	res   *TrainResult
 	gens  map[string]*Backend
 	evals map[string]*Report
 }
@@ -58,12 +60,11 @@ func sharedFixture(b *testing.B) *fixture {
 			fixErr = err
 			return
 		}
-		res, err := p.Train()
-		if err != nil {
+		if _, err := p.Train(); err != nil {
 			fixErr = err
 			return
 		}
-		f := &fixture{c: c, p: p, res: res,
+		f := &fixture{c: c, p: p,
 			gens: map[string]*Backend{}, evals: map[string]*Report{}}
 		for _, tgt := range EvalTargets() {
 			f.gens[tgt] = p.GenerateBackend(tgt)
@@ -164,35 +165,6 @@ func BenchmarkFig9Statements(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2ErrorTaxonomy classifies generation errors (Table 2).
-func BenchmarkTable2ErrorTaxonomy(b *testing.B) {
-	f := sharedFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, cs, def := f.evals["RISCV"].ErrorShare()
-		b.ReportMetric(100*v, "%errV")
-		b.ReportMetric(100*cs, "%errCS")
-		b.ReportMetric(100*def, "%errDef")
-	}
-}
-
-// BenchmarkTable3Statements aggregates accurate vs manual statement
-// counts (Table 3).
-func BenchmarkTable3Statements(b *testing.B) {
-	f := sharedFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tgt := range EvalTargets() {
-			tot := f.evals[tgt].Totals()
-			_ = tot.AccurateStatements
-			_ = tot.ManualEffort
-		}
-	}
-	tot := f.evals["RISCV"].Totals()
-	b.ReportMetric(float64(tot.AccurateStatements), "accurate-stmts")
-	b.ReportMetric(float64(tot.ManualEffort), "manual-stmts")
-}
-
 // BenchmarkTable4Effort runs the correction-effort model (Table 4).
 func BenchmarkTable4Effort(b *testing.B) {
 	f := sharedFixture(b)
@@ -289,18 +261,6 @@ func BenchmarkRepairLoop(b *testing.B) {
 		b.ReportMetric(float64(gen.Repaired), "repaired")
 		b.StartTimer()
 	}
-}
-
-// BenchmarkTrainingVerifyEM measures verification exact match (§4.1.2's
-// 99.03% quantity) on the shared fixture.
-func BenchmarkTrainingVerifyEM(b *testing.B) {
-	f := sharedFixture(b)
-	verify := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		verify = f.res.VerifyExactMatch
-	}
-	b.ReportMetric(100*verify, "%verify-EM")
 }
 
 // BenchmarkForkFlowBaseline measures the fork-and-rename baseline.

@@ -18,10 +18,10 @@
 //
 // -verify closes the correctness loop: every generated function is
 // executed against the held-out reference through the regression
-// harness, and diverging functions get up to -repair-rounds rounds of
+// harness, and diverging functions get up to three rounds of
 // counterexample-guided re-decoding (see DESIGN.md "Verified generation
 // & repair"). The run then reports verified pass@1 beside the plain
-// textual pass@1.
+// pass@1.
 //
 // Observability: -metrics streams every stage span and a final metric
 // snapshot to a JSON-lines file (see DESIGN.md "Observability");
@@ -66,7 +66,6 @@ func main() {
 		metrics   = flag.String("metrics", "", "write stage spans and a metric snapshot to this JSON-lines file")
 		pprofAt   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		verify    = flag.Bool("verify", false, "execute generated functions against the reference and repair divergences (CEGAR)")
-		repRounds = flag.Int("repair-rounds", 0, "max counterexample-guided repair rounds per function (0 = default 3; needs -verify)")
 	)
 	flag.Parse()
 
@@ -141,7 +140,6 @@ func main() {
 	cfg.MaxSamples = *samples
 	cfg.Arch = *arch
 	cfg.Stage1Cache = *s1cache
-	cfg.RepairRounds = *repRounds
 	cfg.Obs = o
 	if !*quiet {
 		cfg.Train.Verbose = func(e int, l float64) {

@@ -24,9 +24,15 @@ const (
 	markNil   = "[NIL]" // placeholder present but empty
 )
 
-// maxShownCands bounds the flat candidate list per placeholder, and with
-// it the number of selection tokens.
-const maxShownCands = 8
+// Candidate shaping per placeholder: candidateWindow mined values are
+// shown per linked property, from at most maxCandProps properties, and
+// maxShownCands bounds the flat list, and with it the number of selection
+// tokens.
+const (
+	candidateWindow = 3
+	maxCandProps    = 2
+	maxShownCands   = 8
+)
 
 // selMarks are the pointer-style selection tokens: [C0] picks the first
 // shown candidate, and so on. Selecting instead of character-copying is
@@ -41,7 +47,7 @@ func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // candidateSet ranks a target's mined candidates for one (row, var, prop):
 // by subword similarity to the values other targets use at this placeholder
 // (excluding the target itself), with ordinal proximity breaking ties.
-// The top CandidateWindow survive, best first.
+// The top candidateWindow survive, best first.
 func (p *Pipeline) candidateSet(g *Group, row, varID int, prop feature.Property, tv *feature.TargetFeatures, exclude string) []string {
 	dep, ok := tv.Deps[prop.Name]
 	if !ok || len(dep.Candidates) == 0 {
@@ -95,7 +101,7 @@ func (p *Pipeline) candidateSet(g *Group, row, varID int, prop feature.Property,
 		items = append(items, scored{val: c, score: s, idx: i})
 	}
 	sort.SliceStable(items, func(a, b int) bool { return items[a].score > items[b].score })
-	k := p.Cfg.CandidateWindow
+	k := candidateWindow
 	if k > len(items) {
 		k = len(items)
 	}
@@ -170,7 +176,7 @@ func (p *Pipeline) varCandidates(g *Group, row, varID int, tv *feature.TargetFea
 	n := 0
 	nprops := 0
 	for _, li := range g.TF.VarProps[varID] {
-		if nprops >= p.Cfg.MaxCandProps {
+		if nprops >= maxCandProps {
 			break
 		}
 		prop := g.TF.Props[li]

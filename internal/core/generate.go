@@ -199,7 +199,7 @@ type GenOptions struct {
 	MaxFunctions int
 	// Verify turns on verify-and-repair for this request: generated
 	// functions are executed against ground truth and repaired from
-	// counterexamples on divergence (up to Cfg.RepairRounds rounds).
+	// counterexamples on divergence (up to repair.DefaultRounds rounds).
 	Verify bool
 	// SkipRepair keeps verification on but skips the repair rounds — a
 	// rung of the serving degrade ladder (serve.DegradePolicy).
@@ -330,10 +330,7 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 		ref, _ := p.Provider.ReferenceBackend(target)
 		eng = repair.NewEngine(&repair.Oracle{Ref: ref}, p.Cfg.Obs)
 		if !opt.SkipRepair {
-			rounds = p.Cfg.RepairRounds
-			if rounds <= 0 {
-				rounds = repair.DefaultRounds
-			}
+			rounds = repair.DefaultRounds
 		}
 	}
 

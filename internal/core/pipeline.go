@@ -43,12 +43,6 @@ type Config struct {
 	TrainFraction float64
 	// MaxSamples caps the deduplicated fine-tuning set (0 = unlimited).
 	MaxSamples int
-	// CandidateWindow is the number of mined candidate values shown per
-	// placeholder property.
-	CandidateWindow int
-	// MaxCandProps caps how many linked properties contribute candidates
-	// per placeholder.
-	MaxCandProps int
 	// Model sizes CodeBE; Vocab is filled in by Train.
 	Model model.Config
 	// Train tunes fine-tuning.
@@ -69,10 +63,6 @@ type Config struct {
 	// the MaxSamples convention: 0 (or negative) bounds nothing.
 	// DefaultConfig applies the usual 400.
 	VerifyCap int
-	// RepairRounds bounds the CEGAR repair rounds per diverging function
-	// when a generation request verifies (GenOptions.Verify; 0 = the
-	// repair.DefaultRounds of 3).
-	RepairRounds int
 	// Stage1Workers is ignored: the Stage 1 pool follows GOMAXPROCS,
 	// like the Stage 2/3 pools. The field stays only so that perfbench,
 	// which reads it, keeps compiling until a benchmark change drops it.
@@ -92,11 +82,9 @@ type Config struct {
 // DefaultConfig returns single-core-friendly settings.
 func DefaultConfig() Config {
 	return Config{
-		Seed:            1,
-		TrainFraction:   0.75,
-		MaxSamples:      2600,
-		CandidateWindow: 3,
-		MaxCandProps:    2,
+		Seed:          1,
+		TrainFraction: 0.75,
+		MaxSamples:    2600,
 		Model: model.Config{
 			Dim: 48, Heads: 4, EncLayers: 2, DecLayers: 2,
 			FFMult: 2, MaxSeq: 160,

@@ -102,12 +102,3 @@ func flattenBody(out []Statement, n *Node, depth int) []Statement {
 	}
 	return flatten(out, n, depth)
 }
-
-// StatementTexts extracts just the text lines of a statement sequence.
-func StatementTexts(sts []Statement) []string {
-	out := make([]string, len(sts))
-	for i, s := range sts {
-		out[i] = s.Text
-	}
-	return out
-}

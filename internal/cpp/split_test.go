@@ -9,7 +9,7 @@ import (
 func TestSplitFunctionStatements(t *testing.T) {
 	fn := mustParseFunction(t, relocFuncSrc)
 	sts := SplitFunction(fn)
-	texts := StatementTexts(sts)
+	texts := statementTexts(sts)
 	want := []string{
 		"unsigned ARMELFObjectWriter::getRelocType(MCContext & Ctx, const MCValue & Target, const MCFixup & Fixup, bool IsPCRel) {",
 		"unsigned Kind = Fixup.getTargetKind();",
@@ -66,7 +66,7 @@ func TestSplitIfElse(t *testing.T) {
   }
   return a;
 }`)
-	texts := StatementTexts(SplitFunction(fn))
+	texts := statementTexts(SplitFunction(fn))
 	want := []string{
 		"int f(int a) {",
 		"if (a > 0) {",
@@ -103,7 +103,7 @@ func TestSplitRoundTripParses(t *testing.T) {
 	// Joining the statement lines back into text must reparse to an
 	// equivalent function.
 	fn := mustParseFunction(t, relocFuncSrc)
-	joined := strings.Join(StatementTexts(SplitFunction(fn)), "\n")
+	joined := strings.Join(statementTexts(SplitFunction(fn)), "\n")
 	fn2, err := ParseFunction(joined)
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, joined)
@@ -114,4 +114,13 @@ func TestSplitRoundTripParses(t *testing.T) {
 	if got, want := len(SplitFunction(fn2)), len(SplitFunction(fn)); got != want {
 		t.Errorf("statement count after round trip: %d vs %d", got, want)
 	}
+}
+
+// statementTexts extracts the text lines of a statement sequence.
+func statementTexts(sts []Statement) []string {
+	out := make([]string, len(sts))
+	for i, s := range sts {
+		out[i] = s.Text
+	}
+	return out
 }

@@ -3,8 +3,8 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"maps"
-	"strings"
 
 	"vega/internal/align"
 	"vega/internal/cpp"
@@ -75,32 +75,43 @@ func (u *Universe) outcome(ret any, err error) Outcome {
 	return out
 }
 
-// FunctionPasses runs the full suite for an interface function over both
-// implementations and reports pass@1 agreement. Functions without a suite
-// fall back to textual equivalence.
-func (u *Universe) FunctionPasses(name string, gen, ref *cpp.Node) bool {
-	cases := Suite(name, u)
-	if len(cases) == 0 {
-		return canonicalFunc(gen) == canonicalFunc(ref)
-	}
-	for _, c := range cases {
-		got := u.RunCase(gen, c)
-		if got.Err {
-			return false
-		}
-		want := u.RunCase(ref, c)
-		if !got.Equal(want) {
-			return false
-		}
-	}
-	return true
+// CaseResult is one regression case run over both implementations.
+type CaseResult struct {
+	Got, Want Outcome
+	// Pass is the pass@1 rule for one case: the generated function raised
+	// no runtime error (even where the reference does) and its outcome
+	// equals the reference's.
+	Pass bool
 }
 
-func canonicalFunc(fn *cpp.Node) string {
-	if fn == nil {
-		return ""
+// Compare runs an interface function's regression suite over the
+// generated and the reference implementation and yields each case with
+// its result, in suite order. It is the one comparison behind pass@1 and
+// repair's verdict; a suite with no cases yields nothing.
+func (u *Universe) Compare(name string, gen, ref *cpp.Node) iter.Seq2[Case, CaseResult] {
+	return func(yield func(Case, CaseResult) bool) {
+		for _, c := range Suite(name, u) {
+			got := u.RunCase(gen, c)
+			want := u.RunCase(ref, c)
+			if !yield(c, CaseResult{Got: got, Want: want, Pass: !got.Err && got.Equal(want)}) {
+				return
+			}
+		}
 	}
-	return strings.Join(cpp.StatementTexts(cpp.SplitFunction(fn)), "\n")
+}
+
+// functionPasses is the pass@1 verdict: every case of the function's
+// suite passes. It stops at the first failing case, and a suite with no
+// cases counts the function inaccurate.
+func (u *Universe) functionPasses(name string, gen, ref *cpp.Node) bool {
+	ran := false
+	for _, r := range u.Compare(name, gen, ref) {
+		if !r.Pass {
+			return false
+		}
+		ran = true
+	}
+	return ran
 }
 
 // FuncResult is the evaluation of one generated function.
@@ -151,10 +162,10 @@ func (u *Universe) EvaluateFunction(f *generate.Function, ref *cpp.Node, ft *tem
 		res.RepairRounds = f.Verify.Rounds
 	}
 
-	var refTexts []string
+	var want Statements
 	if ref != nil {
-		refTexts = CanonicalStatements(ref)
-		res.RefStatements = len(refTexts)
+		want = FunctionStatements(ref)
+		res.RefStatements = len(want.Texts)
 	}
 
 	if !res.Emitted {
@@ -177,7 +188,7 @@ func (u *Universe) EvaluateFunction(f *generate.Function, ref *cpp.Node, ft *tem
 	if err == nil {
 		res.Parsed = true
 		cpp.Normalize(genFn)
-		res.Accurate = u.FunctionPasses(f.Name, genFn, ref)
+		res.Accurate = u.functionPasses(f.Name, genFn, ref)
 	}
 
 	if res.Accurate {
@@ -191,10 +202,10 @@ func (u *Universe) EvaluateFunction(f *generate.Function, ref *cpp.Node, ft *tem
 	}
 
 	// Statement-level alignment for Fig. 9 / Table 3 and the taxonomy.
-	gen, want := tokenizedLines(keptTexts(f)), tokenizedLines(refTexts)
-	pairs := align.AlignTokenized(gen.toks, want.toks, AlignMinSim)
+	gen, dropped := emitted(f)
+	pairs := align.AlignTokenized(gen.Toks, want.Toks, AlignMinSim)
 	res.AccurateStatements, res.ManualEffort = statementAccuracy(pairs, gen, want)
-	res.ErrV, res.ErrCS, res.ErrDef = classifyErrors(f, pairs, gen, want)
+	res.ErrV, res.ErrCS, res.ErrDef = classifyErrors(pairs, gen, dropped, want)
 	return res
 }
 
@@ -202,72 +213,73 @@ func (u *Universe) EvaluateFunction(f *generate.Function, ref *cpp.Node, ft *tem
 // repair align a generated statement with a reference statement.
 const AlignMinSim = 0.3
 
-// CanonicalStatements renders a function's statements in canonical token
-// form: the comparison space of evaluation and repair.
-func CanonicalStatements(fn *cpp.Node) []string {
-	var out []string
-	for _, s := range cpp.SplitFunction(fn) {
-		out = append(out, CanonicalText(s.Text))
+// Statements is a statement sequence in the comparison space of
+// evaluation and repair: each statement's tokens under the shared
+// tokenization rule (cpp.StatementTokens) and their canonical re-join.
+// Text that does not lex is one opaque token, so its canonical text is
+// the text unchanged.
+type Statements struct {
+	Texts []string
+	Toks  [][]string
+}
+
+// Add lexes one statement text into the sequence.
+func (s *Statements) Add(text string) {
+	toks := cpp.StatementTokens(text)
+	s.Texts = append(s.Texts, template.JoinTokens(toks))
+	s.Toks = append(s.Toks, toks)
+}
+
+// FunctionStatements puts a parsed function's statements into the
+// comparison space.
+func FunctionStatements(fn *cpp.Node) Statements {
+	var s Statements
+	for _, st := range cpp.SplitFunction(fn) {
+		s.Add(st.Text)
 	}
-	return out
+	return s
 }
 
-// CanonicalText re-joins a statement's tokens canonically; text that does
-// not lex is one opaque token, so it is returned unchanged.
-func CanonicalText(text string) string {
-	return template.JoinTokens(cpp.StatementTokens(text))
-}
-
-// keptTexts collects the canonical texts of the statements VEGA kept.
-func keptTexts(f *generate.Function) []string {
-	var out []string
+// emitted puts the statements VEGA emitted into the comparison space:
+// kept holds the ones that survived the confidence filter, in order, and
+// dropped the present ones it filtered out.
+func emitted(f *generate.Function) (kept, dropped Statements) {
 	for _, s := range f.Statements {
-		if s.Kept() {
-			out = append(out, CanonicalText(s.Text))
+		switch {
+		case s.Kept():
+			kept.Add(s.Text)
+		case !s.Absent && s.Text != "":
+			dropped.Add(s.Text)
 		}
 	}
-	return out
-}
-
-// lines is a sequence of canonical statement texts and each one's tokens.
-type lines struct {
-	texts []string
-	toks  [][]string
-}
-
-// tokenizedLines pairs canonical texts with their tokens.
-func tokenizedLines(texts []string) lines {
-	toks := make([][]string, len(texts))
-	for i, t := range texts {
-		toks[i] = cpp.StatementTokens(t)
-	}
-	return lines{texts: texts, toks: toks}
+	return kept, dropped
 }
 
 // statementAccuracy counts the aligned statement pairs that match
 // exactly; the rest of the reference is manual effort.
-func statementAccuracy(pairs []align.AlignPair, gen, ref lines) (accurate, manual int) {
+func statementAccuracy(pairs []align.AlignPair, gen, ref Statements) (accurate, manual int) {
 	matched := 0
 	for _, p := range pairs {
-		if p.A >= 0 && p.B >= 0 && gen.texts[p.A] == ref.texts[p.B] {
+		if p.A >= 0 && p.B >= 0 && gen.Texts[p.A] == ref.Texts[p.B] {
 			matched++
 		}
 	}
-	return matched, len(ref.texts) - matched
+	return matched, len(ref.Texts) - matched
 }
 
 // classifyErrors derives the paper's three error types for an inaccurate
-// function: wrong target-specific values (Err-V), contradicting confidence
-// scores (Err-CS), and deficient statements (Err-Def).
-func classifyErrors(f *generate.Function, pairs []align.AlignPair, gen, ref lines) (errV, errCS, errDef bool) {
-	tg, tr := gen.toks, ref.toks
+// function from its kept and dropped statements: wrong target-specific
+// values (Err-V), contradicting confidence scores (Err-CS), and deficient
+// statements (Err-Def).
+func classifyErrors(pairs []align.AlignPair, gen, dropped, ref Statements) (errV, errCS, errDef bool) {
+	tg, tr := gen.Toks, ref.Toks
 	matchedRef := map[int]bool{}
 	for _, p := range pairs {
 		if p.A < 0 || p.B < 0 {
 			continue
 		}
 		matchedRef[p.B] = true
-		if gen.texts[p.A] == ref.texts[p.B] {
+		if gen.Texts[p.A] == ref.Texts[p.B] {
 			continue
 		}
 		// Same shape, different tokens => wrong value.
@@ -285,36 +297,35 @@ func classifyErrors(f *generate.Function, pairs []align.AlignPair, gen, ref line
 		}
 		errDef = true
 	}
-	for i := range ref.texts {
+	for i := range ref.Texts {
 		if !matchedRef[i] {
 			errDef = true
 		}
 	}
-	// Confidence contradictions: a dropped statement whose text matches a
-	// reference statement (should have been kept), or a kept statement
-	// matching nothing (confidence said correct, it was not).
+	// Confidence contradictions: a kept statement matching nothing
+	// (confidence said correct, it was not), or a dropped statement whose
+	// text matches a reference statement (should have been kept).
 	refSet := map[string]bool{}
-	for _, r := range ref.texts {
+	for _, r := range ref.Texts {
 		refSet[r] = true
 	}
-	for _, s := range f.Statements {
-		if s.Absent || s.Text == "" {
-			continue
-		}
-		inRef := refSet[CanonicalText(s.Text)]
-		if s.Kept() && !inRef {
+	for _, t := range gen.Texts {
+		if !refSet[t] {
 			errCS = true
 		}
-		if !s.Kept() && inRef {
+	}
+	for _, t := range dropped.Texts {
+		if refSet[t] {
 			errCS = true
 		}
 	}
 	return errV, errCS, errDef
 }
 
-// multiSource reports whether the function's kept statements draw on at
-// least two distinct training targets where the training targets disagree
-// (the paper's "synthesized from the statements of various targets").
+// multiSource reports whether the function's kept statements draw
+// on at least two distinct training targets where the training targets
+// disagree (the paper's "synthesized from the statements of various
+// targets").
 func multiSource(f *generate.Function, ft *template.FunctionTemplate) bool {
 	sources := map[string]bool{}
 	for _, s := range f.Statements {
@@ -329,7 +340,9 @@ func multiSource(f *generate.Function, ft *template.FunctionTemplate) bool {
 		if len(distinct) < 2 {
 			continue // all training targets agree; no attribution signal
 		}
-		canonical := CanonicalText(s.Text)
+		// Lexed here, not up front: only accurate functions get here, and
+		// they build no Statements.
+		canonical := template.JoinTokens(cpp.StatementTokens(s.Text))
 		for tgt, toks := range row.PerTarget {
 			if template.JoinTokens(toks) == canonical {
 				sources[tgt] = true

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"testing"
 
 	"vega/internal/corpus"
@@ -37,8 +38,9 @@ func selfBackend(b *corpus.Backend) *generate.Backend {
 	return out
 }
 
-// CanonicalText is the shared tokenization rule re-joined: text that
-// lexes is respaced canonically, text that does not comes back unchanged.
+// A statement's canonical text is its shared-rule tokens re-joined: text
+// that lexes is respaced canonically, text that does not comes back
+// unchanged as one opaque token.
 func TestCanonicalTextUsesStatementTokens(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"return  ELF :: R_ARM_NONE ;", "return ELF::R_ARM_NONE;"},
@@ -47,12 +49,14 @@ func TestCanonicalTextUsesStatementTokens(t *testing.T) {
 		{"x = 1; /* open", "x = 1; /* open"},
 		{"", ""},
 	} {
-		got := CanonicalText(tc.in)
-		if want := template.JoinTokens(cpp.StatementTokens(tc.in)); got != want {
-			t.Errorf("CanonicalText(%q) = %q, JoinTokens(StatementTokens) = %q", tc.in, got, want)
+		var s Statements
+		s.Add(tc.in)
+		toks := cpp.StatementTokens(tc.in)
+		if got := s.Texts[0]; got != template.JoinTokens(toks) || got != tc.want {
+			t.Errorf("canonical text of %q = %q, want %q (JoinTokens(StatementTokens))", tc.in, got, tc.want)
 		}
-		if got != tc.want {
-			t.Errorf("CanonicalText(%q) = %q, want %q", tc.in, got, tc.want)
+		if !slices.Equal(s.Toks[0], toks) {
+			t.Errorf("tokens of %q = %q, want StatementTokens %q", tc.in, s.Toks[0], toks)
 		}
 	}
 }

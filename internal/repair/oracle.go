@@ -28,8 +28,8 @@ import (
 // Counterexample is the minimal divergence witness the oracle derives
 // from the first failing regression case.
 type Counterexample struct {
-	// Input renders the failing case's arguments ("" for functions whose
-	// only oracle is textual equivalence).
+	// Input renders the failing case's arguments ("" when the function
+	// does not parse).
 	Input string
 	// Got / Want render the observed and expected outcomes.
 	Got, Want string
@@ -76,13 +76,14 @@ type Suspect struct {
 
 // Verdict is one verification outcome.
 type Verdict struct {
-	// NoOracle: no ground-truth implementation exists for the function.
+	// NoOracle: nothing to execute against — no ground-truth
+	// implementation exists for the function, or its regression suite
+	// has no case.
 	NoOracle bool
 	// Pass: the function agrees with the reference on every observable.
 	Pass bool
-	// Passed / Total count regression cases (for functions with a suite)
-	// or exactly-matching statements (textual fallback) — the score the
-	// engine re-ranks repair candidates by.
+	// Passed / Total count regression cases: the score the engine
+	// re-ranks repair candidates by.
 	Passed, Total int
 	// CE is the minimal counterexample of a failing verdict.
 	CE *Counterexample
@@ -99,38 +100,27 @@ type Oracle struct {
 	// Ref is the ground-truth backend (nil = nothing to verify against).
 	Ref *corpus.Backend
 
-	// refs caches each reference function's canonical statements and
-	// their tokens by function name: the reference never changes, and
-	// every failing verification of a repair loop aligns against it.
+	// refs caches each reference function's statements in eval's
+	// comparison space by function name: the reference never changes,
+	// and every failing verification of a repair loop aligns against it.
 	// One engine serves every generation worker, hence mu.
 	mu   sync.Mutex
-	refs map[string]*refStatements
+	refs map[string]eval.Statements
 }
 
-// refStatements is a reference function in the comparison space: its
-// canonical statements and each one's tokens. Shared; read-only.
-type refStatements struct {
-	texts []string
-	toks  [][]string
-}
-
-// refStatementsFor returns the cached canonical form of the reference
-// function name.
-func (o *Oracle) refStatementsFor(name string, ref *cpp.Node) *refStatements {
+// reference returns the cached comparison-space statements of the
+// reference function name. The result is shared and read-only.
+func (o *Oracle) reference(name string, ref *cpp.Node) eval.Statements {
 	o.mu.Lock()
 	rs, ok := o.refs[name]
 	o.mu.Unlock()
 	if ok {
 		return rs
 	}
-	texts := eval.CanonicalStatements(ref)
-	rs = &refStatements{texts: texts, toks: make([][]string, len(texts))}
-	for i, t := range texts {
-		rs.toks[i] = cpp.StatementTokens(t)
-	}
+	rs = eval.FunctionStatements(ref)
 	o.mu.Lock()
 	if o.refs == nil {
-		o.refs = make(map[string]*refStatements)
+		o.refs = make(map[string]eval.Statements)
 	}
 	o.refs[name] = rs
 	o.mu.Unlock()
@@ -138,10 +128,10 @@ func (o *Oracle) refStatementsFor(name string, ref *cpp.Node) *refStatements {
 }
 
 // Verify executes fn against the reference implementation and derives
-// the counterexample and suspect set on divergence. The pass criterion
-// matches eval.EvaluateFunction exactly: the rendered function must
-// reparse, and either agree with the reference on every regression case
-// or (for functions without a suite) be canonically text-equal.
+// the counterexample and suspect set on divergence. The verdict is
+// eval's pass@1 judgement: the rendered function must reparse and pass
+// every case of eval.(*Universe).Compare. A function whose suite has no
+// case has no oracle (eval counts it inaccurate).
 func (o *Oracle) Verify(fn *generate.Function) Verdict {
 	if o == nil || o.Ref == nil {
 		return Verdict{NoOracle: true}
@@ -150,7 +140,6 @@ func (o *Oracle) Verify(fn *generate.Function) Verdict {
 	if ref == nil {
 		return Verdict{NoOracle: true}
 	}
-	u := eval.NewUniverse(o.Ref)
 	var v Verdict
 	genFn, perr := fn.Parse()
 	switch {
@@ -162,15 +151,13 @@ func (o *Oracle) Verify(fn *generate.Function) Verdict {
 		}
 	default:
 		cpp.Normalize(genFn)
-		cases := eval.Suite(fn.Name, u)
-		if len(cases) == 0 {
-			v = textualVerdict(genFn, o.refStatementsFor(fn.Name, ref))
-		} else {
-			v = suiteVerdict(u, genFn, ref, cases)
+		v = suiteVerdict(eval.NewUniverse(o.Ref), fn.Name, genFn, ref)
+		if v.Total == 0 {
+			return Verdict{NoOracle: true}
 		}
 	}
 	if !v.Pass {
-		v.Suspects = suspects(fn, o.refStatementsFor(fn.Name, ref))
+		v.Suspects = suspects(fn, o.reference(fn.Name, ref))
 		if v.CE != nil && v.CE.Row < 0 && len(v.Suspects) > 0 {
 			v.CE.Row = v.Suspects[0].Row
 			v.CE.Stmt = v.Suspects[0].Text
@@ -179,25 +166,22 @@ func (o *Oracle) Verify(fn *generate.Function) Verdict {
 	return v
 }
 
-// suiteVerdict runs the regression grid; the first failing case becomes
-// the counterexample (suites enumerate simple inputs first, so the first
-// failure is the minimal witness).
-func suiteVerdict(u *eval.Universe, genFn, ref *cpp.Node, cases []eval.Case) Verdict {
-	v := Verdict{Total: len(cases)}
-	for _, c := range cases {
-		got := u.RunCase(genFn, c)
-		want := u.RunCase(ref, c)
-		// eval.FunctionPasses fails any function that raises a runtime
-		// error, even where the reference does too — mirror that.
-		if !got.Err && got.Equal(want) {
+// suiteVerdict counts the passing cases of eval's comparison; the first
+// failing case becomes the counterexample (suites enumerate simple inputs
+// first, so the first failure is the minimal witness).
+func suiteVerdict(u *eval.Universe, name string, genFn, ref *cpp.Node) Verdict {
+	var v Verdict
+	for c, r := range u.Compare(name, genFn, ref) {
+		v.Total++
+		if r.Pass {
 			v.Passed++
 			continue
 		}
 		if v.CE == nil {
 			v.CE = &Counterexample{
 				Input: renderCase(c),
-				Got:   renderOutcome(got),
-				Want:  renderOutcome(want),
+				Got:   renderOutcome(r.Got),
+				Want:  renderOutcome(r.Want),
 				Row:   -1,
 			}
 		}
@@ -206,70 +190,32 @@ func suiteVerdict(u *eval.Universe, genFn, ref *cpp.Node, cases []eval.Case) Ver
 	return v
 }
 
-// textualVerdict is the no-suite fallback: canonical statement equality,
-// scored by exactly-matching aligned statements so the engine still has a
-// gradient to re-rank candidates by.
-func textualVerdict(genFn *cpp.Node, ref *refStatements) Verdict {
-	genTexts := eval.CanonicalStatements(genFn)
-	refTexts := ref.texts
-	v := Verdict{Total: len(refTexts)}
-	if strings.Join(genTexts, "\n") == strings.Join(refTexts, "\n") {
-		v.Pass = true
-		v.Passed = v.Total
-		return v
-	}
-	tg := make([][]string, len(genTexts))
-	for i, t := range genTexts {
-		tg[i] = cpp.StatementTokens(t)
-	}
-	pairs := align.AlignTokenized(tg, ref.toks, eval.AlignMinSim)
-	for _, p := range pairs {
-		if p.A >= 0 && p.B >= 0 && genTexts[p.A] == refTexts[p.B] {
-			v.Passed++
-		}
-	}
-	v.CE = &Counterexample{
-		Got:  fmt.Sprintf("%d/%d statements textually equivalent", v.Passed, v.Total),
-		Want: "canonical text equality (function has no execution suite)",
-		Row:  -1,
-	}
-	return v
-}
-
 // suspects localizes the divergence: the generated function's kept
 // statements are aligned against the reference's canonical statements.
 // Mismatched rows come first (wrong values), then spurious rows (matched
 // nothing), then — when reference statements went unmatched — the
 // dropped/absent rows with ForcePresent set.
-func suspects(fn *generate.Function, ref *refStatements) []Suspect {
-	type keptRow struct {
-		row  int
-		text string // raw
-		can  string // canonical
-	}
-	var kept []keptRow
+func suspects(fn *generate.Function, ref eval.Statements) []Suspect {
+	var kept []generate.Statement
+	var gen eval.Statements
 	for _, s := range fn.Statements {
 		if s.Kept() {
-			kept = append(kept, keptRow{row: s.Row, text: s.Text, can: eval.CanonicalText(s.Text)})
+			kept = append(kept, s)
+			gen.Add(s.Text)
 		}
 	}
-	refTexts := ref.texts
-	tg := make([][]string, len(kept))
-	for i, k := range kept {
-		tg[i] = cpp.StatementTokens(k.can)
-	}
-	pairs := align.AlignTokenized(tg, ref.toks, eval.AlignMinSim)
+	pairs := align.AlignTokenized(gen.Toks, ref.Toks, eval.AlignMinSim)
 	var mismatched, spurious []Suspect
-	refMatched := make([]bool, len(refTexts))
+	refMatched := make([]bool, len(ref.Texts))
 	for _, p := range pairs {
 		switch {
 		case p.A >= 0 && p.B >= 0:
 			refMatched[p.B] = true
-			if kept[p.A].can != refTexts[p.B] {
-				mismatched = append(mismatched, Suspect{Row: kept[p.A].row, Text: kept[p.A].text})
+			if gen.Texts[p.A] != ref.Texts[p.B] {
+				mismatched = append(mismatched, Suspect{Row: kept[p.A].Row, Text: kept[p.A].Text})
 			}
 		case p.A >= 0:
-			spurious = append(spurious, Suspect{Row: kept[p.A].row, Text: kept[p.A].text})
+			spurious = append(spurious, Suspect{Row: kept[p.A].Row, Text: kept[p.A].Text})
 		}
 	}
 	out := append(mismatched, spurious...)

@@ -163,49 +163,65 @@ func TestOracleCounterexampleAndSuspects(t *testing.T) {
 	}
 }
 
-func TestOracleTextualFallback(t *testing.T) {
-	b := refBackend(t, "RISCV")
-	u := eval.NewUniverse(b)
-	name := ""
-	for _, f := range corpus.AllFuncs() {
-		if b.Funcs[f.Name] != nil && len(eval.Suite(f.Name, u)) == 0 {
-			name = f.Name
-			break
+// TestOracleAgreesWithEval holds repair's verdict to eval's pass@1 on
+// the three evaluation targets: every implemented function, generated
+// perfectly and with one corrupted statement, must verify exactly when
+// EvaluateFunction counts it accurate.
+func TestOracleAgreesWithEval(t *testing.T) {
+	for _, target := range []string{"RISCV", "RI5CY", "XCore"} {
+		b := refBackend(t, target)
+		o := &Oracle{Ref: b}
+		passes, fails := 0, 0
+		for _, f := range corpus.AllFuncs() {
+			ref := b.Funcs[f.Name]
+			if ref == nil {
+				continue
+			}
+			bad := selfFunction(t, b, f.Name)
+			marker, text := "return ", "  return 0;"
+			if !strings.Contains(stmtTexts(bad), marker) {
+				marker, text = ";", "  return;"
+			}
+			corrupt(t, bad, marker, text)
+			for _, fn := range []*generate.Function{selfFunction(t, b, f.Name), bad} {
+				v := o.Verify(fn)
+				acc := eval.NewUniverse(b).EvaluateFunction(fn, ref, nil).Accurate
+				if v.NoOracle || v.Pass != acc {
+					t.Errorf("%s/%s: verify %+v, eval accurate=%v", target, f.Name, v, acc)
+				}
+				if acc {
+					passes++
+				} else {
+					fails++
+				}
+			}
 		}
-	}
-	if name == "" {
-		t.Skip("every implemented function has a suite")
-	}
-	o := &Oracle{Ref: b}
-	fn := selfFunction(t, b, name)
-	if v := o.Verify(fn); !v.Pass {
-		t.Errorf("%s: textual self verify failed: %+v", name, v)
-	}
-	fn.Statements[len(fn.Statements)/2].Text = "int totallyBogus = 99;"
-	v := o.Verify(fn)
-	if v.Pass || v.CE == nil || !strings.Contains(v.CE.Want, "text equality") {
-		t.Errorf("%s: corrupted textual verdict = %+v, want textual counterexample", name, v)
+		if passes == 0 || fails == 0 {
+			t.Errorf("%s: %d passing, %d failing functions, want both kinds", target, passes, fails)
+		}
 	}
 }
 
-// TestOracleCachedReferenceMatchesFresh verifies failing functions, one
-// with a regression suite and one checked textually, from 4 goroutines
-// sharing one Oracle, so most calls align against its cached reference
-// statements; every verdict must equal a fresh Oracle's.
+// stmtTexts joins a function's statement texts.
+func stmtTexts(fn *generate.Function) string {
+	var b strings.Builder
+	for _, s := range fn.Statements {
+		b.WriteString(s.Text)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestOracleCachedReferenceMatchesFresh verifies failing functions from 4
+// goroutines sharing one Oracle, so most calls align against its cached
+// reference statements; every verdict must equal a fresh Oracle's.
 func TestOracleCachedReferenceMatchesFresh(t *testing.T) {
 	b := refBackend(t, "RISCV")
-	u := eval.NewUniverse(b)
-	suiteFn := selfFunction(t, b, "isLegalICmpImmediate")
-	corrupt(t, suiteFn, "return Imm >=", "  return Imm >= -16 && Imm < 16;")
-	fns := []*generate.Function{suiteFn}
-	for _, f := range corpus.AllFuncs() {
-		if b.Funcs[f.Name] != nil && len(eval.Suite(f.Name, u)) == 0 {
-			fn := selfFunction(t, b, f.Name)
-			fn.Statements[len(fn.Statements)/2].Text = "int totallyBogus = 99;"
-			fns = append(fns, fn)
-			break
-		}
-	}
+	immFn := selfFunction(t, b, "isLegalICmpImmediate")
+	corrupt(t, immFn, "return Imm >=", "  return Imm >= -16 && Imm < 16;")
+	relocFn := selfFunction(t, b, "getRelocType")
+	corrupt(t, relocFn, "return ELF::R_RISCV_HI20;", "return ELF::R_RISCV_LO12;")
+	fns := []*generate.Function{immFn, relocFn}
 	want := make([]Verdict, len(fns))
 	for i, fn := range fns {
 		if want[i] = (&Oracle{Ref: b}).Verify(fn); want[i].Pass {
