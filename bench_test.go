@@ -28,7 +28,7 @@ import (
 )
 
 type fixture struct {
-	c     *Corpus
+	c     corpus.Provider
 	p     *Pipeline
 	gens  map[string]*Backend
 	evals map[string]*Report
@@ -45,11 +45,7 @@ var (
 func sharedFixture(b *testing.B) *fixture {
 	b.Helper()
 	fixOnce.Do(func() {
-		c, err := BuildCorpus()
-		if err != nil {
-			fixErr = err
-			return
-		}
+		c := BuildCorpus()
 		cfg := DefaultConfig()
 		cfg.Train.Epochs = 6
 		cfg.MaxSamples = 1500
@@ -84,10 +80,7 @@ func sharedFixture(b *testing.B) *fixture {
 // transformer is built outside the timer each iteration so the metric is
 // pure epoch time.
 func BenchmarkFig6TrainingTime(b *testing.B) {
-	c, err := BuildCorpus()
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := BuildCorpus()
 	cfg := DefaultConfig()
 	p, err := NewPipeline(c, cfg)
 	if err != nil {
@@ -157,9 +150,7 @@ func BenchmarkFig9Statements(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vega := f.evals["RISCV"].Totals()
-		ff := eval.EvaluateBackend(
-			forkflow.Fork(f.c, forkflow.DefaultDonor, "RISCV"),
-			f.c.Backends["RISCV"], nil).Totals()
+		ff := forkFlowEval(b, f.c, "RISCV").Totals()
 		b.ReportMetric(100*vega.StatementAccuracy(), "%vega-stmt")
 		b.ReportMetric(100*ff.StatementAccuracy(), "%fork-stmt")
 	}
@@ -202,8 +193,8 @@ func BenchmarkFig10Performance(b *testing.B) {
 // compiler (Fig. 10's VEGA series).
 func BenchmarkFig10VegaBackend(b *testing.B) {
 	f := sharedFixture(b)
-	ref := f.c.Backends["RI5CY"]
-	spec := corpus.FindTarget("RI5CY")
+	ref := refBackend(b, f.c, "RI5CY")
+	spec := ref.Target
 	corrected := map[string]*cpp.Node{}
 	for _, r := range f.evals["RI5CY"].Results {
 		fn := ref.Funcs[r.Name]
@@ -265,25 +256,18 @@ func BenchmarkRepairLoop(b *testing.B) {
 
 // BenchmarkForkFlowBaseline measures the fork-and-rename baseline.
 func BenchmarkForkFlowBaseline(b *testing.B) {
-	c, err := BuildCorpus()
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := BuildCorpus()
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		ff := forkflow.Fork(c, forkflow.DefaultDonor, "RISCV")
-		acc = eval.EvaluateBackend(ff, c.Backends["RISCV"], nil).Totals().FunctionAccuracy()
+		acc = forkFlowEval(b, c, "RISCV").Totals().FunctionAccuracy()
 	}
 	b.ReportMetric(100*acc, "%func-acc")
 }
 
 // BenchmarkStage1Templatization measures pre-processing + Stage 1 alone.
 func BenchmarkStage1Templatization(b *testing.B) {
-	c, err := BuildCorpus()
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := BuildCorpus()
 	cfg := DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -297,10 +281,7 @@ func BenchmarkStage1Templatization(b *testing.B) {
 // artifact cache: every iteration is a content-addressed cache hit, so
 // the number is the floor a repeated CLI/harness run pays for Stage 1.
 func BenchmarkStage1TemplatizationWarm(b *testing.B) {
-	c, err := BuildCorpus()
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := BuildCorpus()
 	cfg := DefaultConfig()
 	cfg.Stage1Cache = b.TempDir()
 	if _, err := NewPipeline(c, cfg); err != nil { // populate outside the timer
@@ -322,10 +303,7 @@ func BenchmarkStage1TemplatizationWarm(b *testing.B) {
 // degenerate into full warm hits. Sublinear vs the cold row is the
 // tentpole's acceptance bar.
 func BenchmarkStage1TemplatizationWarmOneDirty(b *testing.B) {
-	c, err := BuildCorpus()
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := BuildCorpus()
 	fn, ok := corpus.FuncByName("getStackAlignment")
 	if !ok {
 		b.Fatal("no getStackAlignment")
@@ -333,7 +311,7 @@ func BenchmarkStage1TemplatizationWarmOneDirty(b *testing.B) {
 	spec := corpus.FindTarget("ARM")
 	cfg := DefaultConfig()
 	cfg.Stage1Cache = b.TempDir()
-	if _, err := NewStreamingPipeline(c, cfg); err != nil { // populate outside the timer
+	if _, err := NewPipeline(c, cfg); err != nil { // populate outside the timer
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -341,7 +319,7 @@ func BenchmarkStage1TemplatizationWarmOneDirty(b *testing.B) {
 		edited := *spec
 		edited.StackAlign = 64 + i
 		pr := &corpus.Override{Provider: c, FuncName: fn.Name, Target: "ARM", Source: fn.Gen(&edited)}
-		if _, err := NewStreamingPipeline(pr, cfg); err != nil {
+		if _, err := NewPipeline(pr, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -360,6 +338,27 @@ func BenchmarkModelTrainingEpoch(b *testing.B) {
 		model.FitContext(context.Background(), m, samples, opt)
 	}
 	b.ReportMetric(float64(len(samples)), "samples/epoch")
+}
+
+// refBackend returns one target's reference backend from the provider.
+func refBackend(b *testing.B, c corpus.Provider, name string) *corpus.Backend {
+	b.Helper()
+	ref, err := c.ReferenceBackend(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ref
+}
+
+// forkFlowEval forks the paper's donor backend to target and scores the
+// fork against the target's reference.
+func forkFlowEval(b *testing.B, c corpus.Provider, target string) *eval.BackendEval {
+	b.Helper()
+	ff, err := forkflow.Fork(c, forkflow.DefaultDonor, target)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eval.EvaluateBackend(ff, refBackend(b, c, target), nil)
 }
 
 func trainSamples(f *fixture) []model.Sample {

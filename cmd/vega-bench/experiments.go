@@ -112,11 +112,9 @@ func runTable2(h *harness) {
 // runFig9 compares VEGA and ForkFlow at the statement level.
 func runFig9(h *harness) {
 	header("Fig. 9: statement-level accuracy, VEGA vs ForkFlow")
-	c := h.corpus()
 	for _, tgt := range evalTargetNames() {
 		vega := h.evalOf(tgt).ByModule()
-		ffBackend := forkflow.Fork(c, forkflow.DefaultDonor, tgt)
-		ff := eval.EvaluateBackend(ffBackend, c.Backends[tgt], nil).ByModule()
+		ff := h.forkFlowEval(tgt).ByModule()
 		ffBy := map[string]eval.ModuleStats{}
 		for _, m := range ff {
 			ffBy[m.Module] = m
@@ -193,13 +191,20 @@ func runTable4(h *harness) {
 	fmt.Println(" paper: 42.54h / 48.12h for the full-scale RISC-V backend)")
 }
 
+// forkFlowEval forks the paper's donor backend to target and scores the
+// fork against the target's reference.
+func (h *harness) forkFlowEval(target string) *eval.BackendEval {
+	ff, err := forkflow.Fork(h.corpus(), forkflow.DefaultDonor, target)
+	check(err)
+	return eval.EvaluateBackend(ff, h.ref(target), nil)
+}
+
 // runForkFlow prints the baseline comparison (§4.2).
 func runForkFlow(h *harness) {
 	header("ForkFlow baseline: function accuracy (pass@1)")
-	c := h.corpus()
 	fmt.Printf("%-8s %14s %14s\n", "target", "ForkFlow", "VEGA")
 	for _, tgt := range evalTargetNames() {
-		ff := eval.EvaluateBackend(forkflow.Fork(c, forkflow.DefaultDonor, tgt), c.Backends[tgt], nil)
+		ff := h.forkFlowEval(tgt)
 		ft, vt := ff.Totals(), h.evalOf(tgt).Totals()
 		fmt.Printf("%-8s %6d/%-3d %.1f%% %6d/%-3d %.1f%%\n",
 			paperName(tgt), ft.Accurate, ft.Funcs, 100*ft.FunctionAccuracy(),
@@ -224,13 +229,13 @@ func (h *harness) ablationRun(label string, mutate func(*core.Config)) [3]float6
 		cfg.VerifyCap = 60
 	}
 	mutate(&cfg)
-	p, err := core.New(h.corpus(), cfg)
+	p, err := core.NewFromProvider(h.corpus(), cfg)
 	check(err)
 	_, err = p.Train()
 	check(err)
 	var out [3]float64
 	for i, tgt := range evalTargetNames() {
-		be := eval.EvaluateBackend(p.GenerateBackend(tgt), h.corpus().Backends[tgt], nil)
+		be := eval.EvaluateBackend(p.GenerateBackend(tgt), h.ref(tgt), nil)
 		out[i] = be.Totals().FunctionAccuracy()
 	}
 	fmt.Printf("  %-28s %6.1f%% %6.1f%% %6.1f%%\n", label, 100*out[0], 100*out[1], 100*out[2])

@@ -6,7 +6,6 @@ import (
 
 	"vega/internal/bench"
 	"vega/internal/compiler"
-	"vega/internal/corpus"
 	"vega/internal/cpp"
 	"vega/internal/eval"
 	"vega/internal/sim"
@@ -19,10 +18,9 @@ import (
 // identical cycle counts.
 func runFig10(h *harness) {
 	header("Fig. 10: backend performance (speedup -O3 over -O0)")
-	c := h.corpus()
 	for _, tgt := range evalTargetNames() {
-		ref := c.Backends[tgt]
-		spec := corpus.FindTarget(tgt)
+		ref := h.ref(tgt)
+		spec := ref.Target
 
 		// Correct the generated backend: accurate functions from VEGA,
 		// the base compiler's for the rest (§4.3's methodology).

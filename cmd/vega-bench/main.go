@@ -108,7 +108,7 @@ type harness struct {
 	start     time.Time
 	obs       *obs.Obs
 	mem       *obs.MemSink
-	c         *corpus.Corpus
+	c         corpus.Provider
 	p         *core.Pipeline
 	trainRes  *core.TrainResult
 	gens      map[string]*generate.Backend
@@ -125,13 +125,18 @@ func (h *harness) moduleSeconds(target, module string) (float64, bool) {
 	return m.Value, ok
 }
 
-func (h *harness) corpus() *corpus.Corpus {
+func (h *harness) corpus() corpus.Provider {
 	if h.c == nil {
-		c, err := corpus.Build()
-		check(err)
-		h.c = c
+		h.c = corpus.NewStream(corpus.Targets())
 	}
 	return h.c
+}
+
+// ref returns one target's reference backend.
+func (h *harness) ref(target string) *corpus.Backend {
+	b, err := h.corpus().ReferenceBackend(target)
+	check(err)
+	return b
 }
 
 func (h *harness) config() core.Config {
@@ -158,7 +163,7 @@ func (h *harness) config() core.Config {
 func (h *harness) pipeline() *core.Pipeline {
 	if h.p == nil {
 		fmt.Println("# training CodeBE (shared by all experiments)")
-		p, err := core.New(h.corpus(), h.config())
+		p, err := core.NewFromProvider(h.corpus(), h.config())
 		check(err)
 		res, err := p.Train()
 		check(err)
@@ -202,7 +207,7 @@ func (h *harness) evalOf(target string) *eval.BackendEval {
 		return e
 	}
 	h.pipeline()
-	e := eval.EvaluateBackend(h.backend(target), h.corpus().Backends[target], h.templates)
+	e := eval.EvaluateBackend(h.backend(target), h.ref(target), h.templates)
 	h.evals[target] = e
 	return e
 }

@@ -112,18 +112,11 @@ func main() {
 	start := time.Now()
 	fleet, err := corpus.Fleet(*fleetName)
 	check(err)
-	// The standard fleet stays resident; extended fleets stream so Stage 1
-	// memory stays bounded by one function group at 50+ targets. Either
-	// way every reload shares the same provider (reference backends and
-	// rendered groups are reused across snapshots).
-	var provider corpus.Provider
-	if *fleetName == "standard" || *fleetName == "" {
-		c, err := corpus.Build()
-		check(err)
-		provider = c
-	} else {
-		provider = corpus.NewStream(fleet)
-	}
+	// Every fleet streams, so Stage 1 memory stays bounded by one function
+	// group at 50+ targets. Every reload shares the one provider: the
+	// rendered source tree and the reference backends are reused across
+	// snapshots, while each rebuild renders its function groups afresh.
+	provider := corpus.NewStream(fleet)
 
 	buildPipeline := func(bctx context.Context, checkpoint string) (*core.Pipeline, error) {
 		p, err := core.NewFromProvider(provider, cfg)

@@ -120,19 +120,11 @@ func main() {
 	}
 
 	start := time.Now()
-	// The standard fleet stays resident (backends parsed once, shared by
-	// every stage); extended fleets stream — function groups are rendered
-	// on demand so memory stays bounded by one group at 50+ targets.
-	var provider corpus.Provider
-	if *fleetName == "standard" || *fleetName == "" {
-		c, err := corpus.Build()
-		check(err)
-		provider = c
-		fmt.Printf("corpus: %d backends, LLVM core + description files rendered\n", len(c.Backends))
-	} else {
-		provider = corpus.NewStream(fleet)
-		fmt.Printf("corpus: streaming %d targets (%s fleet), groups rendered on demand\n", len(fleet), *fleetName)
-	}
+	// Every fleet streams: description files are rendered up front, and
+	// function groups and reference backends are rendered on demand, so
+	// memory stays bounded by one group at 50+ targets.
+	provider := corpus.NewStream(fleet)
+	fmt.Printf("corpus: %d targets (%s fleet), description files rendered, groups rendered on demand\n", len(fleet), *fleetName)
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed

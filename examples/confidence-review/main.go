@@ -18,13 +18,10 @@ import (
 )
 
 func main() {
-	c, err := corpus.Build()
-	if err != nil {
-		log.Fatal(err)
-	}
+	c := corpus.NewStream(corpus.Targets())
 	cfg := core.DefaultConfig()
 	cfg.Train.Epochs = 10
-	p, err := core.New(c, cfg)
+	p, err := core.NewFromProvider(c, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +31,11 @@ func main() {
 	}
 
 	backend := p.GenerateBackend("RI5CY")
-	be := eval.EvaluateBackend(backend, c.Backends["RI5CY"], nil)
+	ref, err := p.ReferenceBackend("RI5CY")
+	if err != nil {
+		log.Fatal(err)
+	}
+	be := eval.EvaluateBackend(backend, ref, nil)
 
 	accurate := map[string]bool{}
 	for _, r := range be.Results {

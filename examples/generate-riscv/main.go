@@ -18,16 +18,13 @@ import (
 
 func main() {
 	start := time.Now()
-	c, err := corpus.Build()
-	if err != nil {
-		log.Fatal(err)
-	}
+	c := corpus.NewStream(corpus.Targets())
 	cfg := core.DefaultConfig()
 	cfg.Train.Epochs = 14
 	cfg.Train.Verbose = func(e int, l float64) {
 		fmt.Printf("  epoch %2d  loss %.4f\n", e, l)
 	}
-	p, err := core.New(c, cfg)
+	p, err := core.NewFromProvider(c, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +44,11 @@ func main() {
 	for _, g := range p.Groups {
 		templates[g.Func.Name] = g.FT
 	}
-	be := eval.EvaluateBackend(backend, c.Backends["RISCV"], templates)
+	ref, err := p.ReferenceBackend("RISCV")
+	if err != nil {
+		log.Fatal(err)
+	}
+	be := eval.EvaluateBackend(backend, ref, templates)
 	tot := be.Totals()
 	fmt.Printf("\npass@1 against the reference backend:\n")
 	fmt.Printf("  functions:  %d/%d accurate (%.1f%%)\n",

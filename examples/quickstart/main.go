@@ -15,22 +15,20 @@ import (
 )
 
 func main() {
-	// 1. Build the backend corpus: 17 training backends plus 3 held-out
-	//    evaluation targets, every target's description files rendered
-	//    with LLVM naming conventions.
-	c, err := corpus.Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("corpus: %d backends, %d interface functions\n",
-		len(c.Backends), len(corpus.AllFuncs()))
+	// 1. Stream the backend corpus: 17 training targets plus 3 held-out
+	//    evaluation targets. Every target's description files are rendered
+	//    with LLVM naming conventions; reference implementations are
+	//    rendered on demand.
+	c := corpus.NewStream(corpus.Targets())
+	fmt.Printf("corpus: %d targets, %d interface functions\n",
+		len(corpus.Specs(c)), len(corpus.AllFuncs()))
 
 	// 2. Stage 1 — templatize every function group and mine features.
 	cfg := core.DefaultConfig()
 	cfg.Train.Epochs = 4 // quickstart budget; see EXPERIMENTS.md for full runs
 	cfg.MaxSamples = 1200
 	cfg.PretrainEpochs = 1
-	p, err := core.New(c, cfg)
+	p, err := core.NewFromProvider(c, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

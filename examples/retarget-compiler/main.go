@@ -22,13 +22,10 @@ import (
 )
 
 func main() {
-	c, err := corpus.Build()
-	if err != nil {
-		log.Fatal(err)
-	}
+	c := corpus.NewStream(corpus.Targets())
 	cfg := core.DefaultConfig()
 	cfg.Train.Epochs = 8
-	p, err := core.New(c, cfg)
+	p, err := core.NewFromProvider(c, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +35,10 @@ func main() {
 	}
 
 	const target = "RI5CY"
-	ref := c.Backends[target]
+	ref, err := p.ReferenceBackend(target)
+	if err != nil {
+		log.Fatal(err)
+	}
 	gen := p.GenerateBackend(target)
 	be := eval.EvaluateBackend(gen, ref, nil)
 
@@ -64,7 +64,7 @@ func main() {
 	fmt.Printf("corrected backend: %d/%d functions straight from VEGA\n", kept, len(corrected))
 
 	// Extract codegen tables by running the corrected backend's functions.
-	spec := corpus.FindTarget(target)
+	spec := ref.Target
 	u := eval.NewUniverse(ref)
 	vegaTables, err := compiler.TablesFromBackend(spec, corrected, u.Env(0))
 	if err != nil {

@@ -10,28 +10,20 @@ import (
 	"vega/internal/obs"
 )
 
-// subCorpus clones the shared corpus down to the first n non-eval
-// backends, sharing the rendered source tree — the same trick
-// AdoptBackend uses — so split behaviour on small fleets is testable
-// without re-rendering LLVM.
-func subCorpus(t *testing.T, n int) *corpus.Corpus {
+// subCorpus streams the first n non-eval targets of the standard fleet,
+// so split behaviour on small fleets is testable.
+func subCorpus(t *testing.T, n int) *corpus.Stream {
 	t.Helper()
-	full := testCorpus(t)
-	sub := &corpus.Corpus{Tree: full.Tree, Backends: map[string]*corpus.Backend{}}
-	for _, ts := range full.Targets {
-		if ts.Eval {
-			continue
+	var specs []*corpus.TargetSpec
+	for _, ts := range corpus.Targets() {
+		if !ts.Eval && len(specs) < n {
+			specs = append(specs, ts)
 		}
-		if len(sub.Targets) == n {
-			break
-		}
-		sub.Targets = append(sub.Targets, ts)
-		sub.Backends[ts.Name] = full.Backends[ts.Name]
 	}
-	if len(sub.Targets) != n {
-		t.Fatalf("corpus has only %d training backends, need %d", len(sub.Targets), n)
+	if len(specs) != n {
+		t.Fatalf("corpus has only %d training targets, need %d", len(specs), n)
 	}
-	return sub
+	return corpus.NewStream(specs)
 }
 
 // The backend-based split used to compute its cut with no floor:
@@ -43,7 +35,7 @@ func subCorpus(t *testing.T, n int) *corpus.Corpus {
 func TestBackendSplitDegenerateFleets(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.SplitByBackend = true
-	if _, err := New(subCorpus(t, 1), cfg); !errors.Is(err, ErrDegenerateSplit) {
+	if _, err := NewFromProvider(subCorpus(t, 1), cfg); !errors.Is(err, ErrDegenerateSplit) {
 		t.Errorf("fleet of 1: err = %v, want ErrDegenerateSplit", err)
 	}
 
@@ -52,7 +44,7 @@ func TestBackendSplitDegenerateFleets(t *testing.T) {
 			cfg := tinyConfig()
 			cfg.SplitByBackend = true
 			cfg.TrainFraction = frac
-			p, err := New(subCorpus(t, n), cfg)
+			p, err := NewFromProvider(subCorpus(t, n), cfg)
 			if err != nil {
 				t.Errorf("fleet %d, fraction %.2f: %v", n, frac, err)
 				continue
@@ -80,7 +72,7 @@ func TestVerifyCapConvention(t *testing.T) {
 
 	// The uncapped verify count, computed without training: if it does
 	// not exceed the old hardwired 400 the regression would be invisible.
-	ref, err := New(testCorpus(t), base)
+	ref, err := NewFromProvider(testCorpus(t), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +97,7 @@ func TestVerifyCapConvention(t *testing.T) {
 			cfg := base
 			cfg.VerifyCap = tc.cap
 			cfg.Obs = obs.New(mem)
-			p, err := New(testCorpus(t), cfg)
+			p, err := NewFromProvider(testCorpus(t), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +123,7 @@ func TestPretrainCapNotSilent(t *testing.T) {
 	mem := &obs.MemSink{}
 	cfg := tinyConfig()
 	cfg.Obs = obs.New(mem)
-	p, err := New(testCorpus(t), cfg)
+	p, err := NewFromProvider(testCorpus(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +165,7 @@ func TestObservabilityCoverage(t *testing.T) {
 	cfg.Pretrain = true
 	cfg.PretrainEpochs = 1
 	cfg.Obs = obs.New(mem)
-	p, err := New(subCorpus(t, 4), cfg)
+	p, err := NewFromProvider(subCorpus(t, 4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +192,7 @@ func TestObservabilityCoverage(t *testing.T) {
 // and shuffle training differently, so DefaultConfig must not pin
 // Model.Seed or Train.Seed, which would take precedence over it.
 func TestSeedReachesWeightsAndShuffle(t *testing.T) {
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func initModel(t *testing.T, p *Pipeline) {
 // savedCheckpoint builds a pipeline with an untrained model and saves it.
 func savedCheckpoint(t *testing.T) (*Pipeline, string) {
 	t.Helper()
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cfg.Train.Epochs = 1
 	cfg.MaxSamples = 60
 	cfg.VerifyCap = 10
-	p, err := New(testCorpus(t), cfg)
+	p, err := NewFromProvider(testCorpus(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := New(testCorpus(t), cfg)
+	q, err := NewFromProvider(testCorpus(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointUntrainedRoundTrip(t *testing.T) {
 	p, path := savedCheckpoint(t)
-	q, err := New(testCorpus(t), tinyConfig())
+	q, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCheckpointTruncated(t *testing.T) {
 		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		p, _ := New(testCorpus(t), tinyConfig())
+		p, _ := NewFromProvider(testCorpus(t), tinyConfig())
 		if err := p.Load(path); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("truncated to %d bytes: err = %v, want ErrCheckpointCorrupt", n, err)
 		}
@@ -127,7 +127,7 @@ func TestCheckpointFlippedByte(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := New(testCorpus(t), tinyConfig())
+	p, _ := NewFromProvider(testCorpus(t), tinyConfig())
 	err = p.Load(path)
 	if !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("err = %v, want ErrCheckpointCorrupt", err)
@@ -139,7 +139,7 @@ func TestCheckpointFlippedByte(t *testing.T) {
 
 func TestCheckpointBadMagicAndVersion(t *testing.T) {
 	_, path := savedCheckpoint(t)
-	p, _ := New(testCorpus(t), tinyConfig())
+	p, _ := NewFromProvider(testCorpus(t), tinyConfig())
 
 	junk := filepath.Join(t.TempDir(), "junk.vega")
 	if err := os.WriteFile(junk, []byte("definitely not a checkpoint"), 0o644); err != nil {
@@ -175,7 +175,7 @@ func TestCheckpointWrongArch(t *testing.T) {
 		if err := writeCheckpointFile(tpath, &tampered, nil); err != nil {
 			t.Fatal(err)
 		}
-		p, _ := New(testCorpus(t), tinyConfig())
+		p, _ := NewFromProvider(testCorpus(t), tinyConfig())
 		if err := p.Load(tpath); !errors.Is(err, ErrCheckpointArch) {
 			t.Errorf("arch %q: err = %v, want ErrCheckpointArch", arch, err)
 		}
@@ -208,7 +208,7 @@ func TestCheckpointRejectsBadModelConfig(t *testing.T) {
 		if err := writeCheckpointFile(tpath, &tampered, nil); err != nil {
 			t.Fatal(err)
 		}
-		p, _ := New(testCorpus(t), tinyConfig())
+		p, _ := NewFromProvider(testCorpus(t), tinyConfig())
 		if err := p.Load(tpath); !errors.Is(err, ErrCheckpointArch) {
 			t.Errorf("%s: err = %v, want ErrCheckpointArch", name, err)
 		}
@@ -221,7 +221,7 @@ func TestCheckpointRejectsBadModelConfig(t *testing.T) {
 func TestCheckpointFaultInjectedBitFlip(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestCheckpointFaultInjectedBitFlip(t *testing.T) {
 	if faultinject.Fired(faultinject.CheckpointCorrupt) != 1 {
 		t.Fatal("corruption fault did not fire")
 	}
-	q, _ := New(testCorpus(t), tinyConfig())
+	q, _ := NewFromProvider(testCorpus(t), tinyConfig())
 	if err := q.Load(path); !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("err = %v, want ErrCheckpointCorrupt", err)
 	}
@@ -255,14 +255,14 @@ func TestSaveIsAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("temp litter in checkpoint dir: %v", entries)
 	}
-	q, _ := New(testCorpus(t), tinyConfig())
+	q, _ := NewFromProvider(testCorpus(t), tinyConfig())
 	if err := q.Load(path); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // Stage 3 to run end to end without a training pass.
 func faultPipeline(t *testing.T) *Pipeline {
 	t.Helper()
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTrainContextCancelReturnsPartialResult(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Train.Epochs = 10
 	cfg.MaxSamples = 40
-	p, err := New(testCorpus(t), cfg)
+	p, err := NewFromProvider(testCorpus(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTrainRecoversFromInjectedNaNEpoch(t *testing.T) {
 	cfg.Train.Epochs = 3
 	cfg.MaxSamples = 120
 	cfg.VerifyCap = 10
-	p, err := New(testCorpus(t), cfg)
+	p, err := NewFromProvider(testCorpus(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

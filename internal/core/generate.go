@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,35 +212,12 @@ type GenOptions struct {
 // moduleListed reports whether module survives a Modules filter (an empty
 // filter admits everything).
 func moduleListed(filter []string, module string) bool {
-	if len(filter) == 0 {
-		return true
-	}
-	for _, m := range filter {
-		if m == module {
-			return true
-		}
-	}
-	return false
+	return len(filter) == 0 || slices.Contains(filter, module)
 }
 
 // inScope reports whether a module/function pair survives both filters.
 func (o GenOptions) inScope(module, fn string) bool {
-	if !moduleListed(o.Modules, module) {
-		return false
-	}
-	if len(o.Functions) > 0 {
-		ok := false
-		for _, f := range o.Functions {
-			if f == fn {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return moduleListed(o.Modules, module) && (len(o.Functions) == 0 || slices.Contains(o.Functions, fn))
 }
 
 // GenerateBackendContext is GenerateBackend with cancellation: when ctx

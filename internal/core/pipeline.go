@@ -140,15 +140,9 @@ type Pipeline struct {
 	pretrainWarn sync.Once
 }
 
-// New builds the pipeline through Stage 1 (templates + features) over a
-// resident corpus. It is NewFromProvider with the resident provider.
-func New(c *corpus.Corpus, cfg Config) (*Pipeline, error) {
-	return NewFromProvider(c, cfg)
-}
-
 // NewFromProvider builds the pipeline through Stage 1 (templates +
-// features) over any corpus provider — resident (*corpus.Corpus) or
-// streaming (corpus.Stream). Templatization is sharded per function group
+// features) over a corpus provider (corpus.Stream, or a decorator of
+// one). Templatization is sharded per function group
 // over min(GOMAXPROCS, groups) goroutines and merged back in
 // corpus.AllFuncs() order, so the result is byte-identical for any worker
 // count. When Cfg.Stage1Cache names a directory, each group is separately

@@ -8,16 +8,12 @@ import (
 	"vega/internal/model"
 )
 
-var sharedCorpus *corpus.Corpus
+var sharedCorpus *corpus.Stream
 
-func testCorpus(t *testing.T) *corpus.Corpus {
+func testCorpus(t *testing.T) *corpus.Stream {
 	t.Helper()
 	if sharedCorpus == nil {
-		c, err := corpus.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharedCorpus = c
+		sharedCorpus = corpus.NewStream(corpus.Targets())
 	}
 	return sharedCorpus
 }
@@ -36,7 +32,7 @@ func tinyConfig() Config {
 }
 
 func TestPipelineStageOne(t *testing.T) {
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +57,17 @@ func TestPipelineStageOne(t *testing.T) {
 	if len(g.Targets) != len(corpus.TrainingSpecs(p.Provider)) {
 		t.Errorf("getRelocType targets = %d", len(g.Targets))
 	}
+	if p.FindTarget("RISCV") == nil {
+		t.Error("FindTarget lost the eval targets")
+	}
 }
 
 func TestSplitDeterminism(t *testing.T) {
-	a, err := New(testCorpus(t), tinyConfig())
+	a, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(testCorpus(t), tinyConfig())
+	b, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestSplitDeterminism(t *testing.T) {
 func TestBackendSplitAblation(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.SplitByBackend = true
-	p, err := New(testCorpus(t), cfg)
+	p, err := NewFromProvider(testCorpus(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestBackendSplitAblation(t *testing.T) {
 }
 
 func TestRowInputShape(t *testing.T) {
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestRowInputShape(t *testing.T) {
 
 func TestSampleRoundTrip(t *testing.T) {
 	cfg := tinyConfig()
-	p, err := New(testCorpus(t), cfg)
+	p, err := NewFromProvider(testCorpus(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestSampleRoundTrip(t *testing.T) {
 
 func TestSampleRoundTripAllGroups(t *testing.T) {
 	cfg := tinyConfig()
-	p, err := New(testCorpus(t), cfg)
+	p, err := NewFromProvider(testCorpus(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func TestSampleRoundTripAllGroups(t *testing.T) {
 }
 
 func TestDedupAndCap(t *testing.T) {
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ func TestTrainTinyAndGenerate(t *testing.T) {
 		t.Skip("training test")
 	}
 	cfg := tinyConfig()
-	p, err := New(testCorpus(t), cfg)
+	p, err := NewFromProvider(testCorpus(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +257,7 @@ func TestArchSelection(t *testing.T) {
 		cfg.Arch = arch
 		cfg.Train.Epochs = 1
 		cfg.MaxSamples = 12
-		p, err := New(testCorpus(t), cfg)
+		p, err := NewFromProvider(testCorpus(t), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +267,7 @@ func TestArchSelection(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	cfg.Arch = "nope"
-	p, _ := New(testCorpus(t), cfg)
+	p, _ := NewFromProvider(testCorpus(t), cfg)
 	if _, err := p.Train(); err == nil {
 		t.Error("unknown arch must error")
 	}

@@ -60,7 +60,7 @@ func TestStage1WorkersDeterminism(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 3, 8} {
 		runtime.GOMAXPROCS(workers)
-		p, err := New(c, tinyConfig())
+		p, err := NewFromProvider(c, tinyConfig())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -85,7 +85,7 @@ const stage1PinnedSHA256 = "924dcfde4fe5d1bb0056134a38dfeb5a3f107f454d43a46b1266
 // TestStage1FingerprintPinned proves Stage 1 output is byte-identical
 // across performance work on alignment, templatization and features.
 func TestStage1FingerprintPinned(t *testing.T) {
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestStage1FingerprintPinnedExtended(t *testing.T) {
 // serial run on another fresh Extractor. Under -race it also checks the
 // discovery memos for data races.
 func TestTargetValuesConcurrentMatchesSerial(t *testing.T) {
-	p, err := New(testCorpus(t), tinyConfig())
+	p, err := NewFromProvider(testCorpus(t), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestStage1CacheRoundTrip(t *testing.T) {
 	c := testCorpus(t)
 	dir := t.TempDir()
 
-	baseline, err := New(c, tinyConfig())
+	baseline, err := NewFromProvider(c, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestStage1CacheRoundTrip(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Stage1Cache = dir
 	cfg.Obs = o
-	cold, err := New(c, cfg)
+	cold, err := NewFromProvider(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestStage1CacheRoundTrip(t *testing.T) {
 	mem2 := &obs.MemSink{}
 	o2 := obs.New(mem2)
 	cfg.Obs = o2
-	warm, err := New(c, cfg)
+	warm, err := NewFromProvider(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestStage1CacheCorruptRebuild(t *testing.T) {
 
 	cfg := tinyConfig()
 	cfg.Stage1Cache = dir
-	first, err := New(c, cfg)
+	first, err := NewFromProvider(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestStage1CacheCorruptRebuild(t *testing.T) {
 	mem := &obs.MemSink{}
 	o := obs.New(mem)
 	cfg.Obs = o
-	rebuilt, err := New(c, cfg)
+	rebuilt, err := NewFromProvider(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestStage1CacheCorruptRebuild(t *testing.T) {
 	mem2 := &obs.MemSink{}
 	o2 := obs.New(mem2)
 	cfg.Obs = o2
-	healed, err := New(c, cfg)
+	healed, err := NewFromProvider(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestStage1CacheCorruptRebuild(t *testing.T) {
 // overrideProvider wraps the shared test corpus with one edited
 // implementation: ARM's getStackAlignment regenerated from a spec whose
 // StackAlign changed, exactly one group's content.
-func overrideProvider(t *testing.T, c *corpus.Corpus, align int) corpus.Provider {
+func overrideProvider(t *testing.T, c corpus.Provider, align int) corpus.Provider {
 	t.Helper()
 	fn, ok := corpus.FuncByName("getStackAlignment")
 	if !ok {
@@ -421,29 +421,5 @@ func TestStage1IncrementalInvalidation(t *testing.T) {
 				t.Fatal("override was a no-op: edited fingerprint equals unedited")
 			}
 		})
-	}
-}
-
-// TestStreamingProviderEquivalence pins the Provider abstraction: a
-// pipeline built from the streaming provider (groups rendered on demand,
-// nothing resident) is byte-identical to one built from the resident
-// corpus.
-func TestStreamingProviderEquivalence(t *testing.T) {
-	resident, err := New(testCorpus(t), tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := NewFromProvider(corpus.NewStream(corpus.Targets()), tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stage1Fingerprint(t, streamed) != stage1Fingerprint(t, resident) {
-		t.Fatal("streaming provider's Stage 1 state differs from resident corpus")
-	}
-	if _, err := streamed.ReferenceBackend("ARM"); err != nil {
-		t.Fatalf("streaming ReferenceBackend: %v", err)
-	}
-	if streamed.FindTarget("RISCV") == nil {
-		t.Fatal("streaming FindTarget lost the eval targets")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vega/internal/corpus"
-	"vega/internal/cpp"
 	"vega/internal/generate"
 )
 
@@ -15,65 +14,62 @@ import (
 // implements that loop: fold a corrected backend into the corpus and
 // rebuild the pipeline, ready for another Train().
 
-// CorrectedBackend pairs a generated backend with the reference used to
-// repair its inaccurate functions.
+// CorrectedBackend is a generated backend after correction. Sources maps
+// interface-function name to the source text of each generated function
+// kept in place of its reference; every other function the target
+// implements comes from its reference implementation.
 type CorrectedBackend struct {
-	Target string
-	Funcs  map[string]*cpp.Node
+	Target  string
+	Sources map[string]string
 }
 
-// Correct merges a generated backend with its reference: accurate,
-// parseable generated functions are kept, everything else comes from the
-// reference (the paper's §4.3 robustness methodology). accurate maps
-// interface-function names to their pass@1 verdicts.
-func Correct(gen *generate.Backend, ref *corpus.Backend, accurate map[string]bool) *CorrectedBackend {
-	out := &CorrectedBackend{Target: gen.Target, Funcs: map[string]*cpp.Node{}}
-	for name, fn := range ref.Funcs {
-		out.Funcs[name] = fn
-	}
+// Correct keeps the accurate, parseable functions of a generated backend;
+// everything else comes from the reference (the paper's §4.3 robustness
+// methodology). accurate maps interface-function names to their pass@1
+// verdicts.
+func Correct(gen *generate.Backend, accurate map[string]bool) *CorrectedBackend {
+	out := &CorrectedBackend{Target: gen.Target, Sources: map[string]string{}}
 	for _, f := range gen.Functions {
 		if !accurate[f.Name] || !f.Generated() {
 			continue
 		}
-		parsed, err := f.Parse()
-		if err != nil {
+		if _, err := f.Parse(); err != nil {
 			continue
 		}
-		cpp.Normalize(parsed)
-		out.Funcs[f.Name] = parsed
+		out.Sources[f.Name] = f.Render()
 	}
 	return out
 }
 
-// AdoptBackend adds a corrected backend to the corpus as a training
-// backend and rebuilds the pipeline's Stage 1 state. The caller re-runs
-// Train() to let the model learn from the new target — the paper's update
-// mechanism. The adopted target's spec must already exist in the fleet
-// (its description files do: they were the generation input).
-func AdoptBackend(c *corpus.Corpus, cb *CorrectedBackend, cfg Config) (*Pipeline, error) {
-	spec := corpus.FindTarget(cb.Target)
+// AdoptBackend adds a corrected backend to the provider's fleet as a
+// training backend and rebuilds the pipeline's Stage 1 state. The caller
+// re-runs Train() to let the model learn from the new target — the
+// paper's update mechanism. The adopted target's spec must already exist
+// in the fleet (its description files do: they were the generation
+// input). The fleet is streamed afresh with that spec flipped to
+// training, and each kept function whose text differs from the reference
+// rendering overrides it.
+func AdoptBackend(pr corpus.Provider, cb *CorrectedBackend, cfg Config) (*Pipeline, error) {
+	spec := corpus.FindSpec(pr, cb.Target)
 	if spec == nil {
 		return nil, fmt.Errorf("core: unknown target %q", cb.Target)
 	}
-	// Clone the fleet with the adopted target flipped to training.
-	adopted := &corpus.Corpus{
-		Tree:     c.Tree,
-		Backends: make(map[string]*corpus.Backend, len(c.Backends)),
+	adopted := *spec
+	adopted.Eval = false
+	var specs []*corpus.TargetSpec
+	for t := range pr.TargetSpecs() {
+		if t == spec {
+			t = &adopted
+		}
+		specs = append(specs, t)
 	}
-	for _, t := range c.Targets {
-		if t.Name == cb.Target {
-			clone := *t
-			clone.Eval = false
-			adopted.Targets = append(adopted.Targets, &clone)
-			adopted.Backends[t.Name] = &corpus.Backend{
-				Target:  &clone,
-				Funcs:   cb.Funcs,
-				Sources: map[string]string{},
-			}
+	var out corpus.Provider = corpus.NewStream(specs)
+	for _, fn := range corpus.AllFuncs() {
+		src, ok := cb.Sources[fn.Name]
+		if !ok || src == fn.Gen(&adopted) {
 			continue
 		}
-		adopted.Targets = append(adopted.Targets, t)
-		adopted.Backends[t.Name] = c.Backends[t.Name]
+		out = &corpus.Override{Provider: out, FuncName: fn.Name, Target: cb.Target, Source: src}
 	}
-	return New(adopted, cfg)
+	return NewFromProvider(out, cfg)
 }

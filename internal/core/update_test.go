@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"vega/internal/corpus"
@@ -8,36 +9,50 @@ import (
 	"vega/internal/generate"
 )
 
-func TestCorrectKeepsAccurateGenerated(t *testing.T) {
-	c := testCorpus(t)
-	ref := c.Backends["RISCV"]
-	gen := &generate.Backend{Target: "RISCV"}
-	// One "generated" function, textually identical to the reference.
-	var sts []generate.Statement
-	for i, s := range cpp.SplitFunction(ref.Funcs["getStackAlignment"]) {
-		sts = append(sts, generate.Statement{Row: i, Text: s.Text, Score: 1})
+// generatedFrom builds a "generated" function whose statements are the
+// reference implementation's.
+func generatedFrom(t *testing.T, ref *corpus.Backend, name string) *generate.Function {
+	t.Helper()
+	fn, ok := ref.Funcs[name]
+	if !ok {
+		t.Fatalf("%s does not implement %s", ref.Target.Name, name)
 	}
-	gen.Functions = append(gen.Functions, &generate.Function{
-		Name: "getStackAlignment", Module: "REG", Target: "RISCV", Statements: sts,
-	})
-	cb := Correct(gen, ref, map[string]bool{"getStackAlignment": true})
-	if len(cb.Funcs) != len(ref.Funcs) {
-		t.Fatalf("corrected backend has %d functions, reference %d", len(cb.Funcs), len(ref.Funcs))
+	gf := &generate.Function{Name: name, Target: ref.Target.Name}
+	for i, s := range cpp.SplitFunction(fn) {
+		gf.Statements = append(gf.Statements, generate.Statement{Row: i, Text: s.Text, Score: 1})
+	}
+	return gf
+}
+
+func TestCorrectKeepsAccurateGenerated(t *testing.T) {
+	ref, err := testCorpus(t).ReferenceBackend("RISCV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf := generatedFrom(t, ref, "getStackAlignment")
+	gen := &generate.Backend{Target: "RISCV", Functions: []*generate.Function{gf}}
+	cb := Correct(gen, map[string]bool{"getStackAlignment": true})
+	if len(cb.Sources) != 1 || cb.Sources["getStackAlignment"] != gf.Render() {
+		t.Fatalf("corrected backend keeps %v, want the generated getStackAlignment", cb.Sources)
 	}
 	// The inaccurate map gate: mark it inaccurate and the reference wins.
-	cb2 := Correct(gen, ref, map[string]bool{})
-	if cb2.Funcs["getStackAlignment"] != ref.Funcs["getStackAlignment"] {
+	if cb2 := Correct(gen, map[string]bool{}); len(cb2.Sources) != 0 {
 		t.Error("inaccurate generated function must be replaced by the reference")
 	}
 }
 
 func TestAdoptBackendGrowsTrainingFleet(t *testing.T) {
 	c := testCorpus(t)
-	base, err := New(c, tinyConfig())
+	base, err := NewFromProvider(c, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := &CorrectedBackend{Target: "RISCV", Funcs: c.Backends["RISCV"].Funcs}
+	ref, err := c.ReferenceBackend("RISCV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := generatedFrom(t, ref, "getStackAlignment").Render()
+	cb := &CorrectedBackend{Target: "RISCV", Sources: map[string]string{"getStackAlignment": kept}}
 	adopted, err := AdoptBackend(c, cb, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -46,24 +61,17 @@ func TestAdoptBackendGrowsTrainingFleet(t *testing.T) {
 		t.Fatalf("training fleet = %d, want %d", got, want)
 	}
 	// RISCV's implementations now participate in the function groups.
-	g := adopted.GroupByName("getRelocType")
-	var found bool
-	for _, tgt := range g.Targets {
-		if tgt == "RISCV" {
-			found = true
-		}
-	}
-	if !found {
+	if g := adopted.GroupByName("getRelocType"); !slices.Contains(g.Targets, "RISCV") {
 		t.Error("adopted target missing from function groups")
 	}
-	// The original corpus must be untouched.
-	var evalStill bool
-	for _, tb := range c.EvalBackends() {
-		if tb.Target.Name == "RISCV" {
-			evalStill = true
-		}
+	// The corrected function enters as its kept text.
+	fn, _ := corpus.FuncByName("getStackAlignment")
+	gs := adopted.Provider.GroupSource(fn)
+	if i := slices.Index(gs.Targets, "RISCV"); i < 0 || gs.Sources[i] != kept {
+		t.Error("adopted group does not carry the corrected source")
 	}
-	if !evalStill {
+	// The original fleet must be untouched.
+	if !corpus.FindSpec(c, "RISCV").Eval {
 		t.Error("AdoptBackend mutated the source corpus")
 	}
 }

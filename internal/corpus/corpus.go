@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"vega/internal/cpp"
-	"vega/internal/tablegen"
 )
 
 // InterfaceFunc describes one LLVM-provided interface function: its name,
@@ -56,8 +55,6 @@ type Backend struct {
 	Target *TargetSpec
 	// Funcs maps interface-function name to parsed implementation.
 	Funcs map[string]*cpp.Node
-	// Sources keeps the rendered C++ text.
-	Sources map[string]string
 }
 
 // ParseFunction parses one rendered reference implementation into its
@@ -80,11 +77,7 @@ func ParseFunction(src string) (*cpp.Node, error) {
 
 // BuildBackend renders and parses one target's reference backend.
 func BuildBackend(t *TargetSpec) (*Backend, error) {
-	b := &Backend{
-		Target:  t,
-		Funcs:   make(map[string]*cpp.Node),
-		Sources: make(map[string]string),
-	}
+	b := &Backend{Target: t, Funcs: make(map[string]*cpp.Node)}
 	for _, f := range AllFuncs() {
 		src := f.Gen(t)
 		if src == "" {
@@ -95,46 +88,10 @@ func BuildBackend(t *TargetSpec) (*Backend, error) {
 			return nil, fmt.Errorf("corpus: %s %s: %w\n%s", t.Name, f.Name, err, src)
 		}
 		b.Funcs[f.Name] = fn
-		b.Sources[f.Name] = src
 	}
 	return b, nil
 }
 
-// Corpus bundles the rendered source tree with every backend.
-type Corpus struct {
-	Tree     *tablegen.SourceTree
-	Backends map[string]*Backend // by target name
-	Targets  []*TargetSpec
-}
-
-// Build renders the standard fleet: the LLVM core, every target's
-// description files, and every target's reference backend.
-func Build() (*Corpus, error) { return BuildFleet(Targets()) }
-
-// BuildFleet renders a resident corpus for an explicit fleet of targets.
-func BuildFleet(targets []*TargetSpec) (*Corpus, error) {
-	c := &Corpus{
-		Tree:     BuildTree(targets),
-		Backends: make(map[string]*Backend, len(targets)),
-		Targets:  targets,
-	}
-	for _, t := range targets {
-		b, err := BuildBackend(t)
-		if err != nil {
-			return nil, err
-		}
-		c.Backends[t.Name] = b
-	}
-	return c, nil
-}
-
-// EvalBackends returns the held-out backends, in fleet order.
-func (c *Corpus) EvalBackends() []*Backend {
-	var out []*Backend
-	for _, t := range c.Targets {
-		if t.Eval {
-			out = append(out, c.Backends[t.Name])
-		}
-	}
-	return out
-}
+// Build returns the streaming provider over the standard fleet: the
+// training targets plus the three held-out evaluation targets.
+func Build() (*Stream, error) { return NewStream(Targets()), nil }

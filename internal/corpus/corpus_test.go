@@ -1,7 +1,9 @@
 package corpus
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"vega/internal/cpp"
@@ -9,13 +11,19 @@ import (
 	"vega/internal/tablegen"
 )
 
-func buildCorpus(t *testing.T) *Corpus {
+func buildCorpus(t *testing.T) *Stream {
 	t.Helper()
-	c, err := Build()
+	return NewStream(Targets())
+}
+
+// refBackend returns one target's reference backend from the provider.
+func refBackend(t *testing.T, c Provider, name string) *Backend {
+	t.Helper()
+	b, err := c.ReferenceBackend(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return b
 }
 
 func TestTargetsFleet(t *testing.T) {
@@ -48,7 +56,9 @@ func TestTargetsFleet(t *testing.T) {
 
 func TestEveryReferenceFunctionParses(t *testing.T) {
 	c := buildCorpus(t)
-	for name, b := range c.Backends {
+	for _, spec := range Specs(c) {
+		name := spec.Name
+		b := refBackend(t, c, name)
 		if len(b.Funcs) < 30 {
 			t.Errorf("%s implements only %d functions", name, len(b.Funcs))
 		}
@@ -62,13 +72,13 @@ func TestEveryReferenceFunctionParses(t *testing.T) {
 
 func TestXCoreLacksDisassembler(t *testing.T) {
 	c := buildCorpus(t)
-	x := c.Backends["XCore"]
+	x := refBackend(t, c, "XCore")
 	for _, f := range disFuncs() {
 		if _, ok := x.Funcs[f.Name]; ok {
 			t.Errorf("XCore should lack DIS function %s", f.Name)
 		}
 	}
-	r := c.Backends["RISCV"]
+	r := refBackend(t, c, "RISCV")
 	if _, ok := r.Funcs["decodeGPRRegisterClass"]; !ok {
 		t.Error("RISCV should have a disassembler")
 	}
@@ -76,21 +86,22 @@ func TestXCoreLacksDisassembler(t *testing.T) {
 
 func TestHardwareLoopOnlyWhereDeclared(t *testing.T) {
 	c := buildCorpus(t)
-	if _, ok := c.Backends["RISCV"].Funcs["convertToHardwareLoop"]; ok {
+	if _, ok := refBackend(t, c, "RISCV").Funcs["convertToHardwareLoop"]; ok {
 		t.Error("RISCV must not implement convertToHardwareLoop")
 	}
-	if _, ok := c.Backends["RI5CY"].Funcs["convertToHardwareLoop"]; !ok {
+	if _, ok := refBackend(t, c, "RI5CY").Funcs["convertToHardwareLoop"]; !ok {
 		t.Error("RI5CY must implement convertToHardwareLoop")
 	}
-	if _, ok := c.Backends["Hexagon"].Funcs["convertToHardwareLoop"]; !ok {
+	if _, ok := refBackend(t, c, "Hexagon").Funcs["convertToHardwareLoop"]; !ok {
 		t.Error("Hexagon must implement convertToHardwareLoop")
 	}
 }
 
 func TestDescriptionFilesParse(t *testing.T) {
 	c := buildCorpus(t)
-	for _, p := range c.Tree.Paths() {
-		content, _ := c.Tree.Content(p)
+	tree := c.SourceTree()
+	for _, p := range tree.Paths() {
+		content, _ := tree.Content(p)
 		switch {
 		case strings.HasSuffix(p, ".td"):
 			if _, err := tablegen.ParseTD(content); err != nil {
@@ -110,7 +121,8 @@ func TestDescriptionFilesParse(t *testing.T) {
 
 func TestDescriptionFileConventions(t *testing.T) {
 	c := buildCorpus(t)
-	for _, tgt := range c.Targets {
+	tree := c.SourceTree()
+	for _, tgt := range Specs(c) {
 		dir := "lib/Target/" + tgt.Name + "/"
 		for _, want := range []string{
 			dir + tgt.Name + ".td",
@@ -119,12 +131,12 @@ func TestDescriptionFileConventions(t *testing.T) {
 			dir + tgt.Name + "FixupKinds.h",
 			"llvm/BinaryFormat/ELFRelocs/" + tgt.Name + ".def",
 		} {
-			if _, ok := c.Tree.Content(want); !ok {
+			if _, ok := tree.Content(want); !ok {
 				t.Errorf("missing description file %s", want)
 			}
 		}
 		if tgt.HasVariantKind {
-			if _, ok := c.Tree.Content(dir + tgt.Name + "MCExpr.h"); !ok {
+			if _, ok := tree.Content(dir + tgt.Name + "MCExpr.h"); !ok {
 				t.Errorf("%s: HasVariantKind target missing MCExpr.h", tgt.Name)
 			}
 		}
@@ -151,7 +163,7 @@ func TestFixupNamingConventions(t *testing.T) {
 
 func TestFeatureExtractionOnCorpus(t *testing.T) {
 	c := buildCorpus(t)
-	e := feature.NewExtractor(c.Tree, nil)
+	e := feature.NewExtractor(c.SourceTree(), nil)
 	// Key properties must be in the candidate set.
 	for _, want := range []string{"MCFixupKind", "ELF_RELOC", "Register", "BranchInst", "SaveList", "FramePointer", "StackPointer", "HasHardwareLoop", "Name", "AsmString", "StackAlignment"} {
 		if !e.InPropList(want) {
@@ -163,7 +175,9 @@ func TestFeatureExtractionOnCorpus(t *testing.T) {
 func TestStatementCounts(t *testing.T) {
 	c := buildCorpus(t)
 	total := 0
-	for _, b := range c.Backends {
+	specs := Specs(c)
+	for _, spec := range specs {
+		b := refBackend(t, c, spec.Name)
 		n := 0
 		for _, fn := range b.Funcs {
 			for _, s := range cpp.SplitFunction(fn) {
@@ -180,7 +194,7 @@ func TestStatementCounts(t *testing.T) {
 	if total < 4000 {
 		t.Errorf("corpus statements = %d, want >= 4000", total)
 	}
-	t.Logf("corpus: %d targets, %d statements", len(c.Backends), total)
+	t.Logf("corpus: %d targets, %d statements", len(specs), total)
 }
 
 func TestFunctionGroupGathering(t *testing.T) {
@@ -197,7 +211,7 @@ func TestFunctionGroupGathering(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, tn := range gs.Targets {
-			if impls[i] != c.Backends[tn].Funcs[name] {
+			if cpp.Print(impls[i]) != cpp.Print(refBackend(t, c, tn).Funcs[name]) {
 				t.Errorf("%s: impl %d is not %s's function", name, i, tn)
 			}
 		}
@@ -214,8 +228,7 @@ func TestFunctionGroupGathering(t *testing.T) {
 
 func TestReferenceSourcesSplit(t *testing.T) {
 	c := buildCorpus(t)
-	b := c.Backends["ARM"]
-	fn := b.Funcs["getRelocType"]
+	fn := refBackend(t, c, "ARM").Funcs["getRelocType"]
 	sts := cpp.SplitFunction(fn)
 	if len(sts) < 10 {
 		t.Errorf("getRelocType splits into %d statements", len(sts))
@@ -235,7 +248,7 @@ func TestGetRelocTypeHelperInlined(t *testing.T) {
 	c := buildCorpus(t)
 	// MIPS-family targets wrap getRelocType in GetRelocTypeInner; the
 	// pre-processing must inline it so the group aligns.
-	fn := c.Backends["Mips"].Funcs["getRelocType"]
+	fn := refBackend(t, c, "Mips").Funcs["getRelocType"]
 	printed := cpp.Print(fn)
 	if strings.Contains(printed, "GetRelocTypeInner") {
 		t.Errorf("helper call not inlined:\n%s", printed)
@@ -243,7 +256,54 @@ func TestGetRelocTypeHelperInlined(t *testing.T) {
 	if !strings.Contains(printed, "switch (Kind)") {
 		t.Errorf("helper body not spliced:\n%s", printed)
 	}
-	if src := c.Backends["Mips"].Sources["getRelocType"]; !strings.Contains(src, "GetRelocTypeInner") {
+	ifn, _ := FuncByName("getRelocType")
+	if src := ifn.Gen(FindTarget("Mips")); !strings.Contains(src, "GetRelocTypeInner") {
 		t.Error("raw source should still show the helper (pre-inlining form)")
+	}
+}
+
+// TestReferenceBackendConcurrent: concurrent first requests for the same
+// target build its backend once, so every caller gets one pointer per
+// name; an unknown name is an error.
+func TestReferenceBackendConcurrent(t *testing.T) {
+	c := buildCorpus(t)
+	names := []string{"RISCV", "RI5CY", "XCore"}
+	const workers = 8
+	got := make([][]*Backend, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range names {
+				// Each goroutine starts at a different name.
+				b, err := c.ReferenceBackend(names[(w+i)%len(names)])
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w] = append(got[w], b)
+			}
+			if _, err := c.ReferenceBackend("Z80"); err == nil {
+				errs[w] = errors.New("unknown target Z80 gave no error")
+			}
+		}()
+	}
+	wg.Wait()
+	first := map[string]*Backend{}
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatalf("goroutine %d: %v", w, errs[w])
+		}
+		for _, b := range got[w] {
+			if p, ok := first[b.Target.Name]; ok && p != b {
+				t.Errorf("%s: goroutine %d got a second backend", b.Target.Name, w)
+			}
+			first[b.Target.Name] = b
+		}
+	}
+	if len(first) != len(names) {
+		t.Errorf("backends for %d names, want %d", len(first), len(names))
 	}
 }

@@ -1,9 +1,6 @@
 package corpus
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"iter"
 	"sync"
@@ -12,14 +9,13 @@ import (
 	"vega/internal/tablegen"
 )
 
-// Provider is the streaming corpus abstraction: instead of holding every
-// backend resident (Build), a Provider yields one function group at a
-// time, so Stage 1 memory stays bounded by a single group regardless of
-// fleet size.
+// Provider is the corpus abstraction Stage 1 and evaluation read: it
+// yields one function group at a time, so Stage 1 memory stays bounded by
+// a single group regardless of fleet size.
 //
-// The resident *Corpus implements Provider (groups come from the parsed
-// backends), and Stream renders groups on demand straight from the
-// TargetSpecs. Method names avoid Corpus's Tree/Targets field names.
+// Stream is the one implementation; it renders groups on demand straight
+// from the TargetSpecs. Override (and benchmark instrumentation) decorate
+// a Provider by embedding it.
 type Provider interface {
 	// TargetSpecs iterates the fleet in its canonical order.
 	TargetSpecs() iter.Seq[*TargetSpec]
@@ -36,25 +32,17 @@ type Provider interface {
 }
 
 // GroupSource is the raw material of one Stage 1 function group: per
-// training target, the reference implementation of one interface
-// function. Sources[i] is a content-representative string for Targets[i]
-// — the rendered C++ text, or an "ast:<hash>" fingerprint when only a
-// parsed form exists (adopted backends) — and is what per-group cache
-// keys hash.
+// training target, the rendered C++ text of one interface function's
+// implementation. Sources[i] belongs to Targets[i] and is what per-group
+// cache keys hash.
 type GroupSource struct {
 	Func    InterfaceFunc
 	Targets []string
 	Sources []string
-
-	impls []*cpp.Node // pre-parsed, when the provider has them resident
 }
 
-// Impls returns the parsed implementations aligned with Targets, parsing
-// the rendered sources on demand when the provider streamed them.
+// Impls parses the sources into implementations aligned with Targets.
 func (g *GroupSource) Impls() ([]*cpp.Node, error) {
-	if g.impls != nil {
-		return g.impls, nil
-	}
 	out := make([]*cpp.Node, len(g.Targets))
 	for i, src := range g.Sources {
 		fn, err := ParseFunction(src)
@@ -64,77 +52,6 @@ func (g *GroupSource) Impls() ([]*cpp.Node, error) {
 		out[i] = fn
 	}
 	return out, nil
-}
-
-// nodeFingerprint hashes a parsed function deterministically (kind,
-// value, and child structure) for backends that carry no source text.
-func nodeFingerprint(n *cpp.Node) string {
-	h := sha256.New()
-	var walk func(n *cpp.Node)
-	var num [4]byte
-	walk = func(n *cpp.Node) {
-		binary.LittleEndian.PutUint32(num[:], uint32(n.Kind))
-		h.Write(num[:])
-		h.Write([]byte(n.Value))
-		h.Write([]byte{0})
-		binary.LittleEndian.PutUint32(num[:], uint32(len(n.Children)))
-		h.Write(num[:])
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// TargetSpecs implements Provider over the resident fleet.
-func (c *Corpus) TargetSpecs() iter.Seq[*TargetSpec] {
-	return func(yield func(*TargetSpec) bool) {
-		for _, t := range c.Targets {
-			if !yield(t) {
-				return
-			}
-		}
-	}
-}
-
-// SourceTree implements Provider.
-func (c *Corpus) SourceTree() *tablegen.SourceTree { return c.Tree }
-
-// GroupSource implements Provider from the parsed backends.
-func (c *Corpus) GroupSource(fn InterfaceFunc) *GroupSource {
-	gs := &GroupSource{Func: fn}
-	for _, t := range c.Targets {
-		if t.Eval {
-			continue
-		}
-		b := c.Backends[t.Name]
-		if b == nil {
-			continue
-		}
-		node, ok := b.Funcs[fn.Name]
-		if !ok {
-			continue
-		}
-		src := b.Sources[fn.Name]
-		if src == "" {
-			// Adopted backends (AdoptBackend) carry parsed functions
-			// only; fingerprint the AST so cache keys stay content-true.
-			src = "ast:" + nodeFingerprint(node)
-		}
-		gs.Targets = append(gs.Targets, t.Name)
-		gs.Sources = append(gs.Sources, src)
-		gs.impls = append(gs.impls, node)
-	}
-	return gs
-}
-
-// ReferenceBackend implements Provider.
-func (c *Corpus) ReferenceBackend(name string) (*Backend, error) {
-	if b := c.Backends[name]; b != nil {
-		return b, nil
-	}
-	return nil, fmt.Errorf("corpus: no backend %q", name)
 }
 
 // Stream is the on-demand Provider: it renders each function group
@@ -221,8 +138,7 @@ type Override struct {
 	Source   string
 }
 
-// GroupSource substitutes the override and drops pre-parsed impls for
-// the affected group so it re-parses from text.
+// GroupSource substitutes the override in the affected group.
 func (o *Override) GroupSource(fn InterfaceFunc) *GroupSource {
 	gs := o.Provider.GroupSource(fn)
 	if fn.Name != o.FuncName {

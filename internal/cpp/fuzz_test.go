@@ -2,8 +2,8 @@ package cpp_test
 
 import (
 	"errors"
-	"maps"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,13 +17,13 @@ import (
 // input, no stage may panic or run long, and a rejected input must come
 // back as a *cpp.SyntaxError, the same one from Lex and from the parse.
 func FuzzParseNormalize(f *testing.F) {
-	c, err := corpus.Build()
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, b := range c.Backends {
-		for _, name := range slices.Sorted(maps.Keys(b.Funcs)) {
-			f.Add(b.Sources[name])
+	funcs := corpus.AllFuncs()
+	slices.SortFunc(funcs, func(a, b corpus.InterfaceFunc) int { return strings.Compare(a.Name, b.Name) })
+	for _, spec := range corpus.Targets() {
+		for _, fn := range funcs {
+			if src := fn.Gen(spec); src != "" {
+				f.Add(src)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -51,7 +51,7 @@ func siblingCaller(t *testing.T, name string, fn *cpp.Node) *cpp.Node {
 // Cases that override a global (MF) must reach the override through the
 // stub too, and must leave the global as it was for the cases after.
 func TestRunCaseReusedEnvMatchesFresh(t *testing.T) {
-	backends := buildCorpus(t).EvalBackends()
+	backends := evalBackends(t, buildCorpus(t))
 	for _, fam := range [][]*corpus.TargetSpec{
 		corpus.VLIWTargets(), corpus.PredicatedTargets(), corpus.TensorTargets(), corpus.RVExtTargets(),
 	} {

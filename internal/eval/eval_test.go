@@ -11,13 +11,31 @@ import (
 	"vega/internal/template"
 )
 
-func buildCorpus(t *testing.T) *corpus.Corpus {
+func buildCorpus(t *testing.T) *corpus.Stream {
 	t.Helper()
-	c, err := corpus.Build()
+	return corpus.NewStream(corpus.Targets())
+}
+
+// refBackend returns one target's reference backend from the provider.
+func refBackend(t *testing.T, c corpus.Provider, name string) *corpus.Backend {
+	t.Helper()
+	b, err := c.ReferenceBackend(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return b
+}
+
+// evalBackends returns the held-out reference backends, in fleet order.
+func evalBackends(t *testing.T, c corpus.Provider) []*corpus.Backend {
+	t.Helper()
+	var out []*corpus.Backend
+	for spec := range c.TargetSpecs() {
+		if spec.Eval {
+			out = append(out, refBackend(t, c, spec.Name))
+		}
+	}
+	return out
 }
 
 // selfBackend wraps a reference backend as if VEGA had generated it
@@ -63,7 +81,7 @@ func TestCanonicalTextUsesStatementTokens(t *testing.T) {
 
 func TestSelfEvaluationIsPerfect(t *testing.T) {
 	c := buildCorpus(t)
-	for _, ref := range c.EvalBackends() {
+	for _, ref := range evalBackends(t, c) {
 		be := EvaluateBackend(selfBackend(ref), ref, nil)
 		tot := be.Totals()
 		if tot.Accurate != tot.Funcs {
@@ -91,8 +109,11 @@ func TestEverySuiteCoversEveryFunction(t *testing.T) {
 
 func TestForkFlowAccuracyIsLow(t *testing.T) {
 	c := buildCorpus(t)
-	for _, ref := range c.EvalBackends() {
-		ff := forkflow.Fork(c, forkflow.DefaultDonor, ref.Target.Name)
+	for _, ref := range evalBackends(t, c) {
+		ff, err := forkflow.Fork(c, forkflow.DefaultDonor, ref.Target.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		be := EvaluateBackend(ff, ref, nil)
 		tot := be.Totals()
 		acc := tot.FunctionAccuracy()
@@ -107,7 +128,7 @@ func TestForkFlowAccuracyIsLow(t *testing.T) {
 
 func TestMutatedFunctionFailsPass1(t *testing.T) {
 	c := buildCorpus(t)
-	ref := c.Backends["RISCV"]
+	ref := refBackend(t, c, "RISCV")
 	gen := selfBackend(ref)
 	// Corrupt one statement of getRelocType: swap a relocation value.
 	f := gen.Function("getRelocType")
@@ -133,7 +154,7 @@ func TestMutatedFunctionFailsPass1(t *testing.T) {
 
 func TestDroppedStatementClassifiesErrDef(t *testing.T) {
 	c := buildCorpus(t)
-	ref := c.Backends["RISCV"]
+	ref := refBackend(t, c, "RISCV")
 	gen := selfBackend(ref)
 	f := gen.Function("matchRegisterName")
 	// Remove a whole if-block: statements 1..3 (the sp special case).
@@ -169,7 +190,7 @@ func TestDroppedStatementClassifiesErrDef(t *testing.T) {
 
 func TestLowConfidenceDropsStatement(t *testing.T) {
 	c := buildCorpus(t)
-	ref := c.Backends["RISCV"]
+	ref := refBackend(t, c, "RISCV")
 	gen := selfBackend(ref)
 	f := gen.Function("getStackAlignment")
 	f.Statements[1].Score = 0.2 // the return statement
@@ -215,7 +236,7 @@ func TestEffortModelCalibration(t *testing.T) {
 
 func TestModuleAggregation(t *testing.T) {
 	c := buildCorpus(t)
-	ref := c.Backends["XCore"]
+	ref := refBackend(t, c, "XCore")
 	be := EvaluateBackend(selfBackend(ref), ref, nil)
 	mods := be.ByModule()
 	for _, m := range mods {

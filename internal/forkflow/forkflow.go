@@ -8,6 +8,7 @@
 package forkflow
 
 import (
+	"fmt"
 	"strings"
 
 	"vega/internal/corpus"
@@ -19,10 +20,17 @@ import (
 const DefaultDonor = "Mips"
 
 // Fork produces a backend for target by copying donor's implementations
-// and renaming the donor's namespace tokens to the target's.
-func Fork(c *corpus.Corpus, donor, target string) *generate.Backend {
-	d := c.Backends[donor]
-	tSpec := corpus.FindTarget(target)
+// and renaming the donor's namespace tokens to the target's. Both must be
+// in the provider's fleet.
+func Fork(pr corpus.Provider, donor, target string) (*generate.Backend, error) {
+	d, err := pr.ReferenceBackend(donor)
+	if err != nil {
+		return nil, err
+	}
+	tSpec := corpus.FindSpec(pr, target)
+	if tSpec == nil {
+		return nil, fmt.Errorf("forkflow: no target %q in the fleet", target)
+	}
 	out := &generate.Backend{Target: target, Seconds: map[string]float64{}}
 	for _, ifn := range corpus.AllFuncs() {
 		fn, ok := d.Funcs[ifn.Name]
@@ -44,7 +52,7 @@ func Fork(c *corpus.Corpus, donor, target string) *generate.Backend {
 		}
 		out.Functions = append(out.Functions, gf)
 	}
-	return out
+	return out, nil
 }
 
 // RenameFunction rewrites a donor function for a new target: namespace

@@ -18,24 +18,15 @@ import (
 
 var (
 	fixOnce sync.Once
-	fixC    *corpus.Corpus
-	fixErr  error
+	fixC    *corpus.Stream
 )
-
-func buildCorpus(t *testing.T) *corpus.Corpus {
-	t.Helper()
-	fixOnce.Do(func() { fixC, fixErr = corpus.Build() })
-	if fixErr != nil {
-		t.Fatal(fixErr)
-	}
-	return fixC
-}
 
 func refBackend(t *testing.T, target string) *corpus.Backend {
 	t.Helper()
-	b := buildCorpus(t).Backends[target]
-	if b == nil {
-		t.Fatalf("no backend for %s", target)
+	fixOnce.Do(func() { fixC = corpus.NewStream(corpus.Targets()) })
+	b, err := fixC.ReferenceBackend(target)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return b
 }

@@ -202,15 +202,12 @@ func TestManifestRoundTripAndGC(t *testing.T) {
 // TestGroupKeySensitivity pins the incremental-invalidation contract:
 // a group's key moves only when that group's own inputs move.
 func TestGroupKeySensitivity(t *testing.T) {
-	c, err := corpus.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := corpus.NewStream(corpus.Targets())
 	var names []string
-	for _, spec := range c.Targets {
+	for spec := range c.TargetSpecs() {
 		names = append(names, spec.Name)
 	}
-	core, byTarget := TreeHashes(c.Tree, names)
+	core, byTarget := TreeHashes(c.SourceTree(), names)
 	fn, ok := corpus.FuncByName("getRelocType")
 	if !ok {
 		t.Fatal("no getRelocType")
@@ -232,8 +229,8 @@ func TestGroupKeySensitivity(t *testing.T) {
 		t.Fatal("function identity did not participate in the key")
 	}
 	// ...and an edit to a member's description files...
-	c.Tree.Add("lib/Target/"+gs.Targets[0]+"/Extra.td", "def Extra;")
-	core2, byTarget2 := TreeHashes(c.Tree, names)
+	c.SourceTree().Add("lib/Target/"+gs.Targets[0]+"/Extra.td", "def Extra;")
+	core2, byTarget2 := TreeHashes(c.SourceTree(), names)
 	if core2 != core {
 		t.Fatal("target-owned file changed the core hash")
 	}
@@ -258,24 +255,18 @@ func TestGroupKeySensitivity(t *testing.T) {
 		}
 	}
 	if other != "" {
-		c2, err := corpus.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2.Tree.Add("lib/Target/"+other+"/Extra.td", "def Extra;")
-		core3, byTarget3 := TreeHashes(c2.Tree, names)
+		c2 := corpus.NewStream(corpus.Targets())
+		c2.SourceTree().Add("lib/Target/"+other+"/Extra.td", "def Extra;")
+		core3, byTarget3 := TreeHashes(c2.SourceTree(), names)
 		if k := GroupKey(fn.Name, string(fn.Module), gs.Targets, gs.Sources, byTarget3, core3); k != k1 {
 			t.Fatal("non-member .td change invalidated the group")
 		}
 	}
 
 	// A core-tree edit invalidates every group.
-	c3, err := corpus.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3.Tree.Add("llvm/CodeGen/Extra.h", "class Extra {};")
-	core4, byTarget4 := TreeHashes(c3.Tree, names)
+	c3 := corpus.NewStream(corpus.Targets())
+	c3.SourceTree().Add("llvm/CodeGen/Extra.h", "class Extra {};")
+	core4, byTarget4 := TreeHashes(c3.SourceTree(), names)
 	if core4 == core {
 		t.Fatal("core edit did not change the core hash")
 	}

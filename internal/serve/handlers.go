@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -209,7 +210,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 	opt := core.GenOptions{MaxFunctions: req.MaxFunctions, Verify: req.Verify}
 	if req.Module != "" {
-		if !moduleListed(moduleNames(), req.Module) {
+		if !slices.Contains(corpus.Modules, corpus.Module(req.Module)) {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown module %q", req.Module), 0)
 			return
 		}
@@ -510,14 +511,4 @@ func moduleNames() []string {
 		out[i] = string(m)
 	}
 	return out
-}
-
-// moduleListed reports membership (the filter is never empty here).
-func moduleListed(list []string, m string) bool {
-	for _, x := range list {
-		if x == m {
-			return true
-		}
-	}
-	return false
 }

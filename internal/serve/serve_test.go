@@ -24,20 +24,16 @@ import (
 
 var (
 	fixMu     sync.Mutex
-	fixCorpus *corpus.Corpus
+	fixCorpus *corpus.Stream
 	fixPipes  = map[int64]*core.Pipeline{}
 )
 
-func testCorpus(t *testing.T) *corpus.Corpus {
+func testCorpus(t *testing.T) *corpus.Stream {
 	t.Helper()
 	fixMu.Lock()
 	defer fixMu.Unlock()
 	if fixCorpus == nil {
-		c, err := corpus.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fixCorpus = c
+		fixCorpus = corpus.NewStream(corpus.Targets())
 	}
 	return fixCorpus
 }
@@ -60,7 +56,7 @@ func tinyConfig(seed int64) core.Config {
 // untrained weights (serving only needs output *stability*, not quality).
 func freshPipeline(t *testing.T, seed int64) *core.Pipeline {
 	t.Helper()
-	p, err := core.New(testCorpus(t), tinyConfig(seed))
+	p, err := core.NewFromProvider(testCorpus(t), tinyConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +314,7 @@ func TestSnapshotHealthCheck(t *testing.T) {
 
 	// A pipeline with Stage 1 artifacts but no weights (a checkpoint that
 	// failed to load, say) must be rejected before cutover.
-	empty, err := core.New(testCorpus(t), tinyConfig(1))
+	empty, err := core.NewFromProvider(testCorpus(t), tinyConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +617,7 @@ func TestHandleReload(t *testing.T) {
 			case "broken":
 				return nil, errors.New("synthetic load failure")
 			case "weightless":
-				p, err := core.New(testCorpus(t), tinyConfig(1))
+				p, err := core.NewFromProvider(testCorpus(t), tinyConfig(1))
 				return p, err
 			default:
 				loaded++

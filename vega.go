@@ -13,7 +13,7 @@
 //
 // The top-level API wraps the pipeline end to end:
 //
-//	c, _ := vega.BuildCorpus()
+//	c := vega.BuildCorpus()
 //	p, _ := vega.NewPipeline(c, vega.DefaultConfig())
 //	res, _ := p.Train()
 //	backend := p.GenerateBackend("RISCV")
@@ -48,9 +48,6 @@ type Config = core.Config
 // Pipeline is the VEGA pipeline: pre-processing through Stage 3.
 type Pipeline = core.Pipeline
 
-// Corpus is the synthetic fleet of backends VEGA trains on.
-type Corpus = corpus.Corpus
-
 // Backend is a generated backend with per-statement confidence scores.
 type Backend = generate.Backend
 
@@ -66,20 +63,17 @@ type TrainResult = core.TrainResult
 // DefaultConfig returns single-core-friendly pipeline settings.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// BuildCorpus renders the training fleet and the three held-out
-// evaluation targets (RISCV, RI5CY, XCore) with their description files.
-func BuildCorpus() (*Corpus, error) { return corpus.Build() }
+// BuildCorpus returns the standard fleet: the training targets and the
+// three held-out evaluation targets (RISCV, RI5CY, XCore). Description
+// files are rendered up front; function groups and reference backends are
+// rendered on demand, so memory stays bounded by one group regardless of
+// fleet size. Any fleet from corpus.Fleet streams the same way through
+// corpus.NewStream.
+func BuildCorpus() *corpus.Stream { return corpus.NewStream(corpus.Targets()) }
 
-// NewPipeline runs Stage 1 (templatization + feature selection) over the
-// corpus.
-func NewPipeline(c *Corpus, cfg Config) (*Pipeline, error) { return core.New(c, cfg) }
-
-// NewStreamingPipeline runs Stage 1 over a streaming corpus provider
-// (e.g. corpus.NewStream(corpus.FamilyTargets())): function groups are
-// rendered on demand instead of held resident, so memory stays bounded
-// by one group regardless of fleet size. Output is byte-identical to
-// NewPipeline over the equivalent resident corpus.
-func NewStreamingPipeline(pr corpus.Provider, cfg Config) (*Pipeline, error) {
+// NewPipeline runs Stage 1 (templatization + feature selection) over a
+// corpus provider.
+func NewPipeline(pr corpus.Provider, cfg Config) (*Pipeline, error) {
 	return core.NewFromProvider(pr, cfg)
 }
 

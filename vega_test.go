@@ -9,12 +9,9 @@ import (
 )
 
 func TestPublicAPIStageOne(t *testing.T) {
-	c, err := BuildCorpus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Backends) < 15 {
-		t.Fatalf("backends = %d", len(c.Backends))
+	c := BuildCorpus()
+	if n := len(corpus.Specs(c)); n < 15 {
+		t.Fatalf("targets = %d", n)
 	}
 	p, err := NewPipeline(c, DefaultConfig())
 	if err != nil {
@@ -31,16 +28,16 @@ func TestPublicAPIStageOne(t *testing.T) {
 }
 
 func TestPublicEvaluate(t *testing.T) {
-	c, err := BuildCorpus()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := BuildCorpus()
 	p, err := NewPipeline(c, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Evaluate a perfect "generated" backend assembled from the reference.
-	ref := c.Backends["RISCV"]
+	ref, err := c.ReferenceBackend("RISCV")
+	if err != nil {
+		t.Fatal(err)
+	}
 	gen := &generate.Backend{Target: "RISCV", Seconds: map[string]float64{}}
 	for _, ifn := range corpus.AllFuncs() {
 		fn, ok := ref.Funcs[ifn.Name]
