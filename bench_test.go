@@ -20,7 +20,6 @@ import (
 	"vega/internal/compiler"
 	"vega/internal/core"
 	"vega/internal/corpus"
-	"vega/internal/cpp"
 	"vega/internal/eval"
 	"vega/internal/forkflow"
 	"vega/internal/model"
@@ -177,8 +176,14 @@ func BenchmarkFig10Performance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		geo = 1
 		for _, w := range suite {
-			r0 := runWorkload(b, w, tb, 0)
-			r3 := runWorkload(b, w, tb, 3)
+			r0, err := sim.RunProgram(w.Program, tb, 0, w.Entry, w.Args...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r3, err := sim.RunProgram(w.Program, tb, 3, w.Entry, w.Args...)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if r0.Return != r3.Return {
 				b.Fatalf("%s: O0/O3 mismatch", w.Name)
 			}
@@ -194,28 +199,12 @@ func BenchmarkFig10Performance(b *testing.B) {
 func BenchmarkFig10VegaBackend(b *testing.B) {
 	f := sharedFixture(b)
 	ref := refBackend(b, f.c, "RI5CY")
-	spec := ref.Target
-	corrected := map[string]*cpp.Node{}
-	for _, r := range f.evals["RI5CY"].Results {
-		fn := ref.Funcs[r.Name]
-		if r.Accurate && r.Emitted {
-			if gf := f.gens["RI5CY"].Function(r.Name); gf != nil {
-				if parsed, err := gf.Parse(); err == nil {
-					cpp.Normalize(parsed)
-					fn = parsed
-				}
-			}
-		}
-		if fn != nil {
-			corrected[r.Name] = fn
-		}
-	}
-	u := eval.NewUniverse(ref)
-	vegaTables, err := compiler.TablesFromBackend(spec, corrected, u.Env(0))
+	corrected := core.Correct(f.gens["RI5CY"], f.evals["RI5CY"]).Funcs(ref)
+	vegaTables, err := compiler.TablesFromBackend(ref.Target, corrected, eval.NewUniverse(ref).Env(0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	baseTables, err := compiler.TablesFromBackend(spec, ref.Funcs, eval.NewUniverse(ref).Env(0))
+	baseTables, err := compiler.TablesFromBackend(ref.Target, ref.Funcs, eval.NewUniverse(ref).Env(0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -223,8 +212,14 @@ func BenchmarkFig10VegaBackend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, w := range suite {
-			rBase := runWorkload(b, w, baseTables, 3)
-			rVega := runWorkload(b, w, vegaTables, 3)
+			rBase, err := sim.RunProgram(w.Program, baseTables, 3, w.Entry, w.Args...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rVega, err := sim.RunProgram(w.Program, vegaTables, 3, w.Entry, w.Args...)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if rBase.Return != rVega.Return {
 				b.Fatalf("%s: corrected VEGA backend diverges from base", w.Name)
 			}
@@ -372,23 +367,6 @@ func trainSamples(f *fixture) []model.Sample {
 		})
 	}
 	return out
-}
-
-func runWorkload(b *testing.B, w bench.Workload, tb *compiler.Tables, opt int) sim.Result {
-	b.Helper()
-	obj, err := compiler.Compile(w.Program, tb, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vm, err := sim.New(obj, tb, sim.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := vm.Run(w.Entry, w.Args...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
 }
 
 func geomean(product float64, n int) float64 {

@@ -1,6 +1,7 @@
 // Command vega-bench regenerates every table and figure of the paper's
 // evaluation section (see DESIGN.md's per-experiment index):
 //
+//	fig6             target-processor overview
 //	fig7             inference time per module per target
 //	fig8             function accuracy (pass@1), confidence split, multi-source share
 //	fig9             statement accuracy, VEGA vs ForkFlow

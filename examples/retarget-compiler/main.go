@@ -16,7 +16,6 @@ import (
 	"vega/internal/compiler"
 	"vega/internal/core"
 	"vega/internal/corpus"
-	"vega/internal/cpp"
 	"vega/internal/eval"
 	"vega/internal/sim"
 )
@@ -40,37 +39,19 @@ func main() {
 		log.Fatal(err)
 	}
 	gen := p.GenerateBackend(target)
-	be := eval.EvaluateBackend(gen, ref, nil)
 
 	// Correct the backend: keep accurate generated functions, substitute
 	// the base compiler's implementation for the inaccurate ones.
-	corrected := map[string]*cpp.Node{}
-	kept := 0
-	for _, r := range be.Results {
-		fn := ref.Funcs[r.Name]
-		if r.Accurate && r.Emitted {
-			if gf := gen.Function(r.Name); gf != nil {
-				if parsed, err := gf.Parse(); err == nil {
-					cpp.Normalize(parsed)
-					fn = parsed
-					kept++
-				}
-			}
-		}
-		if fn != nil {
-			corrected[r.Name] = fn
-		}
-	}
-	fmt.Printf("corrected backend: %d/%d functions straight from VEGA\n", kept, len(corrected))
+	cb := core.Correct(gen, eval.EvaluateBackend(gen, ref, nil))
+	corrected := cb.Funcs(ref)
+	fmt.Printf("corrected backend: %d/%d functions straight from VEGA\n", len(cb.Sources), len(corrected))
 
 	// Extract codegen tables by running the corrected backend's functions.
-	spec := ref.Target
-	u := eval.NewUniverse(ref)
-	vegaTables, err := compiler.TablesFromBackend(spec, corrected, u.Env(0))
+	vegaTables, err := compiler.TablesFromBackend(ref.Target, corrected, eval.NewUniverse(ref).Env(0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseTables, err := compiler.TablesFromBackend(spec, ref.Funcs, eval.NewUniverse(ref).Env(0))
+	baseTables, err := compiler.TablesFromBackend(ref.Target, ref.Funcs, eval.NewUniverse(ref).Env(0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,9 +59,18 @@ func main() {
 	fmt.Printf("\n%-14s  %12s  %12s  %8s %8s\n", "benchmark", "base cycles", "vega cycles", "base x", "vega x")
 	suite := bench.PULPLike()[:8]
 	for _, w := range suite {
-		b0 := run(w, baseTables, 0)
-		b3 := run(w, baseTables, 3)
-		v3 := run(w, vegaTables, 3)
+		b0, err := sim.RunProgram(w.Program, baseTables, 0, w.Entry, w.Args...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		b3, err := sim.RunProgram(w.Program, baseTables, 3, w.Entry, w.Args...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		v3, err := sim.RunProgram(w.Program, vegaTables, 3, w.Entry, w.Args...)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if b3.Return != v3.Return || b0.Return != b3.Return {
 			log.Fatalf("%s: functional mismatch", w.Name)
 		}
@@ -91,20 +81,4 @@ func main() {
 	}
 	fmt.Println("\nthe corrected VEGA compiler tracks the base compiler exactly —")
 	fmt.Println("the paper's Fig. 10 result, regenerated in full by `vega-bench -exp fig10`.")
-}
-
-func run(w bench.Workload, tb *compiler.Tables, opt int) sim.Result {
-	obj, err := compiler.Compile(w.Program, tb, opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vm, err := sim.New(obj, tb, sim.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := vm.Run(w.Entry, w.Args...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res
 }

@@ -271,18 +271,8 @@ func diffOneSeed(t *testing.T, targets map[string]*compiler.Tables, seed int64) 
 
 	for name, tb := range targets {
 		for _, opt := range []int{0, 3} {
-			obj, err := compiler.Compile(prog, tb, opt)
-			if err != nil {
-				t.Errorf("seed %d: %s O%d compile: %v\n%s", seed, name, opt, err, src)
-				return
-			}
-			vm, err := New(obj, tb, DefaultConfig())
-			if err != nil {
-				t.Errorf("seed %d: %s O%d vm: %v", seed, name, opt, err)
-				return
-			}
 			for i, args := range argSets {
-				res, err := vm.Run("f", args...)
+				res, err := RunProgram(prog, tb, opt, "f", args...)
 				if err != nil {
 					t.Errorf("seed %d args %v: %s O%d run: %v\n%s", seed, args, name, opt, err, src)
 					return

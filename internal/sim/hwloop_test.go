@@ -39,11 +39,7 @@ func TestHardwareLoopSemantics(t *testing.T) {
 	if !hasLoop {
 		t.Fatal("expected a hardware loop")
 	}
-	vm, err := New(obj, tb, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := vm.Run("main")
+	res, err := RunProgram(p, tb, 3, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +66,8 @@ func TestHardwareLoopEmptyTripCount(t *testing.T) {
 			},
 		}},
 	}
-	obj, err := compiler.Compile(p, tb, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, _ := New(obj, tb, DefaultConfig())
 	for n, want := range map[int64]int64{0: 7, 1: 8, 5: 12} {
-		res, err := vm.Run("main", n)
+		res, err := RunProgram(p, tb, 3, "main", n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -127,8 +118,7 @@ func TestSIMDRemainderHandling(t *testing.T) {
 	if !simd {
 		t.Fatal("expected SIMD vectorization")
 	}
-	vm, _ := New(obj, tb, DefaultConfig())
-	res, err := vm.Run("main")
+	res, err := RunProgram(p, tb, 3, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +138,7 @@ func TestCrossTargetCycleVariation(t *testing.T) {
 	cycles := map[string]int64{}
 	for _, tgt := range []string{"RISCV", "XCore", "Mips"} {
 		tb := compiler.TablesFromSpec(corpus.FindTarget(tgt))
-		obj, err := compiler.Compile(w.Program, tb, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vm, _ := New(obj, tb, DefaultConfig())
-		res, err := vm.Run(w.Entry, w.Args...)
+		res, err := RunProgram(w.Program, tb, 0, w.Entry, w.Args...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,27 +21,16 @@ type Result struct {
 	Instructions int64
 }
 
-// Config bounds execution.
-type Config struct {
-	MaxInstructions int64
-	MemoryWords     int
-	BranchPenalty   int64 // extra cycles on a taken branch
-	CallPenalty     int64
-}
+// The machine is sized for the benchmark workloads.
+const (
+	maxInstructions = 80_000_000
+	memoryWords     = 1 << 16
+	branchPenalty   = 1 // extra cycles on a taken branch
+	callPenalty     = 2
+)
 
-// DefaultConfig sizes the VM for the benchmark workloads.
-func DefaultConfig() Config {
-	return Config{
-		MaxInstructions: 80_000_000,
-		MemoryWords:     1 << 16,
-		BranchPenalty:   1,
-		CallPenalty:     2,
-	}
-}
-
-// VM executes one object.
-type VM struct {
-	cfg    Config
+// machine executes one object.
+type machine struct {
 	obj    *compiler.Object
 	tables *compiler.Tables
 
@@ -50,11 +39,17 @@ type VM struct {
 	heapTop   int
 }
 
-// New prepares a VM: arrays are laid out at the bottom of memory, frames
-// grow from the top.
-func New(obj *compiler.Object, tb *compiler.Tables, cfg Config) (*VM, error) {
-	vm := &VM{cfg: cfg, obj: obj, tables: tb,
-		mem:       make([]int64, cfg.MemoryWords),
+// RunProgram compiles a program with the tables at an optimization level
+// and runs its entry function on a fresh machine: arrays are laid out at
+// the bottom of memory, frames grow from the top.
+func RunProgram(p *compiler.Program, tb *compiler.Tables, opt int, entry string, args ...int64) (Result, error) {
+	var res Result
+	obj, err := compiler.Compile(p, tb, opt)
+	if err != nil {
+		return res, err
+	}
+	vm := &machine{obj: obj, tables: tb,
+		mem:       make([]int64, memoryWords),
 		arrayBase: map[string]int{},
 	}
 	top := 0
@@ -64,28 +59,18 @@ func New(obj *compiler.Object, tb *compiler.Tables, cfg Config) (*VM, error) {
 		top += obj.Arrays[name]
 	}
 	vm.heapTop = top
-	if top >= cfg.MemoryWords/2 {
-		return nil, fmt.Errorf("sim: arrays exceed memory")
+	if top >= memoryWords/2 {
+		return res, fmt.Errorf("sim: arrays exceed memory")
 	}
 	for name, vals := range obj.Init {
 		base, ok := vm.arrayBase[name]
 		if !ok {
-			return nil, fmt.Errorf("sim: init for unknown array %q", name)
+			return res, fmt.Errorf("sim: init for unknown array %q", name)
 		}
 		copy(vm.mem[base:], vals)
 	}
-	return vm, nil
-}
-
-// Run executes a function with arguments and returns its result and cost.
-func (vm *VM) Run(fn string, args ...int64) (Result, error) {
-	var res Result
-	ret, err := vm.call(fn, args, vm.cfg.MemoryWords-64, &res, 0)
-	if err != nil {
-		return res, err
-	}
-	res.Return = ret
-	return res, nil
+	res.Return, err = vm.call(entry, args, memoryWords-64, &res, 0)
+	return res, err
 }
 
 type hwLoop struct {
@@ -93,7 +78,7 @@ type hwLoop struct {
 	count      int64
 }
 
-func (vm *VM) call(fn string, args []int64, frameBase int, res *Result, depth int) (int64, error) {
+func (vm *machine) call(fn string, args []int64, frameBase int, res *Result, depth int) (int64, error) {
 	if depth > 64 {
 		return 0, fmt.Errorf("sim: call depth exceeded")
 	}
@@ -121,7 +106,7 @@ func (vm *VM) call(fn string, args []int64, frameBase int, res *Result, depth in
 		if pc < 0 || pc >= len(f.Code) {
 			return regs[1], nil // fell off the end: implicit return
 		}
-		if res.Instructions > vm.cfg.MaxInstructions {
+		if res.Instructions > maxInstructions {
 			return 0, fmt.Errorf("sim: instruction budget exceeded in %q", fn)
 		}
 		in := f.Code[pc]
@@ -160,7 +145,7 @@ func (vm *VM) call(fn string, args []int64, frameBase int, res *Result, depth in
 			vm.mem[addr] = regs[in.B]
 		case compiler.KBr:
 			pc = in.Target
-			res.Cycles += vm.cfg.BranchPenalty
+			res.Cycles += branchPenalty
 			continue
 		case compiler.KBrCond:
 			take, err := compare(in.Op, regs[in.A], regs[in.B])
@@ -169,11 +154,11 @@ func (vm *VM) call(fn string, args []int64, frameBase int, res *Result, depth in
 			}
 			if take {
 				pc = in.Target
-				res.Cycles += vm.cfg.BranchPenalty
+				res.Cycles += branchPenalty
 				continue
 			}
 		case compiler.KCall:
-			res.Cycles += vm.cfg.CallPenalty
+			res.Cycles += callPenalty
 			ret, err := vm.call(in.Sym, regs[4:8], slots, res, depth+1)
 			if err != nil {
 				return 0, err
@@ -205,7 +190,7 @@ func (vm *VM) call(fn string, args []int64, frameBase int, res *Result, depth in
 	}
 }
 
-func (vm *VM) lat(opcode int) int {
+func (vm *machine) lat(opcode int) int {
 	if l, ok := vm.tables.Latency[opcode]; ok {
 		return l
 	}
@@ -214,7 +199,7 @@ func (vm *VM) lat(opcode int) int {
 
 // address resolves a load/store: array symbol + index register, or a
 // frame slot.
-func (vm *VM) address(in compiler.MInst, regs []int64, slots int) (int, error) {
+func (vm *machine) address(in compiler.MInst, regs []int64, slots int) (int, error) {
 	if in.Sym == "" {
 		return slots + int(in.Imm), nil
 	}
@@ -229,7 +214,7 @@ func (vm *VM) address(in compiler.MInst, regs []int64, slots int) (int, error) {
 	return base + idx, nil
 }
 
-func (vm *VM) simd(in compiler.MInst, regs []int64) error {
+func (vm *machine) simd(in compiler.MInst, regs []int64) error {
 	i := int(regs[in.A])
 	dst, ok1 := vm.arrayBase[in.SymDst]
 	a, ok2 := vm.arrayBase[in.Sym]

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"vega/internal/bench"
@@ -11,15 +12,7 @@ import (
 func run(t *testing.T, w bench.Workload, target string, opt int) Result {
 	t.Helper()
 	tb := compiler.TablesFromSpec(corpus.FindTarget(target))
-	obj, err := compiler.Compile(w.Program, tb, opt)
-	if err != nil {
-		t.Fatalf("%s O%d: %v", w.Name, opt, err)
-	}
-	vm, err := New(obj, tb, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := vm.Run(w.Entry, w.Args...)
+	res, err := RunProgram(w.Program, tb, opt, w.Entry, w.Args...)
 	if err != nil {
 		t.Fatalf("%s O%d: %v", w.Name, opt, err)
 	}
@@ -140,12 +133,8 @@ func TestOutOfRangeIndexFails(t *testing.T) {
 		}},
 	}
 	tb := compiler.TablesFromSpec(corpus.FindTarget("RISCV"))
-	obj, err := compiler.Compile(p, tb, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, _ := New(obj, tb, DefaultConfig())
-	if _, err := vm.Run("main"); err == nil {
-		t.Error("expected out-of-range error")
+	_, err := RunProgram(p, tb, 0, "main")
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("err = %v, want an out-of-range error", err)
 	}
 }
