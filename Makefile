@@ -1,15 +1,15 @@
 # Tier-1 verification targets. `make check` is what CI runs: lint (vet +
 # gofmt); the full test suite under the race detector, which exercises
 # the concurrent training/cancellation paths and Stage 3's generation
-# worker pool; the perfbench module's tests; and a short run of every
-# native fuzz target.
+# worker pool; the perfbench module's tests; one iteration of the Stage 1
+# benchmarks; and a short run of every native fuzz target.
 
 GO ?= go
 
-.PHONY: check lint vet fmt-check cross-build test test-race fuzz-smoke \
-	build bench bench-stage1 bench-stage2 bench-stage3 bench-repair
+.PHONY: check lint vet fmt-check cross-build test test-race bench-smoke \
+	fuzz-smoke build bench bench-stage1 bench-repair
 
-check: lint test-race fuzz-smoke
+check: lint test-race bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -69,9 +69,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPooledDecodersAgainstReference$$' -fuzztime 3s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitUnitsAgainstReference$$' -fuzztime 3s ./internal/model
 
-# Stage-timing benchmarks, each teed through cmd/benchjson so the run
-# leaves a machine-readable artifact beside the log.
-bench: bench-stage1 bench-stage2 bench-stage3 bench-repair
+# One iteration of each Stage 1 benchmark, so a b.Fatal path cannot
+# break unnoticed. BenchmarkRepairLoop trains a model, so it stays out.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'Stage1Templatization' -benchtime 1x .
+
+# The root benchmarks, each teed through cmd/benchjson so the run leaves
+# a machine-readable artifact beside the log. Training and generation
+# timing lives in perfbench/; the paper's numbers in cmd/vega-bench.
+bench: bench-stage1 bench-repair
 
 # One invocation covers all three Stage 1 variants: cold (full
 # templatization + feature mining), warm (every group a per-group cache
@@ -82,15 +88,6 @@ bench: bench-stage1 bench-stage2 bench-stage3 bench-repair
 bench-stage1:
 	$(GO) test -run '^$$' -bench 'Stage1Templatization' -benchmem -benchtime 3x -count 3 . \
 		| $(GO) run ./cmd/benchjson -out BENCH_stage1.json
-
-bench-stage2:
-	$(GO) test -run '^$$' -bench 'Fig6TrainingTime' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_stage2.json
-
-# Three one-backend runs; benchjson records the median and range.
-bench-stage3:
-	$(GO) test -run '^$$' -bench 'Fig7InferenceTime' -benchmem -benchtime 1x -count 3 . \
-		| $(GO) run ./cmd/benchjson -out BENCH_stage3.json
 
 # Verify-and-repair loop: plain vs verified pass@1 and the repair rate,
 # recorded as BENCH_repair.json (the correctness-loop delta artifact).

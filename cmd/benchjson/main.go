@@ -1,6 +1,6 @@
 // Command benchjson tees `go test -bench` output to stdout while parsing
 // the benchmark result lines into a small JSON document, so `make bench`
-// leaves machine-readable artifacts (BENCH_stage2.json, BENCH_stage3.json)
+// leaves machine-readable artifacts (BENCH_stage1.json, BENCH_repair.json)
 // next to the human-readable log. A benchmark repeated with `-count N` is
 // recorded once, as the median of its runs with their range. Standard
 // library only.

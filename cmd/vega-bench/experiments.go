@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"vega/internal/core"
@@ -25,11 +24,8 @@ func runTraining(h *harness) {
 	fmt.Printf("verification exact match: %.2f%%  (paper: 99.03%%)\n", 100*h.trainRes.VerifyExactMatch)
 }
 
-// runFig7 prints per-module generation times for the three targets. The
-// rows are read from the metrics sink (the gen.seconds.<target>.<module>
-// counters Stage 3's worker pool emits), not from ad-hoc time.Since
-// bookkeeping — and each cell is asserted against Backend.Seconds so the
-// two instrumentations can never silently drift apart. The cells sum
+// runFig7 prints per-module generation times for the three targets from
+// Backend.Seconds, Stage 3's one record of them. The cells sum
 // per-function time over overlapping workers; the wall column is the
 // generation pool's wall clock (Backend.Wall).
 func runFig7(h *harness) {
@@ -40,7 +36,7 @@ func runFig7(h *harness) {
 	}
 	fmt.Printf("%10s%8s\n", "total", "wall")
 	for _, tgt := range evalTargetNames() {
-		b := h.backend(tgt) // ensures Stage 3 ran and its metrics recorded
+		b := h.backend(tgt)
 		fmt.Printf("%-8s", paperName(tgt))
 		total := 0.0
 		for _, m := range corpus.Modules {
@@ -49,21 +45,12 @@ func runFig7(h *harness) {
 				fmt.Printf("%8s", "-")
 				continue
 			}
-			mSec, mok := h.moduleSeconds(tgt, string(m))
-			if sec > 0 && (!mok || math.Abs(mSec-sec) > 1e-6*(1+sec)) {
-				check(fmt.Errorf("fig7: %s/%s: metrics sink says %.6fs (found=%v), Backend.Seconds says %.6fs",
-					tgt, m, mSec, mok, sec))
-			}
-			if mok {
-				sec = mSec
-			}
 			total += sec
 			fmt.Printf("%8.1f", sec)
 		}
 		fmt.Printf("%10.1f%8.1f\n", total, b.Wall)
 	}
-	fmt.Println("(rows from the metrics sink: gen.seconds.<target>.<module>, each")
-	fmt.Println(" function's inference time summed over the overlapping generation")
+	fmt.Println("(each function's inference time summed over the overlapping generation")
 	fmt.Println(" workers; wall is the generation pool's wall clock per backend;")
 	fmt.Println(" paper: 1,383s RISC-V, 1,664s RI5CY, 424s xCORE — GPU inference;")
 	fmt.Println(" the shape to hold is per-module proportionality, all under an hour)")
@@ -218,8 +205,8 @@ func runForkFlow(h *harness) {
 func (h *harness) ablationRun(label string, mutate func(*core.Config)) [3]float64 {
 	cfg := h.config()
 	cfg.Train.Verbose = nil
-	// Ablation pipelines must not pollute the shared per-target timing
-	// counters fig7 asserts against, so they run unobserved.
+	// Ablation pipelines run unobserved, so a -metrics file records the
+	// shared pipeline's stages alone.
 	cfg.Obs = nil
 	// Ablations run at a reduced budget: relative ordering is the result.
 	if !*fast {
@@ -235,7 +222,8 @@ func (h *harness) ablationRun(label string, mutate func(*core.Config)) [3]float6
 	check(err)
 	var out [3]float64
 	for i, tgt := range evalTargetNames() {
-		be := eval.EvaluateBackend(p.GenerateBackend(tgt), h.ref(tgt), nil)
+		be, err := p.Evaluate(p.GenerateBackend(tgt))
+		check(err)
 		out[i] = be.Totals().FunctionAccuracy()
 	}
 	fmt.Printf("  %-28s %6.1f%% %6.1f%% %6.1f%%\n", label, 100*out[0], 100*out[1], 100*out[2])

@@ -16,7 +16,7 @@
 //	ablation-pretrain with vs without the pre-training pass
 //	all              everything above with one shared trained model
 //
-// Usage: vega-bench -exp all [-epochs 18] [-samples 2600] [-seed 1] [-fast]
+// Usage: vega-bench -exp all [-epochs 26] [-samples 2600] [-seed 1] [-fast]
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"vega/internal/eval"
 	"vega/internal/generate"
 	"vega/internal/obs"
-	"vega/internal/template"
 )
 
 var (
@@ -50,17 +49,13 @@ var (
 
 func main() {
 	flag.Parse()
-	// The harness always records into an in-memory sink — fig7 prints
-	// its timing rows from there — and tees to a JSONL file on -metrics.
-	mem := &obs.MemSink{}
-	sinks := []obs.Sink{mem}
+	var o *obs.Obs // nil unless -metrics: the run is unobserved
 	if *metrics != "" {
 		jl, err := obs.NewJSONLSink(*metrics)
 		check(err)
-		sinks = append(sinks, jl)
+		o = obs.New(jl)
+		defer o.Close()
 	}
-	o := obs.New(obs.Multi(sinks...))
-	defer o.Close()
 	if *pprofAt != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAt, nil); err != nil {
@@ -69,7 +64,7 @@ func main() {
 		}()
 		fmt.Printf("pprof: http://%s/debug/pprof/\n", *pprofAt)
 	}
-	h := &harness{start: time.Now(), obs: o, mem: mem}
+	h := &harness{start: time.Now(), obs: o}
 	exps := map[string]func(*harness){
 		"fig6":              runFig6,
 		"fig7":              runFig7,
@@ -106,24 +101,13 @@ func main() {
 
 // harness lazily builds and caches the expensive shared state.
 type harness struct {
-	start     time.Time
-	obs       *obs.Obs
-	mem       *obs.MemSink
-	c         corpus.Provider
-	p         *core.Pipeline
-	trainRes  *core.TrainResult
-	gens      map[string]*generate.Backend
-	evals     map[string]*eval.BackendEval
-	templates map[string]*template.FunctionTemplate
-}
-
-// moduleSeconds reads one Fig. 7 cell from the metrics sink: the
-// gen.seconds.<target>.<module> counter the Stage 3 worker pool
-// aggregates its per-function decode durations into.
-func (h *harness) moduleSeconds(target, module string) (float64, bool) {
-	h.obs.Flush()
-	m, ok := h.mem.Metric("gen.seconds." + target + "." + module)
-	return m.Value, ok
+	start    time.Time
+	obs      *obs.Obs
+	c        corpus.Provider
+	p        *core.Pipeline
+	trainRes *core.TrainResult
+	gens     map[string]*generate.Backend
+	evals    map[string]*eval.BackendEval
 }
 
 func (h *harness) corpus() corpus.Provider {
@@ -169,10 +153,6 @@ func (h *harness) pipeline() *core.Pipeline {
 		res, err := p.Train()
 		check(err)
 		h.p, h.trainRes = p, res
-		h.templates = map[string]*template.FunctionTemplate{}
-		for _, g := range p.Groups {
-			h.templates[g.Func.Name] = g.FT
-		}
 		fmt.Printf("# trained: %d samples, vocab %d, verification EM %.1f%%\n",
 			res.Samples, res.VocabSize, 100*res.VerifyExactMatch)
 		if res.RetriedEpochs > 0 || res.SkippedSamples > 0 {
@@ -207,8 +187,8 @@ func (h *harness) evalOf(target string) *eval.BackendEval {
 	if e, ok := h.evals[target]; ok {
 		return e
 	}
-	h.pipeline()
-	e := eval.EvaluateBackend(h.backend(target), h.ref(target), h.templates)
+	e, err := h.pipeline().Evaluate(h.backend(target))
+	check(err)
 	h.evals[target] = e
 	return e
 }
@@ -233,11 +213,4 @@ func check(err error) {
 func header(s string) {
 	fmt.Println()
 	fmt.Println("== " + s + " " + strings.Repeat("=", max(0, 66-len(s))))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

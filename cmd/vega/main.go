@@ -43,9 +43,7 @@ import (
 
 	"vega/internal/core"
 	"vega/internal/corpus"
-	"vega/internal/eval"
 	"vega/internal/obs"
-	"vega/internal/template"
 )
 
 func main() {
@@ -199,13 +197,8 @@ func main() {
 	}
 
 	if *evaluap {
-		templates := map[string]*template.FunctionTemplate{}
-		for _, g := range p.Groups {
-			templates[g.Func.Name] = g.FT
-		}
-		ref, err := p.ReferenceBackend(*target)
+		be, err := p.Evaluate(gen)
 		check(err)
-		be := eval.EvaluateBackend(gen, ref, templates)
 		tot := be.Totals()
 		fmt.Printf("pass@1: %d/%d functions accurate (%.1f%%), %d/%d statements (%.1f%%)\n",
 			tot.Accurate, tot.Funcs, 100*tot.FunctionAccuracy(),

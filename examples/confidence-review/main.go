@@ -14,7 +14,6 @@ import (
 
 	"vega/internal/core"
 	"vega/internal/corpus"
-	"vega/internal/eval"
 )
 
 func main() {
@@ -31,11 +30,10 @@ func main() {
 	}
 
 	backend := p.GenerateBackend("RI5CY")
-	ref, err := p.ReferenceBackend("RI5CY")
+	be, err := p.Evaluate(backend)
 	if err != nil {
 		log.Fatal(err)
 	}
-	be := eval.EvaluateBackend(backend, ref, nil)
 
 	accurate := map[string]bool{}
 	for _, r := range be.Results {

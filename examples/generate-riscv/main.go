@@ -13,7 +13,6 @@ import (
 	"vega/internal/core"
 	"vega/internal/corpus"
 	"vega/internal/eval"
-	"vega/internal/template"
 )
 
 func main() {
@@ -40,15 +39,10 @@ func main() {
 		}
 	}
 
-	templates := map[string]*template.FunctionTemplate{}
-	for _, g := range p.Groups {
-		templates[g.Func.Name] = g.FT
-	}
-	ref, err := p.ReferenceBackend("RISCV")
+	be, err := p.Evaluate(backend)
 	if err != nil {
 		log.Fatal(err)
 	}
-	be := eval.EvaluateBackend(backend, ref, templates)
 	tot := be.Totals()
 	fmt.Printf("\npass@1 against the reference backend:\n")
 	fmt.Printf("  functions:  %d/%d accurate (%.1f%%)\n",

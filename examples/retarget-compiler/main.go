@@ -42,7 +42,11 @@ func main() {
 
 	// Correct the backend: keep accurate generated functions, substitute
 	// the base compiler's implementation for the inaccurate ones.
-	cb := core.Correct(gen, eval.EvaluateBackend(gen, ref, nil))
+	be, err := p.Evaluate(gen)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cb := core.Correct(gen, be)
 	corrected := cb.Funcs(ref)
 	fmt.Printf("corrected backend: %d/%d functions straight from VEGA\n", len(cb.Sources), len(corrected))
 

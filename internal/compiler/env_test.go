@@ -1,9 +1,12 @@
 package compiler
 
 import (
+	"maps"
+	"strings"
 	"testing"
 
 	"vega/internal/corpus"
+	"vega/internal/cpp"
 	"vega/internal/interp"
 )
 
@@ -51,4 +54,22 @@ func newTestEnv(t *testing.T, b *corpus.Backend) *interp.Env {
 		}
 	}
 	return env
+}
+
+// A callee-saved-register query that calls push_back with no argument
+// is an extraction error, not a panic.
+func TestTablesFromBackendShortPushBack(t *testing.T) {
+	spec := corpus.FindTarget("RISCV")
+	b, err := corpus.BuildBackend(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fns := maps.Clone(b.Funcs)
+	fns["getCalleeSavedRegs"], err = cpp.ParseFunction("void f(RegList &Regs) { Regs.push_back(); }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TablesFromBackend(spec, fns, newTestEnv(t, b)); err == nil || !strings.Contains(err.Error(), "push_back") {
+		t.Errorf("TablesFromBackend error = %v, want one naming push_back", err)
+	}
 }

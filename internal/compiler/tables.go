@@ -154,6 +154,9 @@ func TablesFromBackend(t *corpus.TargetSpec, fns map[string]*cpp.Node, env *inte
 	if fn, ok := fns["getCalleeSavedRegs"]; ok {
 		var pushed []int
 		regs := interp.NewObject("RegList").On("push_back", func(args []any) (any, error) {
+			if err := interp.NeedArgs("push_back", args, 1); err != nil {
+				return nil, err
+			}
 			if v, ok := args[0].(int64); ok {
 				pushed = append(pushed, int(v)-1000)
 			}

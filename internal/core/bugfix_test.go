@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"vega/internal/corpus"
+	"vega/internal/generate"
 	"vega/internal/model"
 	"vega/internal/obs"
 )
@@ -208,5 +210,21 @@ func TestSeedReachesWeightsAndShuffle(t *testing.T) {
 	}
 	if got := p.trainOptions().Seed; got != 2 {
 		t.Errorf("training shuffle seed = %d, want Cfg.Seed 2", got)
+	}
+}
+
+// Evaluating a backend for a target the provider has no reference for
+// used to drop the provider's error and dereference the missing
+// reference; it must return that error instead.
+func TestEvaluateUnknownTarget(t *testing.T) {
+	p := &Pipeline{Provider: subCorpus(t, 2)}
+	gen := &generate.Backend{Target: "NoSuchTarget",
+		Functions: []*generate.Function{{Name: "getRelocType", Target: "NoSuchTarget"}}}
+	be, err := p.Evaluate(gen)
+	if err == nil || be != nil {
+		t.Fatalf("Evaluate = %v, %v; want an error", be, err)
+	}
+	if !strings.Contains(err.Error(), `no backend "NoSuchTarget"`) {
+		t.Errorf("error %q does not carry the provider's", err)
 	}
 }

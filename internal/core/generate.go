@@ -360,10 +360,6 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 	if canceled.Load() || ctx.Err() != nil {
 		b.Partial = true
 	}
-	// Per-(target, module) decode-second counters feed Fig. 7 straight
-	// from the metrics sink; the instrument lookup is off the hot path.
-	o := p.Cfg.Obs
-	modSeconds := map[string]*obs.Counter{}
 	for i, fn := range results {
 		if fn == nil {
 			continue // task skipped after cancellation
@@ -385,14 +381,6 @@ func (p *Pipeline) GenerateBackendOptions(ctx context.Context, target string, op
 		}
 		b.Functions = append(b.Functions, fn)
 		b.Seconds[tasks[i].module] += durs[i]
-		if o != nil {
-			c, ok := modSeconds[tasks[i].module]
-			if !ok {
-				c = o.Counter("gen.seconds." + target + "." + tasks[i].module)
-				modSeconds[tasks[i].module] = c
-			}
-			c.Add(durs[i])
-		}
 	}
 	return b
 }

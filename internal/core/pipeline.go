@@ -17,7 +17,9 @@ import (
 	"time"
 
 	"vega/internal/corpus"
+	"vega/internal/eval"
 	"vega/internal/feature"
+	"vega/internal/generate"
 	"vega/internal/model"
 	"vega/internal/obs"
 	"vega/internal/s1cache"
@@ -459,4 +461,20 @@ func (p *Pipeline) FindTarget(name string) *corpus.TargetSpec {
 // fleet's targets, materializing it on demand under a streaming provider.
 func (p *Pipeline) ReferenceBackend(name string) (*corpus.Backend, error) {
 	return p.Provider.ReferenceBackend(name)
+}
+
+// Evaluate scores a generated backend against its target's reference
+// with the regression harness (pass@1, statement accuracy, error
+// taxonomy); the pipeline's function templates attribute multi-source
+// functions. A target the provider has no reference for is an error.
+func (p *Pipeline) Evaluate(b *generate.Backend) (*eval.BackendEval, error) {
+	ref, err := p.ReferenceBackend(b.Target)
+	if err != nil {
+		return nil, fmt.Errorf("core: evaluate %s: %w", b.Target, err)
+	}
+	templates := make(map[string]*template.FunctionTemplate, len(p.Groups))
+	for _, g := range p.Groups {
+		templates[g.Func.Name] = g.FT
+	}
+	return eval.EvaluateBackend(b, ref, templates), nil
 }

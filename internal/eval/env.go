@@ -119,6 +119,9 @@ func (u *Universe) buildEnv(optLevel int64, caller func() *interp.Env) *interp.E
 		env.Globals[name] = name
 	}
 	sti := interp.NewObject("STI").On("hasFeature", func(args []any) (any, error) {
+		if err := interp.NeedArgs("hasFeature", args, 1); err != nil {
+			return nil, err
+		}
 		name, _ := args[0].(string)
 		return features[name], nil
 	})
@@ -163,6 +166,9 @@ func (u *Universe) buildEnv(optLevel int64, caller func() *interp.Env) *interp.E
 		return (v << shift) >> shift, nil
 	}
 	env.Funcs["parseRegisterIndex"] = func(args []any) (any, error) {
+		if err := interp.NeedArgs("parseRegisterIndex", args, 2); err != nil {
+			return nil, err
+		}
 		name, _ := args[0].(string)
 		prefix, _ := args[1].(string)
 		if !strings.HasPrefix(name, prefix) {
@@ -175,17 +181,26 @@ func (u *Universe) buildEnv(optLevel int64, caller func() *interp.Env) *interp.E
 		return int64(n), nil
 	}
 	env.Funcs["formatRegister"] = func(args []any) (any, error) {
+		if err := interp.NeedArgs("formatRegister", args, 1); err != nil {
+			return nil, err
+		}
 		prefix, _ := args[0].(string)
 		idx, _ := asInt(args, 1)
 		return fmt.Sprintf("%s%d", prefix, idx), nil
 	}
 	env.Funcs["formatRegisterSym"] = func(args []any) (any, error) {
+		if err := interp.NeedArgs("formatRegisterSym", args, 2); err != nil {
+			return nil, err
+		}
 		sym, _ := args[0].(string)
 		prefix, _ := args[1].(string)
 		idx, _ := asInt(args, 2)
 		return fmt.Sprintf("%s%s%d", sym, prefix, idx), nil
 	}
 	env.Funcs["getBinaryCodeForInstr"] = func(args []any) (any, error) {
+		if err := interp.NeedArgs("getBinaryCodeForInstr", args, 1); err != nil {
+			return nil, err
+		}
 		if mi, ok := args[0].(*interp.Object); ok {
 			if v, ok := mi.Fields["bits"]; ok {
 				return v, nil
@@ -303,6 +318,9 @@ func (u *Universe) StreamObj() *interp.Object {
 		return os, nil
 	})
 	os.On("print", func(args []any) (any, error) {
+		if err := interp.NeedArgs("print", args, 1); err != nil {
+			return nil, err
+		}
 		u.Effect("print(%v)", args[0])
 		return os, nil
 	})

@@ -100,3 +100,29 @@ func TestRunCaseReusedEnvMatchesFresh(t *testing.T) {
 		t.Fatal("no case overrides a global: the sibling stubs' view of it went untested")
 	}
 }
+
+// TestBuiltinsShortOfArgumentsErr calls every builtin that indexes its
+// arguments with one argument too few. Each call must end the case as
+// a runtime error (Err), not panic the evaluator: generated code reaches
+// these calls, e.g. a feature-name placeholder decoded as [NIL] renders
+// `STI.hasFeature()`.
+func TestBuiltinsShortOfArgumentsErr(t *testing.T) {
+	u := NewUniverse(refBackend(t, buildCorpus(t), "RISCV"))
+	for _, src := range []string{
+		`bool f() { return STI.hasFeature(); }`,
+		`int f(StringRef Name) { return parseRegisterIndex(Name); }`,
+		`const char *f() { return formatRegister(); }`,
+		`const char *f() { return formatRegisterSym("%"); }`,
+		`unsigned f() { return getBinaryCodeForInstr(); }`,
+		`void f(raw_ostream &OS) { OS.print(); }`,
+	} {
+		fn, err := cpp.ParseFunction(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		out := u.RunCase(fn, Case{Args: map[string]any{"Name": "x1", "OS": u.StreamObj()}})
+		if !out.Err {
+			t.Errorf("%s: outcome %+v, want Err", src, out)
+		}
+	}
+}

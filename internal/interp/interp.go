@@ -78,6 +78,16 @@ type RuntimeError struct{ Msg string }
 
 func (e RuntimeError) Error() string { return "interp: " + e.Msg }
 
+// NeedArgs is a builtin's arity check: a call of name with fewer than n
+// arguments is a RuntimeError, so generated code that calls a builtin
+// short fails its case instead of panicking the caller.
+func NeedArgs(name string, args []any, n int) error {
+	if len(args) < n {
+		return errf("%s: want %d argument(s), got %d", name, n, len(args))
+	}
+	return nil
+}
+
 func errf(format string, args ...any) error {
 	return RuntimeError{Msg: fmt.Sprintf(format, args...)}
 }

@@ -347,23 +347,6 @@ func TestObsFlushEvery(t *testing.T) {
 	New(nil).FlushEvery(0)()
 }
 
-// TestMultiSink fans out to every sink.
-func TestMultiSink(t *testing.T) {
-	a, b := &MemSink{}, &MemSink{}
-	o := New(Multi(a, b))
-	o.StartSpan("s").End()
-	o.Counter("c").Inc()
-	o.Flush()
-	for i, m := range []*MemSink{a, b} {
-		if len(m.Spans()) != 1 {
-			t.Errorf("sink %d spans = %d", i, len(m.Spans()))
-		}
-		if _, ok := m.Metric("c"); !ok {
-			t.Errorf("sink %d missing metric", i)
-		}
-	}
-}
-
 // BenchmarkCounterAdd measures the installed-observer hot path.
 func BenchmarkCounterAdd(b *testing.B) {
 	c := New(nil).Counter("c")

@@ -221,32 +221,3 @@ func (j *JSONLSink) Close() error {
 	}
 	return cerr
 }
-
-// multiSink fans every event out to several sinks in order.
-type multiSink []Sink
-
-// Multi bundles sinks (e.g. in-memory for the harness plus JSONL for
-// the operator) into one.
-func Multi(sinks ...Sink) Sink { return multiSink(sinks) }
-
-func (m multiSink) Span(s SpanData) {
-	for _, sk := range m {
-		sk.Span(s)
-	}
-}
-
-func (m multiSink) MetricSnapshot(ms []Metric) {
-	for _, sk := range m {
-		sk.MetricSnapshot(ms)
-	}
-}
-
-func (m multiSink) Close() error {
-	var first error
-	for _, sk := range m {
-		if err := sk.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -17,7 +17,7 @@
 //	p, _ := vega.NewPipeline(c, vega.DefaultConfig())
 //	res, _ := p.Train()
 //	backend := p.GenerateBackend("RISCV")
-//	report := vega.Evaluate(p, backend)
+//	report, _ := p.Evaluate(backend)
 //
 // Training and generation honor context cancellation and survive bad
 // states — use p.TrainContext / p.GenerateBackendContext for deadlines,
@@ -39,7 +39,6 @@ import (
 	"vega/internal/corpus"
 	"vega/internal/eval"
 	"vega/internal/generate"
-	"vega/internal/template"
 )
 
 // Config sizes the pipeline; see DefaultConfig.
@@ -54,7 +53,8 @@ type Backend = generate.Backend
 // Function is one generated interface function.
 type Function = generate.Function
 
-// Report is the pass@1 evaluation of a generated backend.
+// Report is the pass@1 evaluation of a generated backend, as returned by
+// Pipeline.Evaluate.
 type Report = eval.BackendEval
 
 // TrainResult summarizes Stage 2.
@@ -75,17 +75,6 @@ func BuildCorpus() *corpus.Stream { return corpus.NewStream(corpus.Targets()) }
 // corpus provider.
 func NewPipeline(pr corpus.Provider, cfg Config) (*Pipeline, error) {
 	return core.NewFromProvider(pr, cfg)
-}
-
-// Evaluate scores a generated backend against its reference with the
-// regression harness (pass@1, statement accuracy, error taxonomy).
-func Evaluate(p *Pipeline, b *Backend) *Report {
-	templates := map[string]*template.FunctionTemplate{}
-	for _, g := range p.Groups {
-		templates[g.Func.Name] = g.FT
-	}
-	ref, _ := p.ReferenceBackend(b.Target)
-	return eval.EvaluateBackend(b, ref, templates)
 }
 
 // EvalTargets lists the held-out targets, in the paper's order.

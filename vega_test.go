@@ -50,7 +50,10 @@ func TestPublicEvaluate(t *testing.T) {
 		}
 		gen.Functions = append(gen.Functions, gf)
 	}
-	report := Evaluate(p, gen)
+	report, err := p.Evaluate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tot := report.Totals()
 	if tot.Accurate != tot.Funcs {
 		t.Errorf("perfect backend scored %d/%d", tot.Accurate, tot.Funcs)
