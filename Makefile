@@ -50,7 +50,7 @@ test-race:
 	GOAMD64=v3 $(GO) test -run '$(EXACT_TESTS)' ./internal/tensor
 	cd perfbench && $(GO) test .
 
-EXACT_TESTS = ^(TestExact|FuzzExpIntoAgainstMathExp$$|FuzzRowKernelsAgainstScalar$$)
+EXACT_TESTS = ^(TestExact|FuzzExpIntoAgainstMathExp$$|FuzzRowKernelsAgainstScalar$$|FuzzBlockKernelsAgainstScalar$$)
 
 # A few seconds of coverage-guided fuzzing per native fuzz target (plain
 # `go test` only replays their seed corpora). `-fuzz` takes one target
@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAttnScoresAgainstNaive$$' -fuzztime 3s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzExpIntoAgainstMathExp$$' -fuzztime 3s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKernelsAgainstScalar$$' -fuzztime 3s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockKernelsAgainstScalar$$' -fuzztime 3s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz '^FuzzSimCacheAgainstTokenLCS$$' -fuzztime 3s ./internal/align
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNormalize$$' -fuzztime 3s ./internal/cpp
 	$(GO) test -run '^$$' -fuzz '^FuzzDiscoveryAgainstScan$$' -fuzztime 3s ./internal/feature

@@ -25,11 +25,13 @@ func runTraining(h *harness) {
 }
 
 // runFig7 prints per-module generation times for the three targets from
-// Backend.Seconds, Stage 3's one record of them. The cells sum
-// per-function time over overlapping workers; the wall column is the
-// generation pool's wall clock (Backend.Wall).
+// Backend.Seconds, Stage 3's one record of them, in milliseconds: a whole
+// backend generates in a fraction of a second, so one-decimal seconds
+// would read 0.0 in most cells. The cells sum per-function time over
+// overlapping workers; the wall column is the generation pool's wall
+// clock (Backend.Wall).
 func runFig7(h *harness) {
-	header("Fig. 7: inference times per function module (seconds)")
+	header("Fig. 7: inference times per function module (milliseconds)")
 	fmt.Printf("%-8s", "")
 	for _, m := range corpus.Modules {
 		fmt.Printf("%8s", m)
@@ -46,13 +48,13 @@ func runFig7(h *harness) {
 				continue
 			}
 			total += sec
-			fmt.Printf("%8.1f", sec)
+			fmt.Printf("%8.1f", 1000*sec)
 		}
-		fmt.Printf("%10.1f%8.1f\n", total, b.Wall)
+		fmt.Printf("%10.1f%8.1f\n", 1000*total, 1000*b.Wall)
 	}
-	fmt.Println("(each function's inference time summed over the overlapping generation")
+	fmt.Println("(ms; each function's inference time summed over the overlapping generation")
 	fmt.Println(" workers; wall is the generation pool's wall clock per backend;")
-	fmt.Println(" paper: 1,383s RISC-V, 1,664s RI5CY, 424s xCORE — GPU inference;")
+	fmt.Println(" paper: 1,383 s RISC-V, 1,664 s RI5CY, 424 s xCORE — GPU inference;")
 	fmt.Println(" the shape to hold is per-module proportionality, all under an hour)")
 }
 

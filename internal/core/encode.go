@@ -199,9 +199,28 @@ func (p *Pipeline) varCandidates(g *Group, row, varID int, tv *feature.TargetFea
 	return flat, n
 }
 
+// varCands is one placeholder's varCandidates: the shown list and N(SV).
+type varCands struct {
+	list []string
+	n    int
+}
+
+// rowCandidates returns varCandidates for each placeholder of a row, in
+// VarIDs order: the lists the row's input shows, its training output
+// selects from and its decoded output splices, computed once per row.
+func (p *Pipeline) rowCandidates(g *Group, row int, tv *feature.TargetFeatures, exclude string) []varCands {
+	ids := g.FT.Rows[row].VarIDs()
+	out := make([]varCands, len(ids))
+	for i, id := range ids {
+		out[i].list, out[i].n = p.varCandidates(g, row, id, tv, exclude)
+	}
+	return out
+}
+
 // rowInputTokens builds the feature-vector token sequence I_k for one
-// template row, resolved against one target's property values.
-func (p *Pipeline) rowInputTokens(g *Group, row int, tv *feature.TargetFeatures, exclude string) []string {
+// template row, resolved against one target's property values; cands is
+// the row's rowCandidates.
+func (p *Pipeline) rowInputTokens(g *Group, row int, tv *feature.TargetFeatures, cands []varCands) []string {
 	toks := []string{g.Func.Name, markRow, strconv.Itoa(row)}
 	toks = append(toks, g.FT.Rows[row].PatternTokens()...)
 	toks = append(toks, markSep)
@@ -215,14 +234,12 @@ func (p *Pipeline) rowInputTokens(g *Group, row int, tv *feature.TargetFeatures,
 			toks = append(toks, markFalse)
 		}
 	}
-	ids := g.FT.Rows[row].VarIDs()
-	if len(ids) > 0 {
+	if len(cands) > 0 {
 		toks = append(toks, markSep)
-		for _, id := range ids {
+		for _, vc := range cands {
 			toks = append(toks, markVar)
-			cands, n := p.varCandidates(g, row, id, tv, exclude)
-			toks = append(toks, strconv.Itoa(n))
-			for i, c := range cands {
+			toks = append(toks, strconv.Itoa(vc.n))
+			for i, c := range vc.list {
 				toks = append(toks, selMarks[i])
 				toks = append(toks, strings.Fields(c)...)
 			}
@@ -263,7 +280,8 @@ type encodedSample struct {
 // buildSample encodes one (group, row, target) pair into a training
 // sample: input feature vector, output confidence bucket + statement.
 func (p *Pipeline) buildSample(g *Group, row int, target string, tv *feature.TargetFeatures) encodedSample {
-	in := p.rowInputTokens(g, row, tv, target)
+	cands := p.rowCandidates(g, row, tv, target)
+	in := p.rowInputTokens(g, row, tv, cands)
 	inIDs := append([]int{model.CLS}, p.Vocab.Encode(in)...)
 
 	// The output is the row's decision content: a confidence bucket, then
@@ -284,9 +302,9 @@ func (p *Pipeline) buildSample(g *Group, row int, target string, tv *feature.Tar
 			outIDs = append(outIDs, p.Vocab.ID(markOK))
 		} else {
 			vals, _ := g.FT.Values(row, target)
-			for _, id := range ids {
+			for i, id := range ids {
 				outIDs = append(outIDs, p.Vocab.ID(markVar))
-				outIDs = append(outIDs, p.encodeValue(g, row, id, tv, target, vals[id])...)
+				outIDs = append(outIDs, p.encodeValue(cands[i].list, vals[id])...)
 			}
 		}
 	}
@@ -310,13 +328,12 @@ func (p *Pipeline) buildSample(g *Group, row int, target string, tv *feature.Tar
 }
 
 // encodeValue encodes one placeholder value as decision content: a
-// selection token when the value is (or starts with) a shown candidate,
-// raw pieces otherwise.
-func (p *Pipeline) encodeValue(g *Group, row, varID int, tv *feature.TargetFeatures, exclude, v string) []int {
+// selection token when the value is (or starts with) one of the shown
+// candidates cands, raw pieces otherwise.
+func (p *Pipeline) encodeValue(cands []string, v string) []int {
 	if v == "" {
 		return []int{p.Vocab.ID(markNil)}
 	}
-	cands, _ := p.varCandidates(g, row, varID, tv, exclude)
 	for i, c := range cands {
 		if c == v {
 			return []int{p.Vocab.ID(selMarks[i])}
@@ -337,15 +354,14 @@ func (p *Pipeline) encodeValue(g *Group, row, varID int, tv *feature.TargetFeatu
 }
 
 // decodeValue inverts encodeValue given the model's piece ids for one
-// placeholder group.
-func (p *Pipeline) decodeValue(g *Group, row, varID int, tv *feature.TargetFeatures, exclude string, pieces []int) string {
+// placeholder group and its shown candidates cands.
+func (p *Pipeline) decodeValue(cands []string, pieces []int) string {
 	if len(pieces) == 0 {
 		return ""
 	}
 	if pieces[0] == p.Vocab.ID(markNil) {
 		return ""
 	}
-	cands, _ := p.varCandidates(g, row, varID, tv, exclude)
 	var b strings.Builder
 	rest := pieces
 	// Leading selection token splices the candidate text.
@@ -386,7 +402,7 @@ func (p *Pipeline) trainingSequences() [][]string {
 			}
 			tv := g.TF.Targets[tgt]
 			for ri := range g.FT.Rows {
-				seqs = append(seqs, p.rowInputTokens(g, ri, tv, tgt))
+				seqs = append(seqs, p.rowInputTokens(g, ri, tv, p.rowCandidates(g, ri, tv, tgt)))
 				if toks, ok := g.FT.Rows[ri].PerTarget[tgt]; ok {
 					seqs = append(seqs, toks)
 				}

@@ -76,8 +76,10 @@ func (p *Pipeline) generateFunction(g *Group, target string) (fn *generate.Funct
 	}
 	tv = p.Extractor.TargetValues(g.TF, target)
 	inputs := make([][]int, len(g.FT.Rows))
+	cands := make([][]varCands, len(g.FT.Rows))
 	for ri := range g.FT.Rows {
-		inputs[ri] = append([]int{model.CLS}, p.Vocab.Encode(p.rowInputTokens(g, ri, tv, target))...)
+		cands[ri] = p.rowCandidates(g, ri, tv, target)
+		inputs[ri] = append([]int{model.CLS}, p.Vocab.Encode(p.rowInputTokens(g, ri, tv, cands[ri]))...)
 	}
 	t, isT := p.Model.(*model.Transformer)
 	var mems [][]float32
@@ -97,7 +99,7 @@ func (p *Pipeline) generateFunction(g *Group, target string) (fn *generate.Funct
 		} else {
 			outIDs = p.Model.Generate(in, p.Cfg.MaxOutPieces)
 		}
-		fn.Statements = append(fn.Statements, p.decodeStatement(g, ri, tv, outIDs))
+		fn.Statements = append(fn.Statements, p.decodeStatement(g, ri, tv, cands[ri], outIDs))
 	}
 	return fn, tv
 }
@@ -105,8 +107,9 @@ func (p *Pipeline) generateFunction(g *Group, target string) (fn *generate.Funct
 // decodeStatement reconstructs a statement from the model's decision
 // content: confidence bucket, presence, and per-placeholder values. The
 // invariant code comes from the template row; predicted values fill its
-// placeholders in order.
-func (p *Pipeline) decodeStatement(g *Group, ri int, tv *feature.TargetFeatures, outIDs []int) generate.Statement {
+// placeholders in order, each selection resolved against the row's
+// rowCandidates cands.
+func (p *Pipeline) decodeStatement(g *Group, ri int, tv *feature.TargetFeatures, cands []varCands, outIDs []int) generate.Statement {
 	st := generate.Statement{Row: ri}
 	rest := outIDs
 	if len(rest) > 0 {
@@ -146,7 +149,7 @@ func (p *Pipeline) decodeStatement(g *Group, ri int, tv *feature.TargetFeatures,
 			values[id] = ""
 			continue
 		}
-		values[id] = p.decodeValue(g, ri, id, tv, tv.Target, pieces)
+		values[id] = p.decodeValue(cands[i].list, pieces)
 	}
 	var toks []string
 	unresolved := false

@@ -114,7 +114,7 @@ func TestRowInputShape(t *testing.T) {
 	g := p.GroupByName("getRelocType")
 	tv := g.TF.Targets[g.Targets[0]]
 	for ri := range g.FT.Rows {
-		toks := p.rowInputTokens(g, ri, tv, g.Targets[0])
+		toks := p.rowInputTokens(g, ri, tv, p.rowCandidates(g, ri, tv, g.Targets[0]))
 		if len(toks) < 4 {
 			t.Fatalf("row %d: input too short: %v", ri, toks)
 		}
@@ -150,7 +150,7 @@ func TestSampleRoundTrip(t *testing.T) {
 		s := p.buildSample(g, ri, tgt, tv)
 		// Feeding the oracle output through decodeStatement must
 		// reproduce the target's own statement text.
-		st := p.decodeStatement(g, ri, tv, s.sample.Output)
+		st := p.decodeStatement(g, ri, tv, p.rowCandidates(g, ri, tv, tgt), s.sample.Output)
 		if st.Absent {
 			t.Fatalf("row %d: oracle output decodes as absent", ri)
 		}
@@ -179,7 +179,7 @@ func TestSampleRoundTripAllGroups(t *testing.T) {
 				}
 				total++
 				s := p.buildSample(g, ri, tgt, tv)
-				st := p.decodeStatement(g, ri, tv, s.sample.Output)
+				st := p.decodeStatement(g, ri, tv, p.rowCandidates(g, ri, tv, tgt), s.sample.Output)
 				want := joinTokens(g.FT.Rows[ri].PerTarget[tgt])
 				if st.Text != want {
 					mismatches++

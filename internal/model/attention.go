@@ -48,7 +48,7 @@ func (tp *Tape) Attention(q, k, v *Tensor, qOffs, kOffs []int, heads int, causal
 		maxLk = max(maxLk, lk)
 	}
 	probs := tp.arena.AllocNoZero(total)
-	headT := tp.arena.AllocNoZero(dh * maxLk)
+	headT := tp.arena.AllocNoZero(d * maxLk)
 	out := tp.newTensor(q.R, d)
 	attentionForward(out.Data, q.Data, k.Data, v.Data, d, heads, qOffs, kOffs, causal,
 		probs, true, headT)
@@ -101,7 +101,7 @@ func (tp *Tape) Attention(q, k, v *Tensor, qOffs, kOffs []int, heads int, causal
 				// is never -0, so the sign of a zero here changes no bit.
 				ds := dsBuf[:lq*lk]
 				clear(ds)
-				vTh := transposeHead(vT, v.Data[k0*d+ho:], lk, dh, d)
+				vTh := tensor.TransposeInto(vT, v.Data[k0*d+ho:], lk, dh, d)
 				tensor.MatMulStrided(ds, lk, dOut[q0*d+ho:], d, 1, vTh, lk, lq, dh, lk)
 				for i := 0; i < lq; i++ {
 					prow, grow := pb[i*lk:(i+1)*lk], ds[i*lk:(i+1)*lk]
@@ -138,14 +138,15 @@ func (tp *Tape) Attention(q, k, v *Tensor, qOffs, kOffs []int, heads int, causal
 
 // attentionForward is Attention's forward pass without a tape: it adds
 // the attention output of every (sample, head) into out (q's shape,
-// zeroed by the caller) from the full-width q, k and v rows. Per
-// (sample, head) it transposes the K head into headT (dh·max lk floats),
-// computes Q·Kᵀ into a zeroed lq×lk probability block with
-// tensor.MatMulStrided, scales it, adds the causal mask, applies the
-// softmax to each row, and accumulates P·V straight from V's full-width
-// rows. With keep, the blocks lie back to back in probs (sample-major,
-// heads inside), which the tape's backward reads; without it, probs holds
-// one block of the largest lq·lk and every (sample, head) reuses it.
+// zeroed by the caller) from the full-width q, k and v rows. Per sample
+// it transposes all of K's heads at once into headT (d·max lk floats);
+// per (sample, head) it computes Q·Kᵀ into a zeroed lq×lk probability
+// block with tensor.MatMulStrided, scales it, adds the causal mask and
+// applies the softmax to each row (tensor.SoftmaxBlock), and accumulates
+// P·V straight from V's full-width rows. With keep, the blocks lie back
+// to back in probs (sample-major, heads inside), which the tape's
+// backward reads; without it, probs holds one block of the largest lq·lk
+// and every (sample, head) reuses it.
 //
 // Each score is one ascending-p float32 chain with the zero-skip on q,
 // and each output element one ascending-j chain with the zero-skip on
@@ -155,11 +156,12 @@ func attentionForward(out, q, k, v []float32, d, heads int, qOffs, kOffs []int, 
 	probs []float32, keep bool, headT []float32) {
 	dh := d / heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
-	negInf := float32(math.Inf(-1))
 	off := 0
 	for s := 0; s+1 < len(qOffs); s++ {
 		q0, k0 := qOffs[s], kOffs[s]
 		lq, lk := qOffs[s+1]-q0, kOffs[s+1]-k0
+		// Head h's Kᵀ is rows [h·dh, (h+1)·dh) of the sample's d×lk Kᵀ.
+		kT := tensor.TransposeInto(headT, k[k0*d:], lk, d, d)
 		for h := 0; h < heads; h++ {
 			ho := h * dh
 			pb := probs[off : off+lq*lk]
@@ -168,43 +170,11 @@ func attentionForward(out, q, k, v []float32, d, heads int, qOffs, kOffs []int, 
 			}
 			// Scores = Q·Kᵀ, zero-skip on Q as MatMul(qh, khT) had.
 			clear(pb)
-			kT := transposeHead(headT, k[k0*d+ho:], lk, dh, d)
-			tensor.MatMulStrided(pb, lk, q[q0*d+ho:], d, 1, kT, lk, lq, dh, lk)
-			for i := 0; i < lq; i++ {
-				row := pb[i*lk : (i+1)*lk]
-				if causal {
-					// Scaled score plus the additive mask: + 0 up to the
-					// diagonal, + -Inf past it.
-					for j, x := range row {
-						m := float32(0)
-						if j > i {
-							m = negInf
-						}
-						row[j] = float32(x*scale) + m
-					}
-				} else {
-					for j, x := range row {
-						row[j] = x * scale
-					}
-				}
-				softmaxRow(row)
-			}
+			tensor.MatMulStrided(pb, lk, q[q0*d+ho:], d, 1, kT[ho*lk:], lk, lq, dh, lk)
+			// Scale, the causal mask (+0 up to the diagonal, −Inf past
+			// it) and the row softmax, one kernel call per block.
+			tensor.SoftmaxBlock(pb, lq, lk, scale, causal)
 			tensor.MatMulStrided(out[q0*d+ho:], d, pb, lk, 1, v[k0*d+ho:], d, lq, lk, dh)
 		}
 	}
-}
-
-// transposeHead writes the dh columns of n rows, ld floats apart, into
-// dst as a dh×n block and returns it: one head's keys or values laid out
-// as the right operand of scores = Q·Kᵀ (or dP = dOut·Vᵀ), so the row
-// kernel reads them contiguously.
-func transposeHead(dst, src []float32, n, dh, ld int) []float32 {
-	dst = dst[:dh*n]
-	for j := 0; j < n; j++ {
-		row := src[j*ld : j*ld+dh]
-		for p, x := range row {
-			dst[p*n+j] = x
-		}
-	}
-	return dst
 }

@@ -119,7 +119,7 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 	h, qp, kp, vp, attn, so, f := sc.h, sc.qp, sc.kp, sc.vp, sc.attn, sc.so, sc.f
 	probs, headT := f[:maxRows*maxRows], f[maxRows*maxRows:]
 	for _, l := range t.Enc {
-		layerNormRows(h, x, rows, l.N1.Gain.Data, l.N1.Bias.Data, nil, nil)
+		tensor.LayerNormRows(h, x, rows, l.N1.Gain.Data, l.N1.Bias.Data, nil, nil)
 		linearRowsFwdInto(qp, h, rows, l.Attn.WQ)
 		linearRowsFwdInto(kp, h, rows, l.Attn.WK)
 		linearRowsFwdInto(vp, h, rows, l.Attn.WV)
@@ -128,7 +128,7 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 			probs, false, headT)
 		linearRowsFwdInto(so, attn, rows, l.Attn.WO)
 		tensor.Axpy(x, so, 1)
-		layerNormRows(h, x, rows, l.N2.Gain.Data, l.N2.Bias.Data, nil, nil)
+		tensor.LayerNormRows(h, x, rows, l.N2.Gain.Data, l.N2.Bias.Data, nil, nil)
 		fl := f[:rows*l.FF.In.W.C]
 		// so is dead after the attention residual; reuse it for the
 		// feed-forward output.
@@ -138,7 +138,7 @@ func (t *Transformer) EncodeBatch(inputs [][]int, quantized bool) [][]float32 {
 		tensor.Axpy(x, so, 1)
 	}
 	out := make([]float32, rows*dim)
-	layerNormRows(out, x, rows, t.NormE.Gain.Data, t.NormE.Bias.Data, nil, nil)
+	tensor.LayerNormRows(out, x, rows, t.NormE.Gain.Data, t.NormE.Bias.Data, nil, nil)
 	mems := make([][]float32, n)
 	for s := 0; s < n; s++ {
 		mems[s] = out[offs[s]*dim : offs[s+1]*dim]

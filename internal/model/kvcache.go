@@ -34,14 +34,15 @@ import (
 // projection blocks per row.
 //
 // The outputs are bit-identical to the reference path. Layer norm is
-// the tape's own layerNormRows, and every other helper below mirrors the
-// per-element accumulation order of the corresponding Tape op — the
-// internal/tensor kernels' ascending-k terms with the zero-skip (see
-// that package's determinism contract), Softmax's max-shift — so the
-// float32 results match exactly, not just approximately. The
-// differential tests in kvcache_test.go and kvcache_layout_test.go
-// enforce this invariant; keep the helpers in lockstep with tensor.go,
-// attention.go and internal/tensor when changing any of them.
+// the tape's own tensor.LayerNormRows, and every other helper below
+// mirrors the per-element accumulation order of the corresponding Tape
+// op — the internal/tensor kernels' ascending-k terms with the
+// zero-skip (see that package's determinism contract), Softmax's
+// max-shift — so the float32 results match exactly, not just
+// approximately. The differential tests in kvcache_test.go and
+// kvcache_layout_test.go enforce this invariant; keep the helpers in
+// lockstep with tensor.go, attention.go and internal/tensor when
+// changing any of them.
 
 // IncrementalDecoder is the KV-cached Decoder: it decodes one output
 // sequence token by token against a fixed encoder memory. A decoder is
@@ -174,7 +175,7 @@ func (t *Transformer) NewIncrementalDecoderFromMemory(mem []float32, quantized b
 	for li, l := range t.Dec {
 		lc := &d.st.layers[li]
 		linearRowsFwdInto(proj, mem, memR, l.Cross.WK)
-		transposeHead(lc.crossK, proj, memR, dim, dim)
+		tensor.TransposeInto(lc.crossK, proj, memR, dim, dim)
 		linearRowsFwdInto(proj, mem, memR, l.Cross.WV)
 		dh := l.Cross.D / l.Cross.Heads
 		for h, blk := range lc.crossV {
@@ -239,7 +240,7 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 		// each head's value block, attend over every cached position. The
 		// newest row is never masked, so the causal softmax degenerates to
 		// a plain one.
-		layerNormRows(h, x, 1, l.N1.Gain.Data, l.N1.Bias.Data, nil, nil)
+		tensor.LayerNormRows(h, x, 1, l.N1.Gain.Data, l.N1.Bias.Data, nil, nil)
 		linearRowFwdInto(s.q, h, l.Self.WQ)
 		linearRowFwdInto(s.k, h, l.Self.WK)
 		linearRowFwdInto(s.v, h, l.Self.WV)
@@ -255,14 +256,14 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 		tensor.Axpy(x, s.o, 1)
 
 		// Cross attention over the cached memory projections.
-		layerNormRows(h, x, 1, l.N2.Gain.Data, l.N2.Bias.Data, nil, nil)
+		tensor.LayerNormRows(h, x, 1, l.N2.Gain.Data, l.N2.Bias.Data, nil, nil)
 		linearRowFwdInto(s.q, h, l.Cross.WQ)
 		attendRowInto(s.attn, s.scores, s.q, lc.crossK, d.memR, lc.crossV, d.memR, l.Cross)
 		linearRowFwdInto(s.o, s.attn, l.Cross.WO)
 		tensor.Axpy(x, s.o, 1)
 
 		// Position-wise feed-forward.
-		layerNormRows(h, x, 1, l.N3.Gain.Data, l.N3.Bias.Data, nil, nil)
+		tensor.LayerNormRows(h, x, 1, l.N3.Gain.Data, l.N3.Bias.Data, nil, nil)
 		f := s.f[:l.FF.In.W.C]
 		linearRowFwdInto(f, h, l.FF.In)
 		geluRow(f)
@@ -270,7 +271,7 @@ func (d *IncrementalDecoder) Step(token int) []float32 {
 		tensor.Axpy(x, s.o, 1)
 	}
 
-	layerNormRows(s.st, x, 1, t.NormD.Gain.Data, t.NormD.Bias.Data, nil, nil)
+	tensor.LayerNormRows(s.st, x, 1, t.NormD.Gain.Data, t.NormD.Bias.Data, nil, nil)
 
 	// Tied output projection against the cached Dim×Vocab transpose:
 	// logits[j] = Σ_p st[p]·Embed[j][p], accumulated in the same p-outer
@@ -338,16 +339,10 @@ func attendRowInto(out, scores, q, kT []float32, ld int, v [][]float32, ctxLen i
 		off := h * dh
 		clear(scores)
 		tensor.MulRowInto(scores, q[off:off+dh], kT, dh, ctxLen, ld, off*ld)
-		for j := range scores {
-			scores[j] *= scale
-		}
-		softmaxRow(scores)
+		tensor.SoftmaxBlock(scores, 1, ctxLen, scale, false)
 		tensor.AttnWeightedSumInto(out[off:off+dh], scores, v[h], ctxLen, dh)
 	}
 }
-
-// softmaxRow mirrors Softmax's forward pass for one unmasked row.
-func softmaxRow(row []float32) { tensor.SoftmaxRow(row, row) }
 
 // geluRow mirrors GELU's forward pass in place.
 func geluRow(xs []float32) { tensor.GELURow(xs, xs, nil) }

@@ -216,12 +216,10 @@ func (ft *FunctionTemplate) mergeRow(row *Row, target string, toks []string) {
 	lits, litPos := row.literalTokens()
 	lcs := align.TokenLCS(lits, toks)
 
-	matchedLit := make(map[int]bool, len(lcs)) // pattern positions kept
 	type anchor struct{ pat, tok int }
 	anchors := make([]anchor, 0, len(lcs)+2)
 	anchors = append(anchors, anchor{pat: -1, tok: -1})
 	for _, pr := range lcs {
-		matchedLit[litPos[pr.A]] = true
 		anchors = append(anchors, anchor{pat: litPos[pr.A], tok: pr.B})
 	}
 	anchors = append(anchors, anchor{pat: len(row.Pattern), tok: len(toks)})

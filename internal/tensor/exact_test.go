@@ -286,10 +286,18 @@ func TestExactKernelsDoNotAllocate(t *testing.T) {
 	deriv := make([]float32, len(row))
 	xs := make([]float64, len(row))
 	nll := make([]float64, 1)
+	block := make([]float32, 19*7)
+	gain, bias := row[:48], row[48:96]
+	norm, means, invstd := make([]float32, 2*len(row)), make([]float32, 11), make([]float32, 11)
 	eachKernelPath(func(path string) {
 		allocs := testing.AllocsPerRun(20, func() {
 			ExpInto(xs, xs)
 			SoftmaxRow(out, row)
+			copy(block, row)
+			SoftmaxBlock(block, 19, 7, 0.25, true)
+			LayerNormRows(norm, row, 2, gain, bias, nil, nil)
+			LayerNormRows(norm, deriv, 11, row[:8], bias[:8], means, invstd)
+			TransposeInto(norm, row, 11, 12, 12)
 			GELURow(out, row, deriv)
 			SoftmaxNorm(row)
 			SoftmaxLogZ(out, row)

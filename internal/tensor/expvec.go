@@ -91,17 +91,89 @@ func rowMax(row []float32) float32 {
 //	e[j] = float32(math.Exp(float64(src[j] - maxv)))
 //	sum  = Σ e[j] in float32, ascending j
 //	dst[j] = e[j] * (1/sum) when sum > 0, else e[j]
+//
+// It is SoftmaxBlock's one unmasked row at scale 1 (x·1 = x).
 func SoftmaxRow(dst, src []float32) {
 	dst = dst[:len(src)]
-	expShift32(dst, src, rowMax(src))
+	copy(dst, src)
+	SoftmaxBlock(dst, 1, len(dst), 1, false)
+}
+
+// SoftmaxBlock applies attention's softmax in place to each row of the
+// r×c block p (row i at p[i*c:(i+1)*c]), exactly as
+//
+//	s[j] = x[j] * scale, or, when causal,
+//	s[j] = float32(x[j]*scale) + m[j], m[j] = 0 for j ≤ i, −Inf for j > i
+//
+// followed by SoftmaxRow's formula on s. The AVX2 path takes two kernel
+// calls: one per row for the scale and mask fused with a vector row max
+// and the exp replica, then one per block for the sums, eight rows'
+// ascending chains side by side, and the vector normalisation.
+// scaleMaskRow, expShift32 and normalizeRow are its reference.
+func SoftmaxBlock(p []float32, r, c int, scale float32, causal bool) {
+	if r == 0 || c == 0 {
+		return
+	}
+	p = p[:r*c]
+	vec := expVec()
+	for i := 0; i < r; i++ {
+		row := p[i*c : (i+1)*c]
+		diag := -1
+		if causal {
+			diag = i
+		}
+		if !vec {
+			expShift32(row, row, scaleMaskRow(row, 0, scale, diag))
+			normalizeRow(row)
+			continue
+		}
+		maxv, done := softmaxExpRowAVX2(&row[0], c, scale, diag)
+		if done < c { // a chunk the exp replica leaves to math.Exp
+			rest := row[done:]
+			scaleMaskRow(rest, done, scale, diag)
+			expShift32(rest, rest, maxv)
+		}
+	}
+	if vec {
+		normalizeRowsAVX2(&p[0], r, c)
+	}
+}
+
+// scaleMaskRow sets row[j] = x*scale, or, for the causal mask of row
+// diag ≥ 0, float32(x*scale) + m with m = −Inf where the column off+j
+// exceeds diag and +0 elsewhere. It returns the largest result (−Inf
+// for an empty row), skipping NaNs as `v > maxv` does.
+func scaleMaskRow(row []float32, off int, scale float32, diag int) float32 {
+	negInf := float32(math.Inf(-1))
+	maxv := negInf
+	for j, x := range row {
+		s := x * scale
+		if diag >= 0 {
+			m := float32(0)
+			if off+j > diag {
+				m = negInf
+			}
+			s = float32(x*scale) + m
+		}
+		row[j] = s
+		if s > maxv {
+			maxv = s
+		}
+	}
+	return maxv
+}
+
+// normalizeRow scales a row of exps by 1/sum when their float32 sum,
+// ascending j, is positive.
+func normalizeRow(row []float32) {
 	var sum float32
-	for _, e := range dst {
+	for _, e := range row {
 		sum += e
 	}
 	if sum > 0 {
 		inv := 1 / sum
-		for j := range dst {
-			dst[j] *= inv
+		for j := range row {
+			row[j] *= inv
 		}
 	}
 }

@@ -16,6 +16,12 @@ func expAVX2(dst, src *float64, n int) int
 func expShift32AVX2(dst, src *float32, n int, shift float32) int
 
 //go:noescape
+func softmaxExpRowAVX2(row *float32, n int, scale float32, diag int) (maxv float32, done int)
+
+//go:noescape
+func normalizeRowsAVX2(p *float32, r, c int)
+
+//go:noescape
 func geluAVX2(dst, src, deriv *float32, n int) int
 
 var cpuFMA = detectFMA()

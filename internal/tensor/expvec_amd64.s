@@ -303,3 +303,333 @@ geludone:
 	MOVQ AX, ret+32(FP)
 	VZEROUPPER
 	RET
+
+// Attention softmax constants, by byte offset: the int32 lane indices
+// 0–7 (0), eight 8s (32) and four 4s (96) to advance them, eight −Infs
+// (64), 1.0 (128), and the tail mask (160): eight set int32 lanes, then
+// eight clear ones (left unwritten, so zero); the 8 lanes starting at
+// entry 8−n select the first n.
+#define D8(off, a, b, c, d, e, f, g, h) \
+	DATA smc<>+(off)(SB)/4, a; \
+	DATA smc<>+(off+4)(SB)/4, b; \
+	DATA smc<>+(off+8)(SB)/4, c; \
+	DATA smc<>+(off+12)(SB)/4, d; \
+	DATA smc<>+(off+16)(SB)/4, e; \
+	DATA smc<>+(off+20)(SB)/4, f; \
+	DATA smc<>+(off+24)(SB)/4, g; \
+	DATA smc<>+(off+28)(SB)/4, h
+
+D8(0, $0, $1, $2, $3, $4, $5, $6, $7)
+D8(32, $8, $8, $8, $8, $8, $8, $8, $8)
+D8(64, $0xff800000, $0xff800000, $0xff800000, $0xff800000, $0xff800000, $0xff800000, $0xff800000, $0xff800000)
+DATA smc<>+96(SB)/4, $4
+DATA smc<>+100(SB)/4, $4
+DATA smc<>+104(SB)/4, $4
+DATA smc<>+108(SB)/4, $4
+DATA smc<>+128(SB)/4, $0x3f800000
+D8(160, $0xffffffff, $0xffffffff, $0xffffffff, $0xffffffff, $0xffffffff, $0xffffffff, $0xffffffff, $0xffffffff)
+GLOBL smc<>(SB), RODATA|NOPTR, $224
+
+#define SMIOTA smc<>+0(SB)
+#define SMEIGHT smc<>+32(SB)
+#define SMNEGINF smc<>+64(SB)
+#define SMFOUR smc<>+96(SB)
+#define SMONE smc<>+128(SB)
+
+// SM_TAILMASK sets Y13 to the mask of the first BX lanes (BX in 1–7);
+// R8 and R9 are clobbered.
+#define SM_TAILMASK \
+	MOVQ $8, R8; \
+	SUBQ BX, R8; \
+	LEAQ smc<>+160(SB), R9; \
+	VMOVDQU (R9)(R8*4), Y13
+
+// SM_SCORE turns the raw scores in Y0 into softmax inputs: Y0·scale
+// (Y8), then, when diag (DX) ≥ 0, plus the causal mask: −Inf (Y12) in the
+// lanes whose column index (Y10) exceeds diag (Y11), +0 in the others.
+// The exp pass uses only the low four lanes. Y1 is clobbered.
+#define SM_SCORE(skip) \
+	VMULPS Y8, Y0, Y0; \
+	TESTQ DX, DX; \
+	JS    skip; \
+	VPCMPGTD Y11, Y10, Y1; \
+	VANDPS Y12, Y1, Y1; \
+	VADDPS Y1, Y0, Y0; \
+skip:
+
+// SM_EXP4 replaces the four float32 lanes of X0 by their exps through
+// the exp replica, or jumps to stop when a lane is outside the replica's
+// classes.
+#define SM_EXP4(stop) \
+	VCVTPS2PD X0, Y0; \
+	EXP_CLASSIFY(Y0, Y2, Y4, R8); \
+	CMPL R8, $15; \
+	JNE  stop; \
+	EXP_CORE(Y0, Y2, Y3); \
+	VANDNPD Y0, Y4, Y0; \
+	VCVTPD2PSY Y0, X0
+
+// func softmaxExpRowAVX2(row *float32, n int, scale float32, diag int) (maxv float32, done int)
+// The exps of one attention softmax row in place (n ≥ 1), with s[j] =
+// row[j]·scale, plus the causal mask when diag ≥ 0 (+0 for j ≤ diag, −Inf
+// past it), in two passes over eight-lane chunks, the last one masked:
+//
+//  1. maxv = max(s), NaNs skipped: VMAXPS returns its second operand,
+//     the running max, when the first is a NaN, so each lane keeps what
+//     `v > maxv` keeps, up to the sign of a zero max (harmless: x − (±0)
+//     exps alike);
+//  2. row[j] = float32(math.Exp(float64(s[j] − maxv))) through the exp
+//     replica, s recomputed from the raw scores.
+//
+// No chain runs the length of the row, so consecutive rows overlap in
+// the CPU; the sums are normalizeRowsAVX2's. A chunk the exp replica
+// cannot run (a NaN lane, or one in (−746, −708)) ends the kernel: it
+// returns maxv and done, the start of that chunk, with row[:done]
+// holding exps and row[done:] the raw scores, and the caller finishes
+// the row. Otherwise done = n.
+//
+// Registers: DI row, CX n, DX diag, AX index, BX next index or lanes
+// left, Y6 maxv, Y8 scale, Y9 running max, Y10 column indices, Y11
+// diag, Y12 −Inf, Y13 tail mask, Y15 zero.
+TEXT ·softmaxExpRowAVX2(SB), NOSPLIT, $0-48
+	MOVQ row+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSS scale+16(FP), Y8
+	MOVQ diag+24(FP), DX
+	VMOVUPS SMNEGINF, Y12
+	VMOVAPS Y12, Y9
+	VMOVDQU SMIOTA, Y10
+	VMOVQ DX, X11
+	VPBROADCASTD X11, Y11
+	VXORPS Y15, Y15, Y15
+	XORQ AX, AX
+
+smmax:
+	LEAQ 8(AX), BX
+	CMPQ BX, CX
+	JGT  smmaxtail
+	VMOVUPS (DI)(AX*4), Y0
+	SM_SCORE(smmaxscored)
+	VMAXPS Y9, Y0, Y9
+	VPADDD SMEIGHT, Y10, Y10
+	MOVQ BX, AX
+	JMP  smmax
+
+smmaxtail:
+	MOVQ CX, BX
+	SUBQ AX, BX
+	JZ   smreduce
+	SM_TAILMASK
+	VMASKMOVPS (DI)(AX*4), Y13, Y0
+	SM_SCORE(smmaxtailscored)
+	VBLENDVPS Y13, Y0, Y12, Y0
+	VMAXPS Y9, Y0, Y9
+
+smreduce:
+	VEXTRACTF128 $1, Y9, X1
+	VMAXPS X9, X1, X9
+	VPERMILPS $0x4e, X9, X1
+	VMAXPS X9, X1, X9
+	VPERMILPS $0xb1, X9, X1
+	VMAXPS X9, X1, X9
+	VMOVSS X9, maxv+32(FP)
+	VBROADCASTSS X9, Y6
+	VMOVDQU SMIOTA, Y10
+	XORQ AX, AX
+
+smexp:
+	LEAQ 4(AX), BX
+	CMPQ BX, CX
+	JGT  smexptail
+	VMOVUPS (DI)(AX*4), X0
+	SM_SCORE(smexpscored)
+	VSUBPS X6, X0, X0
+	SM_EXP4(smstop)
+	VMOVUPS X0, (DI)(AX*4)
+	VPADDD SMFOUR, X10, X10
+	MOVQ BX, AX
+	JMP  smexp
+
+smexptail:
+	MOVQ CX, BX
+	SUBQ AX, BX
+	JZ   smdone
+	SM_TAILMASK
+	VMASKMOVPS (DI)(AX*4), X13, X0
+	SM_SCORE(smexptailscored)
+	VSUBPS X6, X0, X0
+	// Padding lanes exp 0.
+	VBLENDVPS X13, X0, X15, X0
+	SM_EXP4(smstop)
+	// Lane by lane: a masked store would hold up the next row's loads,
+	// which cannot take their data from it.
+	LEAQ (DI)(AX*4), SI
+	VMOVSS X0, (SI)
+	CMPQ BX, $1
+	JEQ  smdone
+	VEXTRACTPS $1, X0, 4(SI)
+	CMPQ BX, $2
+	JEQ  smdone
+	VEXTRACTPS $2, X0, 8(SI)
+
+smdone:
+	MOVQ CX, done+40(FP)
+	VZEROUPPER
+	RET
+
+smstop:
+	MOVQ AX, done+40(FP)
+	VZEROUPPER
+	RET
+
+// NR_SCALEROW multiplies the c (CX) floats at R9 by the factor in every
+// lane of Y3, eight at a time, the last c%8 through the mask in Y13. AX,
+// SI and Y4 are clobbered.
+#define NR_SCALEROW(loop, tail, done) \
+	XORQ AX, AX; \
+loop: \
+	LEAQ 8(AX), SI; \
+	CMPQ SI, CX; \
+	JGT  tail; \
+	VMULPS (R9)(AX*4), Y3, Y4; \
+	VMOVUPS Y4, (R9)(AX*4); \
+	MOVQ SI, AX; \
+	JMP  loop; \
+tail: \
+	CMPQ AX, CX; \
+	JEQ  done; \
+	VMULSS (R9)(AX*4), X3, X4; \
+	VMOVSS X4, (R9)(AX*4); \
+	INCQ AX; \
+	JMP tail; \
+done:
+
+// func normalizeRowsAVX2(p *float32, r, c int)
+// For each row of the r×c block p (r, c ≥ 1): sum = Σ row[j] in float32,
+// ascending j, then row[j] *= 1/sum when sum > 0. With eight or more rows
+// they go eight at a time: the eight sums are scalar chains advanced
+// side by side, each still one ascending chain; they become one vector
+// of factors, 1/sum or 1 where the sum is not positive (x·1 = x for every
+// exp, none being a signalling NaN); and each row is scaled by its own
+// factor in eight-lane chunks, the last one masked. A last group short
+// of eight rows moves back to end at row r and skips the rows it
+// overlaps, which are done. Fewer than eight rows take one chain each.
+//
+// Registers: DI group's row 0, DX its row 4, R9 row cursor, R10 row
+// stride in bytes, R11 three strides, R12 rows left, R13 first row of
+// the group to scale, CX c, BX row index, X0–X7 the sums, Y2 the
+// factors, Y3 one row's factor, Y13 tail mask, Y14 ones, Y15 zero.
+TEXT ·normalizeRowsAVX2(SB), NOSPLIT, $0-24
+	MOVQ p+0(FP), DI
+	MOVQ r+8(FP), R12
+	MOVQ c+16(FP), CX
+	MOVQ CX, R10
+	SHLQ $2, R10
+	LEAQ (R10)(R10*2), R11
+	VXORPS Y15, Y15, Y15
+	VBROADCASTSS SMONE, Y14
+	MOVQ CX, BX
+	ANDQ $7, BX
+	JZ   nrstart
+	SM_TAILMASK
+
+nrstart:
+	CMPQ R12, $8
+	JLT  nrsingle
+	XORQ R13, R13
+
+nrgroup:
+	MOVQ DI, R9
+	LEAQ (DI)(R10*4), DX
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	VXORPS X6, X6, X6
+	VXORPS X7, X7, X7
+	MOVQ CX, AX
+
+nrsum:
+	VADDSS (R9), X0, X0
+	VADDSS (R9)(R10*1), X1, X1
+	VADDSS (R9)(R10*2), X2, X2
+	VADDSS (R9)(R11*1), X3, X3
+	VADDSS (DX), X4, X4
+	VADDSS (DX)(R10*1), X5, X5
+	VADDSS (DX)(R10*2), X6, X6
+	VADDSS (DX)(R11*1), X7, X7
+	ADDQ $4, R9
+	ADDQ $4, DX
+	DECQ AX
+	JNZ  nrsum
+
+	// Y0 = the eight sums; Y2 = their factors.
+	VUNPCKLPS X1, X0, X0
+	VUNPCKLPS X3, X2, X2
+	VMOVLHPS X2, X0, X0
+	VUNPCKLPS X5, X4, X4
+	VUNPCKLPS X7, X6, X6
+	VMOVLHPS X6, X4, X4
+	VINSERTF128 $1, X4, Y0, Y0
+	VCMPPS $0x1e, Y15, Y0, Y1
+	VDIVPS Y0, Y14, Y2
+	VBLENDVPS Y1, Y2, Y14, Y2
+
+	MOVQ R13, BX
+	MOVQ R13, R9
+	IMULQ R10, R9
+	ADDQ DI, R9
+
+nrrow:
+	VMOVQ BX, X3
+	VPBROADCASTD X3, Y3
+	VPERMPS Y2, Y3, Y3
+	NR_SCALEROW(nrcol, nrcoltail, nrcoldone)
+	ADDQ R10, R9
+	INCQ BX
+	CMPQ BX, $8
+	JLT  nrrow
+
+	LEAQ (DI)(R10*8), DI
+	SUBQ $8, R12
+	JZ   nrdone
+	XORQ R13, R13
+	CMPQ R12, $8
+	JGE  nrgroup
+	// The last group ends at row r: it starts 8−R12 rows back, and
+	// those rows are already scaled.
+	MOVQ $8, R13
+	SUBQ R12, R13
+	MOVQ R13, AX
+	IMULQ R10, AX
+	SUBQ AX, DI
+	MOVQ $8, R12
+	JMP  nrgroup
+
+nrsingle:
+	MOVQ DI, R9
+
+nrsrow:
+	VXORPS X0, X0, X0
+	MOVQ R9, DX
+	MOVQ CX, AX
+
+nrssum:
+	VADDSS (DX), X0, X0
+	ADDQ $4, DX
+	DECQ AX
+	JNZ  nrssum
+	VCMPPS $0x1e, X15, X0, X1
+	VDIVSS X0, X14, X2
+	VBLENDVPS X1, X2, X14, X2
+	VBROADCASTSS X2, Y3
+	NR_SCALEROW(nrscol, nrscoltail, nrscoldone)
+	ADDQ R10, R9
+	DECQ R12
+	JNZ  nrsrow
+
+nrdone:
+	VZEROUPPER
+	RET

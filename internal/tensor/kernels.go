@@ -214,3 +214,37 @@ func MatMulStrided(out []float32, ldo int, a []float32, ars, acs int, b []float3
 		rowAcc(out[i*ldo:i*ldo+c], a[i*ars:], b, k, acs, ldb)
 	}
 }
+
+// TransposeInto writes the m columns of n rows of src, ld floats apart,
+// into dst as an m×n block and returns it: dst[p*n+j] = src[j*ld+p].
+// The AVX2 path moves whole 8×8 tiles through registers; the rows past
+// the last full strip of 8 and the columns past the last multiple of 8
+// are copied one by one. It only moves values, so both paths give the
+// same bits.
+func TransposeInto(dst, src []float32, n, m, ld int) []float32 {
+	dst = dst[:m*n]
+	if n == 0 || m == 0 {
+		return dst
+	}
+	_ = src[(n-1)*ld+m-1]
+	j, m8 := 0, 0
+	if useAVX2 {
+		m8 = m &^ 7
+		if m8 > 0 {
+			for ; j+8 <= n; j += 8 {
+				transpose8AVX2(&dst[j], n, &src[j*ld], ld, m8)
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		p0 := m8
+		if r >= j {
+			p0 = 0
+		}
+		row := src[r*ld+p0 : r*ld+m]
+		for p, x := range row {
+			dst[(p0+p)*n+r] = x
+		}
+	}
+	return dst
+}

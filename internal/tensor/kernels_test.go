@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -675,4 +676,63 @@ func TestSoftmaxXentMatchesReference(t *testing.T) {
 			t.Fatalf("padding row received gradient at col %d", j)
 		}
 	}
+}
+
+// TestRowAccEveryWidth runs the row kernel at every output width up to
+// 100 — each remainder after the 48-column blocks, with and without a
+// masked tail — against the naive loop, with a quarter of the left
+// operand zero (the zero-skip) and a strided left operand.
+func TestRowAccEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	eachKernelPath(func(path string) {
+		for c := 1; c <= 100; c++ {
+			for _, k := range []int{1, 2, 12, 33} {
+				a := make([]float32, 3*k)
+				b := make([]float32, k*c)
+				fill(a, rng, 0.25)
+				fill(b, rng, 0)
+				o := make([]float32, c)
+				fill(o, rng, 0)
+				want := append([]float32(nil), o...)
+				for p := 0; p < k; p++ {
+					if av := a[3*p]; av != 0 {
+						for j := range want {
+							want[j] += av * b[p*c+j]
+						}
+					}
+				}
+				rowAcc(o, a, b, k, 3, c)
+				equalBits(t, fmt.Sprintf("rowAcc(c=%d, k=%d, %s)", c, k, path), o, want)
+			}
+		}
+	})
+}
+
+// TestTransposeIntoMatchesNaive checks TransposeInto against the
+// element-by-element copy on both paths, for shapes around the 8×8
+// tiles, with arbitrary bit patterns (NaN payloads included).
+func TestTransposeIntoMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	eachKernelPath(func(path string) {
+		for n := 0; n <= 19; n++ {
+			for _, m := range []int{0, 1, 7, 8, 9, 12, 16, 17, 48} {
+				ld := m + n%3
+				src := make([]float32, n*ld+1)
+				for i := range src {
+					src[i] = math.Float32frombits(rng.Uint32())
+				}
+				want := make([]float32, m*n)
+				for j := 0; j < n; j++ {
+					for p := 0; p < m; p++ {
+						want[p*n+j] = src[j*ld+p]
+					}
+				}
+				got := TransposeInto(make([]float32, m*n+5), src, n, m, ld)
+				if len(got) != m*n {
+					t.Fatalf("TransposeInto(%d×%d): len %d", n, m, len(got))
+				}
+				equalBits(t, fmt.Sprintf("TransposeInto(%d×%d, ld %d, %s)", n, m, ld, path), got, want)
+			}
+		}
+	})
 }

@@ -26,6 +26,25 @@ func axpyAVX2(dst, src *float32, n int, alpha float32)
 // per term; the last c%8 columns use masked loads and stores.
 func rowAccAVX2(o, a, b *float32, c, k, astride, ldb int)
 
+// layerNormApplyAVX2 computes dst[j] = (src[j]-mean)*is*gain[j] + bias[j]
+// for j < n (n ≥ 1), each operation rounded on its own in that order.
+//
+//go:noescape
+func layerNormApplyAVX2(dst, src, gain, bias *float32, n int, mean, is float32)
+
+// transpose8AVX2 sets dst[c*ldd+r] = src[r*lds+c] for r < 8, c < m (m a
+// positive multiple of 8).
+//
+//go:noescape
+func transpose8AVX2(dst *float32, ldd int, src *float32, lds int, m int)
+
+// layerNormStats8AVX2 sets mean[l] = (Σ_j row_l[j]) / fc and ss[l] =
+// Σ_j (row_l[j] − mean[l])², ascending j, for the 8 rows of c floats at
+// src (c a positive multiple of 8).
+//
+//go:noescape
+func layerNormStats8AVX2(src *float32, c int, fc float32, mean, ss *float32)
+
 // useAVX2 gates the assembly paths: AVX2 present and YMM state enabled
 // by the OS. Checked once at init; the pure-Go loops are the fallback
 // and the reference. It is a var so tests can force the pure-Go paths.
