@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBatchAgainstTape$$' -fuzztime 3s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzPooledDecodersAgainstReference$$' -fuzztime 3s ./internal/model
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitUnitsAgainstReference$$' -fuzztime 3s ./internal/model
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 3s ./internal/core
 
 # One iteration of each Stage 1 benchmark, so a b.Fatal path cannot
 # break unnoticed. BenchmarkRepairLoop trains a model, so it stays out.

@@ -25,8 +25,7 @@ func runFig10(h *harness) {
 
 		// Correct the generated backend: accurate functions from VEGA,
 		// the base compiler's for the rest (§4.3's methodology).
-		cb := core.Correct(h.backend(tgt), h.evalOf(tgt))
-		corrected := cb.Funcs(ref)
+		corrected, kept := core.Correct(h.backend(tgt), h.evalOf(tgt), ref)
 
 		// Both compilers interrogate their backend's interface functions:
 		// the base compiler the reference implementations, the VEGA
@@ -38,7 +37,7 @@ func runFig10(h *harness) {
 
 		suite := bench.SuiteFor(tgt)
 		fmt.Printf("\n%s (%d benchmarks, %d/%d functions straight from VEGA):\n",
-			paperName(tgt), len(suite), len(cb.Sources), len(corrected))
+			paperName(tgt), len(suite), kept, len(corrected))
 		fmt.Printf("  %-18s %10s %10s %9s %9s\n", "benchmark", "O0 cycles", "O3 cycles", "base", "VEGA")
 		shown := 0
 		var geoBase, geoVega float64 = 1, 1

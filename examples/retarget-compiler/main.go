@@ -46,9 +46,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cb := core.Correct(gen, be)
-	corrected := cb.Funcs(ref)
-	fmt.Printf("corrected backend: %d/%d functions straight from VEGA\n", len(cb.Sources), len(corrected))
+	corrected, kept := core.Correct(gen, be, ref)
+	fmt.Printf("corrected backend: %d/%d functions straight from VEGA\n", kept, len(corrected))
 
 	// Extract codegen tables by running the corrected backend's functions.
 	vegaTables, err := compiler.TablesFromBackend(ref.Target, corrected, eval.NewUniverse(ref).Env(0))

@@ -80,13 +80,7 @@ func writeCheckpointFile(path string, ck *checkpoint, o *obs.Obs) error {
 	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
 		return fmt.Errorf("core: save: %w", err)
 	}
-	sum := sha256.Sum256(payload.Bytes())
-	buf := make([]byte, 0, ckptHeaderLen+payload.Len())
-	buf = append(buf, ckptMagic[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, ckptVersion)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(payload.Len()))
-	buf = append(buf, sum[:]...)
-	buf = append(buf, payload.Bytes()...)
+	buf := sealCheckpoint(payload.Bytes())
 
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
@@ -117,6 +111,17 @@ func writeCheckpointFile(path string, ck *checkpoint, o *obs.Obs) error {
 		}
 	}
 	return nil
+}
+
+// sealCheckpoint prefixes a gob payload with the checkpoint header.
+func sealCheckpoint(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	buf := make([]byte, 0, ckptHeaderLen+len(payload))
+	buf = append(buf, ckptMagic[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, ckptVersion)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = append(buf, sum[:]...)
+	return append(buf, payload...)
 }
 
 // flipCheckpointByte flips one bit of the first payload byte in place —
@@ -181,7 +186,9 @@ func readCheckpointFile(path string) (*checkpoint, error) {
 // negative or inflated Dim, Vocab or MaxSeq would panic or exhaust memory
 // in the constructor (the decoder pools MaxSeq×Dim blocks per decode).
 // Every architecture stores its Vocab×Dim token embedding first; those
-// with positions store the MaxSeq×Dim table second.
+// with positions store the MaxSeq×Dim table second, and each of their
+// layers stores at least one tensor, the FFN's Dim×FFMult·Dim weight
+// among them, so an inflated layer count or FFMult is caught here too.
 func checkModelConfig(ck *checkpoint) error {
 	c := ck.ModelCfg
 	for _, f := range []struct {
@@ -201,8 +208,23 @@ func checkModelConfig(ck *checkpoint) error {
 	if len(ck.Params) == 0 || !sized(len(ck.Params[0]), c.Vocab) {
 		return fmt.Errorf("%w: embedding does not hold Vocab %d × Dim %d", ErrCheckpointArch, c.Vocab, c.Dim)
 	}
-	if ck.Arch != "gru" && (len(ck.Params) < 2 || !sized(len(ck.Params[1]), c.MaxSeq)) {
+	if ck.Arch == "gru" {
+		return nil // one GRU cell each way: no positions, layers or FFN
+	}
+	if len(ck.Params) < 2 || !sized(len(ck.Params[1]), c.MaxSeq) {
 		return fmt.Errorf("%w: positional table does not hold MaxSeq %d × Dim %d", ErrCheckpointArch, c.MaxSeq, c.Dim)
+	}
+	if c.EncLayers > len(ck.Params) || c.DecLayers > len(ck.Params)-c.EncLayers {
+		return fmt.Errorf("%w: %d+%d layers exceed %d stored tensors",
+			ErrCheckpointArch, c.EncLayers, c.DecLayers, len(ck.Params))
+	}
+	largest := 0
+	for _, t := range ck.Params {
+		largest = max(largest, len(t))
+	}
+	if largest/c.Dim/c.Dim < c.FFMult {
+		return fmt.Errorf("%w: FFN Dim %d × FFMult %d × Dim exceeds the largest stored tensor (%d)",
+			ErrCheckpointArch, c.Dim, c.FFMult, largest)
 	}
 	return nil
 }

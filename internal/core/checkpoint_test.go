@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vega/internal/faultinject"
@@ -185,8 +186,11 @@ func TestCheckpointWrongArch(t *testing.T) {
 // TestCheckpointRejectsBadModelConfig reseals checkpoints whose model
 // config cannot describe their parameters — a correct checksum, so only
 // the config check stands between them and a divide by zero, dropped
-// columns or a runaway allocation in the constructor.
+// columns or a runaway allocation in the constructor. Each rejection
+// must come before construction: Load may allocate a few MB at most,
+// where building the inflated models takes tens of MB.
 func TestCheckpointRejectsBadModelConfig(t *testing.T) {
+	const maxAlloc = 4 << 20
 	_, path := savedCheckpoint(t)
 	ck, err := readCheckpointFile(path)
 	if err != nil {
@@ -201,6 +205,9 @@ func TestCheckpointRejectsBadModelConfig(t *testing.T) {
 		"huge MaxSeq":             func(c *model.Config) { c.MaxSeq = 1 << 40 },
 		"zero FFMult":             func(c *model.Config) { c.FFMult = 0 },
 		"zero DecLayers":          func(c *model.Config) { c.DecLayers = 0 },
+		"inflated FFMult":         func(c *model.Config) { c.FFMult = 1000 },
+		"inflated EncLayers":      func(c *model.Config) { c.EncLayers = 200 },
+		"inflated DecLayers":      func(c *model.Config) { c.DecLayers = 200 },
 	} {
 		tampered := *ck
 		edit(&tampered.ModelCfg)
@@ -209,8 +216,15 @@ func TestCheckpointRejectsBadModelConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 		p, _ := NewFromProvider(testCorpus(t), tinyConfig())
-		if err := p.Load(tpath); !errors.Is(err, ErrCheckpointArch) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := p.Load(tpath)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCheckpointArch) {
 			t.Errorf("%s: err = %v, want ErrCheckpointArch", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > maxAlloc {
+			t.Errorf("%s: rejected Load allocated %.1f MB, want at most %d MB", name, float64(d)/(1<<20), maxAlloc>>20)
 		}
 		if p.Model != nil {
 			t.Errorf("%s: a rejected Load installed a model", name)
@@ -272,4 +286,50 @@ func TestLoadErrors(t *testing.T) {
 	if err := p.Save(filepath.Join(t.TempDir(), "x.gob")); err == nil {
 		t.Error("expected error saving an untrained pipeline")
 	}
+}
+
+// FuzzCheckpointLoad feeds Load arbitrary payloads behind a valid header,
+// so the fuzzer's mutations reach the gob decoder and the config checks
+// rather than stopping at the checksum. Load must never panic, and every
+// failure must be one of the four typed checkpoint errors.
+func FuzzCheckpointLoad(f *testing.F) {
+	// The seed is a saved checkpoint of a Dim-8 model, so the fuzzer
+	// mutates and minimizes kilobytes rather than the test model's
+	// hundreds of kilobytes.
+	p, err := NewFromProvider(testCorpus(f), tinyConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	p.Cfg.Model = model.Config{Dim: 8, Heads: 2, EncLayers: 1, DecLayers: 1, FFMult: 2, MaxSeq: 8}
+	p.Vocab = model.BuildVocabExtra(nil, 2, nil, markerTokens)
+	p.Model = model.NewTransformer(p.modelConfig())
+	path := filepath.Join(f.TempDir(), "seed.vega")
+	if err := p.Save(path); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := p.Load(path); err != nil {
+		f.Fatalf("seed checkpoint does not load: %v", err)
+	}
+	f.Add(raw[ckptHeaderLen:])
+	f.Add([]byte{})
+	tpath := filepath.Join(f.TempDir(), "fuzz.vega")
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if err := os.WriteFile(tpath, sealCheckpoint(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := p.Load(tpath)
+		if err == nil {
+			return
+		}
+		for _, typed := range []error{ErrCheckpointFormat, ErrCheckpointVersion, ErrCheckpointCorrupt, ErrCheckpointArch} {
+			if errors.Is(err, typed) {
+				return
+			}
+		}
+		t.Fatalf("untyped Load error: %v", err)
+	})
 }

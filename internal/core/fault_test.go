@@ -55,7 +55,7 @@ func TestGenerateCancelContext(t *testing.T) {
 	p := faultPipeline(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b := p.GenerateBackendContext(ctx, "RISCV")
+	b := p.GenerateBackendOptions(ctx, "RISCV", GenOptions{})
 	if !b.Partial {
 		t.Fatal("canceled generation not marked partial")
 	}

@@ -182,13 +182,13 @@ func (p *Pipeline) decodeStatement(g *Group, ri int, tv *feature.TargetFeatures,
 // complete backend for a new target, with per-module wall-clock timings
 // (Fig. 7's series).
 func (p *Pipeline) GenerateBackend(target string) *generate.Backend {
-	return p.GenerateBackendContext(context.Background(), target)
+	return p.GenerateBackendOptions(context.Background(), target, GenOptions{})
 }
 
 // GenOptions scopes and degrades one generation request. The zero value
-// generates the complete backend exactly like GenerateBackendContext;
-// every field narrows or cheapens the run, which is what the serving
-// layer's admission/degradation ladder needs per request.
+// generates the complete backend exactly like GenerateBackend; every
+// field narrows or cheapens the run, which is what the serving layer's
+// admission/degradation ladder needs per request.
 type GenOptions struct {
 	// Modules restricts generation to these module names (corpus.Modules
 	// order is preserved regardless of the order given here). Empty means
@@ -223,16 +223,18 @@ func (o GenOptions) inScope(module, fn string) bool {
 	return moduleListed(o.Modules, module) && (len(o.Functions) == 0 || slices.Contains(o.Functions, fn))
 }
 
-// GenerateBackendContext is GenerateBackend with cancellation: when ctx
-// is canceled or times out mid-run, the backend generated so far is
-// returned with Partial set, so a long Stage 3 run salvages the
-// functions it finished. Functions that panic are recovered (see
-// GenerateFunction) and counted in Recovered.
+// GenerateBackendOptions is GenerateBackend with cancellation, narrowed
+// by opt: the request can scope generation to a module subset or an
+// explicit function list, truncate after MaxFunctions (marked
+// Truncated), or verify. When ctx is canceled or times out mid-run, the
+// backend generated so far is returned with Partial set, so a long Stage
+// 3 run salvages the functions it finished. Functions that panic are
+// recovered (see GenerateFunction) and counted in Recovered.
 //
 // Generation runs on a pool of min(GOMAXPROCS, functions) goroutines:
 // model weights and Stage 1 state are read-only after training, so
 // interface functions decode independently. The pool preserves the
-// serial contract exactly:
+// serial contract exactly, within opt's scope:
 //
 //   - Functions appear in deterministic order — modules in
 //     corpus.Modules order, groups in p.Groups order within a module —
@@ -246,15 +248,6 @@ func (o GenOptions) inScope(module, fn string) bool {
 //     subject, are preserved.) Wall records the pool's wall clock.
 //   - Cancellation is observed per task: workers stop picking up work,
 //     already-decoded functions are kept, and Partial is set.
-func (p *Pipeline) GenerateBackendContext(ctx context.Context, target string) *generate.Backend {
-	return p.GenerateBackendOptions(ctx, target, GenOptions{})
-}
-
-// GenerateBackendOptions is GenerateBackendContext narrowed by opt: the
-// request can scope generation to a module subset or an explicit function
-// list, truncate after MaxFunctions (marked Truncated), or verify. The
-// cancellation, panic-isolation, determinism, and Seconds contracts of
-// GenerateBackendContext hold unchanged within the scope.
 //
 // The method is safe for concurrent use: model weights and Stage 1 state
 // are read-only after training, metrics are atomic, and all per-run state

@@ -178,7 +178,7 @@ func TestParallelCancelMidPoolConsistent(t *testing.T) {
 	}
 
 	ctx := &countCtx{Context: context.Background(), budget: 10}
-	b := p.GenerateBackendContext(ctx, "RISCV")
+	b := p.GenerateBackendOptions(ctx, "RISCV", GenOptions{})
 	if !b.Partial {
 		t.Error("canceled run not marked Partial")
 	}

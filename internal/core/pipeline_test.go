@@ -10,7 +10,7 @@ import (
 
 var sharedCorpus *corpus.Stream
 
-func testCorpus(t *testing.T) *corpus.Stream {
+func testCorpus(t testing.TB) *corpus.Stream {
 	t.Helper()
 	if sharedCorpus == nil {
 		sharedCorpus = corpus.NewStream(corpus.Targets())

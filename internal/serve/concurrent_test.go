@@ -12,7 +12,7 @@ import (
 
 // TestConcurrentGenerateAcrossSwap is the serving-layer differential test
 // (run under -race by `make check`): many overlapping
-// GenerateBackendContext-path calls share one snapshot while a swap
+// GenerateBackendOptions calls share one snapshot while a swap
 // retires it mid-flight. Every request must complete (zero dropped),
 // every output must be byte-identical to a serial reference run, and the
 // old snapshot must drain exactly when its last request releases.

@@ -20,7 +20,7 @@
 //	report, _ := p.Evaluate(backend)
 //
 // Training and generation honor context cancellation and survive bad
-// states — use p.TrainContext / p.GenerateBackendContext for deadlines,
+// states — use p.TrainContext / p.GenerateBackendOptions for deadlines,
 // and see DESIGN.md's "Failure modes & recovery" for the panic
 // isolation, checkpoint checksumming, and NaN-retry behaviour.
 //
